@@ -2,13 +2,13 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-core resume-guard net-guard ci bench bench-slot bench-shard bench-shard-record bench-sweep bench-sweep-record bench-link bench-event bench-record bench-compare bench-telemetry bench-faults bench-runstats bench-runstats-record bench-net bench-net-record sweep examples fuzz clean
+.PHONY: all build test vet race race-core resume-guard net-guard ci bench bench-slot bench-shard bench-shard-record bench-sweep bench-sweep-record bench-link bench-record bench-compare bench-telemetry bench-faults bench-runstats bench-runstats-record bench-net bench-net-record sweep examples fuzz clean
 
 all: build vet test
 
 # Mirror of .github/workflows/ci.yml: build, vet, tests, the race
 # detector over the concurrent packages (sweep pool, parallel optimizer,
-# sharded slot engine), then the message-runtime guard and the sharded
+# sharded run engine), then the message-runtime guard and the sharded
 # hot-path, branching-sweep, runstats-overhead and asynchrony-overhead
 # regression gates.
 ci: build vet test race-core net-guard bench-shard bench-sweep bench-runstats bench-net
@@ -17,16 +17,16 @@ race-core:
 	$(GO) test -race ./internal/core/... ./internal/firefly/... ./internal/experiments/...
 
 # Checkpoint/restore correctness spine under the race detector: resume
-# bit-identity across engines and worker counts, adaptive-engine equivalence,
-# and the committed golden checkpoint fixture.
+# bit-identity across worker counts, shard layouts and the reference
+# stepper, and the committed golden checkpoint fixture.
 resume-guard:
-	$(GO) test -race -count 1 -run 'TestResume|TestAutoEngine|TestGoldenCheckpoint' ./internal/core/
+	$(GO) test -race -count 1 -run 'TestResume|TestGoldenCheckpoint' ./internal/core/
 	$(GO) test -count 1 ./internal/snapshot/
 
 # Bounded-asynchrony correctness spine under the race detector: degenerate
-# bit-identity, adversary determinism across engines and worker counts,
-# mid-flight checkpoint resume, watchdog/partition hardening and the n=200
-# acceptance run, plus the transport queue's own suite.
+# bit-identity, adversary determinism across shard layouts and worker
+# counts, mid-flight checkpoint resume, watchdog/partition hardening and the
+# n=200 acceptance run, plus the transport queue's own suite.
 net-guard:
 	$(GO) test -race -count 1 -run 'TestNet' ./internal/core/
 	$(GO) test -race -count 1 ./internal/asyncnet/
@@ -46,16 +46,16 @@ race:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# Sequential vs. sharded slot engine on the core hot path (see
+# Reference stepper vs. the run engine on the core hot path (see
 # EXPERIMENTS.md "Slot engine throughput").
 bench-slot:
 	$(GO) test -run '^$$' -bench 'BenchmarkStepSlot/[^/]+/n=(200|1000|5000|20000)$$' -benchmem ./internal/core/
 
-# Sharded-engine regression gate: re-run the sequential and sharded
-# stepping benchmarks at a FIXED iteration count — the slot mix an engine
-# sees depends on b.N, so the gate and the committed record must use the
-# same -benchtime — and fail on a >25% ns/op regression against
-# BENCH_shard.json. All sizes are reported; only n=5000 and n=20000 are
+# Sharded-engine regression gate: re-run the stepping benchmarks of the
+# reference stepper (seq, the test oracle) and the engine (shard) at a
+# FIXED iteration count — the slot mix an engine sees depends on b.N, so
+# the gate and the committed record must use the same -benchtime — and
+# fail on a >25% ns/op regression against BENCH_shard.json. All sizes are reported; only n=5000 and n=20000 are
 # gated — 300 slots at n <= 1000 is ~10 ms of measured work, within
 # scheduler noise of the 25% budget, and n=100000 is skipped here to
 # keep `make ci` affordable (it lives in the record via
@@ -70,7 +70,7 @@ bench-shard:
 
 # Refresh the committed sharded-gate baseline (all sizes, including
 # n=100000, at the gate's fixed iteration count) plus the end-to-end
-# sharded run benchmark.
+# engine-vs-reference run benchmark.
 bench-shard-record:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkStepSlot/(seq|shard)/' -benchtime 300x -benchmem ./internal/core/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkRunFSTSharded' -benchtime 1x -timeout 60m -benchmem ./internal/core/ ; } \
@@ -146,7 +146,7 @@ bench-net-record:
 		| $(GO) run ./cmd/benchjson -o BENCH_net.json
 	@cat BENCH_net.json
 
-# Link-geometry cache hot path: slot engine + cached/direct broadcast,
+# Link-geometry cache hot path: run engine + cached/direct broadcast,
 # persisted as BENCH_slot.json (ns/op, allocs/op) via cmd/benchjson.
 bench-link:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkStepSlot/[^/]+/n=(200|1000|5000|20000)$$' -benchmem ./internal/core/ ; \
@@ -168,14 +168,8 @@ bench-telemetry:
 bench-faults:
 	$(GO) test -run '^$$' -bench 'BenchmarkStepSlot(Faults)?/[^/]+/n=200$$' -benchmem ./internal/core/
 
-# Whole-run slot vs. event engine: the dense paper configs (where the two
-# are near-identical) and the sparse ProSe-period config (where the event
-# engine skips >99% of slots). See EXPERIMENTS.md "Event engine".
-bench-event:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunFST$$|BenchmarkRunST' -benchtime 3x -benchmem ./internal/core/
-
 # Full hot-path record: per-slot + broadcast benchmarks at the default
-# benchtime, whole-run engine benchmarks at a fixed iteration count, all
+# benchtime, whole-run benchmarks at a fixed iteration count, all
 # merged into BENCH_slot.json. The stepping benchmarks stop at n=20000
 # here; n=100000 and the end-to-end sharded runs live in BENCH_shard.json
 # (bench-shard-record), which uses the gate's fixed iteration count.

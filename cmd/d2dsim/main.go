@@ -11,13 +11,11 @@
 //	d2dsim -exp ablation-topology -n 50 -seeds 3
 //	d2dsim -exp ablation-search -sizes 32,128,512
 //	d2dsim -exp single -proto ST -n 200 -seed 7
-//	d2dsim -exp single -proto FST -n 200 -engine event
 //	d2dsim -exp single -proto ST -n 1000 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	d2dsim -exp single -proto ST -n 200 -report run.json
 //	d2dsim -exp single -proto ST -n 200 -faults plan.json
 //	d2dsim -exp single -proto ST -n 200 -net netplan.json
 //	d2dsim -exp delay -sizes 50,200 -seeds 5
-//	d2dsim -exp single -proto FST -n 200 -engine auto
 //	d2dsim -exp single -proto FST -n 200 -checkpoint-every 500 -checkpoint ck.json
 //	d2dsim -exp single -proto FST -n 200 -resume ck.json
 //	d2dsim -exp recovery -sizes 50,100,200 -seeds 5
@@ -58,9 +56,7 @@ func main() {
 		proto       = flag.String("proto", "ST", "protocol for -exp single: FST or ST")
 		maxSlots    = flag.Int64("maxslots", 0, "override the per-run slot cap (0 = default)")
 		workers     = flag.Int("workers", 0, "sweep worker pool size (0 = NumCPU)")
-		slotWorkers = flag.Int("slotworkers", 0, "per-run slot engine workers (0/1 = sequential, <0 = NumCPU); results are identical for every value")
-		shards      = flag.Int("shards", 0, "per-run spatial shard count for the slot engine (0 = auto from n and -slotworkers, with a floor that keeps small runs sequential; >=1 forces that many shards); results are identical for every value")
-		engine      = flag.String("engine", "", "stepping strategy: slot steps every slot, event skips inert slots via next-fire scheduling, auto switches between them at period boundaries by observed activity (default slot); results are identical for every choice")
+		slotWorkers = flag.Int("slotworkers", 0, "per-run engine workers (0/1 = single-threaded, <0 = NumCPU); the spatial shard count follows from -n and this; results are identical for every value")
 		csv         = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 		plot        = flag.Bool("plot", false, "also draw fig3/fig4 as a terminal line chart")
 		cfgPath     = flag.String("config", "", "run -exp single from a JSON manifest (overrides -n/-seed)")
@@ -76,7 +72,7 @@ func main() {
 		ckEvery     = flag.Int64("checkpoint-every", 0, "capture a checkpoint of a single/-config run every N slots (requires -checkpoint)")
 		ckPath      = flag.String("checkpoint", "", "file the latest checkpoint is written to (atomically; each checkpoint replaces the previous one)")
 		resumePath  = flag.String("resume", "", "resume a single/-config run from a checkpoint file; the config and -proto must match the run that wrote it")
-		runStats    = flag.Bool("runstats", false, "collect and print engine self-measurement for a single/-config run: per-phase time attribution, per-shard load imbalance, fire-queue depth/batch distributions, checkpoint cost; results are bit-identical with or without it")
+		runStats    = flag.Bool("runstats", false, "collect and print engine self-measurement for a single/-config run: per-phase time attribution, per-shard load imbalance, stepped/skipped slots, checkpoint cost; results are bit-identical with or without it")
 		progress    = flag.Bool("progress", false, "stream one JSONL progress line per completed sweep job to stderr (done/total, cache reuse, prefix resumption, elapsed wall time)")
 		version     = flag.Bool("version", false, "print build info (module, VCS revision, Go version) and exit")
 	)
@@ -153,7 +149,7 @@ func main() {
 	}
 
 	if *cfgPath != "" {
-		if err := runFromManifest(*cfgPath, *proto, *slotWorkers, *shards, *engine, *reportPath, plan, netPlan, vars, ck, *runStats); err != nil {
+		if err := runFromManifest(*cfgPath, *proto, *slotWorkers, *reportPath, plan, netPlan, vars, ck, *runStats); err != nil {
 			fmt.Fprintln(os.Stderr, "d2dsim:", err)
 			os.Exit(1)
 		}
@@ -163,7 +159,7 @@ func main() {
 	opts := runOpts{
 		exp: *exp, sizes: *sizesStr, seeds: *seeds, baseSeed: *baseSeed,
 		n: *n, proto: *proto, maxSlots: *maxSlots,
-		workers: *workers, slotWorkers: *slotWorkers, shards: *shards, engine: *engine,
+		workers: *workers, slotWorkers: *slotWorkers,
 		prefixSlots: *prefixSlots, cacheDir: *cacheDir,
 		csv: *csv, plot: *plot, report: *reportPath, faults: plan, net: netPlan, vars: vars,
 		checkpoint: ck, runStats: *runStats, progress: *progress,
@@ -185,11 +181,9 @@ type runOpts struct {
 	proto    string // protocol for -exp single
 	maxSlots int64  // per-run slot cap override (0 = default)
 	workers  int    // sweep worker pool size
-	// slotWorkers, shards and engine are per-run throughput knobs;
-	// results are bit-identical for every setting.
+	// slotWorkers is the per-run throughput knob; results are
+	// bit-identical for every setting.
 	slotWorkers int
-	shards      int
-	engine      string
 	// prefixSlots arms shared checkpoint-prefix reuse in branching sweeps
 	// (-exp recovery); cacheDir enables the content-addressed result cache.
 	// Both are throughput knobs: sweep rows are identical either way.
@@ -293,7 +287,7 @@ func loadFaults(path, proto string) (*faults.Plan, error) {
 // loadNet reads the -net asynchrony plan, if any. The plan is validated here
 // for early CLI feedback; cfg.Validate re-checks it against the period and
 // the collision model. The BS baseline runs its discovery phase through the
-// same engines, so the adversary applies to it unchanged.
+// same engine, so the adversary applies to it unchanged.
 func loadNet(path string) (*asyncnet.Plan, error) {
 	if path == "" {
 		return nil, nil
@@ -316,10 +310,9 @@ func attachNet(cfg *core.Config, plan *asyncnet.Plan) {
 }
 
 // runFromManifest executes one protocol run pinned by a JSON manifest.
-// Workers, Shards and Engine are throughput knobs, not model parameters, so
-// they are not part of the manifest; the flags apply on top and cannot
-// change the result.
-func runFromManifest(path, proto string, slotWorkers, shards int, engine string, report string, plan *faults.Plan, netPlan *asyncnet.Plan, vars *telemetry.Vars, ck checkpointOpts, runStats bool) error {
+// Workers is a throughput knob, not a model parameter, so it is not part of
+// the manifest; the flag applies on top and cannot change the result.
+func runFromManifest(path, proto string, slotWorkers int, report string, plan *faults.Plan, netPlan *asyncnet.Plan, vars *telemetry.Vars, ck checkpointOpts, runStats bool) error {
 	m, err := manifest.Load(path)
 	if err != nil {
 		return err
@@ -329,8 +322,6 @@ func runFromManifest(path, proto string, slotWorkers, shards int, engine string,
 		return err
 	}
 	cfg.Workers = slotWorkers
-	cfg.Shards = shards
-	cfg.Engine = engine
 	cfg.Faults = plan
 	attachNet(&cfg, netPlan)
 	var rs *telemetry.RunStats
@@ -353,13 +344,13 @@ func runFromManifest(path, proto string, slotWorkers, shards int, engine string,
 	res := p.Run(env)
 	fmt.Println(res)
 	fmt.Printf("energy: %v\n", res.Energy)
-	printSlotRatio(engine, res)
+	printSlotRatio(res)
 	printRecovery(plan, res)
 	printNet(netPlan, res)
 	recordSingle(vars, cfg.N, res)
 	printRunStats(rs, vars)
 	if report != "" {
-		return writeReport(report, p.Name(), engine, m, telRun, rs, res, env.Transport.Collisions())
+		return writeReport(report, p.Name(), m, telRun, rs, res, env.Transport.Collisions())
 	}
 	return nil
 }
@@ -419,11 +410,8 @@ func recordSingle(vars *telemetry.Vars, n int, res core.Result) {
 // protocol, config identity (digest + embedded manifest), result scalars,
 // the probe series, the engine attribution section (when -runstats
 // collected one) and the producing binary's build provenance.
-func writeReport(path, proto, engine string, m manifest.Manifest, telRun *telemetry.Run, rs *telemetry.RunStats, res core.Result, collisions uint64) error {
-	if engine == "" {
-		engine = core.EngineSlot
-	}
-	rep := telRun.BuildReport(proto, engine, summarize(res, collisions))
+func writeReport(path, proto string, m manifest.Manifest, telRun *telemetry.Run, rs *telemetry.RunStats, res core.Result, collisions uint64) error {
+	rep := telRun.BuildReport(proto, summarize(res, collisions))
 	digest, err := m.Digest()
 	if err != nil {
 		return err
@@ -491,10 +479,10 @@ func printNet(plan *asyncnet.Plan, res core.Result) {
 	}
 }
 
-// printSlotRatio reports how much of the slot span the event engine actually
-// stepped — the sparsity the speedup comes from.
-func printSlotRatio(engine string, res core.Result) {
-	if engine != core.EngineEvent || res.TotalSlots == 0 {
+// printSlotRatio reports how much of the slot span the engine actually
+// stepped — the sparsity its speed comes from.
+func printSlotRatio(res core.Result) {
+	if res.TotalSlots == 0 {
 		return
 	}
 	fmt.Printf("active slots: %d/%d (%.1f%%)\n",
@@ -516,7 +504,7 @@ func protocolByName(name string) (core.Protocol, error) {
 
 func run(o runOpts) error {
 	exp, seeds, baseSeed, n := o.exp, o.seeds, o.baseSeed, o.n
-	proto, maxSlots, engine := o.proto, o.maxSlots, o.engine
+	proto, maxSlots := o.proto, o.maxSlots
 	var cache *experiments.ResultCache
 	if o.cacheDir != "" {
 		cache = experiments.NewResultCache(0, o.cacheDir)
@@ -551,8 +539,8 @@ func run(o runOpts) error {
 		return experiments.RunSweep(experiments.Options{
 			Sizes: sizes, Seeds: seeds, BaseSeed: baseSeed,
 			MaxSlots: units.Slot(maxSlots), Workers: o.workers,
-			SlotWorkers: o.slotWorkers, Shards: o.shards, Engine: engine,
-			OnResult: onResult, Cache: cache,
+			SlotWorkers: o.slotWorkers,
+			OnResult:    onResult, Cache: cache,
 			Progress: progW, Geometry: geom,
 		})
 	}
@@ -615,7 +603,7 @@ func run(o runOpts) error {
 		rows, err := experiments.RunRecoverySweep(experiments.Options{
 			Sizes: sizes, Seeds: seeds, BaseSeed: baseSeed,
 			MaxSlots: units.Slot(maxSlots), Workers: o.workers,
-			SlotWorkers: o.slotWorkers, Shards: o.shards, Engine: engine,
+			SlotWorkers: o.slotWorkers,
 			PrefixSlots: units.Slot(o.prefixSlots), Cache: cache,
 			Progress: progW, Geometry: geom,
 		})
@@ -635,8 +623,8 @@ func run(o runOpts) error {
 		rows, err := experiments.RunDelaySweep(experiments.Options{
 			Sizes: sizes, Seeds: seeds, BaseSeed: baseSeed,
 			MaxSlots: units.Slot(maxSlots), Workers: o.workers,
-			SlotWorkers: o.slotWorkers, Shards: o.shards, Engine: engine,
-			Cache: cache, Progress: progW, Geometry: geom,
+			SlotWorkers: o.slotWorkers,
+			Cache:       cache, Progress: progW, Geometry: geom,
 		})
 		if err != nil {
 			return err
@@ -769,8 +757,6 @@ func run(o runOpts) error {
 	case "single":
 		cfg := core.PaperConfig(n, baseSeed)
 		cfg.Workers = o.slotWorkers
-		cfg.Shards = o.shards
-		cfg.Engine = engine
 		cfg.Faults = o.faults
 		attachNet(&cfg, o.net)
 		if maxSlots > 0 {
@@ -797,7 +783,7 @@ func run(o runOpts) error {
 		fmt.Println(res)
 		fmt.Printf("service discovery: %.1f%%, discovered links: %d\n",
 			100*res.ServiceDiscovery, res.DiscoveredLinks)
-		printSlotRatio(engine, res)
+		printSlotRatio(res)
 		printRecovery(o.faults, res)
 		printNet(o.net, res)
 		if res.TreeEdges != nil {
@@ -813,7 +799,7 @@ func run(o runOpts) error {
 			if maxSlots > 0 {
 				m.MaxSlots = maxSlots
 			}
-			return writeReport(o.report, p.Name(), engine, m, telRun, rs, res, env.Transport.Collisions())
+			return writeReport(o.report, p.Name(), m, telRun, rs, res, env.Transport.Collisions())
 		}
 		return nil
 	default:

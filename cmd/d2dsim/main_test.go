@@ -123,7 +123,7 @@ func TestRunSingleWritesReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Protocol != "ST" || rep.Engine != "slot" {
+	if rep.Protocol != "ST" {
 		t.Errorf("report identity wrong: %+v", rep)
 	}
 	if len(rep.ConfigDigest) != 64 {

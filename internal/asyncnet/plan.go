@@ -1,5 +1,5 @@
 // Package asyncnet is the deterministic bounded-asynchrony message runtime:
-// a transport layer interposed between the engines' broadcast resolution and
+// a transport layer interposed between the engine's broadcast resolution and
 // protocol delivery. Every resolved delivery is enqueued with a delivery
 // slot drawn from a seeded, bounded delay distribution on a dedicated xrand
 // stream, with optional reordering, duplication and per-message loss;
@@ -8,8 +8,7 @@
 // Determinism contract: all adversary draws happen on one dedicated stream,
 // consumed in delivery-list order during the sequential enqueue step — never
 // inside the parallel sender-evaluation phase — so a run with an adversary
-// plan is bit-identical across slot/event engines, shard layouts and worker
-// counts. Drained deliveries are handed back sorted by (receiver, enqueue
+// plan is bit-identical across shard layouts and worker counts. Drained deliveries are handed back sorted by (receiver, enqueue
 // sequence), which under capture-mode resolution (receiver-ascending output,
 // required whenever a plan is configured) makes the degenerate plan — zero
 // delay, no duplication, no loss — a literal pass-through: the engine sees

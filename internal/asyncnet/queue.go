@@ -39,7 +39,7 @@ type linkKey struct {
 }
 
 // Queue is the deterministic in-flight message store of one run. It is not
-// safe for concurrent use; the engines call it only from the sequential
+// safe for concurrent use; the engine calls it only from the sequential
 // phase that follows broadcast resolution.
 type Queue struct {
 	plan Plan
@@ -202,7 +202,7 @@ func (q *Queue) HasDue(slot units.Slot) bool {
 }
 
 // NextDue returns the earliest in-flight delivery slot strictly after
-// `after`, for horizon folding in the event engine. ok is false when
+// `after`, for horizon folding in the run engine. ok is false when
 // nothing is queued.
 func (q *Queue) NextDue(after units.Slot) (units.Slot, bool) {
 	if len(q.inflight) == 0 {

@@ -7,20 +7,11 @@ import (
 	"repro/internal/units"
 )
 
-// BenchmarkStepSlot measures one slot of the hot loop — oscillator advance,
-// transport resolution, pulse delivery — on the sequential engine and the
-// sharded engine. Mesh coupling keeps every decoded pulse on the PRC path,
-// the worst case for the delivery phase. Reproduce with `make bench-slot`;
-// EXPERIMENTS.md records reference numbers.
 // BenchmarkRun measures whole protocol runs — environment setup excluded,
-// everything from the first slot to convergence included — on the slot loop
-// and the event engine. This is the number the event engine exists for: the
-// slot loop pays O(MaxSlots·n) ramping whether or not anything fires, the
-// event engine O(active slots). Reproduce with `make bench-event`.
-func benchmarkRun(b *testing.B, proto Protocol, n, period int, engine string) {
+// everything from the first slot to convergence included.
+func benchmarkRun(b *testing.B, proto Protocol, n, period int) {
 	cfg := PaperConfig(n, 7)
 	cfg.PeriodSlots = period
-	cfg.Engine = engine
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -31,65 +22,55 @@ func benchmarkRun(b *testing.B, proto Protocol, n, period int, engine string) {
 		b.StartTimer()
 		res := proto.Run(env)
 		if !res.Converged {
-			b.Fatalf("%s n=%d engine=%s did not converge", proto.Name(), n, engine)
+			b.Fatalf("%s n=%d did not converge", proto.Name(), n)
 		}
 	}
 }
 
 func BenchmarkRunFST(b *testing.B) {
 	for _, n := range []int{200, 1000} {
-		for _, engine := range []string{EngineSlot, EngineEvent} {
-			b.Run(fmt.Sprintf("%s/n=%d", engine, n), func(b *testing.B) {
-				benchmarkRun(b, FST{}, n, 100, engine)
-			})
-		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchmarkRun(b, FST{}, n, 100) })
 	}
 }
 
 func BenchmarkRunST(b *testing.B) {
 	for _, n := range []int{200, 1000} {
-		for _, engine := range []string{EngineSlot, EngineEvent} {
-			b.Run(fmt.Sprintf("%s/n=%d", engine, n), func(b *testing.B) {
-				benchmarkRun(b, ST{}, n, 100, engine)
-			})
-		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchmarkRun(b, ST{}, n, 100) })
 	}
 }
 
-// BenchmarkRunSTSparse is the regime the event engine exists for: an LTE
+// BenchmarkRunSTSparse is the regime next-event stepping exists for: an LTE
 // ProSe discovery period (10.24 s ≈ 10240 slots) leaves >99% of slots with
-// no fire, no churn and no protocol timer, and the fire queue skips them
-// all. The dense benchmarks above are the honest counterweight — at
-// PeriodSlots=100 most slots are active and the heap overhead makes the
-// event engine slightly slower.
+// no fire, no churn and no protocol timer, and the engine skips them all.
+// The dense benchmarks above are the honest counterweight: at
+// PeriodSlots=100 most slots are stepped.
 func BenchmarkRunSTSparse(b *testing.B) {
-	for _, engine := range []string{EngineSlot, EngineEvent} {
-		b.Run(fmt.Sprintf("%s/n=200/T=10240", engine), func(b *testing.B) {
-			benchmarkRun(b, ST{}, 200, 10240, engine)
-		})
-	}
+	b.Run("n=200/T=10240", func(b *testing.B) { benchmarkRun(b, ST{}, 200, 10240) })
 }
 
-// BenchmarkRunFSTSharded measures whole FST runs on the sharded slot
-// engine against the sequential reference at sizes where the lazy
-// per-shard stepping pays: past convergence the network fires in a single
-// wave, so all but one shard per slot are skipped via the next-fire
-// minima instead of being ramped device by device. The win is therefore
-// architectural (fewer touched devices), not just parallel — it holds at
-// one worker on a single-core host. Reproduce with `make bench-shard`.
+// BenchmarkRunFSTSharded measures whole FST runs on the engine at one
+// worker against the reference stepper at sizes where the lazy per-shard
+// stepping pays: past convergence the network fires in a single wave, so
+// the engine skips the inert slots and all but the due shards instead of
+// ramping every device every slot. The win is therefore architectural
+// (fewer touched devices), not parallel — it holds on a single-core host.
+// Reproduce with `make bench-shard-record`.
 func BenchmarkRunFSTSharded(b *testing.B) {
 	for _, n := range []int{1000, 5000} {
 		for _, mode := range []struct {
 			name   string
-			shards int
+			oracle bool
 		}{
-			{"seq", 0},
-			{"shard", benchShards(n)},
+			{"seq", true},
+			{"shard", false},
 		} {
 			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
 				cfg := PaperConfig(n, 7)
 				cfg.PeriodSlots = 100
-				cfg.Shards = mode.shards
+				cfg.Workers = 1
+				if mode.oracle {
+					cfg = withOracle(cfg)
+				}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
@@ -100,7 +81,7 @@ func BenchmarkRunFSTSharded(b *testing.B) {
 					b.StartTimer()
 					res := FST{}.Run(env)
 					if !res.Converged {
-						b.Fatalf("FST n=%d shards=%d did not converge", n, mode.shards)
+						b.Fatalf("FST n=%d (%s) did not converge", n, mode.name)
 					}
 				}
 			})
@@ -108,41 +89,38 @@ func BenchmarkRunFSTSharded(b *testing.B) {
 	}
 }
 
-// benchShards resolves the auto policy at one worker and forces at least
-// one shard, so the sharded modes below measure the sharded engine even at
-// sizes under the auto floor (where the policy would fall back to the
-// sequential reference).
-func benchShards(n int) int {
-	if s := autoShardCount(n, 1); s > 0 {
-		return s
-	}
-	return 1
-}
-
+// BenchmarkStepSlot measures one slot of the hot loop — oscillator advance,
+// transport resolution, pulse delivery — on the reference stepper (seq) and
+// on the engine at one worker (shard), at four workers and at one per CPU.
+// Every slot is stepped, as in the dense regime. Mesh coupling keeps every
+// decoded pulse on the PRC path, the worst case for the delivery phase.
+// Reproduce with `make bench-slot`; EXPERIMENTS.md records reference
+// numbers.
 func BenchmarkStepSlot(b *testing.B) {
 	type mode struct {
 		name    string
+		oracle  bool
 		workers int
-		shards  int
 	}
 	for _, n := range []int{200, 1000, 5000, 20000, 100000} {
 		modes := []mode{
-			{"seq", 1, 0},
-			{"shard", 1, benchShards(n)},
-			{"par4", 4, 0},
-			{"parNumCPU", -1, 0},
+			{"seq", true, 1},
+			{"shard", false, 1},
+			{"par4", false, 4},
+			{"parNumCPU", false, -1},
 		}
 		if n >= 20000 {
-			// The large sizes measure the lazy sharded stepper against the
-			// sequential reference; the worker-count modes resolve to the
-			// same auto-sharded engine and only re-measure pool overhead.
+			// The large sizes measure the engine against the reference
+			// stepper; the worker-count modes only re-measure pool overhead.
 			modes = modes[:2]
 		}
 		for _, mode := range modes {
 			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
 				cfg := PaperConfig(n, 7)
 				cfg.Workers = mode.workers
-				cfg.Shards = mode.shards
+				if mode.oracle {
+					cfg = withOracle(cfg)
+				}
 				env, err := NewEnv(cfg)
 				if err != nil {
 					b.Fatal(err)

@@ -90,12 +90,12 @@ func (Centralized) Run(env *Env) Result {
 	}
 	// Catch lazily advanced phases up to the discovery boundary: phase 2
 	// freezes the oscillators while the uplink collection runs, exactly as
-	// the slot loop leaves them.
+	// slot-by-slot stepping leaves them.
 	slotEng.finish(bound)
 	slot := bound + 1
 
 	// Phase 2: report collection over slotted random access, simulated on
-	// the event engine. Each UE retries in successive contention windows
+	// the discrete-event scheduler. Each UE retries in successive contention windows
 	// until its slot is collision-free.
 	eng := eventsim.New()
 	src := env.Streams.Get("bs-uplink")
@@ -192,8 +192,8 @@ func (Centralized) Run(env *Env) Result {
 
 	// Network-assisted timing: everyone adopts the BS phase reference. The
 	// uplink collection advanced absolute time without stepping the
-	// oscillators, so the event engine re-pins every phase at the current
-	// slot (no ramping through the gap — the slot loop never stepped it
+	// oscillators, so the engine re-pins every phase at the current slot
+	// (no ramping through the gap — slot-by-slot stepping never stepped it
 	// either) and rebuilds its fire schedule from the adopted phases.
 	for _, d := range env.Devices {
 		d.Osc.Phase = 0

@@ -134,12 +134,32 @@ func observationCount(env *Env, i int) int {
 	return total
 }
 
-func churnInvariantRun(t *testing.T, workers int) {
+// setAlive powers device i off or on between slots, through the engine hooks
+// the fault layer uses: a powered-off device freezes its phase at the last
+// stepped slot and leaves the fire schedule; a powered-on one resumes from
+// that frozen phase.
+func setAlive(env *Env, eng *engine, i int, alive bool, last units.Slot) {
+	if env.Alive[i] == alive {
+		return
+	}
+	if alive {
+		env.Alive[i] = true
+		env.Devices[i].Osc.Rebase(int64(last))
+		eng.rescheduleDevice(i)
+		return
+	}
+	eng.materialize(i, last)
+	env.Alive[i] = false
+	eng.deschedule(i)
+}
+
+func churnInvariantRun(t *testing.T, workers, shards int) {
 	t.Helper()
 	const n = 60
 	cfg := PaperConfig(n, 21)
 	cfg.MaxSlots = 60000
 	cfg.Workers = workers
+	cfg.shards = shards
 	env := mustEnv(t, cfg)
 	eng := newEngine(env)
 	defer eng.close()
@@ -157,10 +177,9 @@ func churnInvariantRun(t *testing.T, workers int) {
 		if slot%40 == 0 {
 			block := (int(slot) / 40) % (n / 10)
 			for i := 0; i < n; i++ {
-				env.Alive[i] = true
+				setAlive(env, eng, i, i/10 != block, slot-1)
 			}
 			for i := block * 10; i < (block+1)*10; i++ {
-				env.Alive[i] = false
 				deadObs[i] = observationCount(env, i)
 			}
 		}
@@ -199,9 +218,9 @@ func churnInvariantRun(t *testing.T, workers int) {
 	}
 }
 
-func TestEngineInvariantsUnderChurnSequential(t *testing.T) { churnInvariantRun(t, 1) }
+func TestEngineInvariantsUnderChurnSequential(t *testing.T) { churnInvariantRun(t, 1, 0) }
 
-func TestEngineInvariantsUnderChurnParallel(t *testing.T) { churnInvariantRun(t, 4) }
+func TestEngineInvariantsUnderChurnParallel(t *testing.T) { churnInvariantRun(t, 4, 4) }
 
 // Churn must not break worker-count invariance either: the same toggling
 // schedule on 1 and 4 workers yields identical trajectories.
@@ -210,6 +229,7 @@ func TestChurnRunsAreWorkerCountInvariant(t *testing.T) {
 		cfg := PaperConfig(40, 22)
 		cfg.MaxSlots = 60000
 		cfg.Workers = workers
+		cfg.shards = workers
 		env := mustEnv(t, cfg)
 		eng := newEngine(env)
 		defer eng.close()
@@ -219,7 +239,7 @@ func TestChurnRunsAreWorkerCountInvariant(t *testing.T) {
 		for slot := units.Slot(1); slot <= 800; slot++ {
 			if slot%30 == 0 {
 				victim := (int(slot) / 30) % 40
-				env.Alive[victim] = !env.Alive[victim]
+				setAlive(env, eng, victim, !env.Alive[victim], slot-1)
 			}
 			allFired = append(allFired, eng.stepSlot(slot, couples, 1, &ops)...)
 		}

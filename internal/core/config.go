@@ -32,16 +32,6 @@ import (
 	"repro/internal/units"
 )
 
-// Config.Engine values: the slot-stepped reference loop, the event-driven
-// engine (lazy phase advancement + next-fire scheduling), and the adaptive
-// engine that monitors the active-slot ratio and hands the run between the
-// two at period-aligned decision boundaries.
-const (
-	EngineSlot  = "slot"
-	EngineEvent = "event"
-	EngineAuto  = "auto"
-)
-
 // Config holds every knob of a protocol run. The zero value is not runnable;
 // start from PaperConfig.
 type Config struct {
@@ -113,54 +103,24 @@ type Config struct {
 	// Converged=false.
 	MaxSlots units.Slot
 
-	// Workers sets the slot engine's intra-slot parallelism: the
+	// Workers sets the run engine's intra-slot parallelism: the
 	// oscillator-advance, channel-evaluation and pulse-delivery phases of
-	// each slot fan device ranges out over this many workers. 0 or 1 runs
-	// the sequential engine; negative uses one worker per CPU. Results
-	// are bit-identical for every value — parallelism is a throughput
-	// knob, not a model parameter, which is why manifests do not carry
-	// it. Slot-level workers compose with the run-level sweep pool of
-	// internal/experiments (slot-level pays off for few large runs,
-	// run-level for many small ones).
+	// each stepped slot fan spatial shards out over this many workers. 0 or
+	// 1 runs single-threaded; negative uses one worker per CPU. The shard
+	// count is derived from N and Workers (see autoShardCount). Results —
+	// ActiveSlots included — are bit-identical for every value:
+	// parallelism is a throughput knob, not a model parameter, which is why
+	// manifests do not carry it. Slot-level workers compose with the
+	// run-level sweep pool of internal/experiments (slot-level pays off for
+	// few large runs, run-level for many small ones).
 	Workers int
-
-	// Shards sets the slot engine's spatial shard count: devices partition
-	// into grid-cell-aligned shards whose next-fire state lives in
-	// contiguous struct-of-arrays storage, and per-slot work is scheduled
-	// per shard (a shard whose earliest fire is in the future is skipped
-	// entirely). 0 derives the count from the device count and Workers
-	// (with a floor on devices per shard, so small runs stay on the
-	// sequential reference engine); 1 or more forces that many shards —
-	// including on a single worker, where the sharded engine still pays
-	// off by skipping inert devices. Like Workers this is bit-identical
-	// for every value: a throughput knob, not a model parameter, absent
-	// from manifests.
-	Shards int
-
-	// Engine selects the run engine. "" or EngineSlot steps every slot of
-	// the run (the reference loop, optionally sharded per Workers);
-	// EngineEvent advances oscillator phases lazily and fast-forwards
-	// between scheduled fires, protocol timers and trace boundaries —
-	// O(events) instead of O(MaxSlots·n). EngineAuto starts on the slot
-	// engine and monitors the eventful-slot ratio over period-aligned
-	// windows, handing the run to the event engine when slots go sparse
-	// and back when they densify — the handoff is the same state transfer
-	// the checkpoint/restore path uses (rebuild the fire queue from
-	// oscillator state, or materialize every phase), so it is trajectory-
-	// preserving. Results are bit-identical between all engines (the
-	// differential suites in eventengine_test.go and autoswitch_test.go
-	// pin fire sequences, counters and RNG draws), so like Workers this is
-	// a throughput knob, not a model parameter, and manifests do not carry
-	// it. The event engine is single-threaded; Workers applies only while
-	// slot-stepping.
-	Engine string
 
 	// CheckpointEvery, when positive, arms checkpointing: at every multiple
 	// of this slot count the run captures its full state and hands it to
-	// OnCheckpoint. Checkpoint boundaries are folded into the engines'
-	// next-step horizons exactly like fault and telemetry boundaries, so
-	// both engines step (and snapshot) the very same slots and the knob is
-	// trajectory-neutral up to the engine-dependent ActiveSlots observable.
+	// OnCheckpoint. Checkpoint boundaries are folded into the engine's
+	// next-step horizon exactly like fault and telemetry boundaries, so the
+	// knob is trajectory-neutral; only ActiveSlots counts the extra stepped
+	// boundary slots.
 	CheckpointEvery units.Slot
 	// OnCheckpoint receives the state captured at each checkpoint
 	// boundary. The state is a deep copy; the hook may serialize it
@@ -170,20 +130,19 @@ type Config struct {
 	// instead of from slot 1: the environment is rebuilt from this Config,
 	// the saved state is overlaid (stream cursors seek to absolute
 	// positions), and the run continues at slots strictly after the
-	// snapshot slot — bit-identically to the uninterrupted run, on any
-	// engine. The snapshot must come from a run of the same protocol with
-	// the same N and Seed (Validate checks N and Seed; the protocol's Run
-	// panics on a protocol mismatch).
+	// snapshot slot — bit-identically to the uninterrupted run, for any
+	// Workers value. The snapshot must come from a run of the same protocol
+	// with the same N and Seed (Validate checks N and Seed; the protocol's
+	// Run panics on a protocol mismatch).
 	Resume *snapshot.State
 	// PrefixSlot, when positive, arms the single shared-prefix capture used
 	// by branching sweeps: the run hands OnPrefix one deep state copy taken
 	// at the LAST slot it naturally stepped at or before PrefixSlot. Unlike
-	// CheckpointEvery no boundary is folded into the engines' next-step
-	// horizons — the capture piggybacks on a slot the engine stepped anyway
-	// — so arming it perturbs nothing, not even the event engine's
-	// ActiveSlots accounting. A run that converges before stepping past
-	// PrefixSlot never invokes the hook (callers fall back to from-scratch
-	// branches). Honoured by the distributed protocols (FST, ST);
+	// CheckpointEvery no boundary is folded into the engine's next-step
+	// horizon — the capture piggybacks on a slot the engine stepped anyway
+	// — so arming it perturbs nothing, not even the ActiveSlots
+	// accounting. A run that converges before stepping past PrefixSlot
+	// never invokes the hook (callers fall back to from-scratch branches). Honoured by the distributed protocols (FST, ST);
 	// Centralized ignores it.
 	PrefixSlot units.Slot
 	// OnPrefix receives the prefix capture (see PrefixSlot). The state is a
@@ -243,7 +202,7 @@ type Config struct {
 	// keep their dedicated FireTrace hook). Sinks stream these as
 	// schema-versioned JSONL (trace.JSONLWriter) so external tools can
 	// replay runs. Like every observability hook it must not mutate
-	// simulation state, and the engines guarantee it is RNG-neutral: the
+	// simulation state, and the engine guarantees it is RNG-neutral: the
 	// hook fires only at slots the run stepped anyway.
 	EventTrace func(ev trace.Event)
 
@@ -256,22 +215,21 @@ type Config struct {
 	// stays at its 1 alloc/op steady state); an enabled one never draws
 	// from a random stream or reorders work, so results are bit-identical
 	// with telemetry on or off (pinned by telemetry_test.go). Like Workers
-	// and Engine it is an observability knob, not a model parameter, and
-	// manifests do not carry it.
+	// it is an observability knob, not a model parameter, and manifests do
+	// not carry it.
 	Telemetry *telemetry.Run
 
 	// RunStats, when non-nil, enables engine self-measurement
 	// (telemetry.RunStats): monotonic wall time attributed to the slot
-	// pipeline's phases, per-shard busy time, the event engine's fire-queue
-	// depth and drain-batch distributions, and checkpoint capture/encode
-	// cost. A nil RunStats costs one pointer check per probe site and the
-	// hot path keeps its 1 alloc/op steady state (pinned by
-	// TestStepSlotDisabledRunStatsAllocs); an enabled one only reads the
-	// monotonic clock — it never draws from a random stream, reorders work
-	// or folds a boundary into an engine horizon, so results are
-	// bit-identical with runstats on or off (pinned differentially by
-	// runstats_test.go across engines, shard counts, worker counts and
-	// fault plans). Like Telemetry it is an observability knob, not a model
+	// pipeline's phases, per-shard busy time, stepped and skipped slot
+	// counts, and checkpoint capture/encode cost. A nil RunStats costs one
+	// pointer check per probe site and the hot path keeps its 1 alloc/op
+	// steady state (pinned by TestStepSlotDisabledRunStatsAllocs); an
+	// enabled one only reads the monotonic clock — it never draws from a
+	// random stream, reorders work or folds a boundary into the engine's
+	// horizon, so results are bit-identical with runstats on or off (pinned
+	// differentially by runstats_test.go across shard counts, worker counts
+	// and fault plans). Like Telemetry it is an observability knob, not a model
 	// parameter: manifests do not carry it and result-cache keys refuse it.
 	RunStats *telemetry.RunStats
 
@@ -295,7 +253,7 @@ type Config struct {
 	// set and the recovery time surfaced in Result. The only randomness is
 	// the loss draw, taken from the dedicated "faults" stream in
 	// delivery-list order, so faulted runs stay bit-identical across
-	// engines and worker counts; a nil or empty plan is bit-identical to
+	// shard layouts and worker counts; a nil or empty plan is bit-identical to
 	// no faults layer at all.
 	Faults *faults.Plan
 	// WatchdogPeriods is the parent-liveness watchdog patience: a tree
@@ -314,8 +272,8 @@ type Config struct {
 	// dropped before the protocols see it, and merge-handshake
 	// transmissions pay the same per-message transport loss. All draws
 	// come from the dedicated "asyncnet" stream in delivery-list order, so
-	// adversarial runs stay bit-identical across engines, shard layouts
-	// and worker counts — and a degenerate plan (zero delay, no
+	// adversarial runs stay bit-identical across shard layouts and worker
+	// counts — and a degenerate plan (zero delay, no
 	// duplication, no loss) is bit-identical to no Net at all (the
 	// transport layer is not even constructed). A non-degenerate plan
 	// requires the capture collision model (CaptureMarginDB >= 0, the
@@ -332,6 +290,14 @@ type Config struct {
 	// cache so the run exercises the direct per-call path — the reference
 	// side of the cached-vs-direct differential suite.
 	directGeometry bool
+	// shards (tests only) forces the engine's spatial shard count instead
+	// of deriving it from N and Workers, so the differential suites can pin
+	// layouts from one shard to one shard per device.
+	shards int
+	// oracle (tests only) replaces the sharded next-event engine with a
+	// reference stepper that advances every oscillator every slot — the
+	// executable spec the differential suites compare the engine against.
+	oracle stepFunc
 }
 
 // PaperConfig returns the run configuration of Table I for n devices at the
@@ -392,10 +358,6 @@ func (c Config) Validate() error {
 	case !c.Coupling.Converges():
 		return fmt.Errorf("core: coupling α=%v β=%v violates the convergence condition",
 			c.Coupling.Alpha, c.Coupling.Beta)
-	case c.Engine != "" && c.Engine != EngineSlot && c.Engine != EngineEvent && c.Engine != EngineAuto:
-		return fmt.Errorf("core: unknown engine %q (want %q, %q or %q)", c.Engine, EngineSlot, EngineEvent, EngineAuto)
-	case c.Shards < 0:
-		return fmt.Errorf("core: Shards %d < 0", c.Shards)
 	case c.CheckpointEvery < 0:
 		return fmt.Errorf("core: CheckpointEvery %d < 0", c.CheckpointEvery)
 	case c.PrefixSlot < 0:

@@ -19,8 +19,15 @@ import (
 // lockstep. Virtual fires cannot occur without an adversary, so none of
 // this state exists on the degenerate path.
 //
-// Buffers are double-buffered like the engines' fire waves: echoes
-// collected while processing wave k transmit with wave k+1.
+// Buffers are double-buffered like the engine's fire waves: echoes
+// collected while processing wave k transmit with wave k+1. The cascade
+// loop never clears the buffer it just transmitted, so when a slot's last
+// echo wave ran from buffer 0 those transmitters stay armed: they
+// re-announce at the start of every following stepped slot until a first
+// wave collects fresh echoes into buffer 1 and the next wave resets buffer
+// 0. The trajectories depend on that re-announcement, so it is engine
+// state — nextStep steps the next slot while it is armed, and checkpoints
+// carry it (engineState).
 type echoState struct {
 	ids     [2][]int
 	epochs  [2][]units.Slot
@@ -54,8 +61,9 @@ func (ec *echoState) collect(buf, id int, epoch units.Slot) {
 
 // senders returns the wave extended with buf's echo transmitters (the wave
 // slice itself when there are none). The echo ids follow the fires, both in
-// ascending device order, so every engine reproduces the same transmission
-// order and the transport's shared-stream draws stay engine-invariant.
+// ascending device order, so every shard layout reproduces the same
+// transmission order and the transport's shared-stream draws stay
+// layout-invariant.
 func (ec *echoState) senders(wave []int, buf int) []int {
 	if len(ec.ids[buf]) == 0 {
 		return wave

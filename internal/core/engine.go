@@ -13,22 +13,21 @@ import (
 	"repro/internal/units"
 )
 
-// Run-engine selection and shared scaffolding. Three engines drive a run,
-// all bit-identical (the differential suites in parallel_test.go,
-// shard_test.go and eventengine_test.go pin it):
-//
-//   - the sequential reference loop (loop.go), stepping every oscillator
-//     every slot — the executable spec;
-//   - the spatially sharded slot engine (shardengine.go), stepping every
-//     slot but only the shards with a fire due, optionally fanning shard
-//     work over the pool below — the deterministic-parallelism recipe
-//     internal/firefly proves for the optimizer (frozen snapshot +
-//     per-entity streams, after Husselmann & Hawick's GPU formulation);
-//   - the event engine (eventengine.go), skipping inert slots entirely.
+// The run engine and its shared scaffolding. One engine drives every run:
+// the spatially sharded next-event stepper of shardengine.go. It keeps each
+// device's exact next-fire slot in struct-of-arrays storage, grouped into
+// grid-cell-aligned shards, and jumps straight to the next slot where
+// something can happen — the earliest fire over all shards, or a protocol,
+// trace, telemetry, fault, delivery or checkpoint boundary (nextStep). In a
+// dense, unsynchronized network that is every slot and only the due shards
+// are stepped; once the network synchronizes, pulse-coupled devices fire in
+// one wave per period and the slots in between are skipped outright.
 //
 // Every random draw comes from a stream owned by one device (or a shared
 // stream consumed only in sequential steps, in reference order), so no
-// result depends on worker scheduling.
+// result depends on worker scheduling or shard layout. The differential
+// suites pin the engine bit for bit against a reference stepper that
+// advances every oscillator every slot (the test files' stepSequential).
 
 // task is one contiguous shard of work dispatched to the pool.
 type task struct {
@@ -82,15 +81,19 @@ func (p *workerPool) run(n int, fn func(worker, lo, hi int)) {
 
 func (p *workerPool) close() { close(p.tasks) }
 
-// engine drives stepSlot for one protocol run — sequentially, sharded over
-// a worker pool per Config.Workers, or event-driven per Config.Engine.
-// Protocols build one engine per run and must close it to release the pool
+// stepFunc advances the whole network one slot and returns the devices that
+// fired (engine-owned, valid until the next step).
+type stepFunc func(e *engine, slot units.Slot, couples couplingRule, opsPerPulse uint64, ops *uint64) []int
+
+// engine drives one protocol run: the sharded next-event stepper, its
+// worker pool and the horizon the protocol loops step along. Protocols
+// build one engine per run and must close it to release the pool
 // goroutines.
 type engine struct {
 	env     *Env
 	pool    *workerPool
-	ev      *eventEngine  // non-nil when Config.Engine selects EngineEvent
-	sh      *shardEngine  // non-nil when the run slot-steps with spatial shards
+	sh      *shardEngine  // nil only when a test oracle steps the run
+	oracle  stepFunc      // the test-only reference stepper (Config.oracle)
 	service func(int) int // sender -> service tag, hoisted off the hot path
 
 	// flt is the compiled fault schedule (nil disables the layer); the
@@ -108,7 +111,7 @@ type engine struct {
 	net  *asyncnet.Queue
 	echo *echoState
 
-	// rs caches Config.RunStats (nil = disabled): the engines' timing
+	// rs caches Config.RunStats (nil = disabled): the engine's timing
 	// probes cost one nil check each when off, and only monotonic-clock
 	// reads when on — never an RNG draw or a reordering, so trajectories
 	// are identical either way.
@@ -127,9 +130,9 @@ type engine struct {
 	// phasesBuf is the reusable alive-phase snapshot sampling reads.
 	phasesBuf []float64
 
-	// Slot accounting for the active/total ratio the event engine reports:
-	// activeSlots counts stepSlot calls, totalSlots the span the run
-	// covered (they coincide for the slot engines).
+	// Slot accounting: activeSlots counts stepSlot calls, totalSlots the
+	// span the run covered; the difference is the inert slots the horizon
+	// skipped.
 	activeSlots uint64
 	totalSlots  uint64
 	lastSlot    units.Slot
@@ -140,44 +143,13 @@ type engine struct {
 	// Slot-level reused buffers: the merged fired list handed back to the
 	// protocol loop (valid until the next stepSlot), and two ping-pong wave
 	// buffers — the cascade reads wave w-1 while filling wave w, so two
-	// buffers alternate without aliasing. Shared by the sequential and
-	// sharded engines (only one is ever active).
+	// buffers alternate without aliasing.
 	firedAll []int
 	waves    [2][]int
-
-	// auto is the adaptive engine's decision state (nil unless
-	// Config.Engine == EngineAuto).
-	auto *autoState
-}
-
-// The adaptive engine decides every autoDecidePeriods periods: if fewer than
-// autoToEventBelow of the window's slots were eventful (saw at least one
-// fire) it hands the run to the event engine; if more than autoToSlotAbove
-// were, it hands it back to the slot stepper. The metric is mode-independent
-// — eventful slots are the slots both engines must step anyway — and the
-// handoff reuses the checkpoint/restore state transfer (rebuild the fire
-// queue from oscillator state, or materialize every phase), so switching is
-// trajectory-preserving and auto results are bit-identical to both pure
-// engines. The hysteresis gap keeps a run that hovers near one threshold
-// from thrashing between modes.
-const (
-	autoDecidePeriods = 4
-	autoToEventBelow  = 0.25
-	autoToSlotAbove   = 0.75
-)
-
-// autoState tracks the adaptive engine's observation window: the slot the
-// window opened at, the next decision boundary (folded into the event
-// horizon so it is always stepped), and the eventful-slot count so far.
-type autoState struct {
-	windowStart units.Slot
-	decideAt    units.Slot
-	every       units.Slot
-	eventful    uint64
 }
 
 // engineWorkers resolves the Workers knob: <0 means one per CPU, 0/1 means
-// sequential, and the count never exceeds the device count.
+// a single worker, and the count never exceeds the device count.
 func engineWorkers(cfg Config) int {
 	w := cfg.Workers
 	if w < 0 {
@@ -192,89 +164,69 @@ func engineWorkers(cfg Config) int {
 	return w
 }
 
-// newEngine builds the run engine for env. Config.Engine == EngineEvent
-// selects the event-driven engine (always single-threaded). Otherwise the
-// slot path is chosen by the Shards and Workers knobs: an explicit Shards
-// count forces the spatially sharded engine; Shards == 0 with Workers
-// requesting parallelism derives a shard count from the device count (small
-// runs fall back to the sequential reference automatically — the per-shard
-// scheduling overhead only pays above a few hundred devices); Workers 0/1
-// with Shards 0 runs the sequential reference. A worker pool is only spun
-// up for more than one worker when the transport's channel draws are
-// order-independent (per-sender streams or a stateless link sampler);
-// shared-stream transports run the sharded loops inline, which preserves
-// draw order.
+// newEngine builds the run engine for env. The shard count derives from the
+// device count and the resolved worker count (autoShardCount). A worker
+// pool is only spun up when there is more than one shard and more than one
+// worker, and only when the transport's channel draws are order-independent
+// (per-sender streams or a stateless link sampler); shared-stream
+// transports run the sharded loops inline, which preserves draw order.
 func newEngine(env *Env) *engine {
-	e := &engine{env: env, flt: env.Faults, rs: env.Cfg.RunStats, net: env.Net}
+	e := &engine{env: env, flt: env.Faults, rs: env.Cfg.RunStats, net: env.Net, oracle: env.Cfg.oracle}
 	e.fltFilters = e.flt != nil && e.flt.Filters()
 	e.service = func(sender int) int { return int(env.Devices[sender].Service) }
-	if env.Cfg.Engine == EngineEvent {
-		e.ev = newEventEngine(e)
+	if e.oracle != nil {
 		return e
-	}
-	if env.Cfg.Engine == EngineAuto {
-		every := units.Slot(autoDecidePeriods * env.Cfg.PeriodSlots)
-		e.auto = &autoState{every: every, decideAt: every}
 	}
 	w := engineWorkers(env.Cfg)
 	if w > 1 && env.Transport.SenderStreams == nil && env.Transport.LinkSampler == nil {
 		w = 1 // shared-stream draws are order-dependent: inline only
 	}
-	shards := env.Cfg.Shards
-	if shards == 0 && env.Cfg.Workers != 0 && env.Cfg.Workers != 1 {
+	shards := env.Cfg.shards
+	if shards == 0 {
 		shards = autoShardCount(env.Cfg.N, w)
 	}
-	if shards > 0 {
-		if w > 1 {
-			e.pool = newWorkerPool(w)
-		}
-		e.sh = newShardEngine(e, shards)
+	if w > 1 && shards > 1 {
+		e.pool = newWorkerPool(w)
+	}
+	e.sh = newShardEngine(e, shards)
+	if e.pool != nil {
+		// Pack each shard's link rows contiguously for the workers'
+		// cache locality; a single worker gains nothing from the copy.
 		env.Transport.ReorderLinkIndex(e.sh.sm.order)
 	}
 	return e
 }
 
-// close releases the pool goroutines (no-op for a sequential engine).
+// close releases the pool goroutines (no-op without a pool).
 func (e *engine) close() {
 	if e.pool != nil {
 		e.pool.close()
 	}
 }
 
-// stepSlot advances the whole network one slot, dispatching to the
-// sequential loop, the sharded phases or the event engine's catch-up step.
-// All three produce identical results; the differential tests in
-// parallel_test.go and eventengine_test.go pin that.
+// stepSlot advances the whole network to slot and runs it. Every slot
+// between the previous step and slot must be inert — nextStep guarantees
+// it — so the skipped span only moves the accounting.
 func (e *engine) stepSlot(slot units.Slot, couples couplingRule, opsPerPulse uint64, ops *uint64) []int {
 	e.activeSlots++
+	var skipped uint64
 	if slot > e.lastSlot {
-		e.totalSlots += uint64(slot - e.lastSlot)
+		gap := uint64(slot - e.lastSlot)
+		e.totalSlots += gap
+		skipped = gap - 1
 		e.lastSlot = slot
 	}
 	var fired []int
-	switch {
-	case e.ev != nil:
-		fired = e.ev.step(slot, couples, opsPerPulse, ops)
-		e.rs.SlotStepped(telemetry.PathEvent)
-	case e.sh != nil:
+	if e.oracle != nil {
+		fired = e.oracle(e, slot, couples, opsPerPulse, ops)
+	} else {
 		fired = e.sh.step(slot, couples, opsPerPulse, ops)
-		e.rs.SlotStepped(telemetry.PathShard)
-	default:
-		fired = e.stepSequential(slot, couples, opsPerPulse, ops)
-		e.rs.SlotStepped(telemetry.PathSeq)
 	}
-	if e.auto != nil {
-		if len(fired) > 0 {
-			e.auto.eventful++
-		}
-		if slot >= e.auto.decideAt {
-			e.autoDecide(slot)
-		}
-	}
+	e.rs.SlotStepped(skipped)
 	// Telemetry probes ride behind a nil check so the disabled path stays
 	// on the measured steady state. Sampling only reads state the slot
 	// already settled — no RNG draw, no reordering — and materializes lazy
-	// phases first, which is trajectory-preserving on the event engine.
+	// phases first, which is trajectory-preserving.
 	if t := e.env.Cfg.Telemetry; t != nil {
 		t.SlotStepped()
 		if t.WantsSample(slot) {
@@ -328,77 +280,58 @@ func (e *engine) sample(slot units.Slot) telemetry.Sample {
 // unchanged.
 const slotHorizonNone = units.Slot(1<<63 - 1)
 
-// nextStep returns the next slot the engine must step after `after`. The
-// slot engines step every slot; the event engine returns its conservative
-// next-event horizon — the earliest scheduled oscillator fire or progress-
-// trace boundary. Protocols min-fold their own timers (RACH join rounds,
-// merge boundaries, churn) on top, so every slot in between is provably
-// inert: no device fires (the fire queue is exact), no RNG stream is
-// consumed (only non-empty fire waves draw), and no protocol or trace hook
-// runs.
+// nextStep returns the next slot the engine must step after `after`: the
+// earliest of the next oscillator fire over all shards (exact, never a
+// bound), a progress-trace or telemetry-sampling boundary, a fault action,
+// an in-flight delivery falling due, pending echo retransmissions and a
+// checkpoint boundary. Protocols min-fold their own timers (RACH join
+// rounds, merge boundaries, churn) on top, so every slot in between is
+// provably inert: no device fires, no RNG stream is consumed (only
+// non-empty waves draw), and no protocol or trace hook runs. The reference
+// oracle steps every slot.
 func (e *engine) nextStep(after units.Slot) units.Slot {
-	next := after + 1
-	if e.ev != nil {
-		next = e.ev.nextAfter(after)
-		// The adaptive engine must step its decision boundaries even when
-		// every device sleeps past them.
-		if e.auto != nil && e.auto.decideAt > after && e.auto.decideAt < next {
-			next = e.auto.decideAt
+	if e.sh == nil {
+		return after + 1
+	}
+	next := units.Slot(e.sh.nextFire())
+	cfg := e.env.Cfg
+	// Progress-trace and telemetry boundaries are stepped explicitly so
+	// their callbacks see materialized phases; the extra stepped slots are
+	// inert (no fire, no RNG draw) and visible only in ActiveSlots.
+	if cfg.ProgressTrace != nil && cfg.ProgressEvery > 0 {
+		if t := (after/cfg.ProgressEvery + 1) * cfg.ProgressEvery; t < next {
+			next = t
 		}
 	}
-	// Fault-action boundaries fold into the horizon like telemetry
-	// sampling boundaries do: the event engine must step the slot a
-	// crash/recover/join/jump is scheduled at even if no fire lands there.
+	if t, ok := cfg.Telemetry.NextSampleAfter(after); ok && t < next {
+		next = t
+	}
+	// The slot a crash/recover/join/jump is scheduled at is stepped even
+	// if no fire lands there.
 	if e.flt != nil {
 		if at, ok := e.flt.NextBoundary(after); ok && at < next {
 			next = at
 		}
 	}
-	// In-flight adversary deliveries fold like fault boundaries: the
-	// event engine must step the slot a delayed pulse lands in even when
-	// no oscillator fires there.
+	// Likewise the slot a delayed pulse lands in, and the next slot while
+	// the last wave's echo transmitters are still armed (they re-announce
+	// at the start of every stepped slot until fresh echoes replace them).
 	if e.net != nil {
 		if at, ok := e.net.NextDue(after); ok && at < next {
 			next = at
 		}
+		if e.echo != nil && e.echo.pending(0) {
+			next = after + 1
+		}
 	}
-	// Checkpoint boundaries fold the same way, so every engine steps —
-	// and snapshots — the very same slots.
-	if ce := e.env.Cfg.CheckpointEvery; ce > 0 {
+	// Checkpoint boundaries fold the same way, so the engine steps — and
+	// snapshots — the same slots whatever the shard layout.
+	if ce := cfg.CheckpointEvery; ce > 0 {
 		if at := (after/ce + 1) * ce; at < next {
 			next = at
 		}
 	}
 	return next
-}
-
-// autoDecide closes the adaptive engine's observation window at slot and
-// switches mode when the eventful-slot ratio crossed a threshold.
-func (e *engine) autoDecide(slot units.Slot) {
-	a := e.auto
-	if span := slot - a.windowStart; span > 0 {
-		ratio := float64(a.eventful) / float64(span)
-		if e.ev == nil && ratio < autoToEventBelow {
-			// Slot → event: every oscillator is materialized at slot (the
-			// slot stepper just stepped it), so the fire queue rebuilds
-			// exactly — the same handoff a checkpoint restore performs.
-			e.ev = newEventEngine(e)
-		} else if e.ev != nil && ratio > autoToSlotAbove {
-			// Event → slot: materialize every lazy phase at slot, then the
-			// slot stepper takes over seamlessly. A sharded stepper's cached
-			// predictions went stale while the fire queue drove the run, so
-			// rebuild them from the materialized state — the same refresh a
-			// checkpoint restore performs.
-			e.ev.materializeAll(slot)
-			e.ev = nil
-			if e.sh != nil {
-				e.sh.rebuild()
-			}
-		}
-	}
-	a.windowStart = slot
-	a.eventful = 0
-	a.decideAt = (slot/a.every + 1) * a.every
 }
 
 // wantsCheckpoint reports whether the protocol loop should capture a
@@ -442,36 +375,28 @@ func (e *engine) wantsPrefix(slot, next units.Slot) bool {
 
 // materialize catches device i's lazily advanced oscillator up to slot,
 // before a protocol hook reads (or overwrites) its Phase. No-op on the
-// sequential engine, whose oscillators are always current; the event and
-// sharded engines keep phases lazily materialized.
+// reference oracle, whose oscillators are always current.
 func (e *engine) materialize(i int, slot units.Slot) {
-	if e.ev != nil || e.sh != nil {
+	if e.sh != nil {
 		e.env.Devices[i].Osc.AdvanceTo(int64(slot))
 	}
 }
 
 // phaseWritten records that a protocol hook overwrote device i's Phase at
 // slot (sync-word adoption, the BS timing broadcast): the oscillator is
-// rebased there and its scheduled fire recomputed. No-op on the sequential
-// engine, where Advance re-detects external writes every slot.
+// rebased there and its scheduled fire recomputed. No-op on the reference
+// oracle, where Advance re-detects external writes every slot.
 func (e *engine) phaseWritten(i int, slot units.Slot) {
-	if e.ev == nil && e.sh == nil {
+	if e.sh == nil {
 		return
 	}
 	e.env.Devices[i].Osc.Rebase(int64(slot))
-	if e.ev != nil {
-		e.ev.reschedule(i)
-	} else {
-		e.sh.refreshLower(i)
-	}
+	e.sh.refresh(i)
 }
 
-// deschedule removes device id from the active engine's fire schedule after
-// it powers off.
+// deschedule removes device id from the fire schedule after it powers off.
 func (e *engine) deschedule(id int) {
-	if e.ev != nil {
-		e.ev.fq.Remove(id)
-	} else if e.sh != nil {
+	if e.sh != nil {
 		e.sh.drop(id)
 	}
 }
@@ -479,24 +404,14 @@ func (e *engine) deschedule(id int) {
 // rescheduleDevice recomputes device id's scheduled fire from its current
 // oscillator state (recovery/join; the oscillator must already be rebased).
 func (e *engine) rescheduleDevice(id int) {
-	if e.ev != nil {
-		e.ev.reschedule(id)
-	} else if e.sh != nil {
+	if e.sh != nil {
 		e.sh.revive(id)
 	}
 }
 
 // dropFailed prunes powered-off devices from the fire schedule after churn.
-// Stale entries would only cost empty catch-up steps (dead devices are
-// skipped on pop), but pruning keeps the event horizon tight.
 func (e *engine) dropFailed() {
-	if e.ev != nil {
-		for i, alive := range e.env.Alive {
-			if !alive {
-				e.ev.fq.Remove(i)
-			}
-		}
-	} else if e.sh != nil {
+	if e.sh != nil {
 		e.sh.dropFailedAll()
 	}
 }
@@ -506,20 +421,16 @@ func (e *engine) dropFailed() {
 // reassigns every phase after an uplink-collection gap the run never
 // stepped through.
 func (e *engine) resyncAll(slot units.Slot) {
-	if e.ev != nil {
-		e.ev.resyncAll(slot)
-	} else if e.sh != nil {
+	if e.sh != nil {
 		e.sh.resync(slot)
 	}
 }
 
 // materializeAllAt catches every alive oscillator up to slot without
 // stepping it — phase snapshots (env.Phases, post-run inspection) must see
-// the same values the slot engines leave behind.
+// the same values the reference oracle leaves behind.
 func (e *engine) materializeAllAt(slot units.Slot) {
-	if e.ev != nil {
-		e.ev.materializeAll(slot)
-	} else if e.sh != nil {
+	if e.sh != nil {
 		e.sh.materializeAll(slot)
 	}
 }
@@ -529,13 +440,12 @@ func (e *engine) materializeAllAt(slot units.Slot) {
 func (e *engine) finish(finalSlot units.Slot) {
 	if finalSlot > e.lastSlot {
 		e.totalSlots += uint64(finalSlot - e.lastSlot)
+		e.rs.SlotsSkipped(uint64(finalSlot - e.lastSlot))
 		e.lastSlot = finalSlot
 	}
 	e.materializeAllAt(finalSlot)
 }
 
 // slotStats reports how many slots the engine stepped (active) out of the
-// span the run covered (total). The slot engines step everything; the event
-// engine's ratio is the measured sparsity its speedup comes from.
+// span the run covered (total).
 func (e *engine) slotStats() (active, total uint64) { return e.activeSlots, e.totalSlots }
-

@@ -27,10 +27,10 @@ type Env struct {
 	// Alive tracks powered-on devices; churn injection clears entries.
 	Alive []bool
 	// Faults is the compiled fault schedule (nil when Cfg.Faults is nil).
-	// The engines consult it for delivery filtering and the protocols pop
+	// The engine consults it for delivery filtering and the protocols pop
 	// its membership/clock actions at their scheduled slots.
 	Faults *faults.Injector
-	// Net is the bounded-asynchrony message queue the engines drain
+	// Net is the bounded-asynchrony message queue the engine drains
 	// pulses through — non-nil only for a non-degenerate Cfg.Net plan, so
 	// the lockstep path never pays for (or draws from) the layer.
 	Net *asyncnet.Queue
@@ -104,7 +104,7 @@ func newEnv(cfg Config, positions []geo.Point) (*Env, error) {
 	tr.CaptureMarginDB = cfg.CaptureMarginDB
 	// Per-sender pulse streams: device i's broadcast channel draws come
 	// from its own "pulse-i" stream, so evaluating distinct senders is
-	// order-independent — the property the parallel slot engine needs for
+	// order-independent — the property the parallel run engine needs for
 	// worker-count-invariant results. (The correlated-channel LinkSampler
 	// below takes precedence; it is stateless per draw and equally safe.)
 	pulse := make([]*xrand.Stream, cfg.N)

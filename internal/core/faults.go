@@ -14,24 +14,23 @@ import (
 //
 //   - delivery filtering: burst link outages and the per-message loss rate
 //     drop PS deliveries after the transport resolves them. The drop check
-//     runs over the delivery list in its resolved order — which the engines
-//     already keep identical across slot/event stepping and worker counts —
-//     so the loss stream's draw sequence, and with it the whole run, stays
+//     runs over the delivery list in its resolved order — which the engine
+//     keeps identical across shard layouts and worker counts — so the loss
+//     stream's draw sequence, and with it the whole run, stays
 //     bit-identical. The decode attempt was already charged by Resolve; a
 //     dropped message costs Rx like a real corrupted frame would.
 //
 //   - membership/clock actions: crashes, recoveries, joins and clock jumps
-//     pop at their scheduled slots (applyFaults). The protocols min-fold the
-//     schedule's next boundary into the step horizon (nextStep), so the
-//     event engine cannot skip an action slot; on the slot engines the
-//     boundary fold is a no-op.
+//     pop at their scheduled slots (applyFaults). The engine folds the
+//     schedule's next boundary into the step horizon (nextStep), so it
+//     cannot skip an action slot.
 //
-// Crash/recover semantics are engine-invariant by construction: a crashing
-// device materializes its lazy phase first (the frozen phase both engines
+// Crash/recover semantics match the reference stepper by construction: a
+// crashing device materializes its lazy phase first (the frozen phase both
 // then agree on), and a recovering device rebases its oscillator at the
-// recovery slot on *both* engines — the slot engine's one-step-per-Advance
-// ramp and the event engine's gap-aware AdvanceTo would otherwise resume
-// from incompatible segment states.
+// recovery slot on both — the reference's one-step-per-Advance ramp and the
+// engine's gap-aware AdvanceTo would otherwise resume from incompatible
+// segment states.
 
 // appliedFaults reports what one applyFaults call changed, so the protocol
 // loops can update their own bookkeeping (detectors, watchdogs, repair
@@ -60,9 +59,9 @@ func (e *engine) applyFaults(slot units.Slot) appliedFaults {
 			if !env.Alive[a.Device] {
 				continue
 			}
-			// Freeze an engine-consistent phase before powering off: the
-			// event engine's lazy oscillator catches up to the crash slot
-			// so both engines agree on the corpse's state.
+			// Freeze a consistent phase before powering off: the lazy
+			// oscillator catches up to the crash slot so the engine and
+			// the reference agree on the corpse's state.
 			e.materialize(a.Device, slot)
 			env.Alive[a.Device] = false
 			e.deschedule(a.Device)
@@ -73,8 +72,8 @@ func (e *engine) applyFaults(slot units.Slot) appliedFaults {
 				continue
 			}
 			env.Alive[a.Device] = true
-			// Rebase on both engines: the oscillator resumes from its
-			// frozen phase as if the downtime never ramped it.
+			// Rebase: the oscillator resumes from its frozen phase as if
+			// the downtime never ramped it.
 			env.Devices[a.Device].Osc.Rebase(int64(slot))
 			e.rescheduleDevice(a.Device)
 			out.recovered = append(out.recovered, a.Device)

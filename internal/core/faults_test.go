@@ -9,8 +9,8 @@ import (
 )
 
 // Fault-layer differential and behavioural tests. The determinism contract
-// extends to faulted runs: the same plan on the sequential slot loop, the
-// sharded slot engine (any worker count) and the event engine must yield
+// extends to faulted runs: the same plan on the reference stepper and on
+// the engine at any worker count and shard layout must yield
 // byte-identical trajectories, and an *empty* plan must leave a run
 // byte-identical to no plan at all.
 
@@ -54,30 +54,14 @@ func TestFaultRunsBitIdentical(t *testing.T) {
 			base := fastConfig(40, 9)
 			base.Faults = activePlan(base.N)
 
-			cfg := base
-			cfg.Engine = EngineSlot
-			cfg.Workers = 1
-			seq, seqPhases := fingerprintCfg(t, proto, cfg)
-
-			for _, workers := range []int{2, 4, 8} {
-				cfg := base
-				cfg.Engine = EngineSlot
-				cfg.Workers = workers
-				cfg.Shards = 4 // below the auto floor; force the sharded engine
-				par, parPhases := fingerprintCfg(t, proto, cfg)
-				label := fmt.Sprintf("%s workers=%d", proto.Name(), workers)
+			seq, seqPhases := fingerprintCfg(t, proto, withOracle(base))
+			for _, l := range layouts[1:] {
+				par, parPhases := fingerprintCfg(t, proto, l.apply(base))
+				label := fmt.Sprintf("%s %s", proto.Name(), l.name)
 				compareFingerprints(t, label, seq, par)
 				compareRecovery(t, label, seq.res, par.res)
 				comparePhases(t, label, seqPhases, parPhases)
 			}
-
-			cfg = base
-			cfg.Engine = EngineEvent
-			ev, evPhases := fingerprintCfg(t, proto, cfg)
-			label := proto.Name() + " event"
-			compareFingerprints(t, label, seq, ev)
-			compareRecovery(t, label, seq.res, ev.res)
-			comparePhases(t, label, seqPhases, evPhases)
 
 			// The plan actually bit: the crashed-and-never-recovered
 			// device must be down, the joiner up, and the layer must have
@@ -99,17 +83,14 @@ func TestFaultRunsBitIdentical(t *testing.T) {
 // schedules something.
 func TestEmptyFaultPlanBitIdenticalToNone(t *testing.T) {
 	for _, proto := range []Protocol{ST{}, FST{}} {
-		for _, engine := range []string{EngineSlot, EngineEvent} {
+		for _, l := range layouts[:2] {
+			off, offPhases := fingerprintCfg(t, proto, l.apply(fastConfig(40, 9)))
+
 			cfg := fastConfig(40, 9)
-			cfg.Engine = engine
-			off, offPhases := fingerprintCfg(t, proto, cfg)
-
-			cfg = fastConfig(40, 9)
-			cfg.Engine = engine
 			cfg.Faults = &faults.Plan{Version: faults.PlanSchema}
-			on, onPhases := fingerprintCfg(t, proto, cfg)
+			on, onPhases := fingerprintCfg(t, proto, l.apply(cfg))
 
-			label := fmt.Sprintf("%s engine=%s empty-plan", proto.Name(), engine)
+			label := fmt.Sprintf("%s %s empty-plan", proto.Name(), l.name)
 			compareFingerprints(t, label, off, on)
 			compareRecovery(t, label, off.res, on.res)
 			comparePhases(t, label, offPhases, onPhases)
@@ -144,8 +125,8 @@ func TestWatchdogNoFalsePositives(t *testing.T) {
 
 // Acceptance scenario: a crash plan killing 20%% of a converged n=200 ST
 // network. The survivors must re-converge (the run reports a recovery
-// episode and at least one completed repair round), identically on both
-// engines.
+// episode and at least one completed repair round), identically on the
+// engine and the reference stepper.
 func TestSTCrashRecoveryAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=200 recovery scenario")
@@ -163,14 +144,10 @@ func TestSTCrashRecoveryAcceptance(t *testing.T) {
 		plan.Actions = append(plan.Actions, faults.Action{Kind: faults.KindCrash, At: crashAt, Device: d})
 	}
 
-	run := func(engine string) (runFingerprint, []float64) {
-		cfg := fastConfig(n, 12345)
-		cfg.Engine = engine
-		cfg.Faults = plan
-		return fingerprintCfg(t, ST{}, cfg)
-	}
-	slot, slotPhases := run(EngineSlot)
-	event, eventPhases := run(EngineEvent)
+	cfg := fastConfig(n, 12345)
+	cfg.Faults = plan
+	slot, slotPhases := fingerprintCfg(t, ST{}, withOracle(cfg))
+	event, eventPhases := fingerprintCfg(t, ST{}, cfg)
 	compareFingerprints(t, "crash-recovery", slot, event)
 	compareRecovery(t, "crash-recovery", slot.res, event.res)
 	comparePhases(t, "crash-recovery", slotPhases, eventPhases)

@@ -50,7 +50,7 @@ func (FST) Run(env *Env) Result {
 	opsPerPulse := uint64(cfg.N) // basic Algorithm 3: scan all fireflies
 
 	// A resume overlays the saved environment state before the engine is
-	// built — the event engine derives its fire queue from the restored
+	// built — the engine derives its next-fire schedule from the restored
 	// oscillator states.
 	rst := resumeFor(cfg, "FST")
 	if rst != nil {
@@ -285,8 +285,8 @@ func (FST) Run(env *Env) Result {
 					pruned = true
 				}
 				// Re-aim the join cadence if it went stale while the
-				// tree was complete: re-joins must run at slots both
-				// engines provably step.
+				// tree was complete: re-joins must run at slots the
+				// engine provably steps.
 				if joinedLive < aliveCnt && nextRound <= slot {
 					nextRound = slot + roundSlots
 				}

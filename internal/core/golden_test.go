@@ -21,7 +21,7 @@ func TestGoldenResults(t *testing.T) {
 	}{
 		// Measured after the per-sender pulse-stream change (broadcast
 		// channel draws moved from the shared shadowing/fading streams to
-		// per-device "pulse-i" streams so the slot engine can evaluate
+		// per-device "pulse-i" streams so the engine can evaluate
 		// senders concurrently with worker-count-invariant results).
 		{FST{}, 772, 406, 0, 195009},
 		{ST{}, 1227, 520, 438, 17808},

@@ -12,13 +12,13 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the committed golden checkpoint fixture")
 
-// The committed fixture is a schema-v2 FST checkpoint at slot 450 of the
+// The committed fixture is a schema-v3 FST checkpoint at slot 450 of the
 // golden run (n=40, seed 12345). It pins the on-disk form: any change to the
 // snapshot layout or encoding breaks TestGoldenCheckpointBytes until the
 // schema version is bumped deliberately and the fixture regenerated with
 //
 //	go test ./internal/core/ -run TestGoldenCheckpoint -update
-const goldenCheckpointPath = "testdata/checkpoint_v2.json"
+const goldenCheckpointPath = "testdata/checkpoint_v3.json"
 
 func goldenCheckpoint(t *testing.T) []byte {
 	t.Helper()
@@ -67,22 +67,21 @@ func TestGoldenCheckpointRestore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode fixture: %v", err)
 	}
-	for _, engine := range []string{EngineSlot, EngineEvent} {
+	for _, l := range layouts {
 		cfg := PaperConfig(40, 12345)
 		cfg.MaxSlots = 100000
-		cfg.Engine = engine
 		cfg.Resume = st
-		env := mustEnv(t, cfg)
+		env := mustEnv(t, l.apply(cfg))
 		res := FST{}.Run(env)
 		if !res.Converged {
-			t.Fatalf("%s: resumed golden run did not converge", engine)
+			t.Fatalf("%s: resumed golden run did not converge", l.name)
 		}
 		if int64(res.ConvergenceSlots) != 772 ||
 			res.Counters.Tx[rach.RACH1] != 406 ||
 			res.Counters.Tx[rach.RACH2] != 0 ||
 			res.Ops != 195009 {
 			t.Errorf("%s: resumed golden run drifted:\n got  slots=%d tx1=%d tx2=%d ops=%d\n want slots=772 tx1=406 tx2=0 ops=195009",
-				engine, res.ConvergenceSlots, res.Counters.Tx[rach.RACH1], res.Counters.Tx[rach.RACH2], res.Ops)
+				l.name, res.ConvergenceSlots, res.Counters.Tx[rach.RACH1], res.Counters.Tx[rach.RACH2], res.Ops)
 		}
 	}
 }

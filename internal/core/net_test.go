@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/asyncnet"
@@ -12,24 +13,10 @@ import (
 
 // Differential spine of the bounded-asynchrony message runtime
 // (internal/asyncnet): a degenerate plan must be bit-identical to no plan at
-// all on every engine, an adversarial plan must be bit-identical across
-// engines, shard layouts and worker counts, checkpoints taken with messages
-// in flight must resume exactly, and the liveness watchdog must stay
-// silent at the adversary's delay bound.
-
-// netEngines is the execution matrix the adversary must be invariant over.
-var netEngines = []struct {
-	name    string
-	engine  string
-	workers int
-	shards  int
-}{
-	{"slot-w1", EngineSlot, 1, 0},
-	{"slot-w4", EngineSlot, 4, 4},
-	{"shard-s3", EngineSlot, 1, 3},
-	{"event", EngineEvent, 1, 0},
-	{"auto", EngineAuto, 1, 0},
-}
+// all in every layout, an adversarial plan must be bit-identical between the
+// reference stepper and the engine at every shard layout and worker count,
+// checkpoints taken with messages in flight must resume exactly, and the
+// liveness watchdog must stay silent at the adversary's delay bound.
 
 func netCfg(n int, seed int64, maxSlots units.Slot, plan *asyncnet.Plan) Config {
 	cfg := PaperConfig(n, seed)
@@ -44,7 +31,7 @@ func netCfg(n int, seed int64, maxSlots units.Slot, plan *asyncnet.Plan) Config 
 // TestNetDegenerateBitIdentical pins the lockstep-equivalence guarantee: a
 // degenerate asynchrony plan (zero delay, no duplication, no loss — with or
 // without the reorder flag) produces byte-identical trajectories to running
-// without the message runtime at all, on every engine, with and without a
+// without the message runtime at all, in every layout, with and without a
 // fault plan underneath.
 func TestNetDegenerateBitIdentical(t *testing.T) {
 	degenerates := []*asyncnet.Plan{
@@ -72,13 +59,10 @@ func TestNetDegenerateBitIdentical(t *testing.T) {
 				t.Fatalf("run without a plan reported Net counters: %+v", want.res.Net)
 			}
 			for di, dplan := range degenerates {
-				for _, eng := range netEngines {
+				for _, eng := range layouts {
 					cfg := base
 					cfg.Net = dplan
-					cfg.Engine = eng.engine
-					cfg.Workers = eng.workers
-					cfg.Shards = eng.shards
-					got, _ := fingerprintCfg(t, proto, cfg)
+					got, _ := fingerprintCfg(t, proto, eng.apply(cfg))
 					label := fmt.Sprintf("%s/faults%d/degen%d/%s", proto.Name(), fi, di, eng.name)
 					compareFingerprints(t, label, want, got)
 					if got.res.Net != nil {
@@ -91,8 +75,9 @@ func TestNetDegenerateBitIdentical(t *testing.T) {
 }
 
 // TestNetAdversaryDeterministic pins the adversary's determinism contract:
-// with delay, reordering and duplication active, every engine, shard layout
-// and worker count walks the same trajectory draw for draw.
+// with delay, reordering and duplication active, the reference stepper and
+// the engine at every shard layout and worker count walk the same trajectory
+// draw for draw.
 func TestNetAdversaryDeterministic(t *testing.T) {
 	plan := &asyncnet.Plan{
 		Version:       asyncnet.PlanSchema,
@@ -102,19 +87,15 @@ func TestNetAdversaryDeterministic(t *testing.T) {
 		LossRate:      0.005,
 	}
 	for _, proto := range []Protocol{FST{}, ST{}, Centralized{}} {
-		ref, _ := fingerprintCfg(t, proto, netCfg(40, 12345, 2500, plan))
+		ref, _ := fingerprintCfg(t, proto, withOracle(netCfg(40, 12345, 2500, plan)))
 		if ref.res.Net == nil {
 			t.Fatalf("%s: adversarial run reported no Net counters", proto.Name())
 		}
 		if ref.res.Net.Delayed == 0 {
 			t.Fatalf("%s: adversary delayed nothing — the plan is not biting", proto.Name())
 		}
-		for _, eng := range netEngines[1:] {
-			cfg := netCfg(40, 12345, 2500, plan)
-			cfg.Engine = eng.engine
-			cfg.Workers = eng.workers
-			cfg.Shards = eng.shards
-			got, _ := fingerprintCfg(t, proto, cfg)
+		for _, eng := range layouts[1:] {
+			got, _ := fingerprintCfg(t, proto, eng.apply(netCfg(40, 12345, 2500, plan)))
 			label := proto.Name() + "/adversary/" + eng.name
 			compareFingerprints(t, label, ref, got)
 			if got.res.Net == nil || *got.res.Net != *ref.res.Net {
@@ -126,7 +107,7 @@ func TestNetAdversaryDeterministic(t *testing.T) {
 
 // TestNetAdversaryWithFaultsDeterministic layers the message adversary over
 // an active fault schedule (channel loss, crash, recovery, outage) and pins
-// engine/worker invariance of the combined trajectory.
+// layout and worker invariance of the combined trajectory.
 func TestNetAdversaryWithFaultsDeterministic(t *testing.T) {
 	nplan := &asyncnet.Plan{Version: asyncnet.PlanSchema, MaxDelaySlots: 12, Reorder: true, DupRate: 0.02}
 	fplan := &faults.Plan{
@@ -141,13 +122,9 @@ func TestNetAdversaryWithFaultsDeterministic(t *testing.T) {
 	for _, proto := range []Protocol{FST{}, ST{}} {
 		base := netCfg(40, 777, 3000, nplan)
 		base.Faults = fplan
-		ref, _ := fingerprintCfg(t, proto, base)
-		for _, eng := range netEngines[1:] {
-			cfg := base
-			cfg.Engine = eng.engine
-			cfg.Workers = eng.workers
-			cfg.Shards = eng.shards
-			got, _ := fingerprintCfg(t, proto, cfg)
+		ref, _ := fingerprintCfg(t, proto, withOracle(base))
+		for _, eng := range layouts[1:] {
+			got, _ := fingerprintCfg(t, proto, eng.apply(base))
 			compareFingerprints(t, proto.Name()+"/adversary+faults/"+eng.name, ref, got)
 		}
 	}
@@ -207,7 +184,7 @@ func TestNetPartitionFragmentsAndRejoins(t *testing.T) {
 
 // TestNetCheckpointResumeMidFlight interrupts an adversarial run at
 // checkpoints that provably carry in-flight messages and resumes each into
-// every engine: the continuation must reproduce the uninterrupted run bit
+// every layout: the continuation must reproduce the uninterrupted run bit
 // for bit, through the full wire encoding.
 func TestNetCheckpointResumeMidFlight(t *testing.T) {
 	plan := &asyncnet.Plan{
@@ -241,11 +218,8 @@ func TestNetCheckpointResumeMidFlight(t *testing.T) {
 				t.Fatal("no checkpoint captured in-flight messages; adversary or cadence mistuned")
 			}
 			pick := midFlight[len(midFlight)/2]
-			for _, tgt := range resumeTargets {
-				rCfg := cfg
-				rCfg.Engine = tgt.engine
-				rCfg.Workers = tgt.workers
-				rCfg.Shards = tgt.shards
+			for _, tgt := range layouts {
+				rCfg := tgt.apply(cfg)
 				rCfg.Resume = decodeCheckpoint(t, pick)
 				cont, _ := fingerprintCfg(t, proto, rCfg)
 				label := fmt.Sprintf("%s/net/resume@%d/%s", proto.Name(), pick.slot, tgt.name)
@@ -331,8 +305,60 @@ func TestNetAdversaryConvergesAtScale(t *testing.T) {
 		}
 		par := cfg
 		par.Workers = -1
-		par.Shards = 8
+		par.shards = 8
 		got, _ := fingerprintCfg(t, proto, par)
 		compareFingerprints(t, proto.Name()+"/n200/workers", ref, got)
+	}
+}
+
+// TestNetResumeMatchesUninterrupted pins two resumes of n=400 ST runs under
+// the T/4 plan that once diverged from their uninterrupted runs: the echo
+// transmitters still armed at the end of the checkpoint slot were not
+// captured, so the resumed run dropped their re-announcement in the next
+// slot. The Result must match field for field, slot accounting included.
+func TestNetResumeMatchesUninterrupted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=400 resume runs skipped in -short mode")
+	}
+	cases := []struct {
+		seed              int64
+		crashAt, resumeAt units.Slot
+	}{
+		{seed: 200003, resumeAt: 2000},
+		{seed: 108004, crashAt: 4000, resumeAt: 4000}, // a fifth of the devices crash
+	}
+	for _, c := range cases {
+		cfg := PaperConfig(400, c.seed)
+		cfg.JumpsPerCycle = 1
+		cfg.Net = &asyncnet.Plan{Version: asyncnet.PlanSchema, MaxDelaySlots: cfg.PeriodSlots / 4,
+			Reorder: true, DupRate: 0.01}
+		if c.crashAt > 0 {
+			cfg.Faults = &faults.Plan{Version: faults.PlanSchema}
+			for d := cfg.N - cfg.N/5; d < cfg.N; d++ {
+				cfg.Faults.Actions = append(cfg.Faults.Actions,
+					faults.Action{Kind: faults.KindCrash, At: int64(c.crashAt), Device: d})
+			}
+		}
+		cfg.CheckpointEvery = 2000
+		base, cks := checkpointRun(t, ST{}, cfg)
+		var pick *taggedCheckpoint
+		for i := range cks {
+			if cks[i].slot == c.resumeAt {
+				pick = &cks[i]
+			}
+		}
+		if pick == nil {
+			t.Fatalf("seed %d: no checkpoint at slot %d", c.seed, c.resumeAt)
+		}
+		rCfg := cfg
+		rCfg.OnCheckpoint = nil
+		rCfg.Resume = decodeCheckpoint(t, *pick)
+		cont, _ := fingerprintCfg(t, ST{}, rCfg)
+		label := fmt.Sprintf("ST/seed=%d/resume@%d", c.seed, c.resumeAt)
+		checkResume(t, label, base, c.resumeAt, cont)
+		if !reflect.DeepEqual(cont.res, base.res) {
+			t.Errorf("%s: resumed Result differs:\n%v (active %d of %d)\n%v (active %d of %d)", label,
+				cont.res, cont.res.ActiveSlots, cont.res.TotalSlots, base.res, base.res.ActiveSlots, base.res.TotalSlots)
+		}
 	}
 }

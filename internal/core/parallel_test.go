@@ -7,14 +7,13 @@ import (
 	"repro/internal/units"
 )
 
-// Differential pin for the parallel slot path: for every tested worker
-// count the sharded engine must produce results byte-identical to the
-// sequential engine — same fired sequence, same discovery tables, same
-// counters, same ops. The sizes here sit below the auto-shard floor, so
-// Shards is forced explicitly (the floor would otherwise route them to the
-// sequential engine — TestWorkersAutoPolicy pins that fallback); sizes are
-// capped by MaxSlots so the large cases stay affordable — bit-identity does
-// not need convergence, only identical trajectories.
+// Differential pin for the parallel path: for every tested worker count the
+// engine must produce results byte-identical to the reference stepper —
+// same fired sequence, same discovery tables, same counters, same ops. The
+// sizes here would derive a single shard (and so no worker pool —
+// TestWorkersAutoPolicy pins that policy), so the shard count is forced;
+// sizes are capped by MaxSlots so the large cases stay affordable —
+// bit-identity does not need convergence, only identical trajectories.
 
 // fireEvent is one FireTrace callback, in callback order.
 type fireEvent struct {
@@ -28,12 +27,11 @@ type runFingerprint struct {
 	fires []fireEvent
 }
 
-func fingerprint(t *testing.T, proto Protocol, n int, seed int64, maxSlots units.Slot, workers, shards int) runFingerprint {
+func fingerprint(t *testing.T, proto Protocol, n int, seed int64, maxSlots units.Slot, l layout) runFingerprint {
 	t.Helper()
 	cfg := PaperConfig(n, seed)
 	cfg.MaxSlots = maxSlots
-	cfg.Workers = workers
-	cfg.Shards = shards
+	cfg = l.apply(cfg)
 	var fires []fireEvent
 	cfg.FireTrace = func(slot units.Slot, dev int) {
 		fires = append(fires, fireEvent{slot: slot, dev: dev})
@@ -102,12 +100,12 @@ func TestParallelEngineBitIdenticalToSequential(t *testing.T) {
 	for _, c := range cases {
 		for _, seed := range seeds {
 			for _, proto := range protocols {
-				seq := fingerprint(t, proto, c.n, seed, c.maxSlots, 1, 0)
+				seq := fingerprint(t, proto, c.n, seed, c.maxSlots, layouts[0])
 				if len(seq.fires) == 0 {
-					t.Fatalf("%s n=%d seed=%d: sequential run produced no fires", proto.Name(), c.n, seed)
+					t.Fatalf("%s n=%d seed=%d: reference run produced no fires", proto.Name(), c.n, seed)
 				}
 				for _, workers := range workerCounts {
-					par := fingerprint(t, proto, c.n, seed, c.maxSlots, workers, 4)
+					par := fingerprint(t, proto, c.n, seed, c.maxSlots, layout{workers: workers, shards: 4})
 					label := fmtLabel(proto.Name(), c.n, seed, workers)
 					compareFingerprints(t, label, seq, par)
 				}
@@ -116,37 +114,33 @@ func TestParallelEngineBitIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// Workers alone, at sizes below the auto-shard floor, must fall back to the
-// sequential engine (the n=5000-regression fix: no more hand-tuned
-// -slotworkers on small runs) — and above the floor must engage sharding.
-// Both paths are observable through the engine internals, and the fallback
-// is also trajectory-identical by construction.
+// Workers alone, at sizes below the shard floor, must keep a run on one
+// shard and off the worker pool (the n=5000-regression fix: no more
+// hand-tuned -slotworkers on small runs) — and above the floor must cut the
+// deployment into shards.
 func TestWorkersAutoPolicy(t *testing.T) {
 	small := PaperConfig(100, 1)
 	small.Workers = -1
-	envS := mustEnv(t, small)
-	eS := newEngine(envS)
+	eS := newEngine(mustEnv(t, small))
 	defer eS.close()
-	if eS.sh != nil || eS.pool != nil {
-		t.Error("n=100 with Workers=-1 should run the sequential reference")
+	if eS.sh == nil || eS.sh.sm.count != 1 || eS.pool != nil {
+		t.Error("n=100 with Workers=-1 should run one shard without a pool")
 	}
 
 	large := PaperConfig(1500, 1)
 	large.Workers = -1
-	envL := mustEnv(t, large)
-	eL := newEngine(envL)
+	eL := newEngine(mustEnv(t, large))
 	defer eL.close()
-	if eL.sh == nil {
-		t.Error("n=1500 with Workers=-1 should engage the sharded engine")
+	if eL.sh == nil || eL.sh.sm.count != 5 {
+		t.Error("n=1500 with Workers=-1 should run five shards")
 	}
 
 	forced := PaperConfig(100, 1)
-	forced.Shards = 4
-	envF := mustEnv(t, forced)
-	eF := newEngine(envF)
+	forced.shards = 4
+	eF := newEngine(mustEnv(t, forced))
 	defer eF.close()
 	if eF.sh == nil || eF.sh.sm.count != 4 {
-		t.Error("explicit Shards=4 should force the sharded engine")
+		t.Error("a forced shard count of 4 should yield four shards")
 	}
 }
 
@@ -156,18 +150,16 @@ func fmtLabel(proto string, n int, seed int64, workers int) string {
 
 // The negative-margin transport (collision model disabled) produces a
 // sender-major delivery list that is not receiver-contiguous; the engine
-// must detect that and still match the sequential loop exactly.
+// must detect that and still match the reference exactly.
 func TestParallelEngineBitIdenticalWithoutCaptureModel(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		cfg := PaperConfig(50, 11)
 		cfg.MaxSlots = 1500
 		cfg.CaptureMarginDB = -1
-		cfg.Workers = 1
-		env := mustEnv(t, cfg)
-		seq := ST{}.Run(env)
+		seq := ST{}.Run(mustEnv(t, withOracle(cfg)))
 
 		cfg.Workers = workers
-		cfg.Shards = 4
+		cfg.shards = 4
 		envP := mustEnv(t, cfg)
 		par := ST{}.Run(envP)
 
@@ -180,10 +172,10 @@ func TestParallelEngineBitIdenticalWithoutCaptureModel(t *testing.T) {
 }
 
 // Negative workers resolve to NumCPU; the result must still match the
-// sequential engine bit for bit (it always does — the knob only changes
+// reference bit for bit (it always does — the knob only changes
 // scheduling).
 func TestWorkersNumCPUMatchesSequential(t *testing.T) {
-	seq := fingerprint(t, ST{}, 50, 9, 2000, 1, 0)
-	par := fingerprint(t, ST{}, 50, 9, 2000, -1, 8)
+	seq := fingerprint(t, ST{}, 50, 9, 2000, layouts[0])
+	par := fingerprint(t, ST{}, 50, 9, 2000, layout{workers: -1, shards: 8})
 	compareFingerprints(t, "ST/workers=NumCPU", seq, par)
 }

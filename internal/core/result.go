@@ -45,12 +45,13 @@ type Result struct {
 	// during the run (physical-level discovery coverage).
 	DiscoveredLinks int
 	// ActiveSlots counts the slots the run engine actually stepped, out of
-	// the TotalSlots span the run covered. The slot engines step everything
-	// (ActiveSlots == TotalSlots); the event engine steps only slots where
-	// a fire, protocol timer or trace boundary lands, and the ratio is the
-	// measured sparsity its speedup comes from. Engine-dependent
-	// observability, not a model output — differential fingerprints must
-	// not compare it.
+	// the TotalSlots span the run covered: only slots where a fire, a
+	// protocol timer or a trace, fault, delivery or checkpoint boundary
+	// lands. The ratio is the measured sparsity next-event stepping
+	// exploits. It is the same for every worker count, but it is
+	// observability, not a model output — the reference stepper in the
+	// tests steps every slot, so differential fingerprints do not compare
+	// it.
 	ActiveSlots uint64
 	// TotalSlots is the slot span the run covered (see ActiveSlots).
 	TotalSlots uint64

@@ -12,8 +12,8 @@ import (
 )
 
 // Correctness spine of the checkpoint/restore subsystem: a run interrupted at
-// any checkpoint and resumed — into the same engine or a different one — must
-// reproduce the uninterrupted run bit for bit: same fired sequence past the
+// any checkpoint and resumed — at the same worker count or another, or on the
+// reference stepper — must reproduce the uninterrupted run bit for bit: same fired sequence past the
 // checkpoint, same counters, same ops, same trees. Checkpoints round-trip
 // through the full wire encoding (Encode → bytes → Decode), so the
 // serialization itself is on the hook, not just the in-memory state.
@@ -63,21 +63,6 @@ func checkResume(t *testing.T, label string, baseline runFingerprint, snapSlot u
 	compareFingerprints(t, label, baseline, stitched)
 }
 
-// resumeTargets is the engine matrix every checkpoint must restore into.
-var resumeTargets = []struct {
-	name    string
-	engine  string
-	workers int
-	shards  int
-}{
-	{"slot-w1", EngineSlot, 1, 0},
-	{"slot-w4", EngineSlot, 4, 0},
-	{"shard-s4", EngineSlot, 1, 4},
-	{"shard-s4-w4", EngineSlot, 4, 4},
-	{"event", EngineEvent, 1, 0},
-	{"auto", EngineAuto, 1, 0},
-}
-
 func TestResumeBitIdentical(t *testing.T) {
 	cases := []struct {
 		proto Protocol
@@ -108,39 +93,34 @@ func TestResumeBitIdentical(t *testing.T) {
 				t.Fatalf("%s: want at least 2 checkpoints, got %d", c.proto.Name(), len(cks))
 			}
 
-			// The same run on the event engine must emit byte-identical
+			// The same run on the reference stepper must emit byte-identical
 			// snapshots (modulo the engine's own accounting section) — the
-			// captured state is engine-independent.
-			evCfg := cfg
-			evCfg.Engine = EngineEvent
-			evBase, evCks := checkpointRun(t, c.proto, evCfg)
-			compareFingerprints(t, c.proto.Name()+"/event-checkpointing-neutral", plain, evBase)
-			if len(evCks) != len(cks) {
-				t.Fatalf("%s: checkpoint counts differ: slot %d vs event %d", c.proto.Name(), len(cks), len(evCks))
+			// captured state does not depend on how slots were stepped.
+			refBase, refCks := checkpointRun(t, c.proto, withOracle(cfg))
+			compareFingerprints(t, c.proto.Name()+"/oracle-checkpointing-neutral", plain, refBase)
+			if len(refCks) != len(cks) {
+				t.Fatalf("%s: checkpoint counts differ: engine %d vs reference %d", c.proto.Name(), len(cks), len(refCks))
 			}
 			for i := range cks {
 				w := normalizeEngineSection(t, cks[i])
-				g := normalizeEngineSection(t, evCks[i])
+				g := normalizeEngineSection(t, refCks[i])
 				if !bytes.Equal(w, g) {
-					t.Errorf("%s: checkpoint %d (slot %d) differs between slot and event engines",
+					t.Errorf("%s: checkpoint %d (slot %d) differs between the engine and the reference",
 						c.proto.Name(), i, cks[i].slot)
 				}
 			}
 
-			// Restore the middle checkpoint into every engine.
+			// Restore the middle checkpoint into every layout.
 			mid := cks[len(cks)/2]
-			for _, tgt := range resumeTargets {
-				rCfg := cfg
-				rCfg.Engine = tgt.engine
-				rCfg.Workers = tgt.workers
-				rCfg.Shards = tgt.shards
+			for _, tgt := range layouts {
+				rCfg := tgt.apply(cfg)
 				rCfg.Resume = decodeCheckpoint(t, mid)
 				cont, _ := fingerprintCfg(t, c.proto, rCfg)
 				label := fmt.Sprintf("%s/resume@%d/%s", c.proto.Name(), mid.slot, tgt.name)
 				checkResume(t, label, base, mid.slot, cont)
-				if tgt.engine == EngineSlot {
-					// Same engine family: even the slot accounting excluded
-					// from fingerprints must line up exactly.
+				if !tgt.oracle {
+					// Even the slot accounting excluded from fingerprints
+					// must line up exactly.
 					if cont.res.ActiveSlots != base.res.ActiveSlots || cont.res.TotalSlots != base.res.TotalSlots {
 						t.Errorf("%s: slot accounting differs: base (%d, %d) vs resumed (%d, %d)",
 							label, base.res.ActiveSlots, base.res.TotalSlots,
@@ -207,18 +187,8 @@ func TestResumeWithFaultPlan(t *testing.T) {
 				if pick == nil {
 					t.Fatalf("no checkpoint at or after slot %d", at)
 				}
-				for _, tgt := range []struct {
-					name    string
-					engine  string
-					workers int
-				}{
-					{"slot-w1", EngineSlot, 1},
-					{"slot-w2", EngineSlot, 2},
-					{"event", EngineEvent, 1},
-				} {
-					rCfg := cfg
-					rCfg.Engine = tgt.engine
-					rCfg.Workers = tgt.workers
+				for _, tgt := range layouts {
+					rCfg := tgt.apply(cfg)
 					rCfg.Resume = decodeCheckpoint(t, *pick)
 					cont, _ := fingerprintCfg(t, proto, rCfg)
 					label := fmt.Sprintf("%s/faults/resume@%d/%s", proto.Name(), pick.slot, tgt.name)

@@ -12,9 +12,10 @@ import (
 // Differential pin for engine self-measurement: attaching a RunStats
 // accumulator must not change a single bit of any run. The instrumentation
 // only reads the monotonic clock — it never touches the RNG streams, the
-// wave ordering or the event horizon — and this suite is the proof, across
-// every engine (sequential slot loop, sharded slot engine, event engine,
-// auto switching), worker/shard counts, and a mid-run crash wave.
+// wave ordering or the engine's horizon — and this suite is the proof,
+// across the reference stepper, the engine at its default layout, forced
+// shard counts and worker counts (one per CPU included), and a mid-run
+// crash wave.
 
 // runstatsCrashPlan crashes a fifth of the devices mid-run so the faulted
 // delivery filter and the engines' churn paths run under instrumentation.
@@ -27,17 +28,18 @@ func runstatsCrashPlan(n int) *faults.Plan {
 }
 
 func TestRunStatsBitIdentical(t *testing.T) {
+	// seq is the reference stepper, event the engine's default layout
+	// (next-event stepping on the derived shard count) and auto one worker
+	// per CPU.
 	cases := []struct {
-		name    string
-		engine  string
-		workers int
-		shards  int
+		name string
+		l    layout
 	}{
-		{"seq", EngineSlot, 1, 0},
-		{"shard1", EngineSlot, 1, 4},
-		{"shard4", EngineSlot, 4, 4},
-		{"event", EngineEvent, 1, 0},
-		{"auto", EngineAuto, 1, 0},
+		{"seq", layouts[0]},
+		{"shard1", layout{workers: 1, shards: 4}},
+		{"shard4", layout{workers: 4, shards: 4}},
+		{"event", layout{}},
+		{"auto", layout{workers: -1}},
 	}
 	for _, c := range cases {
 		for _, faulted := range []bool{false, true} {
@@ -46,13 +48,10 @@ func TestRunStatsBitIdentical(t *testing.T) {
 				build := func() Config {
 					cfg := PaperConfig(100, 3)
 					cfg.MaxSlots = 1200
-					cfg.Engine = c.engine
-					cfg.Workers = c.workers
-					cfg.Shards = c.shards
 					if faulted {
 						cfg.Faults = runstatsCrashPlan(cfg.N)
 					}
-					return cfg
+					return c.l.apply(cfg)
 				}
 				for _, proto := range []Protocol{FST{}, ST{}} {
 					off := build()
@@ -74,15 +73,13 @@ func TestRunStatsBitIdentical(t *testing.T) {
 					if rep == nil || rep.MeasuredNanos <= 0 {
 						t.Fatalf("%s: runstats measured nothing", pl)
 					}
-					stepped := rep.SeqSlots + rep.ShardSlots + rep.EventSlots
-					if stepped == 0 {
-						t.Errorf("%s: no stepped slots attributed to any path", pl)
+					if rep.SteppedSlots != got.res.ActiveSlots ||
+						rep.SteppedSlots+rep.SkippedSlots != got.res.TotalSlots {
+						t.Errorf("%s: runstats counted %d stepped + %d skipped slots, result %d of %d",
+							pl, rep.SteppedSlots, rep.SkippedSlots, got.res.ActiveSlots, got.res.TotalSlots)
 					}
-					if c.engine == EngineEvent && rep.FireQueueDepth == nil {
-						t.Errorf("%s: event engine left no fire-queue distribution", pl)
-					}
-					if c.shards > 0 && rep.Shard == nil {
-						t.Errorf("%s: sharded engine left no shard stats", pl)
+					if !c.l.oracle && (rep.Shard == nil || rep.SkipSpan == nil) {
+						t.Errorf("%s: engine left no shard or skip-span stats", pl)
 					}
 				}
 			})

@@ -7,26 +7,23 @@ import (
 	"repro/internal/geo"
 )
 
-// shardFloorDevices is the minimum average devices-per-shard worth sharding
-// over. Below it the per-shard scheduling overhead (min scans, boundary
-// merges) eats the savings and the sequential reference loop wins, so
-// autoShardCount returns 0 and the run stays on the reference engine. The
-// value matches where BenchmarkStepSlot's seq/par crossover sat before
-// sharding (n ≈ a few hundred).
+// shardFloorDevices is the average devices-per-shard a run is cut into:
+// below it the per-shard scheduling overhead (min scans, boundary merges)
+// eats what skipping idle shards saves, so runs under 2·shardFloorDevices
+// devices get a single shard.
 const shardFloorDevices = 256
 
 // autoShardCount derives the spatial shard count from the device count and
-// resolved worker count when Config.Shards is 0 (auto). It returns 0 when
-// the run is too small to shard — the caller falls back to the sequential
-// engine — and otherwise clamps to 8 shards per worker, enough slack for
-// work stealing across uneven cells without fragmenting the SoA arrays.
+// the resolved worker count: one shard per shardFloorDevices devices, at
+// least one, clamped to 8 shards per worker — enough slack for work
+// stealing across uneven cells without fragmenting the SoA arrays.
 func autoShardCount(n, workers int) int {
 	if workers < 1 {
 		workers = 1
 	}
 	s := n / shardFloorDevices
 	if s < 1 {
-		return 0
+		return 1
 	}
 	if max := 8 * workers; s > max {
 		s = max

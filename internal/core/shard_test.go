@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// Differential pin for the spatially sharded slot engine: for every shard
-// count — one shard, a few, one per CPU, one per device — the sharded
-// engine must reproduce the sequential reference bit for bit: same fired
+// Differential pin for the spatially sharded engine: for every shard count
+// — one shard, a few, one per CPU, one per device — the engine must
+// reproduce the reference stepper bit for bit: same fired
 // sequence, counters, ops, discovery tables, trees and final phases.
 // Sharding composes with worker counts, fault plans and checkpointing, so
 // those variants are pinned here too (resume_test.go additionally restores
-// checkpoints INTO a sharded engine).
+// checkpoints into several layouts).
 
 func TestShardEngineBitIdenticalToSequential(t *testing.T) {
 	const n = 50
@@ -25,13 +25,13 @@ func TestShardEngineBitIdenticalToSequential(t *testing.T) {
 			for _, seed := range []int64{1, 2, 3} {
 				cfg := PaperConfig(n, seed)
 				cfg.MaxSlots = 20000
-				seq, seqPhases := fingerprintCfg(t, proto, cfg)
+				seq, seqPhases := fingerprintCfg(t, proto, withOracle(cfg))
 				if len(seq.fires) == 0 {
-					t.Fatalf("seed=%d: sequential run produced no fires", seed)
+					t.Fatalf("seed=%d: reference run produced no fires", seed)
 				}
 				for _, shards := range shardCounts {
 					sCfg := cfg
-					sCfg.Shards = shards
+					sCfg.shards = shards
 					got, gotPhases := fingerprintCfg(t, proto, sCfg)
 					label := fmt.Sprintf("%s/seed=%d/shards=%d", proto.Name(), seed, shards)
 					compareFingerprints(t, label, seq, got)
@@ -47,12 +47,12 @@ func TestShardEngineBitIdenticalToSequential(t *testing.T) {
 func TestShardEngineWorkerCountInvariant(t *testing.T) {
 	cfg := PaperConfig(80, 5)
 	cfg.MaxSlots = 6000
-	seq, seqPhases := fingerprintCfg(t, ST{}, cfg)
+	seq, seqPhases := fingerprintCfg(t, ST{}, withOracle(cfg))
 	for _, workers := range []int{2, 8} {
 		for _, shards := range []int{4, 16} {
 			sCfg := cfg
 			sCfg.Workers = workers
-			sCfg.Shards = shards
+			sCfg.shards = shards
 			got, gotPhases := fingerprintCfg(t, ST{}, sCfg)
 			label := fmt.Sprintf("ST/workers=%d/shards=%d", workers, shards)
 			compareFingerprints(t, label, seq, got)
@@ -68,10 +68,10 @@ func TestShardEngineBitIdenticalWithoutCaptureModel(t *testing.T) {
 	cfg := PaperConfig(50, 11)
 	cfg.MaxSlots = 1500
 	cfg.CaptureMarginDB = -1
-	seq, seqPhases := fingerprintCfg(t, ST{}, cfg)
+	seq, seqPhases := fingerprintCfg(t, ST{}, withOracle(cfg))
 	for _, shards := range []int{4, 50} {
 		sCfg := cfg
-		sCfg.Shards = shards
+		sCfg.shards = shards
 		got, gotPhases := fingerprintCfg(t, ST{}, sCfg)
 		label := fmt.Sprintf("ST/no-capture/shards=%d", shards)
 		compareFingerprints(t, label, seq, got)
@@ -89,10 +89,10 @@ func TestShardEngineFaultPlanBitIdentical(t *testing.T) {
 		t.Run(proto.Name(), func(t *testing.T) {
 			base := fastConfig(40, 9)
 			base.Faults = activePlan(base.N)
-			seq, seqPhases := fingerprintCfg(t, proto, base)
+			seq, seqPhases := fingerprintCfg(t, proto, withOracle(base))
 			for _, shards := range []int{1, 4, 40} {
 				cfg := base
-				cfg.Shards = shards
+				cfg.shards = shards
 				got, gotPhases := fingerprintCfg(t, proto, cfg)
 				label := fmt.Sprintf("%s/faults/shards=%d", proto.Name(), shards)
 				compareFingerprints(t, label, seq, got)
@@ -103,10 +103,10 @@ func TestShardEngineFaultPlanBitIdentical(t *testing.T) {
 	}
 }
 
-// Checkpoints captured by a sharded run must be byte-identical to the
-// sequential engine's: the SoA layout is engine-internal scratch, devices
-// serialize in canonical id order, and the sharded engine steps the same
-// slots (so even the accounting section matches bytewise).
+// Checkpoints must be byte-identical across shard layouts: the SoA layout
+// is engine-internal scratch, devices serialize in canonical id order, and
+// every layout steps the same slots (so even the accounting section matches
+// bytewise).
 func TestShardEngineCheckpointsByteIdentical(t *testing.T) {
 	cfg := PaperConfig(40, 12345)
 	cfg.MaxSlots = 100000
@@ -114,15 +114,15 @@ func TestShardEngineCheckpointsByteIdentical(t *testing.T) {
 	seqBase, seqCks := checkpointRun(t, FST{}, cfg)
 
 	sCfg := cfg
-	sCfg.Shards = 4
+	sCfg.shards = 4
 	shBase, shCks := checkpointRun(t, FST{}, sCfg)
 	compareFingerprints(t, "FST/checkpointing-sharded", seqBase, shBase)
 	if len(shCks) != len(seqCks) {
-		t.Fatalf("checkpoint counts differ: seq %d vs sharded %d", len(seqCks), len(shCks))
+		t.Fatalf("checkpoint counts differ: one shard %d vs four %d", len(seqCks), len(shCks))
 	}
 	for i := range seqCks {
 		if !bytes.Equal(seqCks[i].data, shCks[i].data) {
-			t.Errorf("checkpoint %d (slot %d) differs between sequential and sharded engines",
+			t.Errorf("checkpoint %d (slot %d) differs between one and four shards",
 				i, seqCks[i].slot)
 		}
 	}
@@ -136,30 +136,15 @@ func TestShardEngineCheckpointsByteIdentical(t *testing.T) {
 	checkResume(t, fmt.Sprintf("FST/resume@%d/sharded", mid.slot), shBase, mid.slot, cont)
 }
 
-// The auto engine's slot↔event handoffs must keep the sharded stepper's
-// predictions coherent (the event→slot handoff rebuilds them); an auto run
-// with sharding forced must match the plain sequential reference.
-func TestShardEngineAutoHandoffBitIdentical(t *testing.T) {
-	cfg := PaperConfig(50, 7)
-	cfg.MaxSlots = 30000
-	seq, seqPhases := fingerprintCfg(t, FST{}, cfg)
-
-	aCfg := cfg
-	aCfg.Engine = EngineAuto
-	aCfg.Shards = 4
-	got, gotPhases := fingerprintCfg(t, FST{}, aCfg)
-	compareFingerprints(t, "FST/auto+shards", seq, got)
-	comparePhases(t, "FST/auto+shards", seqPhases, gotPhases)
-}
-
-// Auto shard-count policy: tiny runs must stay on the sequential reference
-// even when Workers requests parallelism (the documented n=5000 regression
-// fix), and the floor/cap arithmetic must hold.
+// Shard-count policy: tiny runs stay on one shard even when Workers
+// requests parallelism (the documented n=5000 regression fix), there is
+// always at least one shard, and the floor/cap arithmetic must hold.
 func TestAutoShardCount(t *testing.T) {
 	cases := []struct {
 		n, workers, want int
 	}{
-		{50, 4, 0},      // below the floor: sequential
+		{1, 1, 1},       // a single device still has a shard
+		{50, 4, 1},      // below the floor: one shard
 		{511, 8, 1},     // just below 2 shards
 		{512, 8, 2},     // two full shards
 		{5000, 4, 19},   // n/256, under the 8·workers cap

@@ -12,10 +12,10 @@ import (
 	"repro/internal/units"
 )
 
-// The spatially sharded slot engine. It keeps the slot loop's cadence —
-// every slot is stepped, every cascade resolves in-slot — but replaces the
-// per-slot O(n) oscillator sweep with per-shard scheduling over
-// struct-of-arrays next-fire state (oscillator.Bulk):
+// The spatially sharded next-event engine. It replaces the per-slot O(n)
+// oscillator sweep with per-shard scheduling over struct-of-arrays
+// next-fire state (oscillator.Bulk), and lets the run skip every slot in
+// which nothing can happen:
 //
 //   - Devices partition into grid-cell-aligned shards (shardMap), so a
 //     shard is a contiguous patch of the deployment and most pulse
@@ -23,21 +23,22 @@ import (
 //   - Each shard's members occupy a contiguous range of the shard-major
 //     roster, and their exact next-fire slots live in one contiguous int64
 //     array. A shard whose cached minimum is in the future is skipped
-//     entirely — no pointer is chased, no oscillator is touched.
-//   - Phases stay lazily materialized on their linear segments, exactly as
-//     in the event engine; AdvanceTo catches a device up when it fires,
-//     receives a pulse, or a protocol hook reads it. The engine hooks
-//     (materialize, phaseWritten, dropFailed, resyncAll) are the same
-//     discipline the event engine already imposes on every protocol.
+//     entirely — no pointer is chased, no oscillator is touched — and the
+//     minimum over all shards is the earliest slot any device fires
+//     (nextFire), which the engine's horizon jumps to.
+//   - Phases stay lazily materialized on their linear segments; AdvanceTo
+//     catches a device up when it fires, receives a pulse, or a protocol
+//     hook reads it. The engine hooks (materialize, phaseWritten,
+//     dropFailed, resyncAll) are the discipline this imposes on every
+//     protocol.
 //
 // Parallelism shards by space, not device-index ranges: phase A advances
 // due shards concurrently, phase B evaluates senders concurrently (each on
 // its own RNG stream), phase C buckets the receiver-sorted delivery list by
 // receiver shard so one worker owns every touched receiver exclusively.
-// With one worker the same loops run inline — the lazy skip makes the
-// sharded engine worth running even single-threaded.
+// With one worker the same loops run inline.
 //
-// Bit-identity with the sequential reference holds for any shard and worker
+// Bit-identity with the reference stepper holds for any shard and worker
 // count because every ordered artifact is restored at merge points:
 //
 //   - fired lists: within-shard rosters are id-sorted, so per-shard fired
@@ -50,17 +51,25 @@ import (
 //     to receiver-ascending order, matching the reference's append order.
 //   - RNG: shared-stream draws (preambles) happen only in the sequential
 //     plan step, in wave order; per-sender draws come from streams owned by
-//     one sender each. Nothing draws in phase A or C.
+//     one sender each. Nothing draws in phase A or C, and skipped slots draw
+//     nothing at all.
 //
-// The shard-equivalence differential suite (shard_test.go, parallel_test.go)
-// pins fires, counters, ops and final phases against the sequential engine
-// across protocols, shard counts, fault plans and checkpoint/resume.
+// The differential suites (shard_test.go, parallel_test.go,
+// eventengine_test.go) pin fires, counters, ops and final phases against
+// the reference across protocols, shard counts, fault plans and
+// checkpoint/resume.
 type shardEngine struct {
 	eng  *engine
 	env  *Env
 	sm   *shardMap
 	bulk *oscillator.Bulk
-	min  []int64 // per-shard earliest cached next-fire (conservative: never above truth)
+	min  []int64 // per-shard earliest cached next-fire (never above truth)
+	// stale marks shards whose cached minimum may be too low: the hook
+	// paths (refresh, drop, revive) only ever lower a minimum, so a shard
+	// they touched is rescanned before nextFire trusts it. A too-low
+	// minimum only costs a wasted scan when stepping, but the horizon must
+	// be exact — ActiveSlots may not depend on the shard layout.
+	stale []bool
 
 	// Per-shard accumulators, touched only by the worker owning the shard.
 	firedMem [][]int  // phase A: fired member indices
@@ -97,6 +106,7 @@ func newShardEngine(e *engine, shards int) *shardEngine {
 		sm:        sm,
 		bulk:      oscillator.NewBulk(oscs),
 		min:       make([]int64, sm.count),
+		stale:     make([]bool, sm.count),
 		firedMem:  make([][]int, sm.count),
 		firedSh:   make([][]int, sm.count),
 		nextSh:    make([][]int, sm.count),
@@ -135,7 +145,7 @@ func devicePositions(env *Env) []geo.Point {
 func (sh *shardEngine) recomputeMins() {
 	for s := 0; s < sh.sm.count; s++ {
 		lo, hi := sh.sm.span(s)
-		sh.min[s] = sh.bulk.NextFireMin(lo, hi)
+		sh.min[s], sh.stale[s] = sh.bulk.NextFireMin(lo, hi), false
 	}
 }
 
@@ -152,37 +162,57 @@ func (sh *shardEngine) markDirty(id int, slot units.Slot) {
 	sh.dirtySh[s] = append(sh.dirtySh[s], mi)
 }
 
-// refreshLower recomputes device id's next fire and lowers its shard's
-// cached minimum if the new prediction is earlier — the hook path for
-// protocol phase writes and fault recoveries. Raising the minimum is left
-// to the next active-shard rescan: a too-low cached minimum only costs one
-// wasted scan, a too-high one would skip a fire.
-func (sh *shardEngine) refreshLower(id int) {
-	nf := sh.bulk.Refresh(int(sh.sm.memberOf[id]))
-	if s := sh.sm.shardOf[id]; nf < sh.min[s] {
+// nextFire returns the earliest next-fire slot over every shard
+// (oscillator.NeverFires when nothing will fire), rescanning the shards
+// whose cached minimum may be stale first, so the result is exact.
+func (sh *shardEngine) nextFire() int64 {
+	next := oscillator.NeverFires
+	for s, m := range sh.min {
+		if sh.stale[s] {
+			lo, hi := sh.sm.span(s)
+			m = sh.bulk.NextFireMin(lo, hi)
+			sh.min[s], sh.stale[s] = m, false
+		}
+		if m < next {
+			next = m
+		}
+	}
+	return next
+}
+
+// lower folds member prediction nf into device id's shard minimum — the hook
+// paths' update, which may leave the minimum stale-low (see stale).
+func (sh *shardEngine) lower(id int, nf int64) {
+	s := sh.sm.shardOf[id]
+	if nf < sh.min[s] {
 		sh.min[s] = nf
 	}
+	sh.stale[s] = true
+}
+
+// refresh recomputes device id's next fire after a protocol phase write
+// (the oscillator must already be rebased).
+func (sh *shardEngine) refresh(id int) {
+	sh.lower(id, sh.bulk.Refresh(int(sh.sm.memberOf[id])))
 }
 
 // drop deschedules a powered-off device.
 func (sh *shardEngine) drop(id int) {
 	sh.bulk.Drop(int(sh.sm.memberOf[id]))
+	sh.stale[sh.sm.shardOf[id]] = true
 }
 
 // revive reschedules a recovered device (its oscillator must already be
 // rebased at the current slot).
 func (sh *shardEngine) revive(id int) {
-	nf := sh.bulk.Revive(int(sh.sm.memberOf[id]))
-	if s := sh.sm.shardOf[id]; nf < sh.min[s] {
-		sh.min[s] = nf
-	}
+	sh.lower(id, sh.bulk.Revive(int(sh.sm.memberOf[id])))
 }
 
 // dropFailedAll prunes every powered-off device after bulk churn.
 func (sh *shardEngine) dropFailedAll() {
-	for mi, id := range sh.sm.order {
+	for _, id := range sh.sm.order {
 		if !sh.env.Alive[id] {
-			sh.bulk.Drop(mi)
+			sh.drop(int(id))
 		}
 	}
 }
@@ -196,23 +226,6 @@ func (sh *shardEngine) resync(slot units.Slot) {
 			continue
 		}
 		sh.env.Devices[id].Osc.Rebase(int64(slot))
-		if sh.bulk.Dropped(mi) {
-			sh.bulk.Revive(mi)
-		} else {
-			sh.bulk.Refresh(mi)
-		}
-	}
-	sh.recomputeMins()
-}
-
-// rebuild refreshes every prediction from current oscillator state — the
-// event→slot handoff, after which the fire queue's view is stale.
-func (sh *shardEngine) rebuild() {
-	for mi, id := range sh.sm.order {
-		if !sh.env.Alive[id] {
-			sh.bulk.Drop(mi)
-			continue
-		}
 		if sh.bulk.Dropped(mi) {
 			sh.bulk.Revive(mi)
 		} else {
@@ -323,7 +336,8 @@ func (sh *shardEngine) deliverShard(s int, dels []rach.Delivery, couples couplin
 	}
 }
 
-// step advances the whole network one slot on the sharded engine.
+// step runs one slot: every slot since the previous step was inert, so the
+// due shards' members fire on their lazily advanced trajectories.
 func (sh *shardEngine) step(slot units.Slot, couples couplingRule, opsPerPulse uint64, ops *uint64) []int {
 	env := sh.env
 	e := sh.eng
@@ -547,7 +561,7 @@ func (sh *shardEngine) step(slot units.Slot, couples couplingRule, opsPerPulse u
 		}
 		sh.dirtySh[s] = dirty[:0]
 		lo, hi := sh.sm.span(s)
-		sh.min[s] = sh.bulk.NextFireMin(lo, hi)
+		sh.min[s], sh.stale[s] = sh.bulk.NextFireMin(lo, hi), false
 	}
 	if rs != nil {
 		rs.AddPhase(telemetry.PhaseRefresh, time.Since(t0))

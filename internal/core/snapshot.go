@@ -1,8 +1,9 @@
 // Checkpoint capture and restore. A checkpoint is taken after a stepped slot
 // has fully settled (cascade, faults, protocol timers, telemetry), with lazy
-// phases materialized first — materialization is exactly what the slot
-// engine does every slot, so the captured state is engine-independent and a
-// snapshot taken on one engine restores bit-identically into any other.
+// phases materialized first — materialization is exactly what the reference
+// stepper does every slot, so the captured state is independent of the
+// shard layout and a snapshot restores bit-identically for any worker
+// count.
 //
 // A restore rebuilds the environment from config (re-running the
 // deterministic setup draws), then overlays the saved mutable state; stream
@@ -72,8 +73,8 @@ func captureDevice(d *device.Device) snapshot.DeviceState {
 }
 
 // restoreEnvState overlays a snapshot's environment-level state onto a
-// freshly built Env. It must run before newEngine — the event engine builds
-// its fire queue from the oscillator states this installs.
+// freshly built Env. It must run before newEngine — the engine derives its
+// next-fire schedule from the oscillator states this installs.
 func restoreEnvState(env *Env, st *snapshot.State) {
 	env.Streams.Restore(st.Streams)
 	copy(env.Alive, st.Alive)
@@ -114,51 +115,35 @@ func restoreEnvState(env *Env, st *snapshot.State) {
 	}
 }
 
-// engineState captures the engine's accounting and, for the adaptive engine,
-// its decision state.
+// engineState captures the engine's slot accounting and the echoes armed
+// for the next stepped slot.
 func (e *engine) engineState() snapshot.EngineState {
 	st := snapshot.EngineState{
 		ActiveSlots: e.activeSlots,
 		TotalSlots:  e.totalSlots,
 		LastSlot:    int64(e.lastSlot),
 	}
-	if e.auto != nil {
-		mode := EngineSlot
-		if e.ev != nil {
-			mode = EngineEvent
-		}
-		st.Auto = &snapshot.AutoState{
-			Mode:        mode,
-			WindowStart: int64(e.auto.windowStart),
-			DecideAt:    int64(e.auto.decideAt),
-			Eventful:    e.auto.eventful,
+	if ec := e.echo; ec != nil {
+		for i, id := range ec.ids[0] {
+			st.Echoes = append(st.Echoes, snapshot.EchoState{Device: id, Epoch: int64(ec.epochs[0][i])})
 		}
 	}
 	return st
 }
 
-// restoreEngineState overlays saved engine accounting onto a freshly built
-// engine. Cross-engine restores are fine: a pure engine ignores a snapshot's
-// Auto section, and an adaptive engine restoring a snapshot without one
-// re-anchors its observation window at the snapshot slot.
+// restoreEngineState overlays saved engine state onto a freshly built
+// engine.
 func (e *engine) restoreEngineState(st snapshot.EngineState) {
 	e.activeSlots = st.ActiveSlots
 	e.totalSlots = st.TotalSlots
 	e.lastSlot = units.Slot(st.LastSlot)
-	if e.auto == nil {
-		return
-	}
-	if a := st.Auto; a != nil {
-		e.auto.windowStart = units.Slot(a.WindowStart)
-		e.auto.decideAt = units.Slot(a.DecideAt)
-		e.auto.eventful = a.Eventful
-		if a.Mode == EngineEvent && e.ev == nil {
-			e.ev = newEventEngine(e)
+	if len(st.Echoes) > 0 {
+		ec := newEchoState(len(e.env.Devices))
+		for _, x := range st.Echoes {
+			ec.ids[0] = append(ec.ids[0], x.Device)
+			ec.epochs[0] = append(ec.epochs[0], units.Slot(x.Epoch))
 		}
-	} else {
-		e.auto.windowStart = e.lastSlot
-		e.auto.decideAt = (e.lastSlot/e.auto.every + 1) * e.auto.every
-		e.auto.eventful = 0
+		e.echo = ec
 	}
 }
 

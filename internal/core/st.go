@@ -59,7 +59,7 @@ func (ST) Run(env *Env) Result {
 	opsPerPulse := log2ceil(cfg.N)
 
 	// A resume overlays the saved environment state before the engine is
-	// built — the event engine derives its fire queue from the restored
+	// built — the engine derives its next-fire schedule from the restored
 	// oscillator states.
 	rst := resumeFor(cfg, "ST")
 	if rst != nil {
@@ -138,7 +138,7 @@ func (ST) Run(env *Env) Result {
 		// oscillators fire at most two periods apart, well inside the
 		// ≥3-period patience), so the pre-action period boundaries it used
 		// to visit were provably no-ops — and not visiting them keeps the
-		// pre-fault trajectory (and the event engine's ActiveSlots
+		// pre-fault trajectory (and the engine's ActiveSlots
 		// accounting) identical to the fault-free run, which is what lets a
 		// fault branch resume from a fault-free shared-prefix snapshot.
 		// The plan may hold devices down from slot 0 (join actions):
@@ -155,7 +155,7 @@ func (ST) Run(env *Env) Result {
 	// tree.Step()/repair.Step() below, at the merge boundary being
 	// executed. Dead members are skipped — a corpse has no clock to
 	// adopt with, and touching its frozen oscillator would diverge the
-	// lazy event engine from the slot engines.
+	// lazy engine from slot-by-slot stepping.
 	var slot units.Slot
 	adopt := func(edge graph.Edge, winnerBoundary int, adopting []int) {
 		if env.Alive[winnerBoundary] {
@@ -328,7 +328,7 @@ func (ST) Run(env *Env) Result {
 						}
 						// Re-aim the merge cadence if it went stale after
 						// the initial build: repair rounds must run at
-						// slots both engines provably step.
+						// slots the engine provably steps.
 						if nextMerge <= slot {
 							nextMerge = slot + mergeInterval
 						}

@@ -13,16 +13,21 @@ import (
 // and a structured-event sink must not change the simulation by one bit.
 // The hooks only read settled state — no RNG draw, no reordering — so the
 // fingerprint (Result scalars, fired sequence, final phases) is identical
-// with instrumentation on or off, on both stepping engines.
+// with instrumentation on or off — both on the reference stepper, which
+// steps every slot ("slot"), and on the engine, which steps only the slots
+// where something happens ("event").
 func TestTelemetryRunsBitIdentical(t *testing.T) {
 	protocols := []Protocol{FST{}, ST{}, Centralized{}}
-	engines := []string{EngineSlot, EngineEvent}
+	engines := []struct {
+		name string
+		l    layout
+	}{{"slot", layouts[0]}, {"event", layout{}}}
 	for _, proto := range protocols {
 		for _, engine := range engines {
-			t.Run(fmt.Sprintf("%s/%s", proto.Name(), engine), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", proto.Name(), engine.name), func(t *testing.T) {
 				cfg := PaperConfig(50, 3)
 				cfg.MaxSlots = 4000
-				cfg.Engine = engine
+				cfg = engine.l.apply(cfg)
 				base, basePhases := fingerprintCfg(t, proto, cfg)
 
 				cfg.Telemetry = telemetry.NewRun(units.Slot(cfg.PeriodSlots), 0)
@@ -30,7 +35,7 @@ func TestTelemetryRunsBitIdentical(t *testing.T) {
 				cfg.EventTrace = func(ev trace.Event) { events = append(events, ev) }
 				instr, instrPhases := fingerprintCfg(t, proto, cfg)
 
-				label := fmt.Sprintf("%s/%s/telemetry", proto.Name(), engine)
+				label := fmt.Sprintf("%s/%s/telemetry", proto.Name(), engine.name)
 				compareFingerprints(t, label, base, instr)
 				comparePhases(t, label, basePhases, instrPhases)
 

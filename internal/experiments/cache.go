@@ -6,12 +6,10 @@
 // jobs) close to free: a fully warm cache turns a sweep into hash lookups.
 //
 // The key is honest about what it cannot see. Knobs that provably do not
-// change the Result (Workers, Shards, CheckpointEvery, the observability
-// hooks' cadence fields) are excluded, so a cached row serves any execution
-// strategy. Engine IS included: the engines are bit-identical in every model
-// output, but Result.ActiveSlots/TotalSlots report the engine's measured
-// stepping sparsity, and serving a slot-engine row to an event-engine sweep
-// would misreport that observable. Configurations the digest cannot
+// change the Result (Workers, PrefixSlot, the observability hooks' cadence
+// fields) are excluded, so a cached row serves any worker count.
+// CheckpointEvery IS included: checkpoint boundaries are stepped slots, so
+// they show in Result.ActiveSlots. Configurations the digest cannot
 // represent — live hooks a cached hit could not replay (telemetry, traces,
 // checkpoint streams), mid-run Resume states, stream forks — refuse caching
 // outright rather than risk a false hit.
@@ -36,7 +34,7 @@ import (
 // cacheSchema versions the digest layout and the disk envelope together:
 // bump it whenever the manifest fields, the probe grid or the Result shape
 // change meaning, and every previously stored entry silently misses.
-const cacheSchema = 2
+const cacheSchema = 3
 
 // pathLossProbes are the distances (metres) at which the path-loss model is
 // fingerprinted. PathLoss is an interface with no canonical serialization;
@@ -79,7 +77,7 @@ type cacheManifest struct {
 	SyncWindowSlots   int64   `json:"sync_window_slots"`
 	StableRounds      int     `json:"stable_rounds"`
 	MaxSlots          int64   `json:"max_slots"`
-	Engine            string  `json:"engine"`
+	CheckpointEvery   int64   `json:"checkpoint_every"`
 
 	DiscoveryPeriods  int  `json:"discovery_periods"`
 	MergeEveryPeriods int  `json:"merge_every_periods"`
@@ -118,10 +116,6 @@ func CacheKey(cfg core.Config, protocol string) (key string, ok bool) {
 	if cfg.PathLoss == nil {
 		return "", false
 	}
-	engine := cfg.Engine
-	if engine == "" {
-		engine = core.EngineSlot
-	}
 	m := cacheManifest{
 		Schema:   cacheSchema,
 		Protocol: protocol,
@@ -151,7 +145,7 @@ func CacheKey(cfg core.Config, protocol string) (key string, ok bool) {
 		SyncWindowSlots:   cfg.SyncWindowSlots,
 		StableRounds:      cfg.StableRounds,
 		MaxSlots:          int64(cfg.MaxSlots),
-		Engine:            engine,
+		CheckpointEvery:   int64(cfg.CheckpointEvery),
 
 		DiscoveryPeriods:  cfg.DiscoveryPeriods,
 		MergeEveryPeriods: cfg.MergeEveryPeriods,

@@ -30,12 +30,14 @@ func TestCacheKeyStable(t *testing.T) {
 		t.Fatalf("same config produced keys %q/%q (ok %v/%v)", k1, k2, ok1, ok2)
 	}
 
-	// Execution-strategy knobs provably absent from the Result must not
-	// perturb the key — a cached row serves any execution strategy.
+	// Knobs provably absent from the Result must not perturb the key — a
+	// cached row serves any worker count. Workers never changes the key:
+	// the engine steps the same slots at every worker count, so even
+	// Result.ActiveSlots is the same.
 	neutral := []func(*core.Config){
+		func(c *core.Config) { c.Workers = 1 },
 		func(c *core.Config) { c.Workers = 8 },
-		func(c *core.Config) { c.Shards = 4 },
-		func(c *core.Config) { c.CheckpointEvery = 1000 },
+		func(c *core.Config) { c.Workers = -1 },
 		func(c *core.Config) { c.PrefixSlot = 500 },
 	}
 	for i, edit := range neutral {
@@ -45,26 +47,21 @@ func TestCacheKeyStable(t *testing.T) {
 			t.Errorf("neutral edit %d changed the key (ok=%v)", i, ok)
 		}
 	}
-
-	// The empty engine string is the slot engine; both spell one key.
-	c := cfg
-	c.Engine = core.EngineSlot
-	if k, _ := CacheKey(c, "FST"); k != k1 {
-		t.Error(`Engine "" and EngineSlot should share a key`)
-	}
 }
 
 func TestCacheKeyDiscriminates(t *testing.T) {
 	cfg := core.PaperConfig(40, 9)
 	edits := map[string]func(*core.Config){
-		"n":        func(c *core.Config) { c.N = 41 },
-		"seed":     func(c *core.Config) { c.Seed = 10 },
-		"engine":   func(c *core.Config) { c.Engine = core.EngineEvent },
-		"period":   func(c *core.Config) { c.PeriodSlots = 120 },
-		"maxslots": func(c *core.Config) { c.MaxSlots = 50000 },
-		"faults":   func(c *core.Config) { c.Faults = crashPlan(600, 0) },
-		"failat":   func(c *core.Config) { c.FailAt = 700; c.FailSet = []int{1} },
-		"pathloss": func(c *core.Config) { c.PathLoss = testPathLoss{offset: 3} },
+		"n":    func(c *core.Config) { c.N = 41 },
+		"seed": func(c *core.Config) { c.Seed = 10 },
+		// Checkpoint boundaries are stepped slots: they show in
+		// Result.ActiveSlots.
+		"checkpoint": func(c *core.Config) { c.CheckpointEvery = 1000 },
+		"period":     func(c *core.Config) { c.PeriodSlots = 120 },
+		"maxslots":   func(c *core.Config) { c.MaxSlots = 50000 },
+		"faults":     func(c *core.Config) { c.Faults = crashPlan(600, 0) },
+		"failat":     func(c *core.Config) { c.FailAt = 700; c.FailSet = []int{1} },
+		"pathloss":   func(c *core.Config) { c.PathLoss = testPathLoss{offset: 3} },
 	}
 	base, ok := CacheKey(cfg, "FST")
 	if !ok {

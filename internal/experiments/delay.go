@@ -138,8 +138,6 @@ func RunDelaySweep(opts Options) ([]DelayRow, error) {
 				build := func() core.Config {
 					cfg := core.PaperConfig(j.n, j.seed)
 					cfg.Workers = opts.SlotWorkers
-					cfg.Shards = opts.Shards
-					cfg.Engine = opts.Engine
 					if opts.MaxSlots > 0 {
 						cfg.MaxSlots = opts.MaxSlots
 					}

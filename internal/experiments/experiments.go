@@ -34,24 +34,11 @@ type Options struct {
 	// Workers bounds the run-level worker pool (0 = NumCPU).
 	Workers int
 	// SlotWorkers sets each run's intra-slot engine parallelism
-	// (core.Config.Workers): 0 or 1 sequential, >1 that many workers,
-	// <0 one per CPU. Slot-level and run-level parallelism compose —
+	// (core.Config.Workers): 0 or 1 single-threaded, >1 that many
+	// workers, <0 one per CPU. Slot-level and run-level parallelism compose —
 	// slot-level pays off for few large runs, run-level for many small
 	// ones. Results are bit-identical for every setting.
 	SlotWorkers int
-	// Shards sets each run's spatial shard count (core.Config.Shards):
-	// 0 auto-sizes from n and SlotWorkers (with a devices-per-shard
-	// floor that keeps small runs on the sequential reference), >=1
-	// forces the sharded engine with that many shards. Results are
-	// bit-identical for every setting.
-	Shards int
-	// Engine selects each run's stepping strategy
-	// (core.Config.Engine): "" or core.EngineSlot steps every slot,
-	// core.EngineEvent skips provably inert slots via next-fire
-	// scheduling, and core.EngineAuto switches between the two at period
-	// boundaries based on the observed active-slot ratio. Results are
-	// bit-identical for every choice.
-	Engine string
 	// Configure, when non-nil, post-processes each run's Config (used by
 	// the ablations). It must be a pure function of its input: the sweep
 	// shares one geometry memoization across all runs, whose contract is
@@ -118,7 +105,7 @@ type Row struct {
 	OpsST      metrics.Summary
 	EnergyFST  metrics.Summary // total battery cost, mJ
 	EnergyST   metrics.Summary
-	ActiveFST  metrics.Summary // stepped/covered slot ratio (1 on slot engines)
+	ActiveFST  metrics.Summary // stepped/covered slot ratio
 	ActiveST   metrics.Summary
 	ConvFST    int // converged runs out of Seeds
 	ConvST     int
@@ -190,8 +177,6 @@ func RunSweep(opts Options) ([]Row, error) {
 			for j := range jobCh {
 				cfg := core.PaperConfig(j.n, j.seed)
 				cfg.Workers = opts.SlotWorkers
-				cfg.Shards = opts.Shards
-				cfg.Engine = opts.Engine
 				if opts.MaxSlots > 0 {
 					cfg.MaxSlots = opts.MaxSlots
 				}
@@ -388,8 +373,8 @@ func EnergyTable(rows []Row) *metrics.Table {
 
 // ActivityTable renders the per-run observability summary the telemetry
 // layer surfaces: the active-slot ratio (slots the engine actually stepped
-// over the span covered — 1.0 on the slot engines, the measured sparsity on
-// the event engine) next to the battery cost. `d2dsim -exp activity -csv`
+// over the span covered — the measured sparsity next-event stepping
+// exploits) next to the battery cost. `d2dsim -exp activity -csv`
 // dumps it for plotting.
 func ActivityTable(rows []Row) *metrics.Table {
 	t := metrics.NewTable(

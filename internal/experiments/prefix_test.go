@@ -42,26 +42,28 @@ func scratchRun(t *testing.T, cfg core.Config, proto core.Protocol, b Branch) co
 
 // TestRunBranchesMatchesFromScratch is the differential acceptance gate for
 // the prefix planner: every branch the planner runs from a shared capture
-// must be byte-identical to the same branch run from slot 1, across engines,
-// shards and slot workers, and the base run's own result must be unaffected
-// by the capture hook.
+// must be byte-identical to the same branch run from slot 1 — in the dense
+// regime where nearly every slot is stepped ("slot"), in a sparse one where
+// most slots are skipped ("event"), and at one worker per CPU ("auto") or
+// two ("sharded") — and the base run's own result must be unaffected by the
+// capture hook.
 func TestRunBranchesMatchesFromScratch(t *testing.T) {
 	variants := []struct {
 		name           string
-		engine         string
-		shards, slotWk int
+		period, slotWk int
 	}{
-		{"slot", "", 0, 0},
-		{"event", core.EngineEvent, 0, 0},
-		{"auto", core.EngineAuto, 0, 0},
-		{"sharded", "", 2, 2},
+		{"slot", 0, 0},
+		{"event", 400, 0},
+		{"auto", 0, -1},
+		{"sharded", 0, 2},
 	}
 	for _, v := range variants {
 		for _, proto := range []core.Protocol{core.FST{}, core.ST{}} {
 			t.Run(v.name+"/"+proto.Name(), func(t *testing.T) {
 				cfg := branchBase(28, 7)
-				cfg.Engine = v.engine
-				cfg.Shards = v.shards
+				if v.period > 0 {
+					cfg.PeriodSlots = v.period
+				}
 				cfg.Workers = v.slotWk
 
 				// Probe run: calibrate the prefix to land mid-trajectory.

@@ -120,8 +120,6 @@ func RunRecoverySweep(opts Options) ([]RecoveryRow, error) {
 				build := func() core.Config {
 					cfg := core.PaperConfig(j.n, j.seed)
 					cfg.Workers = opts.SlotWorkers
-					cfg.Shards = opts.Shards
-					cfg.Engine = opts.Engine
 					if opts.MaxSlots > 0 {
 						cfg.MaxSlots = opts.MaxSlots
 					}

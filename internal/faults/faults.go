@@ -5,9 +5,9 @@
 //
 // Determinism contract: the schedule itself is fixed data, and the only
 // random element — the per-message loss draw — comes from a dedicated seeded
-// stream consumed in delivery-list order, which the engines already keep
-// engine- and worker-count-invariant. A run with a fault plan is therefore
-// bit-identical across slot/event engines and worker counts, and a run with
+// stream consumed in delivery-list order, which the run engine keeps
+// invariant across shard layouts and worker counts. A run with a fault plan
+// is therefore bit-identical across worker counts, and a run with
 // a nil or empty plan is bit-identical to a run without the faults layer at
 // all (no draw ever happens: the loss stream is only touched when
 // LossRate > 0).

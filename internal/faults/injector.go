@@ -132,7 +132,7 @@ func (inj *Injector) SetCursor(c int) {
 }
 
 // Filters reports whether the injector can ever drop a delivery — false for
-// plans with neither outages, partitions nor loss, letting the engines skip
+// plans with neither outages, partitions nor loss, letting the engine skip
 // the per-delivery filter entirely (the faults-off hot path).
 func (inj *Injector) Filters() bool {
 	return inj.loss > 0 || len(inj.outages) > 0 || len(inj.partitions) > 0

@@ -1,6 +1,6 @@
 // Struct-of-arrays bulk view over a roster of oscillators.
 //
-// The slot engines' scaling problem is not the oscillator maths — it is the
+// Slot stepping's scaling problem is not the oscillator maths — it is the
 // per-slot O(n) pointer chase over scattered *Oscillator objects, almost all
 // of which do nothing in any given slot. Bulk keeps the one field the hot
 // path actually scans — the exact next-fire slot — in a contiguous int64
@@ -116,7 +116,7 @@ func (b *Bulk) NextFireMin(lo, hi int) int64 {
 // caller refreshes them after the slot's pulse cascade settles, folding the
 // fire reset and any coupling received in the same slot into one recompute.
 // A cached entry strictly before slot means the caller skipped a non-inert
-// slot — the same contract violation the event engine fails loud on.
+// slot — the same contract violation AdvanceTo fails loud on.
 func (b *Bulk) AdvanceAll(lo, hi int, slot int64, fired []int) []int {
 	for i := lo; i < hi; i++ {
 		at := b.nf[i]

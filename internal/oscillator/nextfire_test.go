@@ -8,8 +8,8 @@ import (
 
 // Property tests for the lazy-advancement API: NextFire and AdvanceTo must
 // agree with slot-by-slot Advance bit for bit — same firing slot, same
-// materialized phase at every step. The event engine's correctness rests
-// entirely on this equivalence.
+// materialized phase at every step. The run engine's next-event stepping
+// rests entirely on this equivalence.
 
 // nextFireBySteps is the oracle: call Advance one slot at a time on a
 // behavioral twin and report the slot of the first fire (or ok=false within
@@ -85,7 +85,7 @@ func TestAdvanceToMatchesAdvanceRandomized(t *testing.T) {
 		a, b := twin(phase, period, func(o *Oscillator) { o.Rate = rate })
 		for ev := 0; ev < 20; ev++ {
 			// Fast-forward a random span with the analytic path, stepping
-			// fires explicitly like the event engine does.
+			// fires explicitly like the run engine does.
 			span := int64(1 + rng.Intn(2*period))
 			target := a.lastSlot + span
 			for a.lastSlot < target {
@@ -197,7 +197,7 @@ func TestNextFireWithReachbackQueue(t *testing.T) {
 		})
 		// Queue a few pulses at staggered slots on both twins. The analytic
 		// twin steps to each predicted fire first — the AdvanceTo contract
-		// the event engine honours — because a maturing correction can pull
+		// the run engine honours — because a maturing correction can pull
 		// a fire into the span.
 		pulses := 1 + rng.Intn(3)
 		for p := 0; p < pulses; p++ {

@@ -275,11 +275,12 @@ func (o *Oscillator) Advance(nowSlot int64) (fired bool) {
 // target], exactly as if Advance had been called once per slot, and reports
 // whether it fires at target. Slots at or before the last step are a no-op.
 //
-// The caller must not let AdvanceTo skip over a fire: the event engine
+// The caller must not let AdvanceTo skip over a fire: the run engine
 // consults NextFire and steps to each firing slot explicitly, so a
 // threshold crossing strictly before target means the fire schedule is
 // stale — a contract violation worth failing loud on, because silently
-// swallowing the fire would desynchronize the run from the slot engine.
+// swallowing the fire would desynchronize the run from slot-by-slot
+// stepping.
 func (o *Oscillator) AdvanceTo(target int64) (fired bool) {
 	if target <= o.lastSlot {
 		return false
@@ -369,7 +370,7 @@ func (o *Oscillator) fireStep(step float64, span int64) (d int64, ok bool) {
 // on schedule — or ok=false if it never reaches the threshold (non-positive
 // effective step, or a horizon beyond any representable run). It evaluates
 // the same segment expression Advance does, so the prediction is exact: the
-// event engine schedules it, fast-forwards, and the fire happens on that
+// run engine schedules it, fast-forwards, and the fire happens on that
 // slot, bit for bit.
 func (o *Oscillator) NextFire() (slot int64, ok bool) {
 	step := o.resegment()
@@ -428,10 +429,10 @@ func (o *Oscillator) NextFire() (slot int64, ok bool) {
 
 // Rebase pins an externally assigned Phase as the oscillator's state at the
 // end of slot nowSlot without ramping through the slots in between. The
-// event engine's protocol hooks call it after overwriting Phase (sync-word
-// adoption, the BS timing broadcast) on a lazily advanced oscillator; the
-// slot engine never needs it because Advance re-detects external writes
-// every slot.
+// run engine's protocol hooks call it after overwriting Phase (sync-word
+// adoption, the BS timing broadcast) on a lazily advanced oscillator;
+// slot-by-slot stepping never needs it because Advance re-detects external
+// writes every slot.
 func (o *Oscillator) Rebase(nowSlot int64) {
 	o.segBase = o.Phase
 	o.segSteps = 0
@@ -702,7 +703,7 @@ func (o *Oscillator) onPreFirePulse(lastFire, sendSlot, nowSlot int64) bool {
 }
 
 // QueuedJumps returns the number of reachback PRC corrections queued but not
-// yet matured. The sharded slot engine compares it (with Phase) around an
+// yet matured. The sharded run engine compares it (with Phase) around an
 // OnPulse to decide whether the pulse changed the trajectory — a refractory
 // or listen-window rejection leaves both untouched, and skipping the
 // next-fire recompute for those keeps the dirty set proportional to actual

@@ -40,11 +40,11 @@ type State struct {
 // State returns a deep copy of the oscillator's mutable state, in canonical
 // form: a pending external phase write (Phase ≠ lastMat — e.g. a sync-word
 // adoption the engine has not stepped past yet) is serialized as the
-// re-anchored segment the next resegment() would produce. Engines differ in
-// when they re-anchor after such a write (the event engine does it eagerly to
-// rebuild its fire schedule, the slot loop lazily on the next step), and the
-// two forms are behaviorally identical — canonicalizing here makes them
-// byte-identical too.
+// re-anchored segment the next resegment() would produce. Steppers differ in
+// when they re-anchor after such a write (a lazy stepper does it eagerly to
+// refresh its fire schedule, slot-by-slot Advance lazily on the next step),
+// and the two forms are behaviorally identical — canonicalizing here makes
+// them byte-identical too.
 func (o *Oscillator) State() State {
 	st := State{
 		Phase:         o.Phase,

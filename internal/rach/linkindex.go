@@ -90,11 +90,16 @@ func (x *LinkIndex) sortRowByID(i int) {
 // ids, their traversal order, distances, powers, the lookup permutation —
 // are copied verbatim, so every Row and Lookup result is bit-identical
 // before and after; only physical placement changes. order must be a
-// permutation of [0, n).
+// permutation of [0, n). Rows already packed in that order — the identity
+// permutation on a fresh build, as a single-shard engine asks for — are left
+// in place without a copy.
 func (x *LinkIndex) Reorder(order []int32) {
 	n := len(x.start)
 	if len(order) != n {
 		panic("rach: Reorder permutation length mismatch")
+	}
+	if x.packedIn(order) {
+		return
 	}
 	ids := make([]int32, 0, len(x.ids))
 	dist := make([]units.Metre, 0, len(x.dist))
@@ -111,6 +116,19 @@ func (x *LinkIndex) Reorder(order []int32) {
 	}
 	x.start = start
 	x.ids, x.dist, x.meanRx, x.byID = ids, dist, meanRx, byID
+}
+
+// packedIn reports whether the rows already sit back to back in the given
+// device order, from the start of the packed arrays.
+func (x *LinkIndex) packedIn(order []int32) bool {
+	at := 0
+	for _, dev := range order {
+		if x.start[dev] != at {
+			return false
+		}
+		at += x.deg[dev]
+	}
+	return true
 }
 
 // Clone returns a deep copy of the index in its current row order. A clone

@@ -202,3 +202,47 @@ func compareDeliveries(t *testing.T, what string, slot units.Slot, a, b []Delive
 		}
 	}
 }
+
+// TestReorderIdentityIsFree pins Reorder's early return: rows already packed
+// in the requested order — the identity on a fresh build, which a
+// single-shard engine asks for — are left in place with no copy, while a
+// real permutation still repacks without changing any row.
+func TestReorderIdentityIsFree(t *testing.T) {
+	positions := testPositions(200, 5)
+	tr := noisyTransport(positions, 5, false)
+	n := len(positions)
+	identity := make([]int32, n)
+	for i := range identity {
+		identity[i] = int32(i)
+	}
+	ids := &tr.idx.ids[0]
+	if allocs := testing.AllocsPerRun(10, func() { tr.ReorderLinkIndex(identity) }); allocs != 0 {
+		t.Errorf("identity reorder allocated %.0f times, want 0", allocs)
+	}
+	if &tr.idx.ids[0] != ids {
+		t.Error("identity reorder moved the packed rows")
+	}
+
+	want := tr.idx.Clone()
+	reversed := make([]int32, n)
+	for i := range reversed {
+		reversed[i] = int32(n - 1 - i)
+	}
+	tr.ReorderLinkIndex(reversed)
+	if &tr.idx.ids[0] == ids {
+		t.Error("a real permutation did not repack the rows")
+	}
+	for i := 0; i < n; i++ {
+		gotIDs, gotDist, gotMean := tr.idx.Row(i)
+		wantIDs, wantDist, wantMean := want.Row(i)
+		if fmt.Sprint(gotIDs, gotDist, gotMean) != fmt.Sprint(wantIDs, wantDist, wantMean) {
+			t.Fatalf("row %d changed under reorder", i)
+		}
+	}
+	// Reordering back to the identity must repack again: the rows are no
+	// longer laid out in id order.
+	tr.ReorderLinkIndex(identity)
+	if !tr.idx.packedIn(identity) {
+		t.Error("reorder to the identity left the rows out of id order")
+	}
+}

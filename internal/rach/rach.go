@@ -438,7 +438,7 @@ func (t *Transport) Unicast(from, to int, codec Codec, kind Kind, service int, s
 //
 // BroadcastAll is the sequential composition of the three-step plan API:
 // PlanBroadcastAll, EvalSender for each sender in order, Resolve. Callers
-// that want to evaluate senders concurrently (the core slot engine) drive
+// that want to evaluate senders concurrently (the core run engine) drive
 // the steps themselves.
 func (t *Transport) BroadcastAll(senders []int, codec Codec, kind Kind, service func(sender int) int, slot units.Slot) []Delivery {
 	p := t.PlanBroadcastAll(senders, codec, kind, service, slot)

@@ -38,9 +38,8 @@ func (st *State) Clone() *State {
 		t.Samples = append([]telemetry.Sample(nil), st.Telemetry.Samples...)
 		cp.Telemetry = &t
 	}
-	if st.Engine.Auto != nil {
-		a := *st.Engine.Auto
-		cp.Engine.Auto = &a
+	if st.Engine.Echoes != nil {
+		cp.Engine.Echoes = append([]EchoState(nil), st.Engine.Echoes...)
 	}
 	cp.ST = cloneST(st.ST)
 	cp.FST = cloneFST(st.FST)

@@ -36,7 +36,7 @@ func richState() *State {
 	st.BS = nil
 	st.FaultCursor = 3
 	st.Telemetry = &telemetry.RunState{Samples: []telemetry.Sample{{}, {}}, Dropped: 1, Stepped: 120}
-	st.Engine.Auto = &AutoState{Mode: "event", WindowStart: 100, DecideAt: 400, Eventful: 37}
+	st.Engine.Echoes = []EchoState{{Device: 1, Epoch: 95}}
 	st.Devices[0].Osc.Queued = []oscillator.QueuedJumpState{{ApplyAt: 130, Delta: 0.1}}
 	st.ST = &STState{
 		Result:    ResultState{Converged: true, ConvergenceSlots: 90, Ops: 360, Repairs: 1},
@@ -122,7 +122,7 @@ func TestCloneIsDeep(t *testing.T) {
 	cp.Devices[1].ServicePeers[0] = 2
 	cp.Telemetry.Samples[0].Slot = 999
 	cp.Telemetry.Dropped = 9
-	cp.Engine.Auto.Mode = "slot"
+	cp.Engine.Echoes[0].Epoch = 1
 	cp.ST.Result.Ops = 9999
 	cp.ST.Detector.Stable = 9
 	cp.ST.Tree.W[1][0].Weight = 9

@@ -5,7 +5,7 @@
 // state (spanning-tree parentage, merge and watchdog timers, the sticky sync
 // detector), the fault injector's cursor, transport counters and telemetry
 // accumulation — so that a run restored from it continues bit-identically to
-// the uninterrupted run, on either the slot engine or the event engine.
+// the uninterrupted run, whatever the worker count.
 //
 // Static configuration is deliberately NOT captured: a restore re-runs the
 // deterministic environment setup from (config, seed) and then overlays this
@@ -38,7 +38,14 @@ import (
 // asynchrony adversary checkpoints its in-flight delayed messages and the
 // receiver-side duplicate-filter table, so a mid-flight resume replays the
 // remaining deliveries bit-identically.
-const Schema = 2
+//
+// v3 follows the move to a single run engine: the adaptive engine's
+// decision state is gone, ActiveSlots counts the slots the next-event
+// engine stepped, and the engine section carries the absorption echoes
+// still armed at the end of the captured slot. Version-2 files are
+// rejected: their accounting came from other engines and they lack the echo
+// state a resume under an asynchrony plan needs.
+const Schema = 3
 
 // Envelope is the on-disk framing: a version, a digest over the raw state
 // bytes, and the state itself kept as raw JSON so the digest can be verified
@@ -73,24 +80,23 @@ type TransportState struct {
 	Collisions uint64        `json:"collisions"`
 }
 
-// AutoState is the adaptive engine's decision state: which mode it is in and
-// where the current observation window stands.
-type AutoState struct {
-	Mode        string `json:"mode"` // "slot" or "event"
-	WindowStart int64  `json:"window_start"`
-	DecideAt    int64  `json:"decide_at"`
-	Eventful    uint64 `json:"eventful"`
+// EchoState is one absorption echo still armed at the end of a slot: the
+// device re-announces the adopted epoch at the start of the next stepped
+// slot.
+type EchoState struct {
+	Device int   `json:"device"`
+	Epoch  int64 `json:"epoch"`
 }
 
-// EngineState is the run engine's accounting (and, for the adaptive engine,
-// its decision state). ActiveSlots/TotalSlots are engine-dependent
-// observables: restoring them makes a resumed run's report byte-identical to
-// the uninterrupted run's on the same engine.
+// EngineState is the run engine's slot accounting plus the echoes it
+// carries into the next slot. Restoring the accounting makes a resumed
+// run's Result byte-identical to the uninterrupted run's.
 type EngineState struct {
-	ActiveSlots uint64     `json:"active_slots"`
-	TotalSlots  uint64     `json:"total_slots"`
-	LastSlot    int64      `json:"last_slot"`
-	Auto        *AutoState `json:"auto,omitempty"`
+	ActiveSlots uint64 `json:"active_slots"`
+	TotalSlots  uint64 `json:"total_slots"`
+	LastSlot    int64  `json:"last_slot"`
+	// Echoes is present only under an asynchrony plan, in transmit order.
+	Echoes []EchoState `json:"echoes,omitempty"`
 }
 
 // ResultState is the portion of a Result accumulated so far mid-run.
@@ -215,6 +221,9 @@ func Decode(data []byte) (*State, error) {
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("snapshot: parse envelope: %w", err)
 	}
+	if env.Schema == 2 {
+		return nil, fmt.Errorf("snapshot: schema 2 not supported (want %d): version-2 checkpoints predate the single run engine and lack its echo state; re-capture them", Schema)
+	}
 	if env.Schema != Schema {
 		return nil, fmt.Errorf("snapshot: schema %d not supported (want %d)", env.Schema, Schema)
 	}
@@ -263,6 +272,11 @@ func (st *State) validate() error {
 	for _, c := range st.Streams {
 		if c.Name == "" {
 			return fmt.Errorf("snapshot: unnamed stream cursor")
+		}
+	}
+	for i, e := range st.Engine.Echoes {
+		if e.Device < 0 || e.Device >= st.N {
+			return fmt.Errorf("snapshot: engine echo %d device %d out of range for n=%d", i, e.Device, st.N)
 		}
 	}
 	if st.FaultCursor < 0 {

@@ -85,6 +85,16 @@ func TestDecodeRejectsVersionSkew(t *testing.T) {
 	if _, err := Decode(skewed); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Errorf("future schema not rejected with a schema error: %v", err)
 	}
+
+	// Version-2 files are refused with a reason, not silently misread.
+	env.Schema = 2
+	old, err := json.Marshal(&env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(old); err == nil || !strings.Contains(err.Error(), "re-capture") {
+		t.Errorf("schema-2 file not rejected with a clear error: %v", err)
+	}
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {

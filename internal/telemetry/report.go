@@ -110,9 +110,6 @@ type Report struct {
 	Schema int `json:"schema"`
 	// Protocol names the protocol that produced the run.
 	Protocol string `json:"protocol"`
-	// Engine is the stepping strategy used ("slot"/"event"; informational
-	// only — results are engine-invariant).
-	Engine string `json:"engine,omitempty"`
 	// ConfigDigest is the SHA-256 digest of the canonical manifest JSON,
 	// the stable identity of the run configuration.
 	ConfigDigest string `json:"config_digest,omitempty"`
@@ -136,11 +133,10 @@ type Report struct {
 }
 
 // BuildReport assembles a Report from a finished run's telemetry.
-func (r *Run) BuildReport(protocol, engine string, res ResultSummary) Report {
+func (r *Run) BuildReport(protocol string, res ResultSummary) Report {
 	return Report{
 		Schema:           ReportSchema,
 		Protocol:         protocol,
-		Engine:           engine,
 		Result:           res,
 		SampleEverySlots: r.SampleEvery(),
 		DroppedSamples:   r.Dropped(),

@@ -5,8 +5,8 @@
 // it*: monotonic wall time attributed to the slot pipeline's phases
 // (oscillator advance, broadcast plan/eval/resolve, pulse delivery,
 // prediction refresh), per-shard busy time reduced to a load-imbalance
-// metric, the event engine's fire-queue depth and pop-batch distributions,
-// and checkpoint capture/encode cost. That is the data ROADMAP item 1 needs
+// metric, the stepped and skipped slot counts with the distribution of
+// inert slots skipped per step, and checkpoint capture/encode cost. That is the data ROADMAP item 1 needs
 // to tune shard policy against measurements, and items 3/5 need to operate
 // a simulation service.
 //
@@ -21,8 +21,8 @@
 //   - Deterministic: enabled instrumentation only reads the monotonic
 //     clock and writes into this struct. It never reads or writes
 //     simulation state, never draws from a random stream, never reorders
-//     work and never folds a boundary into an engine horizon — so results
-//     are bit-identical with runstats on or off, across engines, shard
+//     work and never folds a boundary into the engine's horizon — so
+//     results are bit-identical with runstats on or off, across shard
 //     counts, worker counts and fault plans (the differential suite in
 //     core/runstats_test.go pins it).
 //
@@ -48,8 +48,7 @@ import (
 type EnginePhase int
 
 const (
-	// PhaseAdvance is phase A: oscillator ramping / due-shard fire pop /
-	// the event engine's batched queue drain.
+	// PhaseAdvance is phase A: firing the due shards' members.
 	PhaseAdvance EnginePhase = iota
 	// PhasePlan is phase B: broadcast planning, channel evaluation and
 	// collision resolution (plus fault-plan delivery filtering).
@@ -57,8 +56,7 @@ const (
 	// PhaseDeliver is phase C: pulse delivery and cascade application.
 	PhaseDeliver
 	// PhaseRefresh is phase D: next-fire prediction refresh and shard
-	// minima rescans (sharded engine), or queue rescheduling (event
-	// engine). Zero on the sequential reference.
+	// minima rescans.
 	PhaseRefresh
 	// PhaseCheckpoint is the deep-copy state capture plus the OnCheckpoint
 	// hook (excluded from slot-time shares; encode cost is itemized
@@ -86,36 +84,6 @@ func (p EnginePhase) String() string {
 		return "checkpoint"
 	default:
 		return fmt.Sprintf("phase(%d)", int(p))
-	}
-}
-
-// EnginePath identifies which stepping strategy executed a slot — the
-// adaptive engine hands a run between paths mid-flight, so per-path counts
-// are how a mixed run attributes its time.
-type EnginePath int
-
-const (
-	// PathSeq is the sequential reference loop.
-	PathSeq EnginePath = iota
-	// PathShard is the spatially sharded slot engine.
-	PathShard
-	// PathEvent is the event-driven engine.
-	PathEvent
-
-	numPaths = 3
-)
-
-// String returns the path's report label.
-func (p EnginePath) String() string {
-	switch p {
-	case PathSeq:
-		return "seq"
-	case PathShard:
-		return "shard"
-	case PathEvent:
-		return "event"
-	default:
-		return fmt.Sprintf("path(%d)", int(p))
 	}
 }
 
@@ -154,13 +122,12 @@ func (h *hist) mean() float64 {
 type RunStats struct {
 	phaseNanos [numPhases]int64
 	phaseCount [numPhases]uint64
-	pathSlots  [numPaths]uint64
+	stepped    uint64 // slots the engine stepped
+	skipped    uint64 // inert slots the engine's horizon jumped over
+	skipSpan   hist   // inert slots skipped before each stepped slot
 
 	shardBusy  []int64  // per-shard busy nanos (phase A advance + phase C deliver)
 	shardSteps []uint64 // per-shard worked-phase counts
-
-	queueDepth hist // fire-queue size before each event-engine drain
-	popBatch   hist // entries drained per stepped event-engine slot
 
 	ckCaptures uint64 // checkpoint capture+hook invocations
 	ckNanos    int64
@@ -185,13 +152,24 @@ func (rs *RunStats) AddPhase(p EnginePhase, d time.Duration) {
 	rs.phaseCount[p]++
 }
 
-// SlotStepped counts one stepped slot against the engine path that
-// executed it.
-func (rs *RunStats) SlotStepped(p EnginePath) {
+// SlotStepped counts one stepped slot, reached by skipping the given number
+// of inert slots since the previous step.
+func (rs *RunStats) SlotStepped(skipped uint64) {
 	if rs == nil {
 		return
 	}
-	rs.pathSlots[p]++
+	rs.stepped++
+	rs.skipped += skipped
+	rs.skipSpan.observe(float64(skipped))
+}
+
+// SlotsSkipped counts inert slots covered without a step after the last one
+// (a run capped by its slot bound).
+func (rs *RunStats) SlotsSkipped(n uint64) {
+	if rs == nil {
+		return
+	}
+	rs.skipped += n
 }
 
 // SetShards sizes the per-shard accumulators. Idempotent for a stable
@@ -216,16 +194,6 @@ func (rs *RunStats) ShardWorked(s int, d time.Duration) {
 	rs.shardSteps[s]++
 }
 
-// ObserveQueue records the event engine's fire-queue depth before a drain
-// and the size of the batch the drain popped.
-func (rs *RunStats) ObserveQueue(depth, batch int) {
-	if rs == nil {
-		return
-	}
-	rs.queueDepth.observe(float64(depth))
-	rs.popBatch.observe(float64(batch))
-}
-
 // AddCheckpoint attributes one checkpoint capture + hook invocation.
 func (rs *RunStats) AddCheckpoint(d time.Duration) {
 	if rs == nil {
@@ -238,7 +206,7 @@ func (rs *RunStats) AddCheckpoint(d time.Duration) {
 }
 
 // AddEncode records one snapshot serialization (size and wall time) — fed
-// by the checkpoint sink that actually encodes, not by the engines.
+// by the checkpoint sink that actually encodes, not by the engine.
 func (rs *RunStats) AddEncode(bytes int, d time.Duration) {
 	if rs == nil {
 		return
@@ -258,11 +226,7 @@ func (rs *RunStats) Publish(v *Vars) {
 	for p := 0; p < numPhases; p++ {
 		v.PhaseNanos[p].Add(uint64(rs.phaseNanos[p]))
 	}
-	for p := 0; p < numPaths; p++ {
-		v.PathSlots[p].Add(rs.pathSlots[p])
-	}
-	v.FireQueueDepth.merge(&rs.queueDepth)
-	v.PopBatch.merge(&rs.popBatch)
+	v.SkipSpan.merge(&rs.skipSpan)
 	if rs.encCount > 0 {
 		v.CheckpointEncode.merge(rs.encCount, float64(rs.encNanos)/1e9)
 		v.CheckpointBytes.Add(rs.encBytes)
@@ -339,7 +303,7 @@ type CheckpointStat struct {
 }
 
 // CacheStat reports one cache's reuse counters (filled by the caller that
-// owns the caches; the engines cannot see them).
+// owns the caches; the engine cannot see them).
 type CacheStat struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -354,16 +318,15 @@ type RunStatsReport struct {
 	MeasuredNanos int64 `json:"measured_nanos"`
 	// Phases lists the pipeline phases, largest share first.
 	Phases []PhaseStat `json:"phases"`
-	// SeqSlots/ShardSlots/EventSlots count stepped slots per engine path
-	// (a run under the adaptive engine mixes them).
-	SeqSlots   uint64 `json:"seq_slots"`
-	ShardSlots uint64 `json:"shard_slots"`
-	EventSlots uint64 `json:"event_slots"`
+	// SteppedSlots counts the slots the engine stepped and SkippedSlots
+	// the inert slots its horizon jumped over; they sum to the run's span.
+	SteppedSlots uint64 `json:"stepped_slots"`
+	SkippedSlots uint64 `json:"skipped_slots"`
+	// SkipSpan is the distribution of inert slots skipped before each
+	// stepped slot (present when a slot was stepped).
+	SkipSpan *HistogramStat `json:"skip_span,omitempty"`
 	// Shard is present when the sharded engine ran.
 	Shard *ShardStat `json:"shard,omitempty"`
-	// FireQueueDepth and PopBatch are present when the event engine ran.
-	FireQueueDepth *HistogramStat `json:"firequeue_depth,omitempty"`
-	PopBatch       *HistogramStat `json:"pop_batch,omitempty"`
 	// Checkpoint is present when the run checkpointed.
 	Checkpoint *CheckpointStat `json:"checkpoint,omitempty"`
 	// GeometryCache and ResultCache are present when the caller attached
@@ -379,9 +342,9 @@ func (rs *RunStats) Report() *RunStatsReport {
 		return nil
 	}
 	rep := &RunStatsReport{
-		SeqSlots:   rs.pathSlots[PathSeq],
-		ShardSlots: rs.pathSlots[PathShard],
-		EventSlots: rs.pathSlots[PathEvent],
+		SteppedSlots: rs.stepped,
+		SkippedSlots: rs.skipped,
+		SkipSpan:     rs.skipSpan.stat(),
 	}
 	for p := PhaseAdvance; p <= PhaseRefresh; p++ {
 		rep.MeasuredNanos += rs.phaseNanos[p]
@@ -423,8 +386,6 @@ func (rs *RunStats) Report() *RunStatsReport {
 		}
 		rep.Shard = st
 	}
-	rep.FireQueueDepth = rs.queueDepth.stat()
-	rep.PopBatch = rs.popBatch.stat()
 	if rs.ckCaptures > 0 || rs.encCount > 0 {
 		rep.Checkpoint = &CheckpointStat{
 			Captures: rs.ckCaptures, CaptureNanos: rs.ckNanos,
@@ -441,9 +402,8 @@ func (r *RunStatsReport) FormatTable() string {
 		return ""
 	}
 	var b strings.Builder
-	stepped := r.SeqSlots + r.ShardSlots + r.EventSlots
-	fmt.Fprintf(&b, "engine time attribution: %s measured over %d stepped slots (seq=%d shard=%d event=%d)\n",
-		time.Duration(r.MeasuredNanos), stepped, r.SeqSlots, r.ShardSlots, r.EventSlots)
+	fmt.Fprintf(&b, "engine time attribution: %s measured over %d stepped slots (%d inert slots skipped)\n",
+		time.Duration(r.MeasuredNanos), r.SteppedSlots, r.SkippedSlots)
 	fmt.Fprintf(&b, "  %-12s %12s %8s %12s\n", "phase", "time", "share", "calls")
 	for _, p := range r.Phases {
 		share := "-"
@@ -455,9 +415,8 @@ func (r *RunStatsReport) FormatTable() string {
 	if s := r.Shard; s != nil {
 		fmt.Fprintf(&b, "  shards: %d, load imbalance %.2f (max/mean busy)\n", s.Shards, s.Imbalance)
 	}
-	if d := r.FireQueueDepth; d != nil {
-		fmt.Fprintf(&b, "  firequeue: depth mean %.1f max %.0f; pop batch mean %.1f max %.0f over %d drains\n",
-			d.Mean, d.Max, r.PopBatch.Mean, r.PopBatch.Max, r.PopBatch.Count)
+	if d := r.SkipSpan; d != nil {
+		fmt.Fprintf(&b, "  skip span: mean %.1f max %.0f inert slots per step\n", d.Mean, d.Max)
 	}
 	if c := r.Checkpoint; c != nil {
 		fmt.Fprintf(&b, "  checkpoints: %d captures %s; %d encodes %s, %d bytes\n",

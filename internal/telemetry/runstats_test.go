@@ -18,10 +18,10 @@ func TestRunStatsNilSafe(t *testing.T) {
 		t.Error("nil RunStats reports enabled")
 	}
 	rs.AddPhase(PhasePlan, time.Millisecond)
-	rs.SlotStepped(PathSeq)
+	rs.SlotStepped(3)
+	rs.SlotsSkipped(5)
 	rs.SetShards(4)
 	rs.ShardWorked(0, time.Millisecond)
-	rs.ObserveQueue(10, 2)
 	rs.AddCheckpoint(time.Millisecond)
 	rs.AddEncode(100, time.Millisecond)
 	if rs.Report() != nil {
@@ -44,13 +44,13 @@ func TestRunStatsReport(t *testing.T) {
 	rs.AddCheckpoint(400 * time.Millisecond) // excluded from the denominator
 	rs.AddEncode(1234, 30*time.Millisecond)
 	for i := 0; i < 500; i++ {
-		rs.SlotStepped(PathShard)
+		rs.SlotStepped(0)
 	}
+	rs.SlotStepped(200000) // overflow bucket
+	rs.SlotsSkipped(7)
 	rs.SetShards(2)
 	rs.ShardWorked(0, 300*time.Millisecond)
 	rs.ShardWorked(1, 100*time.Millisecond)
-	rs.ObserveQueue(100, 3)
-	rs.ObserveQueue(200000, 1) // overflow bucket
 
 	rep := rs.Report()
 	if want := int64(time.Second); rep.MeasuredNanos != want {
@@ -69,19 +69,22 @@ func TestRunStatsReport(t *testing.T) {
 	if last := rep.Phases[len(rep.Phases)-1]; last.Phase != "checkpoint" || last.Share != 0 {
 		t.Errorf("checkpoint phase not last with zero share: %+v", last)
 	}
-	if rep.ShardSlots != 500 || rep.SeqSlots != 0 || rep.EventSlots != 0 {
-		t.Errorf("path slots (%d,%d,%d), want (0,500,0)", rep.SeqSlots, rep.ShardSlots, rep.EventSlots)
+	if rep.SteppedSlots != 501 || rep.SkippedSlots != 200007 {
+		t.Errorf("slots (%d stepped, %d skipped), want (501, 200007)", rep.SteppedSlots, rep.SkippedSlots)
 	}
 	// max busy 300ms, mean 200ms -> imbalance 1.5
 	if rep.Shard == nil || math.Abs(rep.Shard.Imbalance-1.5) > 1e-9 {
 		t.Errorf("shard imbalance %+v, want 1.5", rep.Shard)
 	}
-	if rep.FireQueueDepth == nil || rep.FireQueueDepth.Count != 2 {
-		t.Fatalf("firequeue stat %+v, want 2 observations", rep.FireQueueDepth)
+	if rep.SkipSpan == nil || rep.SkipSpan.Count != 501 {
+		t.Fatalf("skip-span stat %+v, want 501 observations", rep.SkipSpan)
 	}
-	last := rep.FireQueueDepth.Buckets[len(rep.FireQueueDepth.Buckets)-1]
-	if last.LE != "+Inf" || last.Count != 2 {
-		t.Errorf("overflow bucket %+v, want le=+Inf count=2", last)
+	if first := rep.SkipSpan.Buckets[0]; first.LE != "1" || first.Count != 500 {
+		t.Errorf("first bucket %+v, want le=1 count=500", first)
+	}
+	last := rep.SkipSpan.Buckets[len(rep.SkipSpan.Buckets)-1]
+	if last.LE != "+Inf" || last.Count != 501 {
+		t.Errorf("overflow bucket %+v, want le=+Inf count=501", last)
 	}
 	if rep.Checkpoint == nil || rep.Checkpoint.Captures != 1 || rep.Checkpoint.Encodes != 1 ||
 		rep.Checkpoint.EncodeBytes != 1234 {
@@ -108,9 +111,10 @@ func TestRunStatsFormatTable(t *testing.T) {
 	rs.AddPhase(PhaseAdvance, 100*time.Millisecond)
 	rs.AddPhase(PhasePlan, 900*time.Millisecond)
 	rs.AddCheckpoint(50 * time.Millisecond)
-	rs.SlotStepped(PathSeq)
+	rs.SlotStepped(9)
 	out := rs.Report().FormatTable()
-	for _, want := range []string{"engine time attribution", "plan", "advance", "90.0%", "10.0%"} {
+	for _, want := range []string{"engine time attribution", "1 stepped slots (9 inert slots skipped)",
+		"plan", "advance", "90.0%", "10.0%", "skip span: mean 9.0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}
@@ -128,9 +132,8 @@ func TestRunStatsFormatTable(t *testing.T) {
 func TestRunStatsPublish(t *testing.T) {
 	rs := NewRunStats()
 	rs.AddPhase(PhasePlan, 2*time.Second)
-	rs.SlotStepped(PathEvent)
-	rs.SlotStepped(PathEvent)
-	rs.ObserveQueue(8, 4)
+	rs.SlotStepped(4)
+	rs.SlotStepped(0)
 	rs.AddEncode(500, time.Second)
 
 	var v Vars
@@ -138,11 +141,8 @@ func TestRunStatsPublish(t *testing.T) {
 	if got := v.PhaseNanos[PhasePlan].Load(); got != uint64(2*time.Second) {
 		t.Errorf("published plan nanos %d", got)
 	}
-	if got := v.PathSlots[PathEvent].Load(); got != 2 {
-		t.Errorf("published event slots %d, want 2", got)
-	}
-	if v.FireQueueDepth.Count() != 1 || v.PopBatch.Count() != 1 {
-		t.Error("histograms did not merge")
+	if v.SkipSpan.Count() != 2 {
+		t.Error("skip-span histogram did not merge")
 	}
 	if v.CheckpointEncode.Count() != 1 || math.Abs(v.CheckpointEncode.Sum()-1) > 1e-9 {
 		t.Errorf("encode summary (%d, %v), want (1, 1s)", v.CheckpointEncode.Count(), v.CheckpointEncode.Sum())
@@ -155,8 +155,8 @@ func TestRunStatsPublish(t *testing.T) {
 	if _, ok := snap["phase_nanos"]; !ok {
 		t.Error("snapshot missing phase_nanos")
 	}
-	if snap["event_slots"] != uint64(2) {
-		t.Errorf("snapshot event_slots = %v", snap["event_slots"])
+	if snap["skip_span_observations"] != uint64(2) {
+		t.Errorf("snapshot skip_span_observations = %v", snap["skip_span_observations"])
 	}
 }
 
@@ -184,8 +184,7 @@ func TestWriteMetricsExposition(t *testing.T) {
 	v.RecordResult(100, true, 50, 100, 7)
 	rs := NewRunStats()
 	rs.AddPhase(PhasePlan, time.Second)
-	rs.SlotStepped(PathSeq)
-	rs.ObserveQueue(3, 3)
+	rs.SlotStepped(3)
 	rs.AddEncode(100, time.Millisecond)
 	rs.Publish(&v)
 	v.SetGeometryCacheStats(4, 2)
@@ -256,15 +255,20 @@ func TestWriteMetricsExposition(t *testing.T) {
 	}
 
 	// Histogram integrity: the +Inf bucket carries the full count.
-	if !strings.Contains(out, `d2dsim_event_firequeue_depth_bucket{le="+Inf"} 1`) {
-		t.Error("firequeue histogram missing +Inf bucket with count 1")
+	if !strings.Contains(out, `d2dsim_engine_skip_span_bucket{le="+Inf"} 1`) {
+		t.Error("skip-span histogram missing +Inf bucket with count 1")
 	}
-	if samples["d2dsim_event_firequeue_depth_count"] != 1 {
-		t.Errorf("firequeue _count = %v, want 1", samples["d2dsim_event_firequeue_depth_count"])
+	if samples["d2dsim_engine_skip_span_count"] != 1 {
+		t.Errorf("skip-span _count = %v, want 1", samples["d2dsim_engine_skip_span_count"])
+	}
+	for _, gone := range []string{"d2dsim_engine_path_slots_total", "d2dsim_event_firequeue_depth", "d2dsim_event_pop_batch"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("exposition still carries the retired %s family", gone)
+		}
 	}
 	for _, want := range []string{
 		`d2dsim_engine_phase_seconds_total{phase="plan"} 1`,
-		`d2dsim_engine_path_slots_total{path="seq"} 1`,
+		`d2dsim_engine_skip_span_bucket{le="4"} 1`,
 		"d2dsim_checkpoint_encode_seconds_sum 0.001",
 		"d2dsim_geometry_cache_hits_total 4",
 		"d2dsim_result_cache_evictions_total 1",

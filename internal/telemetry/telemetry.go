@@ -6,14 +6,14 @@
 // The layer has one hard contract: it must be provably free when disabled
 // and RNG-neutral when enabled. A disabled run is a nil *Run — every probe
 // method is nil-safe and compiles down to a pointer check on the hot path,
-// so the slot engines keep their measured 1 alloc/op steady state. An
+// so the run engine keeps its measured 1 alloc/op steady state. An
 // enabled run only *reads* simulation state (phases, counters, discovery
 // tables): no probe draws from a random stream or reorders protocol work,
 // so differential fingerprints are bit-identical with telemetry on or off.
-// The core engines treat sampling boundaries exactly like ProgressTrace
-// boundaries — the event engine folds them into its next-event horizon and
-// steps them explicitly, which is visible only in ActiveSlots (an
-// engine-dependent observable that fingerprints already exclude).
+// The core engine treats sampling boundaries exactly like ProgressTrace
+// boundaries — it folds them into its next-event horizon and steps them
+// explicitly, which is visible only in ActiveSlots (an observable that
+// differential fingerprints already exclude).
 package telemetry
 
 import (
@@ -55,7 +55,7 @@ type Sample struct {
 // a bounded ring of Samples. A nil *Run is the disabled state — every
 // method on it is safe to call and does nothing, so instrumented code
 // threads the pointer unconditionally. Run is not goroutine-safe: probes
-// fire from the protocol loop's goroutine only (the engines' intra-slot
+// fire from the protocol loop's goroutine only (the engine's intra-slot
 // workers never touch it).
 type Run struct {
 	// Live, when non-nil, receives process-wide counter updates alongside
@@ -106,7 +106,7 @@ func (r *Run) WantsSample(slot units.Slot) bool {
 }
 
 // NextSampleAfter returns the first sampling boundary strictly after the
-// given slot, or ok=false when sampling is disabled — the event engine
+// given slot, or ok=false when sampling is disabled — the run engine
 // folds this into its next-event horizon so boundary slots are stepped
 // (and phases materialized) even when every device sleeps.
 func (r *Run) NextSampleAfter(after units.Slot) (units.Slot, bool) {

@@ -228,7 +228,7 @@ func TestReportRoundTrip(t *testing.T) {
 		Collisions: 3, Ops: 999, DiscoveredLinks: 120, ServiceDiscovery: 0.5,
 		ActiveSlots: 400, TotalSlots: 4321, EnergyMJ: 12.5, TreeEdges: 39,
 	}
-	rep := r.BuildReport("ST", "event", res)
+	rep := r.BuildReport("ST", res)
 	if rep.Schema != ReportSchema || rep.SampleEverySlots != 100 || len(rep.Series) != 2 {
 		t.Fatalf("report malformed: %+v", rep)
 	}
@@ -241,7 +241,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Protocol != "ST" || got.Engine != "event" || got.Result != res {
+	if got.Protocol != "ST" || got.Result != res {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
 	if len(got.Series) != 2 || got.Series[1] != rep.Series[1] {

@@ -12,8 +12,8 @@ import (
 	"sync/atomic"
 )
 
-// Shared histogram layout for engine observations (queue depths, batch
-// sizes): power-of-two bounds 1..65536 plus an overflow bucket. One fixed
+// Shared histogram layout for engine observations (inert slots skipped per
+// step): power-of-two bounds 1..65536 plus an overflow bucket. One fixed
 // layout keeps the non-atomic run accumulator (hist, runstats.go) and the
 // atomic live registry (Histogram) mergeable element-by-element.
 const histBuckets = 18
@@ -179,13 +179,9 @@ type Vars struct {
 	// PhaseNanos accumulates wall nanoseconds per engine phase, indexed by
 	// EnginePhase.
 	PhaseNanos [NumEnginePhases]atomic.Uint64
-	// PathSlots counts stepped slots per engine path (seq/shard/event),
-	// indexed by EnginePath.
-	PathSlots [3]atomic.Uint64
-	// FireQueueDepth and PopBatch are the event engine's queue-size and
-	// drain-batch distributions.
-	FireQueueDepth Histogram
-	PopBatch       Histogram
+	// SkipSpan is the distribution of inert slots the engine skipped
+	// before each stepped slot.
+	SkipSpan Histogram
 	// CheckpointEncode totals snapshot serialization cost in seconds;
 	// CheckpointBytes the encoded output size.
 	CheckpointEncode Summary
@@ -266,7 +262,7 @@ func (v *Vars) RecordResult(n int, converged bool, activeSlots, totalSlots, mess
 }
 
 // ActiveSlotRatio returns stepped/total over everything recorded so far
-// (1.0 when nothing ran yet — the slot engines' value).
+// (1.0 when nothing ran yet).
 func (v *Vars) ActiveSlotRatio() float64 {
 	total := v.SlotsTotal.Load()
 	if total == 0 {
@@ -295,13 +291,8 @@ func (v *Vars) Snapshot() map[string]any {
 	if len(phases) > 0 {
 		snap["phase_nanos"] = phases
 	}
-	for p := EnginePath(0); p < numPaths; p++ {
-		if n := v.PathSlots[p].Load(); n > 0 {
-			snap[p.String()+"_slots"] = n
-		}
-	}
-	if n := v.FireQueueDepth.Count(); n > 0 {
-		snap["firequeue_observations"] = n
+	if n := v.SkipSpan.Count(); n > 0 {
+		snap["skip_span_observations"] = n
 	}
 	if n := v.CheckpointEncode.Count(); n > 0 {
 		snap["checkpoint_encodes"] = n
@@ -341,9 +332,7 @@ func (v *Vars) Snapshot() map[string]any {
 // plus the engine-runstats families (DESIGN.md §13):
 //
 //	d2dsim_engine_phase_seconds_total{phase=...}
-//	d2dsim_engine_path_slots_total{path=...}
-//	d2dsim_event_firequeue_depth (histogram)
-//	d2dsim_event_pop_batch (histogram)
+//	d2dsim_engine_skip_span (histogram)
 //	d2dsim_checkpoint_encode_seconds (summary)
 //	d2dsim_checkpoint_encode_bytes_total
 //	d2dsim_geometry_cache_{hits,misses}_total
@@ -391,22 +380,8 @@ func (v *Vars) WriteMetrics(w io.Writer) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "# HELP %[1]s Stepped slots per engine path.\n# TYPE %[1]s counter\n",
-		"d2dsim_engine_path_slots_total"); err != nil {
-		return err
-	}
-	for p := EnginePath(0); p < numPaths; p++ {
-		if _, err := fmt.Fprintf(w, "d2dsim_engine_path_slots_total{path=%q} %d\n",
-			p.String(), v.PathSlots[p].Load()); err != nil {
-			return err
-		}
-	}
-	if err := v.FireQueueDepth.writeProm(w, "d2dsim_event_firequeue_depth",
-		"Fire-queue size before each event-engine drain."); err != nil {
-		return err
-	}
-	if err := v.PopBatch.writeProm(w, "d2dsim_event_pop_batch",
-		"Entries drained per stepped event-engine slot."); err != nil {
+	if err := v.SkipSpan.writeProm(w, "d2dsim_engine_skip_span",
+		"Inert slots the engine skipped before each stepped slot."); err != nil {
 		return err
 	}
 	if err := v.CheckpointEncode.writeProm(w, "d2dsim_checkpoint_encode_seconds",
