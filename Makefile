@@ -8,10 +8,10 @@ all: build vet test
 
 # Mirror of .github/workflows/ci.yml: build, vet, tests, the race
 # detector over the concurrent packages (sweep pool, parallel optimizer,
-# sharded run engine), then the message-runtime guard and the sharded
-# hot-path, branching-sweep, runstats-overhead and asynchrony-overhead
-# regression gates.
-ci: build vet test race-core net-guard bench-shard bench-sweep bench-runstats bench-net
+# sharded run engine), the checkpoint/restore guard, then the
+# message-runtime guard and the sharded hot-path, branching-sweep,
+# runstats-overhead and asynchrony-overhead regression gates.
+ci: build vet test race-core resume-guard net-guard bench-shard bench-sweep bench-runstats bench-net
 
 race-core:
 	$(GO) test -race ./internal/core/... ./internal/firefly/... ./internal/experiments/...

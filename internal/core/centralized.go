@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"repro/internal/energy"
 	"repro/internal/eventsim"
 	"repro/internal/graph"
 	"repro/internal/rach"
@@ -161,12 +160,7 @@ func (Centralized) Run(env *Env) Result {
 	slot = eng.Now()
 	if pending > 0 {
 		// Report collection did not finish inside the slot budget.
-		res.ConvergenceSlots = cfg.MaxSlots
-		res.Counters = mergeTransport(res.Counters, env.Transport.Counters())
-		res.Energy = energy.LTEDefaults().Charge(res.Counters, cfg.N, res.ConvergenceSlots)
-		res.DiscoveredLinks = countDiscoveredLinks(env)
-		res.ServiceDiscovery = env.ServiceDiscoveryRatio()
-		res.ActiveSlots, res.TotalSlots = slotEng.slotStats()
+		finishResult(env, slotEng, &res)
 		return res
 	}
 
@@ -217,34 +211,11 @@ func (Centralized) Run(env *Env) Result {
 		slot = roundEnd
 	}
 	slotEng.finish(slot)
-	if !res.Converged {
-		res.ConvergenceSlots = cfg.MaxSlots
-	} else {
+	if res.Converged {
 		cfg.emit(trace.Event{Slot: res.ConvergenceSlots, Kind: trace.KindConverge, A: -1, B: -1})
 	}
-	res.ActiveSlots, res.TotalSlots = slotEng.slotStats()
-
-	res.Counters = mergeTransport(res.Counters, env.Transport.Counters())
-	res.Energy = energy.LTEDefaults().Charge(res.Counters, cfg.N, res.ConvergenceSlots)
-	res.DiscoveredLinks = countDiscoveredLinks(env)
-	res.ServiceDiscovery = env.ServiceDiscoveryRatio()
-	if env.Net != nil {
-		c := env.Net.Counters()
-		res.Net = &c
-	}
+	finishResult(env, slotEng, &res)
 	return res
-}
-
-// mergeTransport folds the transport's RACH1 beacon traffic into counters
-// accumulated by the protocol itself.
-func mergeTransport(c rach.Counters, tc rach.Counters) rach.Counters {
-	c.Tx[rach.RACH1] += tc.Tx[rach.RACH1]
-	c.Rx[rach.RACH1] += tc.Rx[rach.RACH1]
-	c.TxBytes[rach.RACH1] += tc.TxBytes[rach.RACH1]
-	c.Tx[rach.RACH2] += tc.Tx[rach.RACH2]
-	c.Rx[rach.RACH2] += tc.Rx[rach.RACH2]
-	c.TxBytes[rach.RACH2] += tc.TxBytes[rach.RACH2]
-	return c
 }
 
 func min2(a, b int) int {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/units"
 )
 
@@ -52,6 +53,31 @@ func TestFSTSurvivesChurn(t *testing.T) {
 	}
 	if env.AliveCount() != 38 {
 		t.Errorf("alive = %d, want 38", env.AliveCount())
+	}
+}
+
+// FailAt churn must apply under a fault plan too, even after the plan has
+// crashed a device before the tree completed: the topology counts as
+// complete once it spans the live set, not all n devices.
+func TestChurnAppliesUnderFaultPlan(t *testing.T) {
+	for _, proto := range []Protocol{FST{}, ST{}} {
+		for seed := int64(1); seed <= 4; seed++ {
+			cfg := fastConfig(40, seed)
+			cfg.Faults = &faults.Plan{
+				Version: faults.PlanSchema,
+				Actions: []faults.Action{{Kind: faults.KindCrash, At: 300, Device: 7}},
+			}
+			cfg.FailAt = 600
+			cfg.FailSet = []int{0, 1}
+			env := mustEnv(t, cfg)
+			res := proto.Run(env)
+			if !res.Converged {
+				t.Errorf("%s seed %d: did not converge: %v", proto.Name(), seed, res)
+			}
+			if got := env.AliveCount(); got != 37 {
+				t.Errorf("%s seed %d: alive = %d, want 37 (crash plus churn)", proto.Name(), seed, got)
+			}
+		}
 	}
 }
 

@@ -111,7 +111,7 @@ type ResultState struct {
 }
 
 // STFaultState is the ST protocol's fault-layer bookkeeping, present only
-// when the run has a fault plan or scripted churn armed the watchdog.
+// when the run has a fault plan.
 type STFaultState struct {
 	LastFired    []int64 `json:"last_fired"`
 	PresumedDead []bool  `json:"presumed_dead"`
@@ -137,7 +137,8 @@ type STState struct {
 	Faults    *STFaultState            `json:"faults,omitempty"`
 }
 
-// FSTFaultState is the FST protocol's fault-layer bookkeeping.
+// FSTFaultState is the FST protocol's fault-layer bookkeeping, present only
+// when the run has a fault plan.
 type FSTFaultState struct {
 	Parent       []int   `json:"parent"`
 	LastFired    []int64 `json:"last_fired"`
