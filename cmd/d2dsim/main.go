@@ -522,10 +522,13 @@ func run(o runOpts) error {
 		}
 		return t.Render(os.Stdout)
 	}
-	sweep := func() ([]experiments.Row, error) {
+	// sweepOpts are the options every sweep driver runs with; each driver
+	// reads only the fields it uses (RunSweep and RunDelaySweep ignore
+	// PrefixSlots).
+	sweepOpts := func() (experiments.Options, error) {
 		sizes, err := parseSizes(o.sizes)
 		if err != nil {
-			return nil, err
+			return experiments.Options{}, err
 		}
 		var onResult func(int, string, core.Result)
 		if o.vars != nil {
@@ -536,13 +539,21 @@ func run(o runOpts) error {
 				}
 			}
 		}
-		return experiments.RunSweep(experiments.Options{
+		return experiments.Options{
 			Sizes: sizes, Seeds: seeds, BaseSeed: baseSeed,
 			MaxSlots: units.Slot(maxSlots), Workers: o.workers,
 			SlotWorkers: o.slotWorkers,
+			PrefixSlots: units.Slot(o.prefixSlots),
 			OnResult:    onResult, Cache: cache,
 			Progress: progW, Geometry: geom,
-		})
+		}, nil
+	}
+	sweep := func() ([]experiments.Row, error) {
+		opts, err := sweepOpts()
+		if err != nil {
+			return nil, err
+		}
+		return experiments.RunSweep(opts)
 	}
 
 	switch exp {
@@ -596,17 +607,11 @@ func run(o runOpts) error {
 		}
 		return emit(experiments.OpsTable(rows))
 	case "recovery":
-		sizes, err := parseSizes(o.sizes)
+		opts, err := sweepOpts()
 		if err != nil {
 			return err
 		}
-		rows, err := experiments.RunRecoverySweep(experiments.Options{
-			Sizes: sizes, Seeds: seeds, BaseSeed: baseSeed,
-			MaxSlots: units.Slot(maxSlots), Workers: o.workers,
-			SlotWorkers: o.slotWorkers,
-			PrefixSlots: units.Slot(o.prefixSlots), Cache: cache,
-			Progress: progW, Geometry: geom,
-		})
+		rows, err := experiments.RunRecoverySweep(opts)
 		if err != nil {
 			return err
 		}
@@ -616,16 +621,11 @@ func run(o runOpts) error {
 		printCacheStats(cache, geom, o.vars)
 		return nil
 	case "delay":
-		sizes, err := parseSizes(o.sizes)
+		opts, err := sweepOpts()
 		if err != nil {
 			return err
 		}
-		rows, err := experiments.RunDelaySweep(experiments.Options{
-			Sizes: sizes, Seeds: seeds, BaseSeed: baseSeed,
-			MaxSlots: units.Slot(maxSlots), Workers: o.workers,
-			SlotWorkers: o.slotWorkers,
-			Cache:       cache, Progress: progW, Geometry: geom,
-		})
+		rows, err := experiments.RunDelaySweep(opts)
 		if err != nil {
 			return err
 		}

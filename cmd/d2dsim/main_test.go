@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -157,45 +158,79 @@ func TestRunSingleWritesReport(t *testing.T) {
 
 // Acceptance: the live exposition endpoint must serve the documented gauge
 // names and reflect completed runs.
+// TestTelemetryAddrServesMetrics drives each sweep through -telemetry-addr:
+// every run the sweep makes must reach /metrics, and the delay sweep's
+// adversary counts must reach the d2dsim_net_* families.
 func TestTelemetryAddrServesMetrics(t *testing.T) {
-	vars := &telemetry.Vars{}
-	srv, addr, err := telemetry.Serve("127.0.0.1:0", vars)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	o := base()
-	o.exp = "fig3"
-	o.sizes = "15"
-	o.maxSlots = 60000
-	o.vars = vars
-	if err := run(o); err != nil {
-		t.Fatalf("sweep with telemetry failed: %v", err)
-	}
-
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	out := string(body)
-	for _, name := range []string{
-		"d2dsim_runs_completed_total",
-		"d2dsim_runs_converged_total",
-		"d2dsim_slots_stepped_total",
-		"d2dsim_slots_total",
-		"d2dsim_active_slot_ratio",
-		"d2dsim_messages_total",
-		"d2dsim_sweep_point",
+	for _, tc := range []struct {
+		exp      string
+		positive []string
+		exact    string
+	}{
+		// 1 size × 1 seed × 2 protocols.
+		{exp: "fig3", exact: "d2dsim_runs_completed_total 2\n"},
+		{exp: "delay", positive: []string{"d2dsim_runs_completed_total", "d2dsim_net_delayed_total"}},
 	} {
-		if !strings.Contains(out, name) {
-			t.Errorf("metric %s missing:\n%s", name, out)
+		t.Run(tc.exp, func(t *testing.T) {
+			vars := &telemetry.Vars{}
+			srv, addr, err := telemetry.Serve("127.0.0.1:0", vars)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+
+			o := base()
+			o.exp = tc.exp
+			o.sizes = "15"
+			o.maxSlots = 60000
+			o.vars = vars
+			if err := run(o); err != nil {
+				t.Fatalf("sweep with telemetry failed: %v", err)
+			}
+
+			resp, err := http.Get("http://" + addr + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			out := string(body)
+			for _, name := range []string{
+				"d2dsim_runs_completed_total",
+				"d2dsim_runs_converged_total",
+				"d2dsim_slots_stepped_total",
+				"d2dsim_slots_total",
+				"d2dsim_active_slot_ratio",
+				"d2dsim_messages_total",
+				"d2dsim_sweep_point",
+			} {
+				if !strings.Contains(out, name) {
+					t.Errorf("metric %s missing:\n%s", name, out)
+				}
+			}
+			if tc.exact != "" && !strings.Contains(out, tc.exact) {
+				t.Errorf("want %q in:\n%s", tc.exact, out)
+			}
+			for _, name := range tc.positive {
+				if v := metricValue(out, name); v <= 0 {
+					t.Errorf("%s = %v, want > 0:\n%s", name, v, out)
+				}
+			}
+		})
+	}
+}
+
+// metricValue returns the value of the unlabelled sample name in a
+// Prometheus text exposition, or -1 when it is absent.
+func metricValue(exposition, name string) float64 {
+	for _, line := range strings.Split(exposition, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				return -1
+			}
+			return f
 		}
 	}
-	// 1 size × 1 seed × 2 protocols.
-	if !strings.Contains(out, "d2dsim_runs_completed_total 2\n") {
-		t.Errorf("runs_completed wrong:\n%s", out)
-	}
+	return -1
 }

@@ -177,91 +177,79 @@ func TestResultCacheDiskTier(t *testing.T) {
 	}
 }
 
-// TestRunSweepWarmCache pins the sweep-level cache contract: a warm re-run
-// returns identical rows, serves every job from the cache, and still fires
-// OnResult exactly once per job.
+// TestRunSweepWarmCache pins the sweep-level cache contract for every
+// driver: a warm re-run returns identical rows and serves every run from the
+// cache, and OnResult fires once per run either way — once per cache miss on
+// the cold run (reference runs included), once per hit on the warm one.
 func TestRunSweepWarmCache(t *testing.T) {
-	opts := smallOptions()
-	opts.Sizes = []int{20}
-	opts.Cache = NewResultCache(0, "")
-	var mu sync.Mutex
-	calls := 0
-	opts.OnResult = func(int, string, core.Result) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-	}
-	cold, err := RunSweep(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := len(opts.Sizes) * opts.Seeds * 2 // two protocols
-	if calls != jobs {
-		t.Fatalf("cold sweep fired OnResult %d times, want %d", calls, jobs)
-	}
-	if hits, misses := opts.Cache.Stats(); hits != 0 || misses != uint64(jobs) {
-		t.Fatalf("cold sweep stats hits=%d misses=%d, want 0/%d", hits, misses, jobs)
-	}
+	for _, d := range sweepDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			opts := smallOptions()
+			opts.Sizes = []int{20}
+			opts.Cache = NewResultCache(0, "")
+			var mu sync.Mutex
+			calls := 0
+			opts.OnResult = func(int, string, core.Result) {
+				mu.Lock()
+				calls++
+				mu.Unlock()
+			}
+			cold, err := d.run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs := len(opts.Sizes) * opts.Seeds * 2 * d.delays // two protocols
+			hits, misses := opts.Cache.Stats()
+			if hits != 0 || misses < uint64(jobs) {
+				t.Fatalf("cold sweep stats hits=%d misses=%d, want 0 hits and >= %d misses", hits, misses, jobs)
+			}
+			if calls != int(misses) {
+				t.Fatalf("cold sweep fired OnResult %d times for %d cache misses", calls, misses)
+			}
 
-	warm, err := RunSweep(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2*jobs {
-		t.Errorf("warm sweep fired OnResult %d more times, want %d", calls-jobs, jobs)
-	}
-	if hits, _ := opts.Cache.Stats(); hits != uint64(jobs) {
-		t.Errorf("warm sweep hit %d times, want %d", hits, jobs)
-	}
-	for i := range cold {
-		if cold[i] != warm[i] {
-			t.Errorf("row %d differs between cold and warm sweep:\n%+v\n%+v", i, cold[i], warm[i])
-		}
+			calls = 0
+			warm, err := d.run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits, warmMisses := opts.Cache.Stats()
+			if hits != misses || warmMisses != misses {
+				t.Errorf("warm sweep stats hits=%d misses=%d, want %d/%d", hits, warmMisses, misses, misses)
+			}
+			if calls != int(hits) {
+				t.Errorf("warm sweep fired OnResult %d times for %d cache hits", calls, hits)
+			}
+			if !reflect.DeepEqual(cold, warm) {
+				t.Errorf("rows differ between cold and warm sweep:\n%+v\n%+v", cold, warm)
+			}
+		})
 	}
 }
 
-// TestRunSweepConfigureErrorReturns is the worker-pool deadlock regression:
-// when every run fails to build, the sweep must surface the error promptly
-// instead of the producer blocking forever on a dead worker pool.
+// TestRunSweepConfigureErrorReturns is the worker-pool deadlock regression
+// for every driver: when every run fails to build, the sweep must surface
+// the error promptly instead of wedging its worker pool.
 func TestRunSweepConfigureErrorReturns(t *testing.T) {
-	opts := smallOptions()
-	opts.Sizes = []int{20}
-	opts.Seeds = 8 // more jobs than workers: the producer must not wedge
-	opts.Workers = 2
-	opts.Configure = func(c *core.Config) { c.PathLoss = nil }
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunSweep(opts)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Error("sweep with failing Configure should error")
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("RunSweep deadlocked on a failing Configure")
-	}
-}
-
-// Same regression for the recovery driver, which shares the pool shape.
-func TestRunRecoverySweepConfigureErrorReturns(t *testing.T) {
-	opts := smallOptions()
-	opts.Sizes = []int{20}
-	opts.Seeds = 8
-	opts.Workers = 2
-	opts.Configure = func(c *core.Config) { c.PathLoss = nil }
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunRecoverySweep(opts)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Error("recovery sweep with failing Configure should error")
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("RunRecoverySweep deadlocked on a failing Configure")
+	for _, d := range sweepDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			opts := smallOptions()
+			opts.Sizes = []int{20}
+			opts.Seeds = 8 // more jobs than workers: the pool must not wedge
+			opts.Workers = 2
+			opts.Configure = func(c *core.Config) { c.PathLoss = nil }
+			done := make(chan error, 1)
+			go func() {
+				_, err := d.run(opts)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Error("sweep with failing Configure should error")
+				}
+			case <-time.After(60 * time.Second):
+				t.Fatal("sweep deadlocked on a failing Configure")
+			}
+		})
 	}
 }

@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/asyncnet"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/units"
 )
 
 // Delay sweep: how does bounded message asynchrony degrade convergence and
@@ -74,200 +71,61 @@ func delayPlan(d int) *asyncnet.Plan {
 // RunDelaySweep executes the delay sweep and returns one row per
 // (size, delay), ordered by N then delay.
 func RunDelaySweep(opts Options) ([]DelayRow, error) {
-	if len(opts.Sizes) == 0 || opts.Seeds < 1 {
-		return nil, fmt.Errorf("experiments: empty sweep")
+	// A job is the fault-free reference run under the adversary plus, when
+	// it converged, the same derived crash wave as the recovery sweep,
+	// healed under the adversary (faulted is nil when there was none).
+	type outcome struct {
+		ref     core.Result
+		faulted *core.Result
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-
-	type delayJob struct {
-		job
-		delay int
-	}
-	// The delay grid is derived from the model period, which the sweep
-	// does not vary: probe it once from the first size's config.
-	period := core.PaperConfig(opts.Sizes[0], opts.BaseSeed).PeriodSlots
-	var jobs []delayJob
-	for _, n := range opts.Sizes {
-		for _, frac := range delayFractions {
-			d := 0
-			if frac > 0 {
-				d = period / frac
+	jobs, out, err := runSweep(opts, "delay", delayFractions, func(r *sweepRun) (outcome, error) {
+		build := func() core.Config {
+			cfg := r.config()
+			cfg.Net = delayPlan(r.delay)
+			if cfg.Net != nil {
+				// Hardened-protocol discipline under asynchrony: bound the
+				// jump budget (see Config.Net). The lockstep baseline keeps
+				// the paper's unlimited budget so its row matches the other
+				// sweeps.
+				cfg.JumpsPerCycle = 1
 			}
-			for s := 0; s < opts.Seeds; s++ {
-				seed := opts.BaseSeed + int64(s)
-				jobs = append(jobs, delayJob{job{n: n, seed: seed, proto: core.FST{}}, d})
-				jobs = append(jobs, delayJob{job{n: n, seed: seed, proto: core.ST{}}, d})
-			}
+			return cfg
 		}
-	}
-
-	geom := opts.Geometry
-	if geom == nil {
-		geom = core.NewGeometryCache()
-	}
-	prog := newProgressReporter(opts.Progress, "delay", len(jobs), opts.Cache)
-
-	type delayOutcome struct {
-		n, delay  int
-		fst       bool
-		converged bool
-		conv      units.Slot
-		attempted bool
-		healed    bool
-		rec       units.Slot
-	}
-	jobCh := make(chan delayJob)
-	outCh := make(chan delayOutcome, len(jobs))
-	errCh := make(chan error, workers)
-	// See RunSweep: abort unblocks the producer when a worker exits early.
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	fail := func(err error) {
-		errCh <- err
-		abortOnce.Do(func() { close(abort) })
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				build := func() core.Config {
-					cfg := core.PaperConfig(j.n, j.seed)
-					cfg.Workers = opts.SlotWorkers
-					if opts.MaxSlots > 0 {
-						cfg.MaxSlots = opts.MaxSlots
-					}
-					if opts.Configure != nil {
-						opts.Configure(&cfg)
-					}
-					cfg.Geometry = geom
-					cfg.Net = delayPlan(j.delay)
-					if cfg.Net != nil {
-						// Hardened-protocol discipline under asynchrony:
-						// bound the jump budget (see Config.Net). The
-						// lockstep baseline keeps the paper's unlimited
-						// budget so its row matches the other sweeps.
-						cfg.JumpsPerCycle = 1
-					}
-					return cfg
-				}
-				run := func(cfg core.Config) (core.Result, error) {
-					key, cacheable := "", false
-					if opts.Cache != nil {
-						key, cacheable = CacheKey(cfg, j.proto.Name())
-						if cacheable {
-							if res, hit := opts.Cache.Get(key); hit {
-								return res, nil
-							}
-						}
-					}
-					env, err := core.NewEnv(cfg)
-					if err != nil {
-						return core.Result{}, err
-					}
-					res := j.proto.Run(env)
-					if cacheable {
-						opts.Cache.Put(key, res)
-					}
-					return res, nil
-				}
-				ref, err := run(build())
-				if err != nil {
-					fail(err)
-					return
-				}
-				out := delayOutcome{
-					n: j.n, delay: j.delay, fst: j.proto.Name() == "FST",
-					converged: ref.Converged, conv: ref.ConvergenceSlots,
-				}
-				if opts.OnResult != nil {
-					opts.OnResult(j.n, j.proto.Name(), ref)
-				}
-				if ref.Converged {
-					// Same derived crash wave as the recovery sweep, now
-					// healed under the adversary.
-					if plan := recoveryPlan(build(), ref.ConvergenceSlots); plan != nil {
-						cfg := build()
-						cfg.Faults = plan
-						res, err := run(cfg)
-						if err != nil {
-							fail(err)
-							return
-						}
-						out.attempted = true
-						out.healed = res.Recoveries > 0
-						out.rec = res.RecoverySlots
-						if opts.OnResult != nil {
-							opts.OnResult(j.n, j.proto.Name(), res)
-						}
-					}
-				}
-				prog.jobDone(j.n, j.proto.Name(), false, false)
-				outCh <- out
-			}
-		}()
-	}
-feed:
-	for _, j := range jobs {
-		select {
-		case jobCh <- j:
-		case <-abort:
-			break feed
+		ref, err := r.run(build())
+		if err != nil || !ref.Converged {
+			return outcome{ref: ref}, err
 		}
-	}
-	close(jobCh)
-	wg.Wait()
-	close(outCh)
-	select {
-	case err := <-errCh:
+		cfg := build()
+		if cfg.Faults = recoveryPlan(cfg, ref.ConvergenceSlots); cfg.Faults == nil {
+			return outcome{ref: ref}, nil
+		}
+		res, err := r.run(cfg)
+		return outcome{ref: ref, faulted: &res}, err
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 
 	type point struct{ n, delay int }
 	type acc struct {
-		convFST, convST, recFST, recST []float64
-		cFST, cST                      int
-		healFST, healST                int
-		attFST, attST                  int
+		conv      [2][]float64
+		converged [2]int
+		heal      [2]healing
 	}
 	byPoint := make(map[point]*acc)
-	for o := range outCh {
-		p := point{o.n, o.delay}
+	for i, j := range jobs {
+		p := point{j.n, j.delay}
 		a := byPoint[p]
 		if a == nil {
 			a = &acc{}
 			byPoint[p] = a
 		}
-		if o.fst {
-			if o.converged {
-				a.cFST++
-				a.convFST = append(a.convFST, float64(o.conv))
-			}
-			if o.attempted {
-				a.attFST++
-				if o.healed {
-					a.healFST++
-					a.recFST = append(a.recFST, float64(o.rec))
-				}
-			}
-		} else {
-			if o.converged {
-				a.cST++
-				a.convST = append(a.convST, float64(o.conv))
-			}
-			if o.attempted {
-				a.attST++
-				if o.healed {
-					a.healST++
-					a.recST = append(a.recST, float64(o.rec))
-				}
-			}
+		o := out[i]
+		if o.ref.Converged {
+			a.converged[j.p]++
+			a.conv[j.p] = append(a.conv[j.p], float64(o.ref.ConvergenceSlots))
 		}
+		a.heal[j.p].add(o.faulted)
 	}
 
 	rows := make([]DelayRow, 0, len(byPoint))
@@ -275,16 +133,16 @@ feed:
 		rows = append(rows, DelayRow{
 			N:            p.n,
 			DelaySlots:   p.delay,
-			ConvFST:      metrics.Summarize(a.convFST),
-			ConvST:       metrics.Summarize(a.convST),
-			RecFST:       metrics.Summarize(a.recFST),
-			RecST:        metrics.Summarize(a.recST),
-			ConvergedFST: a.cFST,
-			ConvergedST:  a.cST,
-			HealedFST:    a.healFST,
-			HealedST:     a.healST,
-			AttemptedFST: a.attFST,
-			AttemptedST:  a.attST,
+			ConvFST:      metrics.Summarize(a.conv[iFST]),
+			ConvST:       metrics.Summarize(a.conv[iST]),
+			RecFST:       metrics.Summarize(a.heal[iFST].rec),
+			RecST:        metrics.Summarize(a.heal[iST].rec),
+			ConvergedFST: a.converged[iFST],
+			ConvergedST:  a.converged[iST],
+			HealedFST:    a.heal[iFST].healed,
+			HealedST:     a.heal[iST].healed,
+			AttemptedFST: a.heal[iFST].attempted,
+			AttemptedST:  a.heal[iST].attempted,
 		})
 	}
 	sort.Slice(rows, func(i, j int) bool {

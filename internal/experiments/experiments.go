@@ -3,17 +3,16 @@
 // DESIGN.md. Each driver returns a metrics.Table whose rows are the series
 // the paper plots, so `d2dsim` can print them or dump CSV for plotting.
 //
-// Runs fan out over a worker pool (one goroutine per CPU by default); every
-// (size, seed, protocol) job builds its own Env from a derived seed, so
-// results are bit-identical regardless of scheduling.
+// The sweeps fan their jobs out over one worker pool (one goroutine per CPU
+// by default); every (size, seed, protocol) job builds its own Env from a
+// derived seed, and rows fold the job outcomes in job order, so results are
+// bit-identical regardless of scheduling and worker count.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/asciichart"
 	"repro/internal/core"
@@ -31,7 +30,8 @@ type Options struct {
 	BaseSeed int64
 	// MaxSlots overrides the per-run slot cap (0 keeps the default).
 	MaxSlots units.Slot
-	// Workers bounds the run-level worker pool (0 = NumCPU).
+	// Workers bounds the run-level worker pool (0 = NumCPU). Rows are
+	// bit-identical for every setting.
 	Workers int
 	// SlotWorkers sets each run's intra-slot engine parallelism
 	// (core.Config.Workers): 0 or 1 single-threaded, >1 that many
@@ -49,8 +49,9 @@ type Options struct {
 	// `d2dsim -telemetry-addr` feeds its metric registry from here). Called
 	// concurrently from the sweep workers — implementations must be
 	// goroutine-safe and must not mutate the Result. It fires exactly once
-	// per observed run whether the Result was simulated or served from
-	// Cache — a cached hit is still one logical run of the sweep.
+	// per run a sweep makes — the reference runs of the recovery and delay
+	// drivers included — whether the Result was simulated or served from
+	// Cache: a cached hit is still one logical run of the sweep.
 	OnResult func(n int, protocol string, res core.Result)
 	// PrefixSlots, when non-zero, arms shared checkpoint-prefix reuse in
 	// the drivers that derive branch runs from a reference trajectory
@@ -61,7 +62,9 @@ type Options struct {
 	// slot 1. Row results are bit-identical with or without it (the only
 	// run observable it can shift is the engine-dependent
 	// ActiveSlots/TotalSlots pair, which recovery rows do not carry).
-	// RunSweep ignores it — its jobs share no trajectory, only geometry.
+	// RunSweep and RunDelaySweep ignore it — the former's jobs share no
+	// trajectory, only geometry; the latter derives its faulted runs without
+	// prefix reuse.
 	PrefixSlots units.Slot
 	// Cache, when non-nil, short-circuits runs whose content-addressed key
 	// (CacheKey) already holds a Result — in memory, or in the cache's
@@ -115,183 +118,65 @@ type Row struct {
 	PTime, PMsg float64
 }
 
-type job struct {
-	n     int
-	seed  int64
-	proto core.Protocol
-}
-
-type outcome struct {
-	n   int
-	fst bool
-	res core.Result
-}
-
 // RunSweep executes the sweep and returns one row per size, ordered by N.
 func RunSweep(opts Options) ([]Row, error) {
-	if len(opts.Sizes) == 0 || opts.Seeds < 1 {
-		return nil, fmt.Errorf("experiments: empty sweep")
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-
-	var jobs []job
-	for _, n := range opts.Sizes {
-		for s := 0; s < opts.Seeds; s++ {
-			seed := opts.BaseSeed + int64(s)
-			jobs = append(jobs, job{n: n, seed: seed, proto: core.FST{}})
-			jobs = append(jobs, job{n: n, seed: seed, proto: core.ST{}})
-		}
-	}
-
-	// One geometry memoization per sweep: the FST and ST member of a job
-	// pair (and every seed-sharing variant) deploy the same world, so the
-	// link-geometry pass runs once per distinct (n, seed) instead of once
-	// per run. Safe because Configure is a pure function of its input (see
-	// the Options doc), so PathLoss is uniform per cache key.
-	geom := opts.Geometry
-	if geom == nil {
-		geom = core.NewGeometryCache()
-	}
-
-	prog := newProgressReporter(opts.Progress, "sweep", len(jobs), opts.Cache)
-	jobCh := make(chan job)
-	outCh := make(chan outcome, len(jobs))
-	errCh := make(chan error, workers)
-	// abort unblocks the producer when a worker bails: without it, workers
-	// exiting on error while the producer is parked on the unbuffered jobCh
-	// send would deadlock the sweep (regression-tested in prefix_test.go).
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	fail := func(err error) {
-		errCh <- err
-		abortOnce.Do(func() { close(abort) })
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				cfg := core.PaperConfig(j.n, j.seed)
-				cfg.Workers = opts.SlotWorkers
-				if opts.MaxSlots > 0 {
-					cfg.MaxSlots = opts.MaxSlots
-				}
-				if opts.Configure != nil {
-					opts.Configure(&cfg)
-				}
-				cfg.Geometry = geom
-				key, cacheable := "", false
-				if opts.Cache != nil {
-					key, cacheable = CacheKey(cfg, j.proto.Name())
-					if cacheable {
-						if res, hit := opts.Cache.Get(key); hit {
-							if opts.OnResult != nil {
-								opts.OnResult(j.n, j.proto.Name(), res)
-							}
-							prog.jobDone(j.n, j.proto.Name(), true, false)
-							outCh <- outcome{n: j.n, fst: j.proto.Name() == "FST", res: res}
-							continue
-						}
-					}
-				}
-				env, err := core.NewEnv(cfg)
-				if err != nil {
-					fail(err)
-					return
-				}
-				res := j.proto.Run(env)
-				if cacheable {
-					opts.Cache.Put(key, res)
-				}
-				if opts.OnResult != nil {
-					opts.OnResult(j.n, j.proto.Name(), res)
-				}
-				prog.jobDone(j.n, j.proto.Name(), false, false)
-				outCh <- outcome{n: j.n, fst: j.proto.Name() == "FST", res: res}
-			}
-		}()
-	}
-feed:
-	for _, j := range jobs {
-		select {
-		case jobCh <- j:
-		case <-abort:
-			break feed
-		}
-	}
-	close(jobCh)
-	wg.Wait()
-	close(outCh)
-	select {
-	case err := <-errCh:
+	jobs, out, err := runSweep(opts, "sweep", lockstep, func(r *sweepRun) (core.Result, error) {
+		return r.run(r.config())
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 
 	type acc struct {
-		tFST, tST, mFST, mST, oFST, oST, eFST, eST, aFST, aST, phases []float64
-		cFST, cST                                                     int
+		time, msg, ops, energy, active [2][]float64
+		conv                           [2]int
+		phases                         []float64
 	}
 	byN := make(map[int]*acc)
-	for o := range outCh {
-		a := byN[o.n]
+	for i, j := range jobs {
+		a := byN[j.n]
 		if a == nil {
 			a = &acc{}
-			byN[o.n] = a
+			byN[j.n] = a
 		}
-		t := float64(o.res.ConvergenceSlots)
-		m := float64(o.res.Counters.TotalTx())
-		ops := float64(o.res.Ops)
+		res, p := out[i], j.p
 		active := 1.0
-		if o.res.TotalSlots > 0 {
-			active = float64(o.res.ActiveSlots) / float64(o.res.TotalSlots)
+		if res.TotalSlots > 0 {
+			active = float64(res.ActiveSlots) / float64(res.TotalSlots)
 		}
-		if o.fst {
-			a.tFST = append(a.tFST, t)
-			a.mFST = append(a.mFST, m)
-			a.oFST = append(a.oFST, ops)
-			a.eFST = append(a.eFST, o.res.Energy.TotalMJ)
-			a.aFST = append(a.aFST, active)
-			if o.res.Converged {
-				a.cFST++
-			}
-		} else {
-			a.tST = append(a.tST, t)
-			a.mST = append(a.mST, m)
-			a.oST = append(a.oST, ops)
-			a.eST = append(a.eST, o.res.Energy.TotalMJ)
-			a.aST = append(a.aST, active)
-			a.phases = append(a.phases, float64(o.res.TreePhases))
-			if o.res.Converged {
-				a.cST++
-			}
+		a.time[p] = append(a.time[p], float64(res.ConvergenceSlots))
+		a.msg[p] = append(a.msg[p], float64(res.Counters.TotalTx()))
+		a.ops[p] = append(a.ops[p], float64(res.Ops))
+		a.energy[p] = append(a.energy[p], res.Energy.TotalMJ)
+		a.active[p] = append(a.active[p], active)
+		if res.Converged {
+			a.conv[p]++
+		}
+		if p == iST {
+			a.phases = append(a.phases, float64(res.TreePhases))
 		}
 	}
 
 	rows := make([]Row, 0, len(byN))
 	for n, a := range byN {
-		_, pTime := metrics.MannWhitneyU(a.tFST, a.tST)
-		_, pMsg := metrics.MannWhitneyU(a.mFST, a.mST)
+		_, pTime := metrics.MannWhitneyU(a.time[iFST], a.time[iST])
+		_, pMsg := metrics.MannWhitneyU(a.msg[iFST], a.msg[iST])
 		rows = append(rows, Row{
 			PTime:      pTime,
 			PMsg:       pMsg,
 			N:          n,
-			TimeFST:    metrics.Summarize(a.tFST),
-			TimeST:     metrics.Summarize(a.tST),
-			MsgFST:     metrics.Summarize(a.mFST),
-			MsgST:      metrics.Summarize(a.mST),
-			OpsFST:     metrics.Summarize(a.oFST),
-			OpsST:      metrics.Summarize(a.oST),
-			EnergyFST:  metrics.Summarize(a.eFST),
-			EnergyST:   metrics.Summarize(a.eST),
-			ActiveFST:  metrics.Summarize(a.aFST),
-			ActiveST:   metrics.Summarize(a.aST),
-			ConvFST:    a.cFST,
-			ConvST:     a.cST,
+			TimeFST:    metrics.Summarize(a.time[iFST]),
+			TimeST:     metrics.Summarize(a.time[iST]),
+			MsgFST:     metrics.Summarize(a.msg[iFST]),
+			MsgST:      metrics.Summarize(a.msg[iST]),
+			OpsFST:     metrics.Summarize(a.ops[iFST]),
+			OpsST:      metrics.Summarize(a.ops[iST]),
+			EnergyFST:  metrics.Summarize(a.energy[iFST]),
+			EnergyST:   metrics.Summarize(a.energy[iST]),
+			ActiveFST:  metrics.Summarize(a.active[iFST]),
+			ActiveST:   metrics.Summarize(a.active[iST]),
+			ConvFST:    a.conv[iFST],
+			ConvST:     a.conv[iST],
 			TreePhases: metrics.Summarize(a.phases),
 		})
 	}

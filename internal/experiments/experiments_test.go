@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -45,32 +46,101 @@ func TestRunSweepShape(t *testing.T) {
 	}
 }
 
+// sweepDrivers runs each sweep driver behind one signature, so the contracts
+// of the runner they share are checked once per driver. delays is the
+// length of the driver's max-delay axis (jobs per size and seed and
+// protocol).
+var sweepDrivers = []struct {
+	name   string
+	delays int
+	run    func(Options) (any, error)
+}{
+	{"sweep", 1, func(o Options) (any, error) { return RunSweep(o) }},
+	{"recovery", 1, func(o Options) (any, error) { return RunRecoverySweep(o) }},
+	{"delay", len(delayFractions), func(o Options) (any, error) { return RunDelaySweep(o) }},
+}
+
+// TestRunSweepDeterministicAcrossWorkerCounts pins rows bit-identical at any
+// worker count. It needs three or more seeds per point: Summarize sums floats
+// in input order, and a+b is exact in either order, so only a longer sum
+// shows a fold that follows completion order instead of job order.
 func TestRunSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	opts := smallOptions()
-	opts.Workers = 1
-	serial, err := RunSweep(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 4
-	parallel, err := RunSweep(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i].TimeFST.Mean != parallel[i].TimeFST.Mean ||
-			serial[i].MsgST.Mean != parallel[i].MsgST.Mean {
-			t.Errorf("row %d differs between 1 and 4 workers", i)
-		}
+	for _, d := range sweepDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			opts := smallOptions()
+			opts.Seeds = 4
+			opts.Workers = 1
+			serial, err := d.run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Workers = 4
+			for rep := 0; rep < 3; rep++ {
+				parallel, err := d.run(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(serial, parallel) {
+					t.Fatalf("repeat %d: rows differ between 1 and 4 workers:\n%+v\n%+v",
+						rep, serial, parallel)
+				}
+			}
+		})
 	}
 }
 
 func TestRunSweepEmpty(t *testing.T) {
-	if _, err := RunSweep(Options{}); err == nil {
-		t.Error("empty sweep should error")
+	for _, d := range sweepDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			if _, err := d.run(Options{}); err == nil {
+				t.Error("empty sweep should error")
+			}
+			if _, err := d.run(Options{Sizes: []int{10}, Seeds: 0}); err == nil {
+				t.Error("zero seeds should error")
+			}
+		})
 	}
-	if _, err := RunSweep(Options{Sizes: []int{10}, Seeds: 0}); err == nil {
-		t.Error("zero seeds should error")
+}
+
+// TestRunDelaySweepShape pins the delay grid — rows ordered by (N,
+// DelaySlots) over the delays {0, T/8, T/4, T/2} — and the lockstep
+// cross-check the zero-delay row provides: with every run converged, its
+// convergence summaries equal RunSweep's for the same sizes and seeds.
+func TestRunDelaySweepShape(t *testing.T) {
+	opts := smallOptions()
+	rows, err := RunDelaySweep(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lock, err := RunSweep(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	T := core.PaperConfig(20, 1).PeriodSlots
+	delays := []int{0, T / 8, T / 4, T / 2}
+	if len(rows) != len(opts.Sizes)*len(delays) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(opts.Sizes)*len(delays))
+	}
+	for i, r := range rows {
+		n, d := opts.Sizes[i/len(delays)], delays[i%len(delays)]
+		if r.N != n || r.DelaySlots != d {
+			t.Fatalf("row %d is (n=%d, delay=%d), want (%d, %d)", i, r.N, r.DelaySlots, n, d)
+		}
+		if r.ConvFST.N != r.ConvergedFST || r.ConvST.N != r.ConvergedST {
+			t.Errorf("row %d: summaries over %d/%d runs, converged %d/%d",
+				i, r.ConvFST.N, r.ConvST.N, r.ConvergedFST, r.ConvergedST)
+		}
+		if d != 0 {
+			continue
+		}
+		l := lock[i/len(delays)]
+		if r.ConvergedFST != opts.Seeds || r.ConvergedST != opts.Seeds || l.ConvFST != opts.Seeds || l.ConvST != opts.Seeds {
+			t.Fatalf("n=%d: not every lockstep run converged; the cross-check needs them all", n)
+		}
+		if r.ConvFST != l.TimeFST || r.ConvST != l.TimeST {
+			t.Errorf("n=%d: zero-delay row differs from RunSweep:\nFST %+v vs %+v\nST  %+v vs %+v",
+				n, r.ConvFST, l.TimeFST, r.ConvST, l.TimeST)
+		}
 	}
 }
 

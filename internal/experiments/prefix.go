@@ -35,8 +35,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -142,9 +140,6 @@ func RunBranches(cfg core.Config, proto core.Protocol, prefixSlot units.Slot, br
 	case prefixSlot < 0:
 		return core.Result{}, nil, fmt.Errorf("experiments: negative prefix slot %d", prefixSlot)
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	if cfg.Geometry == nil {
 		cfg.Geometry = core.NewGeometryCache()
 	}
@@ -171,45 +166,31 @@ func RunBranches(cfg core.Config, proto core.Protocol, prefixSlot units.Slot, br
 	base := proto.Run(env)
 
 	results := make([]BranchResult, len(branches))
-	errs := make([]error, len(branches))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range branches {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			b := branches[i]
-			bcfg := cfg
-			if b.Configure != nil {
-				b.Configure(&bcfg)
-			}
-			bcfg.Faults = b.Faults
-			shared := capture != nil && branchShareable(cfg, b, units.Slot(capture.Slot))
-			if shared {
-				// Every branch resumes from its own deep copy: restore
-				// overlays state by reference in places, and branches run
-				// concurrently.
-				bcfg.Resume = capture.Clone()
-				bcfg.ForkStreams = b.ForkStreams
-			} else if b.ForkStreams != "" {
-				errs[i] = fmt.Errorf("experiments: branch %q forks streams but no prefix capture is available", b.Name)
-				return
-			}
-			benv, err := core.NewEnv(bcfg)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = BranchResult{Name: b.Name, SharedPrefix: shared, Res: proto.Run(benv)}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return core.Result{}, nil, err
+	err = forEach(workers, len(branches), func(i int) error {
+		b := branches[i]
+		bcfg := cfg
+		if b.Configure != nil {
+			b.Configure(&bcfg)
 		}
+		bcfg.Faults = b.Faults
+		shared := capture != nil && branchShareable(cfg, b, units.Slot(capture.Slot))
+		if shared {
+			// Every branch resumes from its own deep copy: restore overlays
+			// state by reference in places, and branches run concurrently.
+			bcfg.Resume = capture.Clone()
+			bcfg.ForkStreams = b.ForkStreams
+		} else if b.ForkStreams != "" {
+			return fmt.Errorf("experiments: branch %q forks streams but no prefix capture is available", b.Name)
+		}
+		benv, err := core.NewEnv(bcfg)
+		if err != nil {
+			return err
+		}
+		results[i] = BranchResult{Name: b.Name, SharedPrefix: shared, Res: proto.Run(benv)}
+		return nil
+	})
+	if err != nil {
+		return core.Result{}, nil, err
 	}
 	return base, results, nil
 }

@@ -24,7 +24,7 @@ const ProgressEventSchema = 1
 type ProgressEvent struct {
 	// Schema is ProgressEventSchema at write time.
 	Schema int `json:"schema"`
-	// Sweep names the driver ("sweep", "recovery").
+	// Sweep names the driver ("sweep", "recovery", "delay").
 	Sweep string `json:"sweep"`
 	// Done counts finished jobs including this one; Total the sweep size.
 	Done  int `json:"done"`
@@ -32,8 +32,9 @@ type ProgressEvent struct {
 	// N and Protocol identify the job.
 	N        int    `json:"n"`
 	Protocol string `json:"protocol"`
-	// Cached reports the result was served from the result cache instead
-	// of simulated.
+	// Cached reports that every run of the job (the reference and derived
+	// runs of the recovery and delay drivers) was served from the result
+	// cache instead of simulated.
 	Cached bool `json:"cached,omitempty"`
 	// PrefixResumed reports a derived run resumed from a shared prefix
 	// checkpoint instead of replaying from slot 1 (recovery sweep).

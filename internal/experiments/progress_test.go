@@ -79,30 +79,41 @@ func TestRunSweepProgressStream(t *testing.T) {
 	}
 }
 
+// TestRunSweepProgressReportsCacheHits pins the cached flag for every
+// driver: a job all of whose runs (reference and derived) were served from
+// the result cache reports cached.
 func TestRunSweepProgressReportsCacheHits(t *testing.T) {
-	cache := NewResultCache(16, "")
-	opts := smallOptions()
-	opts.Cache = cache
-	if _, err := RunSweep(opts); err != nil {
-		t.Fatal(err)
-	}
-	var buf syncBuffer
-	opts.Progress = &buf
-	if _, err := RunSweep(opts); err != nil {
-		t.Fatal(err)
-	}
-	evs := decodeProgress(t, buf.String())
-	if len(evs) != 8 {
-		t.Fatalf("got %d events, want 8", len(evs))
-	}
-	for i, ev := range evs {
-		if !ev.Cached {
-			t.Errorf("event %d: second identical sweep should be fully cached", i)
-		}
-	}
-	last := evs[len(evs)-1]
-	if last.CacheHits < 8 {
-		t.Errorf("final event reports %d cumulative hits, want >= 8", last.CacheHits)
+	for _, d := range sweepDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			opts := smallOptions()
+			opts.Sizes = []int{20}
+			opts.Cache = NewResultCache(0, "")
+			if _, err := d.run(opts); err != nil {
+				t.Fatal(err)
+			}
+			var buf syncBuffer
+			opts.Progress = &buf
+			if _, err := d.run(opts); err != nil {
+				t.Fatal(err)
+			}
+			evs := decodeProgress(t, buf.String())
+			jobs := len(opts.Sizes) * opts.Seeds * 2 * d.delays
+			if len(evs) != jobs {
+				t.Fatalf("got %d events, want %d", len(evs), jobs)
+			}
+			for i, ev := range evs {
+				if ev.Sweep != d.name {
+					t.Errorf("event %d: sweep label %q, want %q", i, ev.Sweep, d.name)
+				}
+				if !ev.Cached {
+					t.Errorf("event %d: second identical sweep should be fully cached", i)
+				}
+			}
+			last := evs[len(evs)-1]
+			if last.CacheHits < uint64(jobs) {
+				t.Errorf("final event reports %d cumulative hits, want >= %d", last.CacheHits, jobs)
+			}
+		})
 	}
 }
 

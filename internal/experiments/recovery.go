@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -64,216 +62,103 @@ func recoveryPlan(cfg core.Config, convergedAt units.Slot) *faults.Plan {
 	return p
 }
 
+// healing folds the derived crash-wave runs of one protocol at one sweep
+// point (recovery and delay drivers). A nil run is a job whose reference
+// run left nothing to fault.
+type healing struct {
+	attempted, healed int
+	rec, repairs      []float64
+}
+
+func (h *healing) add(res *core.Result) {
+	if res == nil {
+		return
+	}
+	h.attempted++
+	if res.Recoveries > 0 {
+		h.healed++
+		h.rec = append(h.rec, float64(res.RecoverySlots))
+		h.repairs = append(h.repairs, float64(res.Repairs))
+	}
+}
+
 // RunRecoverySweep executes the recovery sweep and returns one row per
 // size, ordered by N.
 func RunRecoverySweep(opts Options) ([]RecoveryRow, error) {
-	if len(opts.Sizes) == 0 || opts.Seeds < 1 {
-		return nil, fmt.Errorf("experiments: empty sweep")
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-
-	var jobs []job
-	for _, n := range opts.Sizes {
-		for s := 0; s < opts.Seeds; s++ {
-			seed := opts.BaseSeed + int64(s)
-			jobs = append(jobs, job{n: n, seed: seed, proto: core.FST{}})
-			jobs = append(jobs, job{n: n, seed: seed, proto: core.ST{}})
-		}
-	}
-
-	// Reference and faulted run of a job share a deployment; the geometry
-	// memoization builds it once per (n, seed).
-	geom := opts.Geometry
-	if geom == nil {
-		geom = core.NewGeometryCache()
-	}
-
-	// One progress line per job (a job = reference run + derived faulted
-	// run), flagging whether the faulted branch reused a prefix checkpoint.
-	prog := newProgressReporter(opts.Progress, "recovery", len(jobs), opts.Cache)
-
-	type recOutcome struct {
-		n         int
-		fst       bool
-		attempted bool
-		res       core.Result
-	}
-	jobCh := make(chan job)
-	outCh := make(chan recOutcome, len(jobs))
-	errCh := make(chan error, workers)
-	// See RunSweep: abort unblocks the producer when a worker exits early.
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	fail := func(err error) {
-		errCh <- err
-		abortOnce.Do(func() { close(abort) })
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				build := func() core.Config {
-					cfg := core.PaperConfig(j.n, j.seed)
-					cfg.Workers = opts.SlotWorkers
-					if opts.MaxSlots > 0 {
-						cfg.MaxSlots = opts.MaxSlots
-					}
-					if opts.Configure != nil {
-						opts.Configure(&cfg)
-					}
-					cfg.Geometry = geom
-					return cfg
-				}
-				run := func(cfg core.Config) (core.Result, error) {
-					key, cacheable := "", false
-					if opts.Cache != nil {
-						key, cacheable = CacheKey(cfg, j.proto.Name())
-						if cacheable {
-							if res, hit := opts.Cache.Get(key); hit {
-								return res, nil
-							}
-						}
-					}
-					env, err := core.NewEnv(cfg)
-					if err != nil {
-						return core.Result{}, err
-					}
-					res := j.proto.Run(env)
-					if cacheable {
-						opts.Cache.Put(key, res)
-					}
-					return res, nil
-				}
-				// Shared-prefix reuse (Options.PrefixSlots): the reference
-				// run keeps a rolling ring of in-memory checkpoints. The
-				// derived plan's crash wave lands two periods after the
-				// observed convergence slot, so any checkpoint at or before
-				// that slot satisfies the prefix-shareability margin (first
-				// action >= resume slot + 2 periods) and the faulted run can
-				// resume from it instead of replaying the whole pre-fault
-				// trajectory. RecoveryRow carries no ActiveSlots, so the
-				// checkpoint-boundary stepping the reference run adds (and
-				// the resumed run's inherited accounting) shifts nothing a
-				// row reports — prefix_test.go pins row equality.
-				refCfg := build()
-				var ring []*snapshot.State
-				if opts.PrefixSlots != 0 {
-					cadence := opts.PrefixSlots
-					if cadence < 0 { // auto: five firing periods
-						cadence = 5 * units.Slot(refCfg.PeriodSlots)
-					}
-					refCfg.CheckpointEvery = cadence
-					refCfg.OnCheckpoint = func(st *snapshot.State) {
-						if len(ring) >= recoveryPrefixRing {
-							copy(ring, ring[1:])
-							ring[len(ring)-1] = st
-							return
-						}
-						ring = append(ring, st)
-					}
-				}
-				ref, err := run(refCfg)
-				if err != nil {
-					fail(err)
+	// A job is the reference run plus its derived faulted run; its outcome
+	// is the faulted run's result, nil when there was none.
+	jobs, out, err := runSweep(opts, "recovery", lockstep, func(r *sweepRun) (*core.Result, error) {
+		// Shared-prefix reuse (Options.PrefixSlots): the reference run
+		// keeps a rolling ring of in-memory checkpoints. The derived plan's
+		// crash wave lands two periods after the observed convergence slot,
+		// so any checkpoint at or before that slot satisfies the
+		// prefix-shareability margin (first action >= resume slot + 2
+		// periods) and the faulted run can resume from it instead of
+		// replaying the whole pre-fault trajectory. RecoveryRow carries no
+		// ActiveSlots, so the checkpoint-boundary stepping the reference run
+		// adds (and the resumed run's inherited accounting) shifts nothing a
+		// row reports — prefix_test.go pins row equality.
+		refCfg := r.config()
+		var ring []*snapshot.State
+		if opts.PrefixSlots != 0 {
+			cadence := opts.PrefixSlots
+			if cadence < 0 { // auto: five firing periods
+				cadence = 5 * units.Slot(refCfg.PeriodSlots)
+			}
+			refCfg.CheckpointEvery = cadence
+			refCfg.OnCheckpoint = func(st *snapshot.State) {
+				if len(ring) >= recoveryPrefixRing {
+					copy(ring, ring[1:])
+					ring[len(ring)-1] = st
 					return
 				}
-				out := recOutcome{n: j.n, fst: j.proto.Name() == "FST"}
-				resumed := false
-				if ref.Converged {
-					if plan := recoveryPlan(build(), ref.ConvergenceSlots); plan != nil {
-						cfg := build()
-						cfg.Faults = plan
-						for i := len(ring) - 1; i >= 0; i-- {
-							if units.Slot(ring[i].Slot) <= ref.ConvergenceSlots {
-								cfg.Resume = ring[i]
-								resumed = true
-								break
-							}
-						}
-						res, err := run(cfg)
-						if err != nil {
-							fail(err)
-							return
-						}
-						out.attempted = true
-						out.res = res
-						if opts.OnResult != nil {
-							opts.OnResult(j.n, j.proto.Name(), res)
-						}
-					}
-				}
-				prog.jobDone(j.n, j.proto.Name(), false, resumed)
-				outCh <- out
+				ring = append(ring, st)
 			}
-		}()
-	}
-feed:
-	for _, j := range jobs {
-		select {
-		case jobCh <- j:
-		case <-abort:
-			break feed
 		}
-	}
-	close(jobCh)
-	wg.Wait()
-	close(outCh)
-	select {
-	case err := <-errCh:
+		ref, err := r.run(refCfg)
+		if err != nil || !ref.Converged {
+			return nil, err
+		}
+		cfg := r.config()
+		if cfg.Faults = recoveryPlan(cfg, ref.ConvergenceSlots); cfg.Faults == nil {
+			return nil, nil
+		}
+		for i := len(ring) - 1; i >= 0; i-- {
+			if units.Slot(ring[i].Slot) <= ref.ConvergenceSlots {
+				cfg.Resume = ring[i]
+				r.resumed = true
+				break
+			}
+		}
+		res, err := r.run(cfg)
+		return &res, err
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 
-	type acc struct {
-		recFST, recST, repFST, repST []float64
-		healFST, healST              int
-		attFST, attST                int
-	}
-	byN := make(map[int]*acc)
-	for o := range outCh {
-		a := byN[o.n]
-		if a == nil {
-			a = &acc{}
-			byN[o.n] = a
+	byN := make(map[int]*[2]healing)
+	for i, j := range jobs {
+		h := byN[j.n]
+		if h == nil {
+			h = &[2]healing{}
+			byN[j.n] = h
 		}
-		if !o.attempted {
-			continue
-		}
-		healed := o.res.Recoveries > 0
-		if o.fst {
-			a.attFST++
-			if healed {
-				a.healFST++
-				a.recFST = append(a.recFST, float64(o.res.RecoverySlots))
-				a.repFST = append(a.repFST, float64(o.res.Repairs))
-			}
-		} else {
-			a.attST++
-			if healed {
-				a.healST++
-				a.recST = append(a.recST, float64(o.res.RecoverySlots))
-				a.repST = append(a.repST, float64(o.res.Repairs))
-			}
-		}
+		h[j.p].add(out[i])
 	}
 
 	rows := make([]RecoveryRow, 0, len(byN))
-	for n, a := range byN {
+	for n, h := range byN {
 		rows = append(rows, RecoveryRow{
 			N:            n,
-			RecTimeFST:   metrics.Summarize(a.recFST),
-			RecTimeST:    metrics.Summarize(a.recST),
-			RepairsFST:   metrics.Summarize(a.repFST),
-			RepairsST:    metrics.Summarize(a.repST),
-			HealedFST:    a.healFST,
-			HealedST:     a.healST,
-			AttemptedFST: a.attFST,
-			AttemptedST:  a.attST,
+			RecTimeFST:   metrics.Summarize(h[iFST].rec),
+			RecTimeST:    metrics.Summarize(h[iST].rec),
+			RepairsFST:   metrics.Summarize(h[iFST].repairs),
+			RepairsST:    metrics.Summarize(h[iST].repairs),
+			HealedFST:    h[iFST].healed,
+			HealedST:     h[iST].healed,
+			AttemptedFST: h[iFST].attempted,
+			AttemptedST:  h[iST].attempted,
 		})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].N < rows[j].N })

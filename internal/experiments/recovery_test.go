@@ -35,33 +35,6 @@ func TestRunRecoverySweepShape(t *testing.T) {
 	}
 }
 
-func TestRunRecoverySweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	opts := smallOptions()
-	opts.Sizes = []int{30}
-	opts.Workers = 1
-	serial, err := RunRecoverySweep(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 4
-	parallel, err := RunRecoverySweep(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Errorf("row %d differs between 1 and 4 workers:\n%+v\n%+v",
-				i, serial[i], parallel[i])
-		}
-	}
-}
-
-func TestRunRecoverySweepEmpty(t *testing.T) {
-	if _, err := RunRecoverySweep(Options{}); err == nil {
-		t.Error("empty sweep should error")
-	}
-}
-
 func TestRecoveryTable(t *testing.T) {
 	opts := smallOptions()
 	opts.Sizes = []int{30}
