@@ -14,7 +14,7 @@ all: build vet test
 ci: build vet test race-core resume-guard net-guard bench-shard bench-sweep bench-runstats bench-net
 
 race-core:
-	$(GO) test -race ./internal/core/... ./internal/firefly/... ./internal/experiments/...
+	$(GO) test -race ./internal/core/... ./internal/firefly/... ./internal/experiments/... ./cmd/d2dsim/...
 
 # Checkpoint/restore correctness spine under the race detector: resume
 # bit-identity across worker counts, shard layouts and the reference

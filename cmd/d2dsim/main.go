@@ -1,15 +1,24 @@
 // Command d2dsim runs the paper's experiments and ablations from the
 // command line and prints the result tables (or CSV for plotting).
 //
+// Every -exp value is an entry of one registry (`d2dsim -h` lists them with
+// a one-line help each). The sweep-backed entries — fig3, fig4, ops, energy,
+// activity, recovery, delay and threeway over -sizes; the ablations, services,
+// cdf and treequality at -n — run on the experiments sweep runner, so
+// -workers, -slotworkers, -maxslots, -cache-dir, -progress and
+// -telemetry-addr apply to all of them and their stdout is identical at any
+// worker count. The rest run directly.
+//
 // Usage:
 //
 //	d2dsim -exp table1
 //	d2dsim -exp fig3 -sizes 50,100,200,400,600,800,1000 -seeds 5
 //	d2dsim -exp fig4 -csv
 //	d2dsim -exp fig2 -n 17
-//	d2dsim -exp ablation-shadowing -n 50 -seeds 3
-//	d2dsim -exp ablation-topology -n 50 -seeds 3
+//	d2dsim -exp ablation-shadowing -n 50 -seeds 3 -workers 4
+//	d2dsim -exp ablation-topology -n 50 -seeds 3 -cache-dir cache -progress
 //	d2dsim -exp ablation-search -sizes 32,128,512
+//	d2dsim -exp threeway -sizes 50,200 -seeds 3
 //	d2dsim -exp single -proto ST -n 200 -seed 7
 //	d2dsim -exp single -proto ST -n 1000 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	d2dsim -exp single -proto ST -n 200 -report run.json
@@ -34,6 +43,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/asciichart"
 	"repro/internal/asyncnet"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -48,13 +58,13 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "fig3", "experiment: table1, fig2, fig3, fig4, ops, recovery, delay, ablation-shadowing, ablation-topology, ablation-drift, ablation-preambles, ablation-search, single")
+		exp         = flag.String("exp", "fig3", expUsage())
 		sizesStr    = flag.String("sizes", "50,100,200,400,600,800,1000", "comma-separated device counts for sweeps")
 		seeds       = flag.Int("seeds", 5, "repetitions per sweep point")
 		baseSeed    = flag.Int64("seed", 1, "base seed")
 		n           = flag.Int("n", 50, "device count for single-size experiments")
 		proto       = flag.String("proto", "ST", "protocol for -exp single: FST or ST")
-		maxSlots    = flag.Int64("maxslots", 0, "override the per-run slot cap (0 = default)")
+		maxSlots    = flag.Int64("maxslots", 0, "override the per-run slot cap of single runs and sweeps (0 = default; ablation-drift keeps its fixed 60000-slot cap)")
 		workers     = flag.Int("workers", 0, "sweep worker pool size (0 = NumCPU)")
 		slotWorkers = flag.Int("slotworkers", 0, "per-run engine workers (0/1 = single-threaded, <0 = NumCPU); the spatial shard count follows from -n and this; results are identical for every value")
 		csv         = flag.Bool("csv", false, "emit CSV instead of an aligned table")
@@ -502,309 +512,275 @@ func protocolByName(name string) (core.Protocol, error) {
 	}
 }
 
-func run(o runOpts) error {
-	exp, seeds, baseSeed, n := o.exp, o.seeds, o.baseSeed, o.n
-	proto, maxSlots := o.proto, o.maxSlots
-	var cache *experiments.ResultCache
-	if o.cacheDir != "" {
-		cache = experiments.NewResultCache(0, o.cacheDir)
+// expKind says how an experiment gets its options: sweep-backed kinds run on
+// the experiments sweep runner with the shared sweepOpts, over the -sizes
+// list (sweepSizes) or the single size -n (sweepN); direct ones read the
+// flags themselves.
+type expKind int
+
+const (
+	direct expKind = iota
+	sweepSizes
+	sweepN
+)
+
+// experiment is one -exp entry of the registry.
+type experiment struct {
+	name string
+	help string
+	kind expKind
+	run  func(*session) error
+}
+
+// session is what an experiment's run func sees: the command's knobs and,
+// for sweep-backed kinds, the options of the sweep runner.
+type session struct {
+	runOpts
+	sweep experiments.Options
+}
+
+// emit writes t to stdout as an aligned table, or CSV under -csv.
+func (s *session) emit(t *metrics.Table) error {
+	if s.csv {
+		return t.RenderCSV(os.Stdout)
 	}
-	var progW io.Writer
-	if o.progress {
-		progW = os.Stderr
-	}
-	// The sweeps' geometry memoization is owned here so its hit/miss
-	// counters can be surfaced after the run (and on /metrics).
-	geom := core.NewGeometryCache()
-	emit := func(t *metrics.Table) error {
-		if o.csv {
-			return t.RenderCSV(os.Stdout)
-		}
-		return t.Render(os.Stdout)
-	}
-	// sweepOpts are the options every sweep driver runs with; each driver
-	// reads only the fields it uses (RunSweep and RunDelaySweep ignore
-	// PrefixSlots).
-	sweepOpts := func() (experiments.Options, error) {
-		sizes, err := parseSizes(o.sizes)
+	return t.Render(os.Stdout)
+}
+
+// table adapts a driver that builds one table to a run func that emits it.
+func table(build func(*session) (*metrics.Table, error)) func(*session) error {
+	return func(s *session) error {
+		t, err := build(s)
 		if err != nil {
-			return experiments.Options{}, err
+			return err
 		}
-		var onResult func(int, string, core.Result)
-		if o.vars != nil {
-			onResult = func(n int, _ string, res core.Result) {
-				o.vars.RecordResult(n, res.Converged, res.ActiveSlots, res.TotalSlots, res.Counters.TotalTx())
-				if res.Net != nil {
-					o.vars.AddNetStats(res.Net.Delayed, res.Net.Duplicated, res.Net.Lost, res.Net.Rejected, res.Net.Peak)
-				}
-			}
-		}
-		return experiments.Options{
-			Sizes: sizes, Seeds: seeds, BaseSeed: baseSeed,
-			MaxSlots: units.Slot(maxSlots), Workers: o.workers,
-			SlotWorkers: o.slotWorkers,
-			PrefixSlots: units.Slot(o.prefixSlots),
-			OnResult:    onResult, Cache: cache,
-			Progress: progW, Geometry: geom,
-		}, nil
+		return s.emit(t)
 	}
-	sweep := func() ([]experiments.Row, error) {
-		opts, err := sweepOpts()
+}
+
+// onSweep is table for a driver that builds its table from the sweep
+// options.
+func onSweep(driver func(experiments.Options) (*metrics.Table, error)) func(*session) error {
+	return table(func(s *session) (*metrics.Table, error) { return driver(s.sweep) })
+}
+
+// emitRows runs a row driver on the sweep options and emits the table
+// render makes of its rows, then, under -plot, the chart draws (when
+// non-nil), and with stats the cache counters.
+func emitRows[R any](driver func(experiments.Options) ([]R, error), render func([]R) *metrics.Table, chart func([]R) *asciichart.Chart, stats bool) func(*session) error {
+	return func(s *session) error {
+		rows, err := driver(s.sweep)
+		if err != nil {
+			return err
+		}
+		if err := s.emit(render(rows)); err != nil {
+			return err
+		}
+		if s.plot && chart != nil {
+			out, err := chart(rows).Render()
+			if err != nil {
+				return err
+			}
+			fmt.Println()
+			fmt.Print(out)
+		}
+		if stats {
+			printCacheStats(s.sweep.Cache, s.sweep.Geometry, s.vars)
+		}
+		return nil
+	}
+}
+
+// registry lists every -exp value. The -exp help text and the
+// unknown-experiment error are generated from it.
+var registry = []experiment{
+	{"table1", "Table I: the live simulation parameters", direct, table(func(*session) (*metrics.Table, error) {
+		return experiments.TableI(), nil
+	})},
+	{"fig2", "Fig. 2: the ST spanning tree over -n UEs", direct, runFig2},
+	{"fig3", "Fig. 3: convergence time vs. scale over -sizes (-plot draws it)", sweepSizes,
+		emitRows(experiments.RunSweep, experiments.Fig3Table, experiments.Fig3Chart, false)},
+	{"fig4", "Fig. 4: control messages vs. scale over -sizes (-plot draws it)", sweepSizes,
+		emitRows(experiments.RunSweep, experiments.Fig4Table, experiments.Fig4Chart, false)},
+	{"ops", "ranking operations vs. scale over -sizes", sweepSizes,
+		emitRows(experiments.RunSweep, experiments.OpsTable, nil, false)},
+	{"energy", "battery cost to convergence over -sizes", sweepSizes,
+		emitRows(experiments.RunSweep, experiments.EnergyTable, nil, false)},
+	{"activity", "active-slot ratio and energy over -sizes", sweepSizes,
+		emitRows(experiments.RunSweep, experiments.ActivityTable, nil, true)},
+	{"recovery", "self-healing after a 20% crash wave over -sizes", sweepSizes,
+		emitRows(experiments.RunRecoverySweep, experiments.RecoveryTable, nil, true)},
+	{"delay", "convergence and recovery under bounded message delay over -sizes", sweepSizes,
+		emitRows(experiments.RunDelaySweep, experiments.DelayTable, nil, true)},
+	{"threeway", "FST vs ST vs the BS-assisted reference over -sizes", sweepSizes, onSweep(experiments.ThreeWay)},
+	{"ablation-shadowing", "ablation A: ST vs shadowing sigma at -n", sweepN, onSweep(experiments.AblationShadowing)},
+	{"ablation-topology", "ablation B: tree vs mesh coupling at -n", sweepN, onSweep(experiments.AblationTopology)},
+	{"ablation-search", "ablation C: Algorithm 3 basic vs ordered over -sizes", direct, table(func(s *session) (*metrics.Table, error) {
+		sizes, err := parseSizes(s.sizes)
 		if err != nil {
 			return nil, err
 		}
-		return experiments.RunSweep(opts)
-	}
+		return experiments.AblationSearch(sizes, 5, s.baseSeed)
+	})},
+	{"ablation-drift", "ablation D: clock drift tolerance at -n", sweepN, onSweep(experiments.AblationDrift)},
+	{"ablation-preambles", "ablation E: PRACH preamble pool size at -n", sweepN, onSweep(experiments.AblationPreambles)},
+	{"ablation-detection", "ablation F: threshold vs SINR detection at -n", sweepN, onSweep(experiments.AblationDetection)},
+	{"ablation-channel", "ablation G: i.i.d. vs correlated channel at -n", sweepN, onSweep(experiments.AblationChannel)},
+	{"ablation-capture", "ablation H: capture margin at -n", sweepN, onSweep(experiments.AblationCapture)},
+	{"services", "service-interest groups at -n", sweepN, onSweep(experiments.Services)},
+	{"cdf", "convergence-time percentiles at -n (>= 3 seeds)", sweepN, onSweep(experiments.ConvergenceDistribution)},
+	{"treequality", "tree weight vs ideal and hop stretch at -n", sweepN, onSweep(experiments.TreeQuality)},
+	{"timeline", "discovery and synchrony progress of one ST run at -n", direct, table(func(s *session) (*metrics.Table, error) {
+		return experiments.Timeline(s.n, s.baseSeed)
+	})},
+	{"mobility", "ST re-convergence after pedestrian walks at -n", direct, table(func(s *session) (*metrics.Table, error) {
+		return experiments.Mobility(s.n, 4, 120, s.baseSeed)
+	})},
+	{"discovery", "neighbour-discovery baselines at -n", direct, table(func(s *session) (*metrics.Table, error) {
+		return experiments.DiscoverySchedules(s.n, s.baseSeed, s.maxSlots)
+	})},
+	{"underlay", "D2D underlay capacity on one cell", direct, table(func(s *session) (*metrics.Table, error) {
+		return experiments.Underlay(nil, s.baseSeed)
+	})},
+	{"single", "one -proto run at -n (faults, net, checkpoints, report, runstats)", direct, runSingle},
+}
 
-	switch exp {
-	case "table1":
-		return emit(experiments.TableI())
-	case "fig2":
-		f, err := experiments.Fig2Tree(n, baseSeed)
-		if err != nil {
-			return err
+// lookup returns the registered experiment called name.
+func lookup(name string) (experiment, error) {
+	for _, e := range registry {
+		if e.name == name {
+			return e, nil
 		}
-		fmt.Print(f.Render())
-		return nil
-	case "fig3":
-		rows, err := sweep()
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.Fig3Table(rows)); err != nil {
-			return err
-		}
-		if o.plot {
-			out, err := experiments.Fig3Chart(rows).Render()
-			if err != nil {
-				return err
-			}
-			fmt.Println()
-			fmt.Print(out)
-		}
-		return nil
-	case "fig4":
-		rows, err := sweep()
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.Fig4Table(rows)); err != nil {
-			return err
-		}
-		if o.plot {
-			out, err := experiments.Fig4Chart(rows).Render()
-			if err != nil {
-				return err
-			}
-			fmt.Println()
-			fmt.Print(out)
-		}
-		return nil
-	case "ops":
-		rows, err := sweep()
-		if err != nil {
-			return err
-		}
-		return emit(experiments.OpsTable(rows))
-	case "recovery":
-		opts, err := sweepOpts()
-		if err != nil {
-			return err
-		}
-		rows, err := experiments.RunRecoverySweep(opts)
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.RecoveryTable(rows)); err != nil {
-			return err
-		}
-		printCacheStats(cache, geom, o.vars)
-		return nil
-	case "delay":
-		opts, err := sweepOpts()
-		if err != nil {
-			return err
-		}
-		rows, err := experiments.RunDelaySweep(opts)
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.DelayTable(rows)); err != nil {
-			return err
-		}
-		printCacheStats(cache, geom, o.vars)
-		return nil
-	case "energy":
-		rows, err := sweep()
-		if err != nil {
-			return err
-		}
-		return emit(experiments.EnergyTable(rows))
-	case "activity":
-		rows, err := sweep()
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.ActivityTable(rows)); err != nil {
-			return err
-		}
-		printCacheStats(cache, geom, o.vars)
-		return nil
-	case "ablation-shadowing":
-		t, err := experiments.AblationShadowing(n, seeds, baseSeed)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "ablation-topology":
-		t, err := experiments.AblationTopology(n, seeds, baseSeed)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "services":
-		t, err := experiments.Services(n, seeds, baseSeed, nil)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "mobility":
-		t, err := experiments.Mobility(n, 4, 120, baseSeed)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "ablation-capture":
-		t, err := experiments.AblationCapture(n, seeds, baseSeed)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "timeline":
-		t, err := experiments.Timeline(n, baseSeed)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "ablation-channel":
-		t, err := experiments.AblationChannel(n, seeds, baseSeed)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "cdf":
-		t, err := experiments.ConvergenceDistribution(n, seeds, baseSeed)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "underlay":
-		t, err := experiments.Underlay(nil, baseSeed)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "treequality":
-		t, err := experiments.TreeQuality(n, seeds, baseSeed)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "discovery":
-		t, err := experiments.DiscoverySchedules(n, baseSeed, maxSlots)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "threeway":
-		sizes, err := parseSizes(o.sizes)
-		if err != nil {
-			return err
-		}
-		t, err := experiments.ThreeWay(sizes, seeds, baseSeed)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "ablation-detection":
-		t, err := experiments.AblationDetection(n, seeds, baseSeed)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "ablation-preambles":
-		t, err := experiments.AblationPreambles(n, seeds, baseSeed, nil)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "ablation-drift":
-		t, err := experiments.AblationDrift(n, seeds, baseSeed, nil)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "ablation-search":
-		sizes, err := parseSizes(o.sizes)
-		if err != nil {
-			return err
-		}
-		t, err := experiments.AblationSearch(sizes, 5, baseSeed)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	case "single":
-		cfg := core.PaperConfig(n, baseSeed)
-		cfg.Workers = o.slotWorkers
-		cfg.Faults = o.faults
-		attachNet(&cfg, o.net)
-		if maxSlots > 0 {
-			cfg.MaxSlots = units.Slot(maxSlots)
-		}
-		var rs *telemetry.RunStats
-		if o.runStats {
-			rs = telemetry.NewRunStats()
-			cfg.RunStats = rs
-		}
-		if err := o.checkpoint.apply(&cfg, proto, rs); err != nil {
-			return err
-		}
-		telRun := attachTelemetry(&cfg, o.report, o.vars)
-		env, err := core.NewEnv(cfg)
-		if err != nil {
-			return err
-		}
-		p, err := protocolByName(proto)
-		if err != nil {
-			return err
-		}
-		res := p.Run(env)
-		fmt.Println(res)
-		fmt.Printf("service discovery: %.1f%%, discovered links: %d\n",
-			100*res.ServiceDiscovery, res.DiscoveredLinks)
-		printSlotRatio(res)
-		printRecovery(o.faults, res)
-		printNet(o.net, res)
-		if res.TreeEdges != nil {
-			fmt.Printf("tree: %d edges over %d phases, weight %.1f\n",
-				len(res.TreeEdges), res.TreePhases, res.TreeWeight)
-		}
-		recordSingle(o.vars, cfg.N, res)
-		printRunStats(rs, o.vars)
-		if o.report != "" {
-			// The single run is exactly manifest.Default(n, seed) with the
-			// slot-cap override, so the embedded manifest re-executes it.
-			m := manifest.Default(n, baseSeed)
-			if maxSlots > 0 {
-				m.MaxSlots = maxSlots
-			}
-			return writeReport(o.report, p.Name(), m, telRun, rs, res, env.Transport.Collisions())
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
 	}
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return experiment{}, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(names, ", "))
+}
+
+// expUsage is the -exp flag's help text: one line per registered experiment.
+func expUsage() string {
+	var b strings.Builder
+	b.WriteString("experiment to run:")
+	for _, e := range registry {
+		fmt.Fprintf(&b, "\n  %-19s %s", e.name, e.help)
+	}
+	return b.String()
+}
+
+func run(o runOpts) error {
+	e, err := lookup(o.exp)
+	if err != nil {
+		return err
+	}
+	s := &session{runOpts: o}
+	if e.kind != direct {
+		if s.sweep, err = s.sweepOpts(e.kind); err != nil {
+			return err
+		}
+	}
+	return e.run(s)
+}
+
+// sweepOpts are the options every sweep-backed experiment runs with; each
+// driver reads only the fields it uses (only the recovery sweep reads
+// PrefixSlots). They carry their own caches so the counters can be surfaced
+// after the run (and on /metrics).
+func (s *session) sweepOpts(kind expKind) (experiments.Options, error) {
+	sizes := []int{s.n}
+	if kind == sweepSizes {
+		var err error
+		if sizes, err = parseSizes(s.sizes); err != nil {
+			return experiments.Options{}, err
+		}
+	}
+	var cache *experiments.ResultCache
+	if s.cacheDir != "" {
+		cache = experiments.NewResultCache(0, s.cacheDir)
+	}
+	var progW io.Writer
+	if s.progress {
+		progW = os.Stderr
+	}
+	var onResult func(int, string, core.Result)
+	if vars := s.vars; vars != nil {
+		onResult = func(n int, _ string, res core.Result) {
+			vars.RecordResult(n, res.Converged, res.ActiveSlots, res.TotalSlots, res.Counters.TotalTx())
+			if res.Net != nil {
+				vars.AddNetStats(res.Net.Delayed, res.Net.Duplicated, res.Net.Lost, res.Net.Rejected, res.Net.Peak)
+			}
+		}
+	}
+	return experiments.Options{
+		Sizes: sizes, Seeds: s.seeds, BaseSeed: s.baseSeed,
+		MaxSlots: units.Slot(s.maxSlots), Workers: s.workers,
+		SlotWorkers: s.slotWorkers,
+		PrefixSlots: units.Slot(s.prefixSlots),
+		OnResult:    onResult, Cache: cache,
+		Progress: progW, Geometry: core.NewGeometryCache(),
+	}, nil
+}
+
+func runFig2(s *session) error {
+	f, err := experiments.Fig2Tree(s.n, s.baseSeed)
+	if err != nil {
+		return err
+	}
+	fmt.Print(f.Render())
+	return nil
+}
+
+// runSingle runs one protocol at -n with the single-run flags applied.
+func runSingle(s *session) error {
+	o, n, baseSeed, maxSlots, proto := s.runOpts, s.n, s.baseSeed, s.maxSlots, s.proto
+	cfg := core.PaperConfig(n, baseSeed)
+	cfg.Workers = o.slotWorkers
+	cfg.Faults = o.faults
+	attachNet(&cfg, o.net)
+	if maxSlots > 0 {
+		cfg.MaxSlots = units.Slot(maxSlots)
+	}
+	var rs *telemetry.RunStats
+	if o.runStats {
+		rs = telemetry.NewRunStats()
+		cfg.RunStats = rs
+	}
+	if err := o.checkpoint.apply(&cfg, proto, rs); err != nil {
+		return err
+	}
+	telRun := attachTelemetry(&cfg, o.report, o.vars)
+	env, err := core.NewEnv(cfg)
+	if err != nil {
+		return err
+	}
+	p, err := protocolByName(proto)
+	if err != nil {
+		return err
+	}
+	res := p.Run(env)
+	fmt.Println(res)
+	fmt.Printf("service discovery: %.1f%%, discovered links: %d\n",
+		100*res.ServiceDiscovery, res.DiscoveredLinks)
+	printSlotRatio(res)
+	printRecovery(o.faults, res)
+	printNet(o.net, res)
+	if res.TreeEdges != nil {
+		fmt.Printf("tree: %d edges over %d phases, weight %.1f\n",
+			len(res.TreeEdges), res.TreePhases, res.TreeWeight)
+	}
+	recordSingle(o.vars, cfg.N, res)
+	printRunStats(rs, o.vars)
+	if o.report != "" {
+		// The single run is exactly manifest.Default(n, seed) with the
+		// slot-cap override, so the embedded manifest re-executes it.
+		m := manifest.Default(n, baseSeed)
+		if maxSlots > 0 {
+			m.MaxSlots = maxSlots
+		}
+		return writeReport(o.report, p.Name(), m, telRun, rs, res, env.Transport.Collisions())
+	}
+	return nil
 }
 
 func parseSizes(s string) ([]int, error) {

@@ -3,7 +3,9 @@ package main
 import (
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -47,8 +49,14 @@ func TestParseSizesErrors(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	o := base()
 	o.exp = "nonsense"
-	if err := run(o); err == nil {
-		t.Error("unknown experiment should error")
+	err := run(o)
+	if err == nil {
+		t.Fatal("unknown experiment should error")
+	}
+	for _, e := range registry {
+		if !strings.Contains(err.Error(), e.name) {
+			t.Errorf("error %q does not list %s", err, e.name)
+		}
 	}
 }
 
@@ -93,18 +101,130 @@ func TestRunFig2(t *testing.T) {
 	}
 }
 
+// capture runs o with stdout and stderr redirected and returns what each
+// received.
+func capture(t *testing.T, o runOpts) (stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	outF, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer outF.Close()
+	errF, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer errF.Close()
+	saveOut, saveErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outF, errF
+	err = run(o)
+	os.Stdout, os.Stderr = saveOut, saveErr
+	if err != nil {
+		t.Fatalf("-exp %s: %v", o.exp, err)
+	}
+	out, _ := os.ReadFile(outF.Name())
+	errOut, _ := os.ReadFile(errF.Name())
+	return string(out), string(errOut)
+}
+
+// withoutCacheStats drops the cache-counter lines, the only stdout a result
+// cache may change: a warm cache serves runs instead of building worlds.
+func withoutCacheStats(out string) string {
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "geometry cache:") && !strings.HasPrefix(line, "result cache:") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
+// TestRunSweepExperiments runs every registered experiment at a tiny size.
+// A sweep-backed experiment must print byte-identical stdout at 1 and 4
+// workers (the latter with live telemetry attached), and the same tables
+// from a cold and a warm -cache-dir.
 func TestRunSweepExperiments(t *testing.T) {
-	// Tiny sweep through each sweep-backed experiment, with plots.
-	for _, exp := range []string{"fig3", "fig4", "ops", "energy", "activity"} {
-		o := base()
-		o.exp = exp
-		o.sizes = "15,20"
-		o.maxSlots = 60000
-		o.workers = 2
-		o.slotWorkers = 2
-		o.plot = true
-		if err := run(o); err != nil {
-			t.Errorf("%s failed: %v", exp, err)
+	cacheDir := t.TempDir()
+	for _, e := range registry {
+		t.Run(e.name, func(t *testing.T) {
+			o := base()
+			o.exp = e.name
+			o.n = 15
+			o.sizes = "15,20"
+			o.seeds = 3 // cdf needs three
+			o.maxSlots = 60000
+			o.plot = true
+			serial, _ := capture(t, o)
+			if serial == "" {
+				t.Fatal("no output")
+			}
+			if e.kind == direct {
+				return
+			}
+			// Live telemetry on: OnResult feeds it from concurrent workers.
+			o.workers, o.slotWorkers, o.vars = 4, 2, &telemetry.Vars{}
+			if parallel, _ := capture(t, o); parallel != serial {
+				t.Errorf("stdout differs between 1 and 4 workers:\n%s\n%s", serial, parallel)
+			}
+			o.cacheDir = filepath.Join(cacheDir, e.name)
+			for _, pass := range []string{"cold", "warm"} {
+				if got, _ := capture(t, o); withoutCacheStats(got) != withoutCacheStats(serial) {
+					t.Errorf("%s -cache-dir stdout differs:\n%s\n%s", pass, serial, got)
+				}
+			}
+		})
+	}
+}
+
+// TestRunAblationProgress pins -progress on an ablation: one JSONL line per
+// job on stderr.
+func TestRunAblationProgress(t *testing.T) {
+	o := base()
+	o.exp = "ablation-topology"
+	o.n = 15
+	o.seeds = 2
+	o.progress = true
+	_, stderr := capture(t, o)
+	lines := strings.Split(strings.TrimSpace(stderr), "\n")
+	if len(lines) != 4 { // 2 variants x 2 seeds x ST
+		t.Fatalf("got %d progress lines, want 4:\n%s", len(lines), stderr)
+	}
+	for _, line := range lines {
+		if !strings.Contains(line, `"sweep":"ablation-topology"`) {
+			t.Errorf("progress line %s does not name the ablation", line)
+		}
+	}
+}
+
+// TestDocsNameRegisteredExperiments keeps the docs in step with the
+// registry: every -exp value README.md or EXPERIMENTS.md names is
+// registered, and README.md names every registered experiment.
+func TestDocsNameRegisteredExperiments(t *testing.T) {
+	named := regexp.MustCompile(`-exp\s+([a-z0-9-]+)`)
+	registered := map[string]bool{}
+	for _, e := range registry {
+		registered[e.name] = true
+	}
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, m := range named.FindAllStringSubmatch(string(raw), -1) {
+			seen[m[1]] = true
+			if !registered[m[1]] {
+				t.Errorf("%s names unregistered experiment -exp %s", doc, m[1])
+			}
+		}
+		if doc != "README.md" {
+			continue
+		}
+		for _, e := range registry {
+			if !seen[e.name] {
+				t.Errorf("README.md never names -exp %s", e.name)
+			}
 		}
 	}
 }

@@ -45,18 +45,28 @@ type geoKey struct {
 }
 
 // GeometryCache memoizes transport link-geometry indices across the runs of
-// one sweep. It is safe for concurrent use by the sweep worker pool. The
-// zero value is not usable; call NewGeometryCache.
+// one sweep. It is safe for concurrent use by the sweep worker pool: the
+// first lookup of a world builds its index, and concurrent lookups of the
+// same world wait for that build instead of repeating it, so the counters are
+// a function of the sweep alone, not of goroutine scheduling. The zero value
+// is not usable; call NewGeometryCache.
 type GeometryCache struct {
 	mu      sync.Mutex
-	entries map[geoKey]*rach.LinkIndex
+	entries map[geoKey]*geoEntry
 	hits    uint64
 	misses  uint64
 }
 
+// geoEntry is one world's memoized index. ready closes once the first
+// caller's build finished; idx is nil when that build had no index to share.
+type geoEntry struct {
+	ready chan struct{}
+	idx   *rach.LinkIndex
+}
+
 // NewGeometryCache returns an empty cache.
 func NewGeometryCache() *GeometryCache {
-	return &GeometryCache{entries: make(map[geoKey]*rach.LinkIndex)}
+	return &GeometryCache{entries: make(map[geoKey]*geoEntry)}
 }
 
 // Stats reports how many transport constructions reused a memoized index
@@ -82,24 +92,36 @@ func (g *GeometryCache) newTransport(cfg Config, ch *radio.Channel, positions []
 		shadowSigmaDB: cfg.ShadowSigmaDB,
 	}
 	g.mu.Lock()
-	idx, ok := g.entries[key]
-	if ok {
-		g.hits++
-	} else {
+	e, found := g.entries[key]
+	if !found {
+		e = &geoEntry{ready: make(chan struct{})}
+		g.entries[key] = e
 		g.misses++
 	}
 	g.mu.Unlock()
-	if ok {
-		return rach.NewTransportShared(ch, positions, cfg.TxPower, cfg.Threshold, 2*cfg.ShadowSigmaDB, idx.Clone())
-	}
-	tr := rach.NewTransport(ch, positions, cfg.TxPower, cfg.Threshold, 2*cfg.ShadowSigmaDB)
-	canonical := tr.CloneLinkIndex()
-	if canonical != nil {
+
+	if found {
+		<-e.ready
 		g.mu.Lock()
-		if _, dup := g.entries[key]; !dup {
-			g.entries[key] = canonical
+		if e.idx != nil {
+			g.hits++
+		} else {
+			g.misses++
 		}
 		g.mu.Unlock()
+		if e.idx != nil {
+			return rach.NewTransportShared(ch, positions, cfg.TxPower, cfg.Threshold, 2*cfg.ShadowSigmaDB, e.idx.Clone())
+		}
+		return rach.NewTransport(ch, positions, cfg.TxPower, cfg.Threshold, 2*cfg.ShadowSigmaDB)
 	}
+	tr := rach.NewTransport(ch, positions, cfg.TxPower, cfg.Threshold, 2*cfg.ShadowSigmaDB)
+	e.idx = tr.CloneLinkIndex()
+	if e.idx == nil {
+		// Nothing to share: forget the world so a later caller builds again.
+		g.mu.Lock()
+		delete(g.entries, key)
+		g.mu.Unlock()
+	}
+	close(e.ready)
 	return tr
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/geo"
@@ -126,5 +128,42 @@ func TestNewEnvAtRebuildsLinkIndex(t *testing.T) {
 		t.Fatalf("moved deployment diverged: cached (%d, %+v, %d) vs direct (%d, %+v, %d)",
 			cached.ConvergenceSlots, cached.Counters, cached.Ops,
 			direct.ConvergenceSlots, direct.Counters, direct.Ops)
+	}
+}
+
+// TestGeometryCacheConcurrentFirstFill pins the first-fill contract of the
+// geometry memoization: goroutines that look up one world at the same time
+// run the geometry pass once between them (one miss, every other lookup a
+// hit), and every run is bit-identical to the others.
+func TestGeometryCacheConcurrentFirstFill(t *testing.T) {
+	const goroutines = 8
+	cfg := PaperConfig(30, 4)
+	cfg.MaxSlots = 2000
+	cfg.Geometry = NewGeometryCache()
+	results := make([]Result, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			env, err := NewEnv(cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[i] = ST{}.Run(env)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if hits, misses := cfg.Geometry.Stats(); misses != 1 || hits != goroutines-1 {
+		t.Errorf("geometry cache stats hits=%d misses=%d, want %d/1", hits, misses, goroutines-1)
+	}
+	for i := 1; i < goroutines; i++ {
+		if !reflect.DeepEqual(results[0], results[i]) {
+			t.Fatalf("run %d differs from run 0:\n%+v\n%+v", i, results[0], results[i])
+		}
 	}
 }

@@ -16,249 +16,351 @@ import (
 	"repro/internal/xrand"
 )
 
-// oscillatorOrder is a small indirection so the experiment files read
-// cleanly.
-func oscillatorOrder(phases []float64) float64 { return oscillator.OrderParameter(phases) }
+// The ablation and extension drivers. Those that loop over seeds and
+// protocols run on the sweep runner: each is a variant axis over the shared
+// job grid, a per-job measure, and a table rendered from the fold. The rest
+// (Timeline, Mobility and the drivers that make no protocol run) stay
+// direct functions.
+
+// trial is one job's finished run as a driver's measure sees it.
+type trial struct {
+	cfg core.Config
+	res core.Result
+	// env is the Env the protocol ran on; nil when the result came from
+	// the cache.
+	env *core.Env
+}
+
+// measure reduces one trial to the metrics its driver's table averages; a
+// nil slice leaves the trial out of the averages.
+type measure func(trial) ([]float64, error)
+
+// timeMsgs is the measure most ablations tabulate: convergence slots and
+// control messages.
+func timeMsgs(t trial) ([]float64, error) {
+	return []float64{float64(t.res.ConvergenceSlots), float64(t.res.Counters.TotalTx())}, nil
+}
+
+// point folds the jobs of one (size, variant, protocol) point in seed order.
+type point struct {
+	n int
+	// label is the variant's row label, proto the protocol's name.
+	label      any
+	proto      string
+	runs, conv int
+	// vals[k] holds metric k of every trial the measure kept.
+	vals [][]float64
+}
+
+// mean averages metric k over the point's kept trials.
+func (pt *point) mean(k int) float64 {
+	var xs []float64
+	if k < len(pt.vals) {
+		xs = pt.vals[k]
+	}
+	return metrics.Summarize(xs).Mean
+}
+
+// converged renders the point's converged-runs column.
+func (pt *point) converged() string { return fmt.Sprintf("%d/%d", pt.conv, pt.runs) }
+
+// runPoints runs one protocol run per job of the sweep, reduces each with m,
+// and folds the jobs into points in job order, so points come out ordered by
+// size, then variant, then protocol.
+func runPoints(opts Options, name string, protos []core.Protocol, variants []variant, m measure) ([]*point, error) {
+	type outcome struct {
+		converged bool
+		vals      []float64
+	}
+	jobs, out, err := runSweep(opts, name, protos, variants, func(r *sweepRun) (outcome, error) {
+		cfg := r.config()
+		res, env, err := r.run(cfg)
+		if err != nil {
+			return outcome{}, err
+		}
+		vals, err := m(trial{cfg: cfg, res: res, env: env})
+		return outcome{converged: res.Converged, vals: vals}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var pts []*point
+	byKey := make(map[job]*point)
+	for i, j := range jobs {
+		key := job{n: j.n, v: j.v, p: j.p}
+		pt := byKey[key]
+		if pt == nil {
+			pt = &point{n: j.n, label: variants[j.v].label, proto: protos[j.p].Name()}
+			byKey[key] = pt
+			pts = append(pts, pt)
+		}
+		o := out[i]
+		pt.runs++
+		if o.converged {
+			pt.conv++
+		}
+		if o.vals != nil && pt.vals == nil {
+			pt.vals = make([][]float64, len(o.vals))
+		}
+		for k, x := range o.vals {
+			pt.vals[k] = append(pt.vals[k], x)
+		}
+	}
+	return pts, nil
+}
+
+// fixedSize runs a driver at the one size in opts: a sweep of protos ×
+// variants measured by m, rendered one row per point by row under a title
+// formatted with the size and the seed count.
+func fixedSize(opts Options, name, title string, header []string, protos []core.Protocol, variants []variant, m measure, row func(*point) []any) (*metrics.Table, error) {
+	if len(opts.Sizes) != 1 {
+		return nil, fmt.Errorf("experiments: %s runs at one size, got %d", name, len(opts.Sizes))
+	}
+	pts, err := runPoints(opts, name, protos, variants, m)
+	if err != nil {
+		return nil, err
+	}
+	t := metrics.NewTable(fmt.Sprintf(title, opts.Sizes[0], opts.Seeds), header...)
+	for _, pt := range pts {
+		t.AddRow(row(pt)...)
+	}
+	return t, nil
+}
+
+// treeEnv returns the Env the trial's run used or, after a result-cache hit,
+// rebuilds it: tree quality reads only the deployment, whose geometry the
+// sweep memoizes, and Result.TreeEdges.
+func (t trial) treeEnv() (*core.Env, error) {
+	if t.env != nil {
+		return t.env, nil
+	}
+	return core.NewEnv(t.cfg)
+}
+
+// treeQuality re-prices the protocol tree on true mean RSSI and compares it
+// to the ideal maximum spanning tree of the reference graph g. Both weights
+// are negative dBm sums, so the ratio ideal/actual is <= 1 with 1 = ideal
+// (a heavier — less negative — actual tree pushes the ratio toward 1).
+func treeQuality(env *core.Env, g *graph.Graph, edges []graph.Edge) float64 {
+	var actual float64
+	for _, e := range edges {
+		actual += float64(env.Transport.MeanRSSI(e.U, e.V))
+	}
+	if actual == 0 {
+		return 0
+	}
+	return graph.TotalWeight(graph.KruskalMax(g)) / actual
+}
 
 // AblationShadowing quantifies what the RSSI error model costs and buys: it
 // sweeps the shadowing standard deviation (0 = perfect ranging, 4 dB, and
 // Table I's 10 dB) and reports ST's convergence time, messages, and the
 // quality of the built tree (its weight re-priced on true mean RSSI versus
 // the ideal maximum spanning tree). This is ablation A of DESIGN.md.
-func AblationShadowing(n int, seeds int, baseSeed int64) (*metrics.Table, error) {
-	t := metrics.NewTable(
-		fmt.Sprintf("Ablation A — ST vs shadowing σ (n=%d, %d seeds)", n, seeds),
-		"sigma dB", "time mean", "msgs mean", "tree/ideal weight", "conv",
-	)
+func AblationShadowing(opts Options) (*metrics.Table, error) {
+	var variants []variant
 	for _, sigma := range []float64{0, 4, 10} {
-		var times, msgs, quality []float64
-		conv := 0
-		for s := 0; s < seeds; s++ {
-			cfg := core.PaperConfig(n, baseSeed+int64(s))
-			cfg.ShadowSigmaDB = sigma
-			env, err := core.NewEnv(cfg)
-			if err != nil {
-				return nil, err
+		variants = append(variants, variant{sigma, func(c *core.Config) { c.ShadowSigmaDB = sigma }})
+	}
+	return fixedSize(opts, "ablation-shadowing", "Ablation A — ST vs shadowing σ (n=%d, %d seeds)",
+		[]string{"sigma dB", "time mean", "msgs mean", "tree/ideal weight", "conv"}, stOnly, variants,
+		func(t trial) ([]float64, error) {
+			vals, _ := timeMsgs(t)
+			q := 0.0
+			if len(t.res.TreeEdges) > 0 {
+				env, err := t.treeEnv()
+				if err != nil {
+					return nil, err
+				}
+				q = treeQuality(env, env.ReferenceGraph(), t.res.TreeEdges)
 			}
-			res := core.ST{}.Run(env)
-			if res.Converged {
-				conv++
-			}
-			times = append(times, float64(res.ConvergenceSlots))
-			msgs = append(msgs, float64(res.Counters.TotalTx()))
-			quality = append(quality, treeQuality(env, res))
-		}
-		t.AddRow(sigma, metrics.Summarize(times).Mean, metrics.Summarize(msgs).Mean,
-			metrics.Summarize(quality).Mean, fmt.Sprintf("%d/%d", conv, seeds))
-	}
-	return t, nil
-}
-
-// treeQuality re-prices the protocol tree on true mean RSSI and compares it
-// to the ideal maximum spanning tree of the reference graph. Both weights
-// are negative dBm sums, so the ratio ideal/actual is <= 1 with 1 = ideal
-// (a heavier — less negative — actual tree pushes the ratio toward 1).
-func treeQuality(env *core.Env, res core.Result) float64 {
-	if len(res.TreeEdges) == 0 {
-		return 0
-	}
-	var actual float64
-	for _, e := range res.TreeEdges {
-		actual += float64(env.Transport.MeanRSSI(e.U, e.V))
-	}
-	g := env.ReferenceGraph()
-	ideal := graph.TotalWeight(graph.KruskalMax(g))
-	if actual == 0 {
-		return 0
-	}
-	return ideal / actual
+			return append(vals, q), nil
+		},
+		func(pt *point) []any { return []any{pt.label, pt.mean(0), pt.mean(1), pt.mean(2), pt.converged()} })
 }
 
 // AblationTopology isolates the tree-coupling choice: ST as proposed versus
 // ST with mesh coupling (tree still built for merging, but every heard PS
 // couples). This is ablation B of DESIGN.md.
-func AblationTopology(n int, seeds int, baseSeed int64) (*metrics.Table, error) {
-	t := metrics.NewTable(
-		fmt.Sprintf("Ablation B — coupling topology (n=%d, %d seeds)", n, seeds),
-		"coupling", "time mean", "msgs mean", "conv",
-	)
-	for _, mesh := range []bool{false, true} {
-		var times, msgs []float64
-		conv := 0
-		for s := 0; s < seeds; s++ {
-			cfg := core.PaperConfig(n, baseSeed+int64(s))
-			cfg.MeshCoupling = mesh
-			env, err := core.NewEnv(cfg)
-			if err != nil {
-				return nil, err
-			}
-			res := core.ST{}.Run(env)
-			if res.Converged {
-				conv++
-			}
-			times = append(times, float64(res.ConvergenceSlots))
-			msgs = append(msgs, float64(res.Counters.TotalTx()))
-		}
-		label := "tree (proposed)"
-		if mesh {
-			label = "mesh (ablated)"
-		}
-		t.AddRow(label, metrics.Summarize(times).Mean, metrics.Summarize(msgs).Mean,
-			fmt.Sprintf("%d/%d", conv, seeds))
-	}
-	return t, nil
+func AblationTopology(opts Options) (*metrics.Table, error) {
+	return fixedSize(opts, "ablation-topology", "Ablation B — coupling topology (n=%d, %d seeds)",
+		[]string{"coupling", "time mean", "msgs mean", "conv"}, stOnly, []variant{
+			{"tree (proposed)", nil},
+			{"mesh (ablated)", func(c *core.Config) { c.MeshCoupling = true }},
+		}, timeMsgs,
+		func(pt *point) []any { return []any{pt.label, pt.mean(0), pt.mean(1), pt.converged()} })
 }
 
 // AblationDrift sweeps per-device clock-rate offsets (ppm standard
-// deviation) and reports how both protocols hold up — the paper assumes
-// ideal clocks ("all devices are same type"); this extension finds the
-// drift level at which pulse coupling can no longer hold the network in a
-// one-slot window. The tolerance is roughly β·T slots of correction per
-// period against drift·T slots of divergence.
-func AblationDrift(n int, seeds int, baseSeed int64, ppms []float64) (*metrics.Table, error) {
-	if len(ppms) == 0 {
-		ppms = []float64{0, 20, 500, 2000, 10000}
+// deviation: 0, 20, 500, 2000, 10000) and reports how both protocols hold
+// up — the paper assumes ideal clocks ("all devices are same type"); this
+// extension finds the drift level at which pulse coupling can no longer hold
+// the network in a one-slot window. The tolerance is roughly β·T slots of
+// correction per period against drift·T slots of divergence. Every run is
+// capped at 60,000 slots, whatever Options.MaxSlots says.
+func AblationDrift(opts Options) (*metrics.Table, error) {
+	var variants []variant
+	for _, ppm := range []float64{0, 20, 500, 2000, 10000} {
+		variants = append(variants, variant{ppm, func(c *core.Config) {
+			c.ClockDriftPPM = ppm
+			c.SyncWindowSlots = 1
+			c.MaxSlots = 60000
+		}})
 	}
-	t := metrics.NewTable(
-		fmt.Sprintf("Ablation D — clock drift tolerance (n=%d, %d seeds, 1-slot sync window)", n, seeds),
-		"drift ppm", "proto", "conv", "time mean",
-	)
-	for _, ppm := range ppms {
-		for _, proto := range []core.Protocol{core.FST{}, core.ST{}} {
-			var times []float64
-			conv := 0
-			for s := 0; s < seeds; s++ {
-				cfg := core.PaperConfig(n, baseSeed+int64(s))
-				cfg.ClockDriftPPM = ppm
-				cfg.SyncWindowSlots = 1
-				cfg.MaxSlots = 60000
-				env, err := core.NewEnv(cfg)
-				if err != nil {
-					return nil, err
-				}
-				res := proto.Run(env)
-				if res.Converged {
-					conv++
-				}
-				times = append(times, float64(res.ConvergenceSlots))
-			}
-			t.AddRow(ppm, proto.Name(), fmt.Sprintf("%d/%d", conv, seeds),
-				metrics.Summarize(times).Mean)
-		}
-	}
-	return t, nil
+	return fixedSize(opts, "ablation-drift", "Ablation D — clock drift tolerance (n=%d, %d seeds, 1-slot sync window)",
+		[]string{"drift ppm", "proto", "conv", "time mean"}, fstST, variants, timeMsgs,
+		func(pt *point) []any { return []any{pt.label, pt.proto, pt.converged(), pt.mean(0)} })
 }
 
-// AblationPreambles sweeps the PRACH preamble pool size: with one shared
-// sequence every same-slot PS contends (the headline configuration); LTE's
-// 64 Zadoff–Chu preambles make most same-slot PSs orthogonal. The sweep
-// quantifies how much intra-codec contention costs each protocol — the
-// "intra-group proximity signal interference" the paper mentions but does
-// not measure. This is ablation E.
-func AblationPreambles(n int, seeds int, baseSeed int64, pools []int) (*metrics.Table, error) {
-	if len(pools) == 0 {
-		pools = []int{1, 4, 16, 64}
+// protoAblation runs an FST-and-ST ablation over variants and renders one
+// row per (variant, protocol): the variant's label under axis, the
+// protocol, mean convergence time and messages, and the converged runs.
+func protoAblation(opts Options, name, title, axis string, variants []variant) (*metrics.Table, error) {
+	return fixedSize(opts, name, title+" (n=%d, %d seeds)",
+		[]string{axis, "proto", "time mean", "msgs mean", "conv"}, fstST, variants, timeMsgs,
+		func(pt *point) []any { return []any{pt.label, pt.proto, pt.mean(0), pt.mean(1), pt.converged()} })
+}
+
+// AblationPreambles sweeps the PRACH preamble pool size (1, 4, 16, 64): with
+// one shared sequence every same-slot PS contends (the headline
+// configuration); LTE's 64 Zadoff–Chu preambles make most same-slot PSs
+// orthogonal. The sweep quantifies how much intra-codec contention costs
+// each protocol — the "intra-group proximity signal interference" the paper
+// mentions but does not measure. This is ablation E.
+func AblationPreambles(opts Options) (*metrics.Table, error) {
+	var variants []variant
+	for _, pool := range []int{1, 4, 16, 64} {
+		variants = append(variants, variant{pool, func(c *core.Config) { c.Preambles = pool }})
 	}
-	t := metrics.NewTable(
-		fmt.Sprintf("Ablation E — PRACH preamble pool size (n=%d, %d seeds)", n, seeds),
-		"preambles", "proto", "time mean", "msgs mean", "conv",
-	)
-	for _, pool := range pools {
-		for _, proto := range []core.Protocol{core.FST{}, core.ST{}} {
-			var times, msgs []float64
-			conv := 0
-			for s := 0; s < seeds; s++ {
-				cfg := core.PaperConfig(n, baseSeed+int64(s))
-				cfg.Preambles = pool
-				env, err := core.NewEnv(cfg)
-				if err != nil {
-					return nil, err
-				}
-				res := proto.Run(env)
-				if res.Converged {
-					conv++
-				}
-				times = append(times, float64(res.ConvergenceSlots))
-				msgs = append(msgs, float64(res.Counters.TotalTx()))
-			}
-			t.AddRow(pool, proto.Name(), metrics.Summarize(times).Mean,
-				metrics.Summarize(msgs).Mean, fmt.Sprintf("%d/%d", conv, seeds))
-		}
-	}
-	return t, nil
+	return protoAblation(opts, "ablation-preambles", "Ablation E — PRACH preamble pool size", "preambles", variants)
 }
 
 // AblationDetection contrasts the two PS detection models: the paper's flat
 // −95 dBm threshold with a capture margin (headline configuration) versus a
 // physical SINR detector over the LTE PRACH noise floor, where even
 // sub-threshold arrivals interfere. This is ablation F.
-func AblationDetection(n int, seeds int, baseSeed int64) (*metrics.Table, error) {
-	t := metrics.NewTable(
-		fmt.Sprintf("Ablation F — PS detection model (n=%d, %d seeds)", n, seeds),
-		"detector", "proto", "time mean", "msgs mean", "conv",
-	)
-	for _, sinr := range []bool{false, true} {
-		for _, proto := range []core.Protocol{core.FST{}, core.ST{}} {
-			var times, msgs []float64
-			conv := 0
-			for s := 0; s < seeds; s++ {
-				cfg := core.PaperConfig(n, baseSeed+int64(s))
-				cfg.SINRDetection = sinr
-				env, err := core.NewEnv(cfg)
-				if err != nil {
-					return nil, err
-				}
-				res := proto.Run(env)
-				if res.Converged {
-					conv++
-				}
-				times = append(times, float64(res.ConvergenceSlots))
-				msgs = append(msgs, float64(res.Counters.TotalTx()))
-			}
-			label := "threshold+capture"
-			if sinr {
-				label = "SINR"
-			}
-			t.AddRow(label, proto.Name(), metrics.Summarize(times).Mean,
-				metrics.Summarize(msgs).Mean, fmt.Sprintf("%d/%d", conv, seeds))
-		}
-	}
-	return t, nil
+func AblationDetection(opts Options) (*metrics.Table, error) {
+	return protoAblation(opts, "ablation-detection", "Ablation F — PS detection model", "detector", []variant{
+		{"threshold+capture", nil},
+		{"SINR", func(c *core.Config) { c.SINRDetection = true }},
+	})
 }
 
-// Services sweeps the number of service-interest groups: more services
-// means fewer same-interest pairs per device, so application-level
+// AblationChannel contrasts the light reading of Table I's stochastic
+// terms (shadowing and fading drawn i.i.d. per PS) with the physical
+// correlated forms (static Gudmundson shadowing field + block fading with a
+// 50-slot coherence time). Correlated errors do not average out across a
+// link's samples, so this bounds how much the headline results owe to the
+// i.i.d. idealization. This is ablation G.
+func AblationChannel(opts Options) (*metrics.Table, error) {
+	return protoAblation(opts, "ablation-channel", "Ablation G — channel correlation", "channel", []variant{
+		{"i.i.d. per sample", nil},
+		{"correlated (shadow field + block fading)", func(c *core.Config) { c.CorrelatedChannel = true }},
+	})
+}
+
+// AblationCapture sweeps the capture margin — the harshness of same-slot
+// PS collisions: 0 dB (strongest always decodes), the default 6 dB, and a
+// punishing 12 dB. Both protocols' alignment machinery rides on adoption
+// handshakes rather than pulse delivery, so the sweep bounds how much the
+// collision model matters. This is ablation H.
+func AblationCapture(opts Options) (*metrics.Table, error) {
+	var variants []variant
+	for _, margin := range []float64{0, 6, 12} {
+		variants = append(variants, variant{margin, func(c *core.Config) { c.CaptureMarginDB = margin }})
+	}
+	return protoAblation(opts, "ablation-capture", "Ablation H — capture margin", "margin dB", variants)
+}
+
+// Services sweeps the number of service-interest groups (1, 2, 4, 8): more
+// services means fewer same-interest pairs per device, so application-level
 // discovery coverage climbs faster (fewer pairs to find) while physical
 // discovery and synchronization are untouched — codec orthogonality at
 // work. This is the knob behind the paper's "different codecs scheme
 // indicate different services".
-func Services(n int, seeds int, baseSeed int64, counts []int) (*metrics.Table, error) {
-	if len(counts) == 0 {
-		counts = []int{1, 2, 4, 8}
+func Services(opts Options) (*metrics.Table, error) {
+	var variants []variant
+	for _, svc := range []int{1, 2, 4, 8} {
+		variants = append(variants, variant{svc, func(c *core.Config) { c.Services = svc }})
 	}
-	t := metrics.NewTable(
-		fmt.Sprintf("Service-interest groups (ST, n=%d, %d seeds)", n, seeds),
-		"services", "time mean", "service discovery", "conv",
-	)
-	for _, svc := range counts {
-		var times, ratios []float64
-		conv := 0
-		for s := 0; s < seeds; s++ {
-			cfg := core.PaperConfig(n, baseSeed+int64(s))
-			cfg.Services = svc
-			env, err := core.NewEnv(cfg)
+	return fixedSize(opts, "services", "Service-interest groups (ST, n=%d, %d seeds)",
+		[]string{"services", "time mean", "service discovery", "conv"}, stOnly, variants,
+		func(t trial) ([]float64, error) {
+			return []float64{float64(t.res.ConvergenceSlots), t.res.ServiceDiscovery}, nil
+		},
+		func(pt *point) []any { return []any{pt.label, pt.mean(0), pt.mean(1), pt.converged()} })
+}
+
+// ConvergenceDistribution runs many seeds at one size and reports the
+// convergence-time distribution per protocol (percentiles, not just means —
+// a protocol with a heavy tail is worse than its mean suggests), plus the
+// Mann–Whitney p-value of the FST-vs-ST comparison.
+func ConvergenceDistribution(opts Options) (*metrics.Table, error) {
+	if opts.Seeds < 3 {
+		return nil, fmt.Errorf("experiments: need >= 3 seeds for a distribution")
+	}
+	var samples [][]float64
+	t, err := fixedSize(opts, "cdf", "Convergence-time distribution (n=%d, %d seeds, slots)",
+		[]string{"proto", "p10", "p50", "p90", "p99", "mean", "conv"}, fstST, plain, timeMsgs,
+		func(pt *point) []any {
+			times := pt.vals[0]
+			samples = append(samples, times)
+			return []any{pt.proto,
+				metrics.Percentile(times, 10), metrics.Percentile(times, 50),
+				metrics.Percentile(times, 90), metrics.Percentile(times, 99),
+				pt.mean(0), pt.converged()}
+		})
+	if err != nil {
+		return nil, err
+	}
+	_, p := metrics.MannWhitneyU(samples[iFST], samples[iST])
+	t.AddRow("MW p-value", p, "", "", "", "", "")
+	return t, nil
+}
+
+// TreeQuality compares the spanning trees the two protocols build, against
+// the ideal maximum spanning tree of the true (zero-fading) proximity
+// graph: the fraction of ideal tree weight recovered, and the hop stretch
+// of routing over the tree instead of the full graph. FST ranks links by a
+// single fading-corrupted RSSI sample, ST by the dB-domain mean — this
+// table is where that difference becomes visible.
+func TreeQuality(opts Options) (*metrics.Table, error) {
+	return fixedSize(opts, "treequality", "Tree quality (n=%d, %d seeds)",
+		[]string{"proto", "weight vs ideal", "mean stretch", "max stretch"}, fstST, plain,
+		func(t trial) ([]float64, error) {
+			if len(t.res.TreeEdges) == 0 {
+				return nil, nil
+			}
+			env, err := t.treeEnv()
 			if err != nil {
 				return nil, err
 			}
-			res := core.ST{}.Run(env)
-			if res.Converged {
-				conv++
-			}
-			times = append(times, float64(res.ConvergenceSlots))
-			ratios = append(ratios, res.ServiceDiscovery)
-		}
-		t.AddRow(svc, metrics.Summarize(times).Mean, metrics.Summarize(ratios).Mean,
-			fmt.Sprintf("%d/%d", conv, seeds))
+			g := env.ReferenceGraph()
+			st := graph.Stretch(g, t.res.TreeEdges, graph.HopCost)
+			return []float64{treeQuality(env, g, t.res.TreeEdges), st.Mean, st.Max}, nil
+		},
+		func(pt *point) []any { return []any{pt.proto, pt.mean(0), pt.mean(1), pt.mean(2)} })
+}
+
+// ThreeWay compares the two distributed protocols against the
+// infrastructure-assisted (BS) reference across a size sweep — the
+// trade-off the paper's introduction frames: self-organization costs
+// messages and time; infrastructure costs a base station.
+func ThreeWay(opts Options) (*metrics.Table, error) {
+	pts, err := runPoints(opts, "threeway", []core.Protocol{core.FST{}, core.ST{}, core.Centralized{}}, plain,
+		func(t trial) ([]float64, error) {
+			vals, _ := timeMsgs(t)
+			return append(vals, t.res.Energy.PerDevice(t.cfg.N)), nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	t := metrics.NewTable(
+		fmt.Sprintf("FST vs ST vs BS-assisted (%d seeds)", opts.Seeds),
+		"nodes", "proto", "time mean", "msgs mean", "mJ/device", "conv",
+	)
+	for _, pt := range pts {
+		t.AddRow(pt.n, pt.proto, pt.mean(0), pt.mean(1), pt.mean(2), pt.converged())
 	}
 	return t, nil
 }
@@ -330,41 +432,6 @@ func sharedEdgeCount(a, b []graph.Edge) int {
 	return n
 }
 
-// AblationCapture sweeps the capture margin — the harshness of same-slot
-// PS collisions: 0 dB (strongest always decodes), the default 6 dB, and a
-// punishing 12 dB. Both protocols' alignment machinery rides on adoption
-// handshakes rather than pulse delivery, so the sweep bounds how much the
-// collision model matters. This is ablation H.
-func AblationCapture(n int, seeds int, baseSeed int64) (*metrics.Table, error) {
-	t := metrics.NewTable(
-		fmt.Sprintf("Ablation H — capture margin (n=%d, %d seeds)", n, seeds),
-		"margin dB", "proto", "time mean", "msgs mean", "conv",
-	)
-	for _, margin := range []float64{0, 6, 12} {
-		for _, proto := range []core.Protocol{core.FST{}, core.ST{}} {
-			var times, msgs []float64
-			conv := 0
-			for s := 0; s < seeds; s++ {
-				cfg := core.PaperConfig(n, baseSeed+int64(s))
-				cfg.CaptureMarginDB = margin
-				env, err := core.NewEnv(cfg)
-				if err != nil {
-					return nil, err
-				}
-				res := proto.Run(env)
-				if res.Converged {
-					conv++
-				}
-				times = append(times, float64(res.ConvergenceSlots))
-				msgs = append(msgs, float64(res.Counters.TotalTx()))
-			}
-			t.AddRow(margin, proto.Name(), metrics.Summarize(times).Mean,
-				metrics.Summarize(msgs).Mean, fmt.Sprintf("%d/%d", conv, seeds))
-		}
-	}
-	return t, nil
-}
-
 // Timeline samples one ST run every periodSamples periods and reports how
 // neighbour discovery, service discovery and phase synchrony progress
 // *simultaneously* — the paper's core pitch ("neighbour discovery as well
@@ -393,7 +460,7 @@ func Timeline(n int, seed int64) (*metrics.Table, error) {
 			slot:    slot,
 			links:   links,
 			service: env.ServiceDiscoveryRatio(),
-			order:   oscOrder(env),
+			order:   oscillator.OrderParameter(env.Phases()),
 		})
 	}
 	res := core.ST{}.Run(env)
@@ -405,90 +472,7 @@ func Timeline(n int, seed int64) (*metrics.Table, error) {
 	for _, s := range samples {
 		t.AddRow(int64(s.slot), s.links, s.service, s.order)
 	}
-	t.AddRow("converged", int64(res.ConvergenceSlots), res.ServiceDiscovery, oscOrder(env))
-	return t, nil
-}
-
-func oscOrder(env *core.Env) float64 {
-	return oscillatorOrder(env.Phases())
-}
-
-// AblationChannel contrasts the light reading of Table I's stochastic
-// terms (shadowing and fading drawn i.i.d. per PS) with the physical
-// correlated forms (static Gudmundson shadowing field + block fading with a
-// 50-slot coherence time). Correlated errors do not average out across a
-// link's samples, so this bounds how much the headline results owe to the
-// i.i.d. idealization. This is ablation G.
-func AblationChannel(n int, seeds int, baseSeed int64) (*metrics.Table, error) {
-	t := metrics.NewTable(
-		fmt.Sprintf("Ablation G — channel correlation (n=%d, %d seeds)", n, seeds),
-		"channel", "proto", "time mean", "msgs mean", "conv",
-	)
-	for _, correlated := range []bool{false, true} {
-		for _, proto := range []core.Protocol{core.FST{}, core.ST{}} {
-			var times, msgs []float64
-			conv := 0
-			for s := 0; s < seeds; s++ {
-				cfg := core.PaperConfig(n, baseSeed+int64(s))
-				cfg.CorrelatedChannel = correlated
-				env, err := core.NewEnv(cfg)
-				if err != nil {
-					return nil, err
-				}
-				res := proto.Run(env)
-				if res.Converged {
-					conv++
-				}
-				times = append(times, float64(res.ConvergenceSlots))
-				msgs = append(msgs, float64(res.Counters.TotalTx()))
-			}
-			label := "i.i.d. per sample"
-			if correlated {
-				label = "correlated (shadow field + block fading)"
-			}
-			t.AddRow(label, proto.Name(), metrics.Summarize(times).Mean,
-				metrics.Summarize(msgs).Mean, fmt.Sprintf("%d/%d", conv, seeds))
-		}
-	}
-	return t, nil
-}
-
-// ConvergenceDistribution runs many seeds at one size and reports the
-// convergence-time distribution per protocol (percentiles, not just means —
-// a protocol with a heavy tail is worse than its mean suggests), plus the
-// Mann–Whitney p-value of the FST-vs-ST comparison.
-func ConvergenceDistribution(n int, seeds int, baseSeed int64) (*metrics.Table, error) {
-	if seeds < 3 {
-		return nil, fmt.Errorf("experiments: need >= 3 seeds for a distribution")
-	}
-	t := metrics.NewTable(
-		fmt.Sprintf("Convergence-time distribution (n=%d, %d seeds, slots)", n, seeds),
-		"proto", "p10", "p50", "p90", "p99", "mean", "conv",
-	)
-	samples := map[string][]float64{}
-	for _, proto := range []core.Protocol{core.FST{}, core.ST{}} {
-		var times []float64
-		conv := 0
-		for s := 0; s < seeds; s++ {
-			cfg := core.PaperConfig(n, baseSeed+int64(s))
-			env, err := core.NewEnv(cfg)
-			if err != nil {
-				return nil, err
-			}
-			res := proto.Run(env)
-			if res.Converged {
-				conv++
-			}
-			times = append(times, float64(res.ConvergenceSlots))
-		}
-		samples[proto.Name()] = times
-		t.AddRow(proto.Name(),
-			metrics.Percentile(times, 10), metrics.Percentile(times, 50),
-			metrics.Percentile(times, 90), metrics.Percentile(times, 99),
-			metrics.Summarize(times).Mean, fmt.Sprintf("%d/%d", conv, seeds))
-	}
-	_, p := metrics.MannWhitneyU(samples["FST"], samples["ST"])
-	t.AddRow("MW p-value", p, "", "", "", "", "")
+	t.AddRow("converged", int64(res.ConvergenceSlots), res.ServiceDiscovery, oscillator.OrderParameter(env.Phases()))
 	return t, nil
 }
 
@@ -539,40 +523,6 @@ func Underlay(pairCounts []int, seed int64) (*metrics.Table, error) {
 	return t, nil
 }
 
-// TreeQuality compares the spanning trees the two protocols build, against
-// the ideal maximum spanning tree of the true (zero-fading) proximity
-// graph: the fraction of ideal tree weight recovered, and the hop stretch
-// of routing over the tree instead of the full graph. FST ranks links by a
-// single fading-corrupted RSSI sample, ST by the dB-domain mean — this
-// table is where that difference becomes visible.
-func TreeQuality(n int, seeds int, baseSeed int64) (*metrics.Table, error) {
-	t := metrics.NewTable(
-		fmt.Sprintf("Tree quality (n=%d, %d seeds)", n, seeds),
-		"proto", "weight vs ideal", "mean stretch", "max stretch",
-	)
-	for _, proto := range []core.Protocol{core.FST{}, core.ST{}} {
-		var quality, meanStretch, maxStretch []float64
-		for s := 0; s < seeds; s++ {
-			cfg := core.PaperConfig(n, baseSeed+int64(s))
-			env, err := core.NewEnv(cfg)
-			if err != nil {
-				return nil, err
-			}
-			res := proto.Run(env)
-			if len(res.TreeEdges) == 0 {
-				continue
-			}
-			quality = append(quality, treeQuality(env, res))
-			st := graph.Stretch(env.ReferenceGraph(), res.TreeEdges, graph.HopCost)
-			meanStretch = append(meanStretch, st.Mean)
-			maxStretch = append(maxStretch, st.Max)
-		}
-		t.AddRow(proto.Name(), metrics.Summarize(quality).Mean,
-			metrics.Summarize(meanStretch).Mean, metrics.Summarize(maxStretch).Mean)
-	}
-	return t, nil
-}
-
 // DiscoverySchedules compares the classical neighbour-discovery baselines
 // of the paper's related work ([4]–[9]) — birthday protocol and prime
 // duty-cycling — against always-on periodic beaconing (what the firefly
@@ -607,44 +557,6 @@ func DiscoverySchedules(n int, seed int64, maxSlots int64) (*metrics.Table, erro
 			coverage = float64(res.Discovered) / float64(res.Links)
 		}
 		t.AddRow(res.Schedule, s.DutyCycle(), coverage, res.MedianSlots, res.P90Slots, res.AwakeSlotsPerDevice)
-	}
-	return t, nil
-}
-
-// ThreeWay compares the two distributed protocols against the
-// infrastructure-assisted (BS) reference across a size sweep — the
-// trade-off the paper's introduction frames: self-organization costs
-// messages and time; infrastructure costs a base station.
-func ThreeWay(sizes []int, seeds int, baseSeed int64) (*metrics.Table, error) {
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("experiments: no sizes")
-	}
-	t := metrics.NewTable(
-		fmt.Sprintf("FST vs ST vs BS-assisted (%d seeds)", seeds),
-		"nodes", "proto", "time mean", "msgs mean", "mJ/device", "conv",
-	)
-	for _, n := range sizes {
-		for _, proto := range []core.Protocol{core.FST{}, core.ST{}, core.Centralized{}} {
-			var times, msgs, mj []float64
-			conv := 0
-			for s := 0; s < seeds; s++ {
-				cfg := core.PaperConfig(n, baseSeed+int64(s))
-				env, err := core.NewEnv(cfg)
-				if err != nil {
-					return nil, err
-				}
-				res := proto.Run(env)
-				if res.Converged {
-					conv++
-				}
-				times = append(times, float64(res.ConvergenceSlots))
-				msgs = append(msgs, float64(res.Counters.TotalTx()))
-				mj = append(mj, res.Energy.PerDevice(n))
-			}
-			t.AddRow(n, proto.Name(), metrics.Summarize(times).Mean,
-				metrics.Summarize(msgs).Mean, metrics.Summarize(mj).Mean,
-				fmt.Sprintf("%d/%d", conv, seeds))
-		}
 	}
 	return t, nil
 }

@@ -5,13 +5,19 @@ import (
 	"testing"
 )
 
+// fixedOptions is the single-size sweep the ablation tests run: n devices,
+// seeds repetitions per point.
+func fixedOptions(n, seeds int) Options {
+	return Options{Sizes: []int{n}, Seeds: seeds, BaseSeed: 1}
+}
+
 func TestAblationDrift(t *testing.T) {
-	tb, err := AblationDrift(20, 1, 1, []float64{0, 100})
+	tb, err := AblationDrift(fixedOptions(15, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Rows() != 4 { // 2 drift levels x 2 protocols
-		t.Errorf("rows = %d, want 4", tb.Rows())
+	if tb.Rows() != 10 { // 5 drift levels x 2 protocols
+		t.Errorf("rows = %d, want 10", tb.Rows())
 	}
 	var b strings.Builder
 	if err := tb.Render(&b); err != nil {
@@ -22,28 +28,18 @@ func TestAblationDrift(t *testing.T) {
 	}
 }
 
-func TestAblationDriftDefaultLevels(t *testing.T) {
-	tb, err := AblationDrift(15, 1, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.Rows() != 10 { // 5 default levels x 2 protocols
-		t.Errorf("rows = %d, want 10", tb.Rows())
-	}
-}
-
 func TestAblationPreambles(t *testing.T) {
-	tb, err := AblationPreambles(20, 1, 1, []int{1, 64})
+	tb, err := AblationPreambles(fixedOptions(20, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Rows() != 4 {
-		t.Errorf("rows = %d, want 4", tb.Rows())
+	if tb.Rows() != 8 { // 4 pool sizes x 2 protocols
+		t.Errorf("rows = %d, want 8", tb.Rows())
 	}
 }
 
 func TestAblationDetection(t *testing.T) {
-	tb, err := AblationDetection(20, 1, 1)
+	tb, err := AblationDetection(fixedOptions(20, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +80,7 @@ func TestDiscoverySchedules(t *testing.T) {
 }
 
 func TestThreeWay(t *testing.T) {
-	tb, err := ThreeWay([]int{20}, 1, 1)
+	tb, err := ThreeWay(fixedOptions(20, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,26 +96,26 @@ func TestThreeWay(t *testing.T) {
 			t.Errorf("missing protocol %q", want)
 		}
 	}
-	if _, err := ThreeWay(nil, 1, 1); err == nil {
+	if _, err := ThreeWay(Options{Seeds: 1}); err == nil {
 		t.Error("empty sizes should error")
 	}
 }
 
 func TestConvergenceDistribution(t *testing.T) {
-	tb, err := ConvergenceDistribution(20, 4, 1)
+	tb, err := ConvergenceDistribution(fixedOptions(20, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tb.Rows() != 3 { // FST + ST + p-value row
 		t.Errorf("rows = %d, want 3", tb.Rows())
 	}
-	if _, err := ConvergenceDistribution(20, 2, 1); err == nil {
+	if _, err := ConvergenceDistribution(fixedOptions(20, 2)); err == nil {
 		t.Error("too few seeds should error")
 	}
 }
 
 func TestTreeQualityExperiment(t *testing.T) {
-	tb, err := TreeQuality(25, 2, 1)
+	tb, err := TreeQuality(fixedOptions(25, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +142,12 @@ func TestUnderlayExperiment(t *testing.T) {
 }
 
 func TestServicesExperiment(t *testing.T) {
-	tb, err := Services(20, 1, 1, []int{1, 4})
+	tb, err := Services(fixedOptions(20, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Rows() != 2 {
-		t.Errorf("rows = %d, want 2", tb.Rows())
+	if tb.Rows() != 4 { // 4 service-group counts
+		t.Errorf("rows = %d, want 4", tb.Rows())
 	}
 }
 
@@ -169,7 +165,7 @@ func TestMobilityExperiment(t *testing.T) {
 }
 
 func TestAblationCapture(t *testing.T) {
-	tb, err := AblationCapture(20, 1, 1)
+	tb, err := AblationCapture(fixedOptions(20, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +192,7 @@ func TestTimeline(t *testing.T) {
 }
 
 func TestAblationChannel(t *testing.T) {
-	tb, err := AblationChannel(20, 1, 1)
+	tb, err := AblationChannel(fixedOptions(20, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,7 +198,7 @@ func TestRunSweepWarmCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			jobs := len(opts.Sizes) * opts.Seeds * 2 * d.delays // two protocols
+			jobs := len(opts.Sizes) * opts.Seeds * d.perSeed
 			hits, misses := opts.Cache.Stats()
 			if hits != 0 || misses < uint64(jobs) {
 				t.Fatalf("cold sweep stats hits=%d misses=%d, want 0 hits and >= %d misses", hits, misses, jobs)

@@ -29,6 +29,30 @@ const delayDupRate = 0.01
 // (0 stands for the lockstep baseline).
 var delayFractions = []int{0, 8, 4, 2}
 
+// delayVariants are the delay sweep's variant axis, labelled by max delay in
+// slots. The sweep does not vary the model period, so the points are
+// fractions of the paper's.
+func delayVariants() []variant {
+	period := core.PaperConfig(1, 1).PeriodSlots
+	vs := make([]variant, len(delayFractions))
+	for i, frac := range delayFractions {
+		d := 0
+		if frac > 0 {
+			d = period / frac
+		}
+		vs[i] = variant{label: d, configure: func(cfg *core.Config) {
+			if cfg.Net = delayPlan(d); cfg.Net != nil {
+				// Hardened-protocol discipline under asynchrony: bound the
+				// jump budget (see Config.Net). The lockstep baseline keeps
+				// the paper's unlimited budget so its row matches the other
+				// sweeps.
+				cfg.JumpsPerCycle = 1
+			}
+		}}
+	}
+	return vs
+}
+
 // DelayRow is one delay-sweep point: per-protocol summaries across seeds at
 // one maximum message delay.
 type DelayRow struct {
@@ -78,28 +102,17 @@ func RunDelaySweep(opts Options) ([]DelayRow, error) {
 		ref     core.Result
 		faulted *core.Result
 	}
-	jobs, out, err := runSweep(opts, "delay", delayFractions, func(r *sweepRun) (outcome, error) {
-		build := func() core.Config {
-			cfg := r.config()
-			cfg.Net = delayPlan(r.delay)
-			if cfg.Net != nil {
-				// Hardened-protocol discipline under asynchrony: bound the
-				// jump budget (see Config.Net). The lockstep baseline keeps
-				// the paper's unlimited budget so its row matches the other
-				// sweeps.
-				cfg.JumpsPerCycle = 1
-			}
-			return cfg
-		}
-		ref, err := r.run(build())
+	variants := delayVariants()
+	jobs, out, err := runSweep(opts, "delay", fstST, variants, func(r *sweepRun) (outcome, error) {
+		ref, _, err := r.run(r.config())
 		if err != nil || !ref.Converged {
 			return outcome{ref: ref}, err
 		}
-		cfg := build()
+		cfg := r.config()
 		if cfg.Faults = recoveryPlan(cfg, ref.ConvergenceSlots); cfg.Faults == nil {
 			return outcome{ref: ref}, nil
 		}
-		res, err := r.run(cfg)
+		res, _, err := r.run(cfg)
 		return outcome{ref: ref, faulted: &res}, err
 	})
 	if err != nil {
@@ -114,7 +127,7 @@ func RunDelaySweep(opts Options) ([]DelayRow, error) {
 	}
 	byPoint := make(map[point]*acc)
 	for i, j := range jobs {
-		p := point{j.n, j.delay}
+		p := point{j.n, variants[j.v].label.(int)}
 		a := byPoint[p]
 		if a == nil {
 			a = &acc{}

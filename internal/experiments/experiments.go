@@ -3,10 +3,16 @@
 // DESIGN.md. Each driver returns a metrics.Table whose rows are the series
 // the paper plots, so `d2dsim` can print them or dump CSV for plotting.
 //
-// The sweeps fan their jobs out over one worker pool (one goroutine per CPU
-// by default); every (size, seed, protocol) job builds its own Env from a
-// derived seed, and rows fold the job outcomes in job order, so results are
-// bit-identical regardless of scheduling and worker count.
+// Every driver that loops over seeds and protocols — Figs. 3/4 (RunSweep),
+// the recovery and delay sweeps, ablations A/B/D–H, Services,
+// ConvergenceDistribution, TreeQuality and ThreeWay — runs on one sweep
+// runner (sweep.go). Its jobs fan out over one worker pool (one goroutine
+// per CPU by default); every (size, variant, seed, protocol) job builds its
+// own Env from a derived seed, and rows fold the job outcomes in job order,
+// so results are bit-identical regardless of scheduling and worker count.
+// Timeline and Mobility run their protocol directly (a live trace hook; an
+// epoch chain), and TableI, Fig2Tree, Underlay, DiscoverySchedules and
+// AblationSearch make no protocol run.
 package experiments
 
 import (
@@ -22,13 +28,16 @@ import (
 
 // Options configures a sweep.
 type Options struct {
-	// Sizes are the device counts to sweep (Fig. 3/4 x-axis).
+	// Sizes are the device counts to sweep (Fig. 3/4 x-axis). The
+	// fixed-size drivers (the ablations, Services, ConvergenceDistribution,
+	// TreeQuality) take exactly one.
 	Sizes []int
 	// Seeds is the number of repetitions per size.
 	Seeds int
 	// BaseSeed offsets the derived per-run seeds.
 	BaseSeed int64
-	// MaxSlots overrides the per-run slot cap (0 keeps the default).
+	// MaxSlots overrides the per-run slot cap (0 keeps the default) of
+	// every sweep driver's runs; AblationDrift keeps its fixed cap.
 	MaxSlots units.Slot
 	// Workers bounds the run-level worker pool (0 = NumCPU). Rows are
 	// bit-identical for every setting.
@@ -39,10 +48,12 @@ type Options struct {
 	// slot-level pays off for few large runs, run-level for many small
 	// ones. Results are bit-identical for every setting.
 	SlotWorkers int
-	// Configure, when non-nil, post-processes each run's Config (used by
-	// the ablations). It must be a pure function of its input: the sweep
-	// shares one geometry memoization across all runs, whose contract is
-	// that runs with equal (N, Seed, Area, TxPower, Threshold,
+	// Configure, when non-nil, post-processes each run's Config, after the
+	// MaxSlots override and before the driver's own variant edit (an
+	// ablation's knob, the delay sweep's adversary), which therefore wins
+	// where both set a field. It must be a pure function of its input: the
+	// sweep shares one geometry memoization across all runs, whose contract
+	// is that runs with equal (N, Seed, Area, TxPower, Threshold,
 	// ShadowSigmaDB) use the same path-loss model.
 	Configure func(*core.Config)
 	// OnResult, when non-nil, observes every finished run (live telemetry:
@@ -62,9 +73,9 @@ type Options struct {
 	// slot 1. Row results are bit-identical with or without it (the only
 	// run observable it can shift is the engine-dependent
 	// ActiveSlots/TotalSlots pair, which recovery rows do not carry).
-	// RunSweep and RunDelaySweep ignore it — the former's jobs share no
-	// trajectory, only geometry; the latter derives its faulted runs without
-	// prefix reuse.
+	// Every other driver ignores it: their jobs share no trajectory, only
+	// geometry, and RunDelaySweep derives its faulted runs without prefix
+	// reuse.
 	PrefixSlots units.Slot
 	// Cache, when non-nil, short-circuits runs whose content-addressed key
 	// (CacheKey) already holds a Result — in memory, or in the cache's
@@ -82,7 +93,7 @@ type Options struct {
 	// Geometry, when non-nil, is the link-geometry memoization the sweep
 	// shares across its runs instead of the internal per-sweep cache —
 	// callers pass one to read its hit/miss counters afterwards (the
-	// `d2dsim -exp recovery`/`-exp activity` summaries). Same contract as
+	// `d2dsim -exp recovery`/`delay`/`activity` summaries). Same contract as
 	// the internal cache: Configure must be a pure function of its input.
 	Geometry *core.GeometryCache
 }
@@ -120,8 +131,9 @@ type Row struct {
 
 // RunSweep executes the sweep and returns one row per size, ordered by N.
 func RunSweep(opts Options) ([]Row, error) {
-	jobs, out, err := runSweep(opts, "sweep", lockstep, func(r *sweepRun) (core.Result, error) {
-		return r.run(r.config())
+	jobs, out, err := runSweep(opts, "sweep", fstST, plain, func(r *sweepRun) (core.Result, error) {
+		res, _, err := r.run(r.config())
+		return res, err
 	})
 	if err != nil {
 		return nil, err

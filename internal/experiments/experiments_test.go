@@ -46,18 +46,19 @@ func TestRunSweepShape(t *testing.T) {
 	}
 }
 
-// sweepDrivers runs each sweep driver behind one signature, so the contracts
-// of the runner they share are checked once per driver. delays is the
-// length of the driver's max-delay axis (jobs per size and seed and
-// protocol).
+// sweepDrivers runs sweep drivers behind one signature, so the contracts of
+// the runner they share are checked once per driver. perSeed is the number
+// of jobs per size and seed (variants × protocols); threeway stands in for
+// the drivers that fold through runPoints.
 var sweepDrivers = []struct {
-	name   string
-	delays int
-	run    func(Options) (any, error)
+	name    string
+	perSeed int
+	run     func(Options) (any, error)
 }{
-	{"sweep", 1, func(o Options) (any, error) { return RunSweep(o) }},
-	{"recovery", 1, func(o Options) (any, error) { return RunRecoverySweep(o) }},
-	{"delay", len(delayFractions), func(o Options) (any, error) { return RunDelaySweep(o) }},
+	{"sweep", 2, func(o Options) (any, error) { return RunSweep(o) }},
+	{"recovery", 2, func(o Options) (any, error) { return RunRecoverySweep(o) }},
+	{"delay", 2 * len(delayFractions), func(o Options) (any, error) { return RunDelaySweep(o) }},
+	{"threeway", 3, func(o Options) (any, error) { return ThreeWay(o) }},
 }
 
 // TestRunSweepDeterministicAcrossWorkerCounts pins rows bit-identical at any
@@ -246,7 +247,7 @@ func itoa(n int) string {
 }
 
 func TestAblationShadowing(t *testing.T) {
-	tb, err := AblationShadowing(30, 2, 1)
+	tb, err := AblationShadowing(fixedOptions(30, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +264,15 @@ func TestAblationShadowing(t *testing.T) {
 }
 
 func TestAblationTopology(t *testing.T) {
-	tb, err := AblationTopology(30, 2, 1)
+	tb, err := AblationTopology(fixedOptions(30, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tb.Rows() != 2 {
 		t.Errorf("topology ablation rows = %d, want 2", tb.Rows())
+	}
+	if _, err := AblationTopology(Options{Sizes: []int{20, 30}, Seeds: 1}); err == nil {
+		t.Error("a fixed-size ablation given two sizes should error")
 	}
 }
 

@@ -246,21 +246,41 @@ func TestRunRecoverySweepPrefixIdentical(t *testing.T) {
 	}
 }
 
-// TestGeometryCacheBitIdentical pins the environment memoization: a run built
-// through a GeometryCache is bit-identical to one built cold, and the second
-// environment of a deployment hits the cache.
+// TestGeometryCacheBitIdentical pins the environment memoization under the
+// sharing the ablation sweeps rely on: one cache serves every variant of a
+// deployment, and a run that reads its world from that shared cache must be
+// bit-identical to a cold run, for every model knob an ablation varies.
 func TestGeometryCacheBitIdentical(t *testing.T) {
-	cfg := branchBase(20, 3)
-	cold := scratchRun(t, cfg, core.ST{}, Branch{})
-
-	cfg.Geometry = core.NewGeometryCache()
-	first := scratchRun(t, cfg, core.ST{}, Branch{})
-	second := scratchRun(t, cfg, core.ST{}, Branch{})
-	if !reflect.DeepEqual(cold, first) || !reflect.DeepEqual(first, second) {
-		t.Error("memoized geometry changed run results")
+	knobs := []struct {
+		name string
+		edit func(*core.Config)
+	}{
+		{"baseline", func(*core.Config) {}},
+		{"ShadowSigmaDB", func(c *core.Config) { c.ShadowSigmaDB = 4 }},
+		{"CaptureMarginDB", func(c *core.Config) { c.CaptureMarginDB = 12 }},
+		{"Preambles", func(c *core.Config) { c.Preambles = 64 }},
+		{"SINRDetection", func(c *core.Config) { c.SINRDetection = true }},
+		{"CorrelatedChannel", func(c *core.Config) { c.CorrelatedChannel = true }},
+		{"ClockDriftPPM", func(c *core.Config) { c.ClockDriftPPM = 500; c.SyncWindowSlots = 1 }},
+		{"MeshCoupling", func(c *core.Config) { c.MeshCoupling = true }},
+		{"Services", func(c *core.Config) { c.Services = 4 }},
 	}
-	hits, misses := cfg.Geometry.Stats()
-	if misses != 1 || hits != 1 {
-		t.Errorf("geometry cache stats hits=%d misses=%d, want 1/1", hits, misses)
+	protos := []core.Protocol{core.FST{}, core.ST{}}
+	shared := core.NewGeometryCache()
+	for _, k := range knobs {
+		for _, proto := range protos {
+			cfg := branchBase(20, 3)
+			k.edit(&cfg)
+			cold := scratchRun(t, cfg, proto, Branch{})
+			cfg.Geometry = shared
+			if warm := scratchRun(t, cfg, proto, Branch{}); !reflect.DeepEqual(cold, warm) {
+				t.Errorf("%s/%s: run on the shared geometry cache differs from a cold run", k.name, proto.Name())
+			}
+		}
+	}
+	// Two worlds: the paper's σ and the ShadowSigmaDB variant's.
+	hits, misses := shared.Stats()
+	if runs := uint64(len(knobs) * len(protos)); misses != 2 || hits != runs-2 {
+		t.Errorf("geometry cache stats hits=%d misses=%d, want %d/2", hits, misses, runs-2)
 	}
 }

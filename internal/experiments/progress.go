@@ -24,7 +24,11 @@ const ProgressEventSchema = 1
 type ProgressEvent struct {
 	// Schema is ProgressEventSchema at write time.
 	Schema int `json:"schema"`
-	// Sweep names the driver ("sweep", "recovery", "delay").
+	// Sweep names the driver: "sweep" (Figs. 3/4), "recovery", "delay",
+	// or the d2dsim experiment name of the others ("threeway",
+	// "ablation-shadowing", "ablation-topology", "ablation-drift",
+	// "ablation-preambles", "ablation-detection", "ablation-channel",
+	// "ablation-capture", "services", "cdf", "treequality").
 	Sweep string `json:"sweep"`
 	// Done counts finished jobs including this one; Total the sweep size.
 	Done  int `json:"done"`

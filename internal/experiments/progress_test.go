@@ -97,7 +97,7 @@ func TestRunSweepProgressReportsCacheHits(t *testing.T) {
 				t.Fatal(err)
 			}
 			evs := decodeProgress(t, buf.String())
-			jobs := len(opts.Sizes) * opts.Seeds * 2 * d.delays
+			jobs := len(opts.Sizes) * opts.Seeds * d.perSeed
 			if len(evs) != jobs {
 				t.Fatalf("got %d events, want %d", len(evs), jobs)
 			}

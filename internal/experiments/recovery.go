@@ -87,7 +87,7 @@ func (h *healing) add(res *core.Result) {
 func RunRecoverySweep(opts Options) ([]RecoveryRow, error) {
 	// A job is the reference run plus its derived faulted run; its outcome
 	// is the faulted run's result, nil when there was none.
-	jobs, out, err := runSweep(opts, "recovery", lockstep, func(r *sweepRun) (*core.Result, error) {
+	jobs, out, err := runSweep(opts, "recovery", fstST, plain, func(r *sweepRun) (*core.Result, error) {
 		// Shared-prefix reuse (Options.PrefixSlots): the reference run
 		// keeps a rolling ring of in-memory checkpoints. The derived plan's
 		// crash wave lands two periods after the observed convergence slot,
@@ -115,7 +115,7 @@ func RunRecoverySweep(opts Options) ([]RecoveryRow, error) {
 				ring = append(ring, st)
 			}
 		}
-		ref, err := r.run(refCfg)
+		ref, _, err := r.run(refCfg)
 		if err != nil || !ref.Converged {
 			return nil, err
 		}
@@ -130,7 +130,7 @@ func RunRecoverySweep(opts Options) ([]RecoveryRow, error) {
 				break
 			}
 		}
-		res, err := r.run(cfg)
+		res, _, err := r.run(cfg)
 		return &res, err
 	})
 	if err != nil {

@@ -9,54 +9,53 @@ import (
 	"repro/internal/core"
 )
 
-// The sweep runner the Fig. 3/4, recovery and delay drivers share: one job
-// grid over (size, max delay, seed, protocol), one worker pool, one config
-// builder and one cached run step. A driver supplies only its per-job body
-// and folds the outcomes into rows in job order.
+// The sweep runner every protocol-run driver shares: one job grid over
+// (size, variant, seed, protocol), one worker pool, one config builder and
+// one cached run step. A driver supplies its protocols, its variants and its
+// per-job body, and folds the outcomes into rows in job order.
 
-// protocols are the two protocols every sweep point compares, indexed by
-// job.p (and by the drivers' twin accumulators).
-var protocols = [2]core.Protocol{core.FST{}, core.ST{}}
+var (
+	// fstST are the two protocols the paper compares, indexed by iFST and
+	// iST (in the drivers' twin accumulators too).
+	fstST = []core.Protocol{core.FST{}, core.ST{}}
+	// stOnly drives the ablations that study the proposed protocol alone.
+	stOnly = []core.Protocol{core.ST{}}
+)
 
 const (
 	iFST = 0
 	iST  = 1
 )
 
-// lockstep is the delay axis of the drivers that attach no adversary: the
-// single zero-delay point.
-var lockstep = []int{0}
+// variant is one point of a driver's variant axis: the label its rows print
+// and the edit it applies to every run config of the point (after
+// Options.Configure). A nil configure leaves the config as built.
+type variant struct {
+	label     any
+	configure func(*core.Config)
+}
+
+// plain is the variant axis of the drivers that vary nothing: the one
+// unedited point.
+var plain = []variant{{}}
 
 // job is one point of a sweep grid.
 type job struct {
 	n    int
 	seed int64
-	// delay is the adversary's maximum message delay in slots (delay sweep
-	// only; 0 elsewhere).
-	delay int
-	// p indexes protocols.
-	p int
+	// v indexes the sweep's variants, p its protocols.
+	v, p int
 }
 
-func (j job) proto() core.Protocol { return protocols[j.p] }
-
 // sweepGrid lists a sweep's jobs in the order rows fold them: by size, then
-// max delay, then seed, FST before ST. delayFracs are the max-delay points
-// as divisors of the firing period (0 stands for the lockstep point).
-func sweepGrid(opts Options, delayFracs []int) []job {
-	// The sweep does not vary the model period: probe it once from the first
-	// size's config.
-	period := core.PaperConfig(opts.Sizes[0], opts.BaseSeed).PeriodSlots
+// variant, then seed, then protocol.
+func sweepGrid(opts Options, variants, protos int) []job {
 	var jobs []job
 	for _, n := range opts.Sizes {
-		for _, frac := range delayFracs {
-			d := 0
-			if frac > 0 {
-				d = period / frac
-			}
+		for v := 0; v < variants; v++ {
 			for s := 0; s < opts.Seeds; s++ {
-				for p := range protocols {
-					jobs = append(jobs, job{n: n, seed: opts.BaseSeed + int64(s), delay: d, p: p})
+				for p := 0; p < protos; p++ {
+					jobs = append(jobs, job{n: n, seed: opts.BaseSeed + int64(s), v: v, p: p})
 				}
 			}
 		}
@@ -64,20 +63,23 @@ func sweepGrid(opts Options, delayFracs []int) []job {
 	return jobs
 }
 
-// sweepRun is one job's handle on its sweep: the options, the shared
-// geometry memoization, and what the job's runs reported for its progress
-// line.
+// sweepRun is one job's handle on its sweep: the job's protocol and variant,
+// the options, the shared geometry memoization, and what the job's runs
+// reported for its progress line.
 type sweepRun struct {
 	job
-	opts *Options
-	geom *core.GeometryCache
+	proto   core.Protocol
+	variant variant
+	opts    *Options
+	geom    *core.GeometryCache
 	// runs counts the runs the job made; hits those served from the cache.
 	runs, hits int
 	// resumed records that a derived run resumed from a prefix checkpoint.
 	resumed bool
 }
 
-// config builds a run config for the job's deployment from the options.
+// config builds a run config for the job's deployment from the options and
+// the job's variant.
 func (r *sweepRun) config() core.Config {
 	cfg := core.PaperConfig(r.n, r.seed)
 	cfg.Workers = r.opts.SlotWorkers
@@ -87,30 +89,35 @@ func (r *sweepRun) config() core.Config {
 	if r.opts.Configure != nil {
 		r.opts.Configure(&cfg)
 	}
+	if r.variant.configure != nil {
+		r.variant.configure(&cfg)
+	}
 	cfg.Geometry = r.geom
 	return cfg
 }
 
 // run simulates the job's protocol under cfg, or serves the result from
 // Options.Cache, and reports it to Options.OnResult either way: a cache hit
-// is still one logical run of the sweep.
-func (r *sweepRun) run(cfg core.Config) (core.Result, error) {
-	name := r.proto().Name()
+// is still one logical run of the sweep. It also returns the Env the
+// protocol ran on, nil when the result came from the cache.
+func (r *sweepRun) run(cfg core.Config) (core.Result, *core.Env, error) {
+	name := r.proto.Name()
 	key, cacheable := "", false
 	if r.opts.Cache != nil {
 		key, cacheable = CacheKey(cfg, name)
 	}
 	var res core.Result
+	var env *core.Env
 	hit := false
 	if cacheable {
 		res, hit = r.opts.Cache.Get(key)
 	}
 	if !hit {
-		env, err := core.NewEnv(cfg)
-		if err != nil {
-			return core.Result{}, err
+		var err error
+		if env, err = core.NewEnv(cfg); err != nil {
+			return core.Result{}, nil, err
 		}
-		res = r.proto().Run(env)
+		res = r.proto.Run(env)
 		if cacheable {
 			r.opts.Cache.Put(key, res)
 		}
@@ -122,38 +129,41 @@ func (r *sweepRun) run(cfg core.Config) (core.Result, error) {
 	if r.opts.OnResult != nil {
 		r.opts.OnResult(r.n, name, res)
 	}
-	return res, nil
+	return res, env, nil
 }
 
-// runSweep runs body once per job of the sweep's grid on the worker pool,
-// emits one progress line per finished job, and returns the grid and the
-// jobs' outcomes, both in job order. Drivers fold rows in that order, never
-// in completion order: metrics.Summarize sums floats in input order, so a
-// completion-order fold would tie row bits to goroutine scheduling.
-func runSweep[T any](opts Options, name string, delayFracs []int, body func(*sweepRun) (T, error)) ([]job, []T, error) {
+// runSweep runs body once per job of the grid sizes × variants × seeds ×
+// protos on the worker pool, emits one progress line per finished job, and
+// returns the grid and the jobs' outcomes, both in job order. Drivers fold
+// rows in that order, never in completion order: metrics.Summarize sums
+// floats in input order, so a completion-order fold would tie row bits to
+// goroutine scheduling.
+func runSweep[T any](opts Options, name string, protos []core.Protocol, variants []variant, body func(*sweepRun) (T, error)) ([]job, []T, error) {
 	if len(opts.Sizes) == 0 || opts.Seeds < 1 {
 		return nil, nil, fmt.Errorf("experiments: empty sweep")
 	}
-	// One geometry memoization per sweep: every run of a deployment (the FST
-	// and ST member of a job pair, reference and derived runs) shares one
-	// world, so the link-geometry pass runs once per distinct (n, seed).
-	// Safe because Configure is a pure function of its input (see the
-	// Options doc), so PathLoss is uniform per cache key.
+	// One geometry memoization per sweep: every run of a deployment (the
+	// protocols of a job group, reference and derived runs, the variants
+	// that keep the deployment) shares one world, so the link-geometry pass
+	// runs once per distinct world. Safe because Configure and the variant
+	// edits are pure functions of their input (see the Options doc), so
+	// PathLoss is uniform per cache key.
 	geom := opts.Geometry
 	if geom == nil {
 		geom = core.NewGeometryCache()
 	}
-	jobs := sweepGrid(opts, delayFracs)
+	jobs := sweepGrid(opts, len(variants), len(protos))
 	prog := newProgressReporter(opts.Progress, name, len(jobs), opts.Cache)
 	out := make([]T, len(jobs))
 	err := forEach(opts.Workers, len(jobs), func(i int) error {
-		r := &sweepRun{job: jobs[i], opts: &opts, geom: geom}
+		j := jobs[i]
+		r := &sweepRun{job: j, proto: protos[j.p], variant: variants[j.v], opts: &opts, geom: geom}
 		o, err := body(r)
 		if err != nil {
 			return err
 		}
 		out[i] = o
-		prog.jobDone(r.n, r.proto().Name(), r.hits == r.runs, r.resumed)
+		prog.jobDone(r.n, r.proto.Name(), r.hits == r.runs, r.resumed)
 		return nil
 	})
 	if err != nil {
