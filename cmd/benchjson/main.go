@@ -1,57 +1,67 @@
-// Command benchjson converts `go test -bench` text output (read from stdin)
-// into a JSON benchmark record, so CI and the Makefile can persist hot-path
-// numbers (BENCH_slot.json) in a form diffs and dashboards can consume.
+// Command benchjson turns `go test -bench` text output (read from stdin)
+// into the repository's benchmark record, BENCH.json, and gates pairs of
+// benchmarks within one record. `make bench` runs both steps.
 //
 // Usage:
 //
-//	go test -bench 'BenchmarkStepSlot' -benchmem ./internal/core/ | benchjson -o BENCH_slot.json
+//	go test -run '^$' -bench . -benchtime 100x -count 5 -benchmem ./internal/core/ | benchjson -o BENCH.json
+//	benchjson -in BENCH.json -pair '/off/=/on/' -match 'n=5000$' -max-pair-regress 5
 //
-// Only benchmark result lines are parsed; everything else (PASS, ok, build
-// noise) is ignored. Missing -benchmem columns leave the alloc fields at
-// zero.
+// Record mode parses the benchmark result lines; everything else (PASS, ok,
+// build noise) is ignored, except that a FAIL line rejects the input, so a
+// failed benchmark never leaves a record behind. Names are stored without
+// the GOMAXPROCS suffix go test appends ("-8"). Repeats of one name (from
+// -count, or a sub-benchmark run again, which go test names "name#01") fold
+// into a single row holding the median of each column, so one slow sample
+// on a busy host moves no gate. The record names the host: the
+// CPU model go test prints, the CPU count, GOMAXPROCS and the Go version.
 //
-// With -old and -new it instead compares two such JSON records and prints
-// the per-benchmark time and allocation deltas:
-//
-//	benchjson -old BENCH_slot.json -new /tmp/bench.json \
-//	    -max-time-regress 30 -max-alloc-regress 0
-//
-// Benchmarks are matched by name with the machine-dependent GOMAXPROCS
-// suffix ("-8") stripped; names present in only one record are reported but
-// not compared. A non-negative -max-time-regress (percent) or
-// -max-alloc-regress (percent over the old allocs/op; with a zero baseline
-// any allocation increase trips it) turns the corresponding regression into
-// a nonzero exit, which is how CI gates the hot path. -match restricts the
-// comparison to names matching a regexp, so the gate can cover only the
-// benchmarks whose counts are stable at CI's short iteration budget.
-//
-// With -in and -pair it instead compares benchmarks WITHIN one record:
-//
-//	benchjson -in /tmp/bench.json -pair '/off/=/on/' -max-pair-regress 5
-//
-// Every benchmark whose name contains the CAND fragment (right of "=") is
-// matched to a baseline partner — the name with the first CAND occurrence
-// replaced by BASE — and the pair's ns/op delta is printed. Because both
-// sides come from the same run on the same machine, host-speed variance
-// cancels, which is what makes a tight percentage budget (an
-// instrumentation-overhead gate) meaningful where a cross-record gate
-// would drown in noise.
+// Pair mode compares benchmarks WITHIN one record. Every benchmark whose
+// name contains the CAND fragment (right of "=") is matched to a baseline
+// partner — the name with the first CAND occurrence replaced by BASE — and
+// the pair's ns/op delta is printed. Because both sides come from the same
+// run on the same machine, host speed cancels, so a tight percentage budget
+// is meaningful where a comparison against another host's record would
+// drown in noise. -match restricts the pairs to candidate names matching a
+// regexp; a non-negative -max-pair-regress turns a larger slowdown into a
+// nonzero exit.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
 
-// Result is one parsed benchmark line.
+// Record is the benchmark ledger: the host it was measured on and one
+// folded row per benchmark.
+type Record struct {
+	Host    Host     `json:"host"`
+	Results []Result `json:"results"`
+}
+
+// Host names the machine a record was measured on.
+type Host struct {
+	CPU        string `json:"cpu,omitempty"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// Result is one benchmark: a parsed result line, or the per-column median
+// of Runs such lines.
 type Result struct {
 	Name        string  `json:"name"`
+	Runs        int     `json:"runs"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"b_per_op,omitempty"`
@@ -72,7 +82,7 @@ func parseLine(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	r := Result{Name: fields[0], Iterations: iters}
+	r := Result{Name: fields[0], Runs: 1, Iterations: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -93,244 +103,230 @@ func parseLine(line string) (Result, bool) {
 	return r, true
 }
 
-// baseName strips the trailing GOMAXPROCS suffix go test appends to
-// benchmark names ("BenchmarkStepSlot/seq/n=1000-8" → ".../n=1000"), so
-// records captured on machines with different core counts still match.
+// baseName strips the GOMAXPROCS suffix go test appends to benchmark names
+// ("BenchmarkStepSlot/seq/n=1000-8" → ".../n=1000") and the "#01" it
+// appends to a repeated sub-benchmark name, so repeats fold together.
 func baseName(name string) string {
-	i := strings.LastIndexByte(name, '-')
-	if i <= 0 || i == len(name)-1 {
-		return name
-	}
-	for _, c := range name[i+1:] {
-		if c < '0' || c > '9' {
-			return name
+	for _, sep := range []byte{'-', '#'} {
+		i := strings.LastIndexByte(name, sep)
+		if i <= 0 || i == len(name)-1 || strings.Trim(name[i+1:], "0123456789") != "" {
+			continue
 		}
+		name = name[:i]
 	}
-	return name[:i]
+	return name
 }
 
-func loadResults(path string) (map[string]Result, []string, error) {
+// median returns the middle of vals (the mean of the two middles for an
+// even count); it reorders vals.
+func median(vals []float64) float64 {
+	sort.Float64s(vals)
+	m := len(vals) / 2
+	if len(vals)%2 == 0 {
+		return (vals[m-1] + vals[m]) / 2
+	}
+	return vals[m]
+}
+
+// fold merges the samples of each benchmark name into one row, in
+// first-seen order, holding the median of every column.
+func fold(samples []Result) []Result {
+	byName := map[string][]Result{}
+	var order []string
+	for _, r := range samples {
+		if _, seen := byName[r.Name]; !seen {
+			order = append(order, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, name := range order {
+		rs := byName[name]
+		col := func(get func(Result) float64) float64 {
+			vals := make([]float64, len(rs))
+			for i, r := range rs {
+				vals[i] = get(r)
+			}
+			return median(vals)
+		}
+		out = append(out, Result{
+			Name:        name,
+			Runs:        len(rs),
+			Iterations:  int64(col(func(r Result) float64 { return float64(r.Iterations) })),
+			NsPerOp:     col(func(r Result) float64 { return r.NsPerOp }),
+			BytesPerOp:  col(func(r Result) float64 { return r.BytesPerOp }),
+			AllocsPerOp: col(func(r Result) float64 { return r.AllocsPerOp }),
+		})
+	}
+	return out
+}
+
+// readRecord parses go test output into a record naming the host
+// benchjson runs on, which is the host the piped benchmarks ran on.
+func readRecord(in io.Reader) (Record, error) {
+	rec := Record{Host: Host{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}}
+	var samples []Result
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	for sc.Scan() {
+		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			rec.Host.CPU = strings.TrimSpace(cpu)
+		}
+		if strings.HasPrefix(line, "FAIL") || strings.HasPrefix(strings.TrimSpace(line), "--- FAIL") {
+			return Record{}, fmt.Errorf("benchmark run failed: %s", line)
+		}
+		if r, ok := parseLine(line); ok {
+			r.Name = baseName(r.Name)
+			samples = append(samples, r)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return Record{}, err
+	}
+	if len(samples) == 0 {
+		return Record{}, fmt.Errorf("no benchmark lines on stdin")
+	}
+	rec.Results = fold(samples)
+	return rec, nil
+}
+
+// encode renders a record as indented JSON with one line per result, so
+// a ledger diff shows one changed line per changed benchmark.
+func (rec Record) encode() ([]byte, error) {
+	var b bytes.Buffer
+	host, err := json.Marshal(rec.Host)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(&b, "{\n  \"host\": %s,\n  \"results\": [\n", host)
+	for i, r := range rec.Results {
+		line, err := json.Marshal(r)
+		if err != nil {
+			return nil, err
+		}
+		sep := ","
+		if i == len(rec.Results)-1 {
+			sep = ""
+		}
+		fmt.Fprintf(&b, "    %s%s\n", line, sep)
+	}
+	b.WriteString("  ]\n}\n")
+	return b.Bytes(), nil
+}
+
+func loadRecord(path string) (Record, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return Record{}, err
 	}
-	var results []Result
-	if err := json.Unmarshal(raw, &results); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	var rec Record
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		return Record{}, fmt.Errorf("%s: %w", path, err)
 	}
-	byName := make(map[string]Result, len(results))
-	var order []string
-	for _, r := range results {
-		name := baseName(r.Name)
-		if _, dup := byName[name]; !dup {
-			order = append(order, name)
-		}
-		byName[name] = r
-	}
-	return byName, order, nil
+	return rec, nil
 }
 
-// pct returns the relative change from old to new in percent; a zero old
-// value reports +Inf for any increase (rendered as "new").
+// pct returns the relative change from old to new in percent.
 func pct(oldV, newV float64) float64 {
 	if oldV == 0 {
-		if newV == 0 {
-			return 0
-		}
-		return float64(999999)
+		return 0
 	}
 	return (newV - oldV) / oldV * 100
 }
 
-// compare diffs two benchmark records and returns the number of threshold
-// violations. maxTime/maxAlloc are regression budgets in percent; negative
-// disables the respective gate. A non-nil match restricts the diff to
-// benchmarks whose stripped name matches — how CI gates only the
-// benchmarks whose counts are stable across iteration budgets.
-func compare(w *bufio.Writer, oldPath, newPath string, match *regexp.Regexp, maxTime, maxAlloc float64) (violations int, err error) {
-	oldBy, _, err := loadResults(oldPath)
-	if err != nil {
-		return 0, err
-	}
-	newBy, newOrder, err := loadResults(newPath)
-	if err != nil {
-		return 0, err
-	}
-	fmt.Fprintf(w, "%-52s %14s %14s %9s %9s\n", "benchmark", "old ns/op", "new ns/op", "time", "allocs")
-	for _, name := range newOrder {
-		if match != nil && !match.MatchString(name) {
-			continue
-		}
-		n := newBy[name]
-		o, ok := oldBy[name]
-		if !ok {
-			fmt.Fprintf(w, "%-52s %14s %14.0f %9s %9s  (new benchmark, not compared)\n",
-				name, "-", n.NsPerOp, "-", "-")
-			continue
-		}
-		dt := pct(o.NsPerOp, n.NsPerOp)
-		da := pct(o.AllocsPerOp, n.AllocsPerOp)
-		mark := ""
-		if maxTime >= 0 && dt > maxTime {
-			mark += "  TIME REGRESSION"
-			violations++
-		}
-		if maxAlloc >= 0 && (da > maxAlloc || (o.AllocsPerOp == 0 && n.AllocsPerOp > 0)) {
-			mark += "  ALLOC REGRESSION"
-			violations++
-		}
-		fmt.Fprintf(w, "%-52s %14.0f %14.0f %+8.1f%% %+8.1f%%%s\n",
-			name, o.NsPerOp, n.NsPerOp, dt, da, mark)
-	}
-	for name := range oldBy {
-		if match != nil && !match.MatchString(name) {
-			continue
-		}
-		if _, ok := newBy[name]; !ok {
-			fmt.Fprintf(w, "%-52s  (dropped: present only in %s)\n", name, oldPath)
-		}
-	}
-	return violations, nil
-}
-
 // comparePairs diffs baseline/candidate benchmark pairs inside one record.
-// pair is "BASE=CAND": every benchmark whose stripped name contains CAND is
-// compared against the name with CAND's first occurrence replaced by BASE.
-// maxPair is the ns/op regression budget in percent (negative disables);
-// the return value counts violations.
-func comparePairs(w *bufio.Writer, inPath, pair string, match *regexp.Regexp, maxPair float64) (violations int, err error) {
+// pair is "BASE=CAND": every benchmark whose name contains CAND (and
+// matches match, when non-nil) is compared against the name with CAND's
+// first occurrence replaced by BASE. maxPair is the ns/op regression budget
+// in percent (negative disables); the return value counts violations.
+func comparePairs(w io.Writer, rec Record, pair string, match *regexp.Regexp, maxPair float64) (violations int, err error) {
 	base, cand, ok := strings.Cut(pair, "=")
 	if !ok || base == "" || cand == "" {
 		return 0, fmt.Errorf("-pair must be 'BASE=CAND', got %q", pair)
 	}
-	byName, order, err := loadResults(inPath)
-	if err != nil {
-		return 0, err
+	byName := make(map[string]Result, len(rec.Results))
+	for _, r := range rec.Results {
+		byName[r.Name] = r
 	}
 	fmt.Fprintf(w, "%-52s %14s %14s %9s\n", "benchmark pair", "base ns/op", "cand ns/op", "time")
 	paired := 0
-	for _, name := range order {
-		if !strings.Contains(name, cand) {
+	for _, c := range rec.Results {
+		if !strings.Contains(c.Name, cand) || match != nil && !match.MatchString(c.Name) {
 			continue
 		}
-		if match != nil && !match.MatchString(name) {
-			continue
-		}
-		partner := strings.Replace(name, cand, base, 1)
+		partner := strings.Replace(c.Name, cand, base, 1)
 		b, ok := byName[partner]
 		if !ok {
-			fmt.Fprintf(w, "%-52s  (no %q partner in %s)\n", name, partner, inPath)
+			fmt.Fprintf(w, "%-52s  (no %q partner)\n", c.Name, partner)
 			continue
 		}
 		paired++
-		c := byName[name]
 		dt := pct(b.NsPerOp, c.NsPerOp)
 		mark := ""
 		if maxPair >= 0 && dt > maxPair {
 			mark = "  PAIR REGRESSION"
 			violations++
 		}
-		fmt.Fprintf(w, "%-52s %14.0f %14.0f %+8.1f%%%s\n", name, b.NsPerOp, c.NsPerOp, dt, mark)
+		fmt.Fprintf(w, "%-52s %14.0f %14.0f %+8.1f%%%s\n", c.Name, b.NsPerOp, c.NsPerOp, dt, mark)
 	}
 	if paired == 0 {
-		return violations, fmt.Errorf("no %q/%q pairs found in %s", base, cand, inPath)
+		return violations, fmt.Errorf("no %q/%q pairs found", base, cand)
 	}
 	return violations, nil
 }
 
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "benchjson:", err)
+	os.Exit(1)
+}
+
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	oldPath := flag.String("old", "", "baseline JSON record (enables compare mode with -new)")
-	newPath := flag.String("new", "", "candidate JSON record (enables compare mode with -old)")
 	inPath := flag.String("in", "", "JSON record for within-record -pair mode")
 	pairStr := flag.String("pair", "", "within-record pair gate: 'BASE=CAND' name fragments (requires -in)")
-	matchStr := flag.String("match", "", "compare only benchmarks whose name matches this regexp")
-	maxTime := flag.Float64("max-time-regress", -1, "fail if ns/op regresses by more than this percent (negative disables)")
-	maxAlloc := flag.Float64("max-alloc-regress", -1, "fail if allocs/op regresses by more than this percent (negative disables)")
+	matchStr := flag.String("match", "", "compare only candidates whose name matches this regexp")
 	maxPair := flag.Float64("max-pair-regress", -1, "fail if a -pair candidate's ns/op exceeds its baseline by more than this percent (negative disables)")
 	flag.Parse()
 
-	if (*oldPath == "") != (*newPath == "") {
-		fmt.Fprintln(os.Stderr, "benchjson: -old and -new must be given together")
-		os.Exit(1)
-	}
 	if (*inPath == "") != (*pairStr == "") {
-		fmt.Fprintln(os.Stderr, "benchjson: -in and -pair must be given together")
-		os.Exit(1)
+		fail(fmt.Errorf("-in and -pair must be given together"))
 	}
 	if *inPath != "" {
 		var match *regexp.Regexp
 		if *matchStr != "" {
 			var err error
 			if match, err = regexp.Compile(*matchStr); err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson: -match:", err)
-				os.Exit(1)
+				fail(fmt.Errorf("-match: %w", err))
 			}
 		}
-		w := bufio.NewWriter(os.Stdout)
-		violations, err := comparePairs(w, *inPath, *pairStr, match, *maxPair)
-		w.Flush()
+		rec, err := loadRecord(*inPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
+			fail(err)
+		}
+		violations, err := comparePairs(os.Stdout, rec, *pairStr, match, *maxPair)
+		if err != nil {
+			fail(fmt.Errorf("%s: %w", *inPath, err))
 		}
 		if violations > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d pair regression(s) above threshold\n", violations)
-			os.Exit(1)
-		}
-		return
-	}
-	if *oldPath != "" {
-		var match *regexp.Regexp
-		if *matchStr != "" {
-			var err error
-			if match, err = regexp.Compile(*matchStr); err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson: -match:", err)
-				os.Exit(1)
-			}
-		}
-		w := bufio.NewWriter(os.Stdout)
-		violations, err := compare(w, *oldPath, *newPath, match, *maxTime, *maxAlloc)
-		w.Flush()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		if violations > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark regression(s) above threshold\n", violations)
-			os.Exit(1)
+			fail(fmt.Errorf("%d pair regression(s) above threshold", violations))
 		}
 		return
 	}
 
-	var results []Result
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		if r, ok := parseLine(sc.Text()); ok {
-			results = append(results, r)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
-		os.Exit(1)
-	}
-	if len(results) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
-	}
-	enc, err := json.MarshalIndent(results, "", "  ")
+	rec, err := readRecord(os.Stdin)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	enc = append(enc, '\n')
+	enc, err := rec.encode()
+	if err != nil {
+		fail(err)
+	}
 	if *out == "" {
 		os.Stdout.Write(enc)
 		return
 	}
 	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fail(err)
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"os"
 	"path/filepath"
@@ -15,7 +14,7 @@ func TestParseLine(t *testing.T) {
 	if !ok {
 		t.Fatal("benchmark line not recognised")
 	}
-	if r.Name != "BenchmarkBroadcastCached/n=1000-8" || r.Iterations != 50000 ||
+	if r.Name != "BenchmarkBroadcastCached/n=1000-8" || r.Runs != 1 || r.Iterations != 50000 ||
 		r.NsPerOp != 23456 || r.BytesPerOp != 0 || r.AllocsPerOp != 0 {
 		t.Fatalf("parsed %+v", r)
 	}
@@ -43,6 +42,9 @@ func TestBaseName(t *testing.T) {
 		"BenchmarkStepSlot/seq/n=1000-32": "BenchmarkStepSlot/seq/n=1000",
 		"BenchmarkRunFST/event/n=200":     "BenchmarkRunFST/event/n=200",
 		"BenchmarkOdd-suffix":             "BenchmarkOdd-suffix",
+		"BenchmarkNet/off/n=5000#03-2":    "BenchmarkNet/off/n=5000",
+		"BenchmarkNet/off/n=5000#12":      "BenchmarkNet/off/n=5000",
+		"BenchmarkOdd#tag-2":              "BenchmarkOdd#tag",
 	}
 	for in, want := range cases {
 		if got := baseName(in); got != want {
@@ -51,88 +53,128 @@ func TestBaseName(t *testing.T) {
 	}
 }
 
-func writeRecord(t *testing.T, dir, name, content string) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+// -count repeats fold into one row per name, in first-seen order, holding
+// the median of every column: one outlier sample moves nothing.
+func TestReadRecordFoldsRepeatsByMedian(t *testing.T) {
+	out := `goos: linux
+cpu: Test CPU @ 1GHz
+BenchmarkA/off/n=5-2   100   1000 ns/op   10 B/op   0 allocs/op
+BenchmarkA/off/n=5#01-2   100   9000 ns/op   10 B/op   5 allocs/op
+BenchmarkA/off/n=5-2   100   1100 ns/op   12 B/op   0 allocs/op
+BenchmarkB-2           3     50 ns/op
+BenchmarkB-2           3     70 ns/op
+PASS
+ok  	repro/x	1.0s
+`
+	rec, err := readRecord(strings.NewReader(out))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return path
-}
-
-func TestCompareDetectsRegressions(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := writeRecord(t, dir, "old.json", `[
-		{"name": "BenchmarkStepSlot/seq/n=1000-8", "iterations": 100, "ns_per_op": 1000, "allocs_per_op": 0},
-		{"name": "BenchmarkRunFST/slot/n=200-8", "iterations": 10, "ns_per_op": 500, "allocs_per_op": 5},
-		{"name": "BenchmarkGone-8", "iterations": 10, "ns_per_op": 1, "allocs_per_op": 0}
-	]`)
-	newPath := writeRecord(t, dir, "new.json", `[
-		{"name": "BenchmarkStepSlot/seq/n=1000-16", "iterations": 100, "ns_per_op": 1500, "allocs_per_op": 2},
-		{"name": "BenchmarkRunFST/slot/n=200-16", "iterations": 10, "ns_per_op": 400, "allocs_per_op": 5},
-		{"name": "BenchmarkFresh-16", "iterations": 10, "ns_per_op": 9, "allocs_per_op": 0}
-	]`)
-
-	// Gates off: report only, no violations.
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	v, err := compare(w, oldPath, newPath, nil, -1, -1)
-	w.Flush()
-	if err != nil || v != 0 {
-		t.Fatalf("ungated compare: violations=%d err=%v", v, err)
+	if rec.Host.CPU != "Test CPU @ 1GHz" || rec.Host.NumCPU < 1 || rec.Host.GOMAXPROCS < 1 || rec.Host.GoVersion == "" {
+		t.Errorf("host = %+v", rec.Host)
 	}
-	out := buf.String()
-	for _, want := range []string{"BenchmarkStepSlot/seq/n=1000", "new benchmark", "dropped"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q:\n%s", want, out)
+	want := []Result{
+		{Name: "BenchmarkA/off/n=5", Runs: 3, Iterations: 100, NsPerOp: 1100, BytesPerOp: 10, AllocsPerOp: 0},
+		{Name: "BenchmarkB", Runs: 2, Iterations: 3, NsPerOp: 60},
+	}
+	if len(rec.Results) != len(want) {
+		t.Fatalf("results = %+v", rec.Results)
+	}
+	for i := range want {
+		if rec.Results[i] != want[i] {
+			t.Errorf("result %d = %+v, want %+v", i, rec.Results[i], want[i])
 		}
 	}
 
-	// Time gate at 20%: the 1000→1500 ns/op jump (+50%) violates; the
-	// improved benchmark does not.
-	buf.Reset()
-	w = bufio.NewWriter(&buf)
-	v, err = compare(w, oldPath, newPath, nil, 20, -1)
-	w.Flush()
-	if err != nil || v != 1 {
-		t.Fatalf("time gate: violations=%d err=%v\n%s", v, err, buf.String())
+	// The encoding round-trips, one line per result.
+	enc, err := rec.encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Alloc gate at 0%: 0→2 allocs/op violates even though the percent
-	// over a zero baseline is degenerate; 5→5 passes.
-	buf.Reset()
-	w = bufio.NewWriter(&buf)
-	v, err = compare(w, oldPath, newPath, nil, -1, 0)
-	w.Flush()
-	if err != nil || v != 1 {
-		t.Fatalf("alloc gate: violations=%d err=%v\n%s", v, err, buf.String())
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		t.Fatal(err)
 	}
-
-	// A -match filter scopes the gate: restricted to RunFST, the alloc
-	// violation above disappears and the other benchmarks vanish from the
-	// report entirely.
-	buf.Reset()
-	w = bufio.NewWriter(&buf)
-	v, err = compare(w, oldPath, newPath, regexp.MustCompile("BenchmarkRunFST"), -1, 0)
-	w.Flush()
-	if err != nil || v != 0 {
-		t.Fatalf("matched alloc gate: violations=%d err=%v\n%s", v, err, buf.String())
+	back, err := loadRecord(path)
+	if err != nil || back.Host != rec.Host || len(back.Results) != 2 || back.Results[1] != want[1] {
+		t.Errorf("round trip: %+v, %v", back, err)
 	}
-	if out := buf.String(); strings.Contains(out, "StepSlot") || strings.Contains(out, "BenchmarkGone") {
-		t.Errorf("filtered report still mentions excluded benchmarks:\n%s", out)
+	if lines := strings.Count(string(enc), "\n"); lines != 5+len(want) {
+		t.Errorf("encoding has %d lines, want %d:\n%s", lines, 5+len(want), enc)
 	}
 }
 
-func TestCompareRejectsBadInput(t *testing.T) {
-	dir := t.TempDir()
-	good := writeRecord(t, dir, "good.json", `[{"name": "BenchmarkX-8", "iterations": 1, "ns_per_op": 1}]`)
-	bad := writeRecord(t, dir, "bad.json", `{not json`)
+// A failed run leaves no record, and neither does empty input.
+func TestReadRecordRejectsFailures(t *testing.T) {
+	for name, in := range map[string]string{
+		"failed benchmark": "BenchmarkA-2  10  5 ns/op\n--- FAIL: BenchmarkB\nFAIL\n",
+		"build failure":    "FAIL\trepro/internal/core [build failed]\n",
+		"no benchmarks":    "PASS\nok  \trepro/x\t1.0s\n",
+	} {
+		if _, err := readRecord(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+func TestComparePairs(t *testing.T) {
+	rec := Record{Results: []Result{
+		{Name: "BenchmarkNet/off/n=200", NsPerOp: 100},
+		{Name: "BenchmarkNet/degen/n=200", NsPerOp: 150},
+		{Name: "BenchmarkNet/off/n=5000", NsPerOp: 1000},
+		{Name: "BenchmarkNet/degen/n=5000", NsPerOp: 1040},
+		{Name: "BenchmarkNet/degen/n=9", NsPerOp: 1},
+		{Name: "BenchmarkSweep/cold", NsPerOp: 700},
+		{Name: "BenchmarkSweep/shared", NsPerOp: 450},
+	}}
+	cases := []struct {
+		pair, match string
+		max         float64
+		violations  int
+	}{
+		{"/off/=/degen/", "", -1, 0},          // report only
+		{"/off/=/degen/", "", 5, 1},           // +50% at n=200 trips, +4% does not
+		{"/off/=/degen/", "n=5000$", 5, 0},    // -match scopes the gate
+		{"/off/=/degen/", "n=5000$", 3, 1},    // +4% over a 3% budget
+		{"/cold=/shared", "", 0, 0},           // shared no slower than cold
+		{"/shared=/cold", "", 0, 1},           // the reverse pair is slower
+		{"/off/=/degen/", "n=(200|9)$", 5, 1}, // an unpartnered candidate is reported, not counted
+	}
+	for _, tc := range cases {
+		var match *regexp.Regexp
+		if tc.match != "" {
+			match = regexp.MustCompile(tc.match)
+		}
+		var buf bytes.Buffer
+		v, err := comparePairs(&buf, rec, tc.pair, match, tc.max)
+		if err != nil || v != tc.violations {
+			t.Errorf("pair %q match %q max %v: violations=%d err=%v, want %d\n%s",
+				tc.pair, tc.match, tc.max, v, err, tc.violations, buf.String())
+		}
+	}
+}
+
+func TestComparePairsRejectsBadInput(t *testing.T) {
+	rec := Record{Results: []Result{{Name: "BenchmarkX/off", NsPerOp: 1}}}
 	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if _, err := compare(w, good, bad, nil, -1, -1); err == nil {
+	for _, pair := range []string{"off", "=/on", "/off="} {
+		if _, err := comparePairs(&buf, rec, pair, nil, -1); err == nil {
+			t.Errorf("malformed -pair %q accepted", pair)
+		}
+	}
+	if _, err := comparePairs(&buf, rec, "/off=/on", nil, -1); err == nil {
+		t.Error("a record without pairs passed")
+	}
+
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{not json`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadRecord(bad); err == nil {
 		t.Error("malformed JSON accepted")
 	}
-	if _, err := compare(w, filepath.Join(dir, "missing.json"), good, nil, -1, -1); err == nil {
+	if _, err := loadRecord(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file accepted")
 	}
 }

@@ -32,6 +32,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -158,21 +160,16 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *cfgPath != "" {
-		if err := runFromManifest(*cfgPath, *proto, *slotWorkers, *reportPath, plan, netPlan, vars, ck, *runStats); err != nil {
-			fmt.Fprintln(os.Stderr, "d2dsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	opts := runOpts{
-		exp: *exp, sizes: *sizesStr, seeds: *seeds, baseSeed: *baseSeed,
+		exp: *exp, config: *cfgPath, sizes: *sizesStr, seeds: *seeds, baseSeed: *baseSeed,
 		n: *n, proto: *proto, maxSlots: *maxSlots,
 		workers: *workers, slotWorkers: *slotWorkers,
 		prefixSlots: *prefixSlots, cacheDir: *cacheDir,
 		csv: *csv, plot: *plot, report: *reportPath, faults: plan, net: netPlan, vars: vars,
 		checkpoint: ck, runStats: *runStats, progress: *progress,
+	}
+	if opts.config != "" {
+		opts.exp = "single"
 	}
 	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "d2dsim:", err)
@@ -184,6 +181,7 @@ func main() {
 // throughput settings, output format, and the observability sinks.
 type runOpts struct {
 	exp      string // experiment name
+	config   string // manifest a single run starts from ("" = the default for n, baseSeed)
 	sizes    string // comma-separated sweep sizes
 	seeds    int    // repetitions per sweep point
 	baseSeed int64
@@ -319,52 +317,6 @@ func attachNet(cfg *core.Config, plan *asyncnet.Plan) {
 	}
 }
 
-// runFromManifest executes one protocol run pinned by a JSON manifest.
-// Workers is a throughput knob, not a model parameter, so it is not part of
-// the manifest; the flag applies on top and cannot change the result.
-func runFromManifest(path, proto string, slotWorkers int, report string, plan *faults.Plan, netPlan *asyncnet.Plan, vars *telemetry.Vars, ck checkpointOpts, runStats bool) error {
-	m, err := manifest.Load(path)
-	if err != nil {
-		return err
-	}
-	cfg, err := m.ToConfig()
-	if err != nil {
-		return err
-	}
-	cfg.Workers = slotWorkers
-	cfg.Faults = plan
-	attachNet(&cfg, netPlan)
-	var rs *telemetry.RunStats
-	if runStats {
-		rs = telemetry.NewRunStats()
-		cfg.RunStats = rs
-	}
-	if err := ck.apply(&cfg, proto, rs); err != nil {
-		return err
-	}
-	telRun := attachTelemetry(&cfg, report, vars)
-	env, err := core.NewEnv(cfg)
-	if err != nil {
-		return err
-	}
-	p, err := protocolByName(proto)
-	if err != nil {
-		return err
-	}
-	res := p.Run(env)
-	fmt.Println(res)
-	fmt.Printf("energy: %v\n", res.Energy)
-	printSlotRatio(res)
-	printRecovery(plan, res)
-	printNet(netPlan, res)
-	recordSingle(vars, cfg.N, res)
-	printRunStats(rs, vars)
-	if report != "" {
-		return writeReport(report, p.Name(), m, telRun, rs, res, env.Transport.Collisions())
-	}
-	return nil
-}
-
 // printRunStats renders the engine attribution table of a finished run and
 // folds the accumulation into the live registry (both nil-safe).
 func printRunStats(rs *telemetry.RunStats, vars *telemetry.Vars) {
@@ -417,21 +369,26 @@ func recordSingle(vars *telemetry.Vars, n int, res core.Result) {
 }
 
 // writeReport assembles and writes the machine-readable run report: schema,
-// protocol, config identity (digest + embedded manifest), result scalars,
-// the probe series, the engine attribution section (when -runstats
+// protocol, config identity (digest + embedded manifest and plans), result
+// scalars, the probe series, the engine attribution section (when -runstats
 // collected one) and the producing binary's build provenance.
-func writeReport(path, proto string, m manifest.Manifest, telRun *telemetry.Run, rs *telemetry.RunStats, res core.Result, collisions uint64) error {
+func writeReport(path, proto string, m manifest.Manifest, plan *faults.Plan, netPlan *asyncnet.Plan, telRun *telemetry.Run, rs *telemetry.RunStats, res core.Result, collisions uint64) error {
 	rep := telRun.BuildReport(proto, summarize(res, collisions))
-	digest, err := m.Digest()
-	if err != nil {
+	var err error
+	if rep.Manifest, err = json.Marshal(m); err != nil {
 		return err
 	}
-	raw, err := json.Marshal(m)
-	if err != nil {
-		return err
+	if plan != nil {
+		if rep.Faults, err = json.Marshal(plan); err != nil {
+			return err
+		}
 	}
-	rep.ConfigDigest = digest
-	rep.Manifest = raw
+	if netPlan != nil {
+		if rep.Net, err = json.Marshal(netPlan); err != nil {
+			return err
+		}
+	}
+	rep.ConfigDigest = runDigest(rep.Manifest, rep.Faults, rep.Net)
 	rep.RunStats = rs.Report()
 	if bi := manifest.CollectBuildInfo(); bi != (telemetry.BuildInfo{}) {
 		rep.Build = &bi
@@ -441,6 +398,23 @@ func writeReport(path, proto string, m manifest.Manifest, telRun *telemetry.Run,
 	}
 	fmt.Printf("wrote telemetry report (%d samples) to %s\n", len(rep.Series), path)
 	return nil
+}
+
+// runDigest is the identity of a run: the SHA-256 of the manifest JSON and,
+// each under its own label, the fault and asynchrony plan JSON it ran with.
+// A run without plans hashes the manifest alone, which is Manifest.Digest.
+func runDigest(manifestJSON, faultsJSON, netJSON []byte) string {
+	h := sha256.New()
+	h.Write(manifestJSON)
+	if faultsJSON != nil {
+		h.Write([]byte("\nfaults:"))
+		h.Write(faultsJSON)
+	}
+	if netJSON != nil {
+		h.Write([]byte("\nnet:"))
+		h.Write(netJSON)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // summarize flattens a core.Result into the report's JSON-stable scalars.
@@ -731,22 +705,36 @@ func runFig2(s *session) error {
 	return nil
 }
 
-// runSingle runs one protocol at -n with the single-run flags applied.
+// runSingle runs one protocol from the -config manifest, or the default
+// manifest for -n and -seed, with the single-run flags applied on top. The
+// slot cap is part of the manifest; the other flags are not model
+// parameters (workers, observability) or travel in the report next to it
+// (the fault and asynchrony plans).
 func runSingle(s *session) error {
-	o, n, baseSeed, maxSlots, proto := s.runOpts, s.n, s.baseSeed, s.maxSlots, s.proto
-	cfg := core.PaperConfig(n, baseSeed)
+	o := s.runOpts
+	m := manifest.Default(o.n, o.baseSeed)
+	if o.config != "" {
+		var err error
+		if m, err = manifest.Load(o.config); err != nil {
+			return err
+		}
+	}
+	if o.maxSlots > 0 {
+		m.MaxSlots = o.maxSlots
+	}
+	cfg, err := m.ToConfig()
+	if err != nil {
+		return err
+	}
 	cfg.Workers = o.slotWorkers
 	cfg.Faults = o.faults
 	attachNet(&cfg, o.net)
-	if maxSlots > 0 {
-		cfg.MaxSlots = units.Slot(maxSlots)
-	}
 	var rs *telemetry.RunStats
 	if o.runStats {
 		rs = telemetry.NewRunStats()
 		cfg.RunStats = rs
 	}
-	if err := o.checkpoint.apply(&cfg, proto, rs); err != nil {
+	if err := o.checkpoint.apply(&cfg, o.proto, rs); err != nil {
 		return err
 	}
 	telRun := attachTelemetry(&cfg, o.report, o.vars)
@@ -754,12 +742,13 @@ func runSingle(s *session) error {
 	if err != nil {
 		return err
 	}
-	p, err := protocolByName(proto)
+	p, err := protocolByName(o.proto)
 	if err != nil {
 		return err
 	}
 	res := p.Run(env)
 	fmt.Println(res)
+	fmt.Printf("energy: %v\n", res.Energy)
 	fmt.Printf("service discovery: %.1f%%, discovered links: %d\n",
 		100*res.ServiceDiscovery, res.DiscoveredLinks)
 	printSlotRatio(res)
@@ -772,13 +761,7 @@ func runSingle(s *session) error {
 	recordSingle(o.vars, cfg.N, res)
 	printRunStats(rs, o.vars)
 	if o.report != "" {
-		// The single run is exactly manifest.Default(n, seed) with the
-		// slot-cap override, so the embedded manifest re-executes it.
-		m := manifest.Default(n, baseSeed)
-		if maxSlots > 0 {
-			m.MaxSlots = maxSlots
-		}
-		return writeReport(o.report, p.Name(), m, telRun, rs, res, env.Transport.Collisions())
+		return writeReport(o.report, p.Name(), m, o.faults, o.net, telRun, rs, res, env.Transport.Collisions())
 	}
 	return nil
 }

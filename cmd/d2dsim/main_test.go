@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -10,6 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asyncnet"
+	"repro/internal/faults"
+	"repro/internal/manifest"
 	"repro/internal/telemetry"
 )
 
@@ -273,6 +278,98 @@ func TestRunSingleWritesReport(t *testing.T) {
 	}
 	if rep.Result.TotalTx == 0 || rep.Result.EnergyMJ == 0 {
 		t.Errorf("result scalars empty: %+v", rep.Result)
+	}
+}
+
+// -maxslots applies to a -config run as it does to a default one: a cap
+// below one period is rejected, a larger one is the run's cap.
+func TestConfigRunHonoursMaxSlots(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.json")
+	if err := manifest.Default(30, 1).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	o := base()
+	o.config = path
+	o.maxSlots = 50
+	if err := run(o); err == nil || !strings.Contains(err.Error(), "MaxSlots 50") {
+		t.Errorf("-config with -maxslots 50: err = %v, want the slot cap rejected", err)
+	}
+
+	o.maxSlots = 500
+	o.report = filepath.Join(t.TempDir(), "report.json")
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := telemetry.LoadReport(o.report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest.Manifest
+	if err := json.Unmarshal(rep.Manifest, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.N != 30 || m.MaxSlots != 500 || rep.Result.Converged || rep.Result.TotalSlots != 500 {
+		t.Errorf("report: manifest n=%d cap=%d, converged=%v over %d slots; want n=30 capped at 500",
+			m.N, m.MaxSlots, rep.Result.Converged, rep.Result.TotalSlots)
+	}
+}
+
+// A report records the fault and asynchrony plans its run attached, and
+// its config digest tells the runs apart; without plans the digest is the
+// manifest's own.
+func TestReportCarriesPlans(t *testing.T) {
+	dir := t.TempDir()
+	report := func(plan *faults.Plan, netPlan *asyncnet.Plan) telemetry.Report {
+		t.Helper()
+		o := base()
+		o.n = 20
+		o.maxSlots = 3000
+		o.faults, o.net = plan, netPlan
+		o.report = filepath.Join(dir, "report.json")
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := telemetry.LoadReport(o.report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	crash := &faults.Plan{Version: faults.PlanSchema, Actions: []faults.Action{{Kind: faults.KindCrash, At: 2000, Device: 3}}}
+	delay := &asyncnet.Plan{Version: asyncnet.PlanSchema, MaxDelaySlots: 5}
+
+	plain := report(nil, nil)
+	m := manifest.Default(20, 1)
+	m.MaxSlots = 3000
+	if want, _ := m.Digest(); plain.ConfigDigest != want || plain.Faults != nil || plain.Net != nil {
+		t.Errorf("plain report: digest %s (want %s), faults %s, net %s", plain.ConfigDigest, want, plain.Faults, plain.Net)
+	}
+	digests := map[string]string{"plain": plain.ConfigDigest}
+	for _, c := range []struct {
+		name string
+		plan *faults.Plan
+		net  *asyncnet.Plan
+	}{{"faults", crash, nil}, {"net", nil, delay}, {"both", crash, delay}} {
+		rep := report(c.plan, c.net)
+		if (rep.Faults != nil) != (c.plan != nil) || (rep.Net != nil) != (c.net != nil) {
+			t.Errorf("%s: report embeds faults %s, net %s", c.name, rep.Faults, rep.Net)
+		}
+		if rep.Faults != nil {
+			if got, err := faults.Read(bytes.NewReader(rep.Faults)); err != nil || len(got.Actions) != 1 {
+				t.Errorf("%s: embedded fault plan %s does not read back: %v", c.name, rep.Faults, err)
+			}
+		}
+		if rep.Net != nil {
+			if got, err := asyncnet.Read(bytes.NewReader(rep.Net)); err != nil || got.MaxDelaySlots != 5 {
+				t.Errorf("%s: embedded net plan %s does not read back: %v", c.name, rep.Net, err)
+			}
+		}
+		for other, d := range digests {
+			if d == rep.ConfigDigest {
+				t.Errorf("%s and %s reports share config digest %s", c.name, other, d)
+			}
+		}
+		digests[c.name] = rep.ConfigDigest
 	}
 }
 

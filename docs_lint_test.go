@@ -2,7 +2,8 @@ package repro
 
 // docs_lint_test enforces deliverable-grade documentation mechanically:
 // every exported identifier in every package of this module must carry a
-// doc comment. The test walks the AST of all non-test sources.
+// doc comment, and the docs name only Makefile targets and benchmark
+// records that exist.
 
 import (
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -70,5 +72,71 @@ func TestAllExportedIdentifiersDocumented(t *testing.T) {
 	}
 	for _, v := range violations {
 		t.Error("undocumented exported identifier: " + v)
+	}
+}
+
+// TestDocsNameRealTargetsAndRecords keeps the docs in step with the tooling:
+// every `make X` and every BENCH*.json that README.md, DESIGN.md,
+// EXPERIMENTS.md or a Go comment (outside the perfbench module) names must
+// be a Makefile target or a file at the repository root.
+func TestDocsNameRealTargetsAndRecords(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllStringSubmatch(string(makefile), -1) {
+		targets[m[1]] = true
+	}
+
+	texts := map[string]string{}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts[doc] = string(raw)
+	}
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "perfbench" || path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		var b strings.Builder
+		for _, c := range f.Comments {
+			b.WriteString(c.Text())
+		}
+		texts[path] = b.String()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	makeRef := regexp.MustCompile("`make\\s+([a-z][a-z0-9-]*)")
+	recordRef := regexp.MustCompile(`BENCH[A-Za-z0-9_]*\.json`)
+	for path, text := range texts {
+		for _, m := range makeRef.FindAllStringSubmatch(text, -1) {
+			if !targets[m[1]] {
+				t.Errorf("%s names `make %s`, which the Makefile does not define", path, m[1])
+			}
+		}
+		for _, rec := range recordRef.FindAllString(text, -1) {
+			if _, err := os.Stat(rec); err != nil {
+				t.Errorf("%s names %s, which does not exist", path, rec)
+			}
+		}
 	}
 }

@@ -54,7 +54,10 @@ func BenchmarkRunSTSparse(b *testing.B) {
 // the engine skips the inert slots and all but the due shards instead of
 // ramping every device every slot. The win is therefore architectural
 // (fewer touched devices), not parallel — it holds on a single-core host.
-// Reproduce with `make bench-shard-record`.
+// It is not part of `make bench` (n=5000 takes about 8.5 minutes per side
+// on two CPUs); run it with
+//
+//	go test -run '^$' -bench 'BenchmarkRunFSTSharded' -benchtime 1x -timeout 60m ./internal/core/
 func BenchmarkRunFSTSharded(b *testing.B) {
 	for _, n := range []int{1000, 5000} {
 		for _, mode := range []struct {
@@ -89,13 +92,83 @@ func BenchmarkRunFSTSharded(b *testing.B) {
 	}
 }
 
+// steadyEngine builds cfg's engine and steps it through the given number
+// of periods, every slot stepped and every decoded pulse coupled (mesh
+// coupling keeps each one on the PRC path, the worst case for delivery).
+// That saturates the discovery tables and the reused buffers, so what
+// follows measures the steady-state loop, not their one-time growth. step
+// steps the next slot.
+func steadyEngine(tb testing.TB, cfg Config, periods int) (eng *engine, step func()) {
+	env, err := NewEnv(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng = newEngine(env)
+	couples := func(sender, receiver int) bool { return true }
+	var ops uint64
+	var slot units.Slot
+	step = func() {
+		slot++
+		eng.stepSlot(slot, couples, 1, &ops)
+	}
+	for s := 0; s < periods*cfg.PeriodSlots; s++ {
+		step()
+	}
+	return eng, step
+}
+
+// benchRounds is how many windows a steady-state slot benchmark measures
+// per case.
+const benchRounds = 5
+
+// slotCase is one sub-benchmark of benchSlots.
+type slotCase struct {
+	name string
+	cfg  Config
+}
+
+// benchSlots benchmarks the steady-state slot loop of each case's engine
+// after a three-period warm-up. The cases run in benchRounds alternating
+// rounds, each round measuring the next window of every case in turn, so a
+// drift in the host's speed hits all of them alike and cancels out of a
+// comparison between two. Each engine is built and warmed once and steps on
+// from window to window. go test names the repeats of a case name#01,
+// name#02, ...; benchjson folds them into one row by median.
+func benchSlots(b *testing.B, cases ...slotCase) {
+	engines := make([]*engine, len(cases))
+	steps := make([]func(), len(cases))
+	defer func() {
+		for _, eng := range engines {
+			if eng != nil {
+				eng.close()
+			}
+		}
+	}()
+	for r := 0; r < benchRounds; r++ {
+		for i, c := range cases {
+			b.Run(c.name, func(b *testing.B) {
+				if engines[i] == nil {
+					engines[i], steps[i] = steadyEngine(b, c.cfg, 3)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for k := 0; k < b.N; k++ {
+					steps[i]()
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkStepSlot measures one slot of the hot loop — oscillator advance,
 // transport resolution, pulse delivery — on the reference stepper (seq) and
 // on the engine at one worker (shard), at four workers and at one per CPU.
-// Every slot is stepped, as in the dense regime. Mesh coupling keeps every
-// decoded pulse on the PRC path, the worst case for the delivery phase.
-// Reproduce with `make bench-slot`; EXPERIMENTS.md records reference
-// numbers.
+// Every slot is stepped, as in the dense regime. `make bench` records
+// n <= 20000 in BENCH.json and gates shard against seq there. The n=100000
+// rows (about ten minutes on two CPUs) are measured with the same
+// one-period windows by
+//
+//	go test -run '^$' -bench 'BenchmarkStepSlot/.*/n=100000' -benchtime 100x -timeout 30m ./internal/core/
 func BenchmarkStepSlot(b *testing.B) {
 	type mode struct {
 		name    string
@@ -114,34 +187,15 @@ func BenchmarkStepSlot(b *testing.B) {
 			// stepper; the worker-count modes only re-measure pool overhead.
 			modes = modes[:2]
 		}
+		var cases []slotCase
 		for _, mode := range modes {
-			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
-				cfg := PaperConfig(n, 7)
-				cfg.Workers = mode.workers
-				if mode.oracle {
-					cfg = withOracle(cfg)
-				}
-				env, err := NewEnv(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				eng := newEngine(env)
-				defer eng.close()
-				couples := func(sender, receiver int) bool { return true }
-				var ops uint64
-				// Saturate the discovery tables first: the steady state
-				// measures the loop, not the one-time neighbour-map growth
-				// of the first few periods.
-				warm := 3 * cfg.PeriodSlots
-				for s := 1; s <= warm; s++ {
-					eng.stepSlot(units.Slot(s), couples, 1, &ops)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					eng.stepSlot(units.Slot(warm+i+1), couples, 1, &ops)
-				}
-			})
+			cfg := PaperConfig(n, 7)
+			cfg.Workers = mode.workers
+			if mode.oracle {
+				cfg = withOracle(cfg)
+			}
+			cases = append(cases, slotCase{fmt.Sprintf("%s/n=%d", mode.name, n), cfg})
 		}
+		benchSlots(b, cases...)
 	}
 }

@@ -168,6 +168,31 @@ func TestSTCrashRecoveryAcceptance(t *testing.T) {
 	}
 }
 
+// A live set of one device is synchronized as soon as its own fires form
+// StableRounds rounds: a one-device network converges, and a crash wave
+// that leaves one survivor closes its recovery episode, on both protocols.
+func TestSingleLiveDeviceConverges(t *testing.T) {
+	for _, proto := range []Protocol{FST{}, ST{}} {
+		res := proto.Run(mustEnv(t, fastConfig(1, 1)))
+		if !res.Converged || res.ConvergenceSlots >= 10*units.Slot(PaperConfig(1, 1).PeriodSlots) {
+			t.Errorf("%s n=1: converged=%v at %d slots, want convergence within ten periods",
+				proto.Name(), res.Converged, res.ConvergenceSlots)
+		}
+
+		const n = 5
+		cfg := fastConfig(n, 1)
+		cfg.Faults = &faults.Plan{Version: faults.PlanSchema}
+		for d := 1; d < n; d++ {
+			cfg.Faults.Actions = append(cfg.Faults.Actions, faults.Action{Kind: faults.KindCrash, At: 3000, Device: d})
+		}
+		res = proto.Run(mustEnv(t, cfg))
+		if !res.Converged || res.Recoveries < 1 || res.TotalSlots >= uint64(cfg.MaxSlots) {
+			t.Errorf("%s n=%d, one survivor: converged=%v, %d recoveries, ran %d of %d slots",
+				proto.Name(), n, res.Converged, res.Recoveries, res.TotalSlots, cfg.MaxSlots)
+		}
+	}
+}
+
 // A device that powers on mid-run (a join action on an initially-dead
 // device) must be discovered, re-attached by a repair round and end the
 // run in phase with the rest of the network.
@@ -213,32 +238,19 @@ func TestStepSlotEmptyFaultPlanAllocs(t *testing.T) {
 	}
 	cfg := PaperConfig(200, 7)
 	cfg.Faults = &faults.Plan{Version: faults.PlanSchema}
-	env := mustEnv(t, cfg)
-	eng := newEngine(env)
+	eng, step := steadyEngine(t, cfg, 6)
 	defer eng.close()
 	if eng.fltFilters {
 		t.Fatal("empty plan should not enable delivery filtering")
 	}
-	couples := func(sender, receiver int) bool { return true }
-	var ops uint64
-	warm := 6 * cfg.PeriodSlots
-	for s := 1; s <= warm; s++ {
-		eng.stepSlot(units.Slot(s), couples, 1, &ops)
-	}
-	slot := units.Slot(warm)
-	avg := testing.AllocsPerRun(200, func() {
-		slot++
-		eng.stepSlot(slot, couples, 1, &ops)
-	})
-	if avg > 1 {
+	if avg := testing.AllocsPerRun(200, step); avg > 1 {
 		t.Errorf("stepSlot with empty fault plan: %.2f allocs/op, want <= 1", avg)
 	}
 }
 
 // BenchmarkStepSlotFaults measures the fault layer's hot-path overhead
 // against the plain loop: nil plan, empty plan (boundary checks only) and
-// an active loss rate (per-delivery draws). Compare with `make
-// bench-faults`.
+// an active loss rate (per-delivery draws). `make bench` records it.
 func BenchmarkStepSlotFaults(b *testing.B) {
 	cases := []struct {
 		name string
@@ -248,27 +260,11 @@ func BenchmarkStepSlotFaults(b *testing.B) {
 		{"empty-plan", &faults.Plan{Version: faults.PlanSchema}},
 		{"loss=0.05", &faults.Plan{Version: faults.PlanSchema, LossRate: 0.05}},
 	}
+	var slots []slotCase
 	for _, tc := range cases {
-		b.Run(fmt.Sprintf("%s/n=200", tc.name), func(b *testing.B) {
-			cfg := PaperConfig(200, 7)
-			cfg.Faults = tc.plan
-			env, err := NewEnv(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng := newEngine(env)
-			defer eng.close()
-			couples := func(sender, receiver int) bool { return true }
-			var ops uint64
-			warm := 3 * cfg.PeriodSlots
-			for s := 1; s <= warm; s++ {
-				eng.stepSlot(units.Slot(s), couples, 1, &ops)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.stepSlot(units.Slot(warm+i+1), couples, 1, &ops)
-			}
-		})
+		cfg := PaperConfig(200, 7)
+		cfg.Faults = tc.plan
+		slots = append(slots, slotCase{fmt.Sprintf("%s/n=200", tc.name), cfg})
 	}
+	benchSlots(b, slots...)
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/telemetry"
-	"repro/internal/units"
 )
 
 // Differential pin for engine self-measurement: attaching a RunStats
@@ -94,60 +93,27 @@ func TestStepSlotDisabledRunStatsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
 	}
-	cfg := PaperConfig(200, 7)
-	env := mustEnv(t, cfg)
-	eng := newEngine(env)
+	// Six periods of warm-up: buffer growth runs into the fourth period's
+	// fire cascade (fires sit mid-period, not at the boundary).
+	eng, step := steadyEngine(t, PaperConfig(200, 7), 6)
 	defer eng.close()
 	if eng.rs != nil {
 		t.Fatal("engine picked up a RunStats no config attached")
 	}
-	couples := func(sender, receiver int) bool { return true }
-	var ops uint64
-	// Saturate discovery tables and reused buffers past the fourth period's
-	// fire cascade; the guard measures the steady state.
-	warm := 6 * cfg.PeriodSlots
-	for s := 1; s <= warm; s++ {
-		eng.stepSlot(units.Slot(s), couples, 1, &ops)
-	}
-	slot := units.Slot(warm)
-	avg := testing.AllocsPerRun(200, func() {
-		slot++
-		eng.stepSlot(slot, couples, 1, &ops)
-	})
-	if avg > 1 {
+	if avg := testing.AllocsPerRun(200, step); avg > 1 {
 		t.Errorf("stepSlot with runstats disabled: %.2f allocs/op, want <= 1", avg)
 	}
 }
 
 // BenchmarkStepSlotRunStats measures the runstats probe overhead on the
 // steady-state slot loop: off is the nil-accumulator baseline, on pays the
-// clock reads. `make bench-runstats` gates on within 5% of off.
+// clock reads. `make bench` gates on within 5% of off at n=5000.
 func BenchmarkStepSlotRunStats(b *testing.B) {
-	for _, mode := range []string{"off", "on"} {
-		for _, n := range []int{200, 5000} {
-			b.Run(fmt.Sprintf("%s/n=%d", mode, n), func(b *testing.B) {
-				cfg := PaperConfig(n, 7)
-				if mode == "on" {
-					cfg.RunStats = telemetry.NewRunStats()
-				}
-				env, err := NewEnv(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				eng := newEngine(env)
-				defer eng.close()
-				couples := func(sender, receiver int) bool { return true }
-				var ops uint64
-				warm := 3 * cfg.PeriodSlots
-				for s := 1; s <= warm; s++ {
-					eng.stepSlot(units.Slot(s), couples, 1, &ops)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					eng.stepSlot(units.Slot(warm+i+1), couples, 1, &ops)
-				}
-			})
-		}
+	for _, n := range []int{200, 5000} {
+		on := PaperConfig(n, 7)
+		on.RunStats = telemetry.NewRunStats()
+		benchSlots(b,
+			slotCase{fmt.Sprintf("off/n=%d", n), PaperConfig(n, 7)},
+			slotCase{fmt.Sprintf("on/n=%d", n), on})
 	}
 }

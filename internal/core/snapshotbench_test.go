@@ -10,8 +10,8 @@ import (
 // Encode (marshal + digest) and Decode (parse + digest verify + structural
 // validation) — on a realistic mid-run FST state (n=40, slot 450, discovery
 // tables populated, tree partially built). This is the per-checkpoint cost a
-// -checkpoint-every run pays, so it rides in BENCH_slot.json next to the
-// stepping benchmarks.
+// -checkpoint-every run pays, so `make bench` records it in BENCH.json next
+// to the stepping benchmarks.
 func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	cfg := PaperConfig(40, 12345)
 	cfg.MaxSlots = 100000

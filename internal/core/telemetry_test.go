@@ -126,59 +126,28 @@ func TestStepSlotDisabledTelemetryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
 	}
-	cfg := PaperConfig(200, 7)
-	env := mustEnv(t, cfg)
-	eng := newEngine(env)
+	// Six periods of warm-up: buffer growth runs into the fourth period's
+	// fire cascade (fires sit mid-period, not at the boundary).
+	eng, step := steadyEngine(t, PaperConfig(200, 7), 6)
 	defer eng.close()
-	couples := func(sender, receiver int) bool { return true }
-	var ops uint64
-	// Saturate the discovery tables and the engine's reused buffers: the
-	// guard measures the steady state, and buffer growth runs into the
-	// fourth period's fire cascade (fires sit mid-period, not at the
-	// boundary), so warm well past it.
-	warm := 6 * cfg.PeriodSlots
-	for s := 1; s <= warm; s++ {
-		eng.stepSlot(units.Slot(s), couples, 1, &ops)
-	}
-	slot := units.Slot(warm)
-	avg := testing.AllocsPerRun(200, func() {
-		slot++
-		eng.stepSlot(slot, couples, 1, &ops)
-	})
-	if avg > 1 {
+	if avg := testing.AllocsPerRun(200, step); avg > 1 {
 		t.Errorf("stepSlot with telemetry disabled: %.2f allocs/op, want <= 1", avg)
 	}
 }
 
 // BenchmarkStepSlotTelemetry measures the enabled-path overhead: the same
 // steady-state slot loop as BenchmarkStepSlot, with a telemetry run sampling
-// every period. Compare with `make bench-telemetry`.
+// every period; `make bench` records it next to the disabled baseline.
 func BenchmarkStepSlotTelemetry(b *testing.B) {
+	var cases []slotCase
 	for _, every := range []int{0, 100} {
 		name := "counters-only"
 		if every > 0 {
 			name = fmt.Sprintf("sample-every=%d", every)
 		}
-		b.Run(fmt.Sprintf("%s/n=200", name), func(b *testing.B) {
-			cfg := PaperConfig(200, 7)
-			cfg.Telemetry = telemetry.NewRun(units.Slot(every), 0)
-			env, err := NewEnv(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng := newEngine(env)
-			defer eng.close()
-			couples := func(sender, receiver int) bool { return true }
-			var ops uint64
-			warm := 3 * cfg.PeriodSlots
-			for s := 1; s <= warm; s++ {
-				eng.stepSlot(units.Slot(s), couples, 1, &ops)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.stepSlot(units.Slot(warm+i+1), couples, 1, &ops)
-			}
-		})
+		cfg := PaperConfig(200, 7)
+		cfg.Telemetry = telemetry.NewRun(units.Slot(every), 0)
+		cases = append(cases, slotCase{fmt.Sprintf("%s/n=200", name), cfg})
 	}
+	benchSlots(b, cases...)
 }

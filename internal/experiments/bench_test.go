@@ -14,8 +14,8 @@ import (
 // cold (every branch from slot 1) and with the shared checkpoint-prefix
 // planner (branches resume a clone of the base capture). The differential
 // suite (prefix_test.go) pins both variants byte-identical; this benchmark
-// records what the sharing buys. Reproduce with `make bench-sweep`;
-// BENCH_sweep.json holds the committed record.
+// records what the sharing buys, and `make bench` gates shared no slower
+// than cold in BENCH.json.
 func BenchmarkSweepPrefix(b *testing.B) {
 	const n, seed, branches = 200, 7, 5
 	cfg := core.PaperConfig(n, seed)

@@ -811,29 +811,29 @@ func (d *SyncDetector) OnFire(slot int64) bool {
 	if d.synced {
 		return true
 	}
-	if !d.active {
+	switch {
+	case !d.active:
 		d.active = true
 		d.roundStart = slot
-		d.roundSeen = 1
-		return false
+		d.roundSeen = 0
+	case slot-d.roundStart > d.WindowSlots:
+		// Window exceeded: this fire starts a new round and breaks the streak.
+		d.stable = 0
+		d.roundStart = slot
+		d.roundSeen = 0
 	}
-	if slot-d.roundStart <= d.WindowSlots {
-		d.roundSeen++
-		if d.roundSeen == d.N {
-			d.stable++
-			d.active = false
-			if d.stable >= d.StableRounds {
-				d.synced = true
-				d.syncedAt = slot
-			}
+	// The fire that opens a round can also close it: a live set of one
+	// device is synchronized by every fire.
+	d.roundSeen++
+	if d.roundSeen == d.N {
+		d.stable++
+		d.active = false
+		if d.stable >= d.StableRounds {
+			d.synced = true
+			d.syncedAt = slot
 		}
-		return d.synced
 	}
-	// Window exceeded: this fire starts a new round and breaks the streak.
-	d.stable = 0
-	d.roundStart = slot
-	d.roundSeen = 1
-	return false
+	return d.synced
 }
 
 // Synced reports whether synchrony has been detected, and at which slot.

@@ -275,6 +275,23 @@ func TestSyncDetectorBrokenStreak(t *testing.T) {
 	}
 }
 
+// A live set of one device is synchronized by its own fires: each fire
+// opens and closes a round.
+func TestSyncDetectorSingleDevice(t *testing.T) {
+	d := NewSyncDetector(1, 0, 3)
+	for _, slot := range []int64{100, 200} {
+		if d.OnFire(slot) {
+			t.Fatalf("synced after the fire at %d, want 3 stable rounds first", slot)
+		}
+	}
+	if !d.OnFire(300) {
+		t.Fatal("three fires of one device should sync with StableRounds=3")
+	}
+	if ok, at := d.Synced(); !ok || at != 300 {
+		t.Errorf("Synced() = (%v,%v), want (true,300)", ok, at)
+	}
+}
+
 func TestSyncDetectorWindow(t *testing.T) {
 	d := NewSyncDetector(2, 3, 1)
 	d.OnFire(10)

@@ -56,31 +56,51 @@ func benchTransport(n int, direct bool) *Transport {
 	return tr
 }
 
+// TestBroadcastCachedAllocs pins the cached steady-state delivery path that
+// BenchmarkBroadcastCached measures to zero allocations per Broadcast, at
+// each of its sizes. The first pass over every sender grows the reused
+// delivery buffers; after it nothing may allocate.
+func TestBroadcastCachedAllocs(t *testing.T) {
+	for _, n := range []int{200, 1000, 5000} {
+		tr := benchTransport(n, false)
+		for i := 0; i < n; i++ {
+			tr.Broadcast(i, RACH1, KindPulse, 0, units.Slot(i))
+		}
+		i := 0
+		avg := testing.AllocsPerRun(n, func() {
+			tr.Broadcast(i%n, RACH1, KindPulse, 0, units.Slot(n+i))
+			i++
+		})
+		if avg != 0 {
+			t.Errorf("n=%d: cached Broadcast %.2f allocs/op, want 0", n, avg)
+		}
+	}
+}
+
 // BenchmarkBroadcastCached / BenchmarkBroadcastDirect measure one Broadcast
 // on the steady-state delivery path at paper density: cached walks the link
 // index's packed rows with reused delivery buffers (the zero-allocation
 // path), direct re-derives the candidate set and pair geometry per call.
-func BenchmarkBroadcastCached(b *testing.B) {
-	for _, n := range []int{200, 1000, 5000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			tr := benchTransport(n, false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.Broadcast(i%n, RACH1, KindPulse, 0, units.Slot(i))
-			}
-		})
-	}
-}
+func BenchmarkBroadcastCached(b *testing.B) { benchBroadcast(b, false) }
 
-func BenchmarkBroadcastDirect(b *testing.B) {
+func BenchmarkBroadcastDirect(b *testing.B) { benchBroadcast(b, true) }
+
+// benchBroadcast builds each size's transport once per sub-benchmark; every
+// call (the one-iteration probe, each -count repeat) broadcasts on from the
+// sender and slot the previous call stopped at.
+func benchBroadcast(b *testing.B, direct bool) {
 	for _, n := range []int{200, 1000, 5000} {
+		var tr *Transport
+		next := 0
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			tr := benchTransport(n, true)
+			if tr == nil {
+				tr = benchTransport(n, direct)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tr.Broadcast(i%n, RACH1, KindPulse, 0, units.Slot(i))
+				tr.Broadcast(next%n, RACH1, KindPulse, 0, units.Slot(next))
+				next++
 			}
 		})
 	}

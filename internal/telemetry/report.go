@@ -110,12 +110,19 @@ type Report struct {
 	Schema int `json:"schema"`
 	// Protocol names the protocol that produced the run.
 	Protocol string `json:"protocol"`
-	// ConfigDigest is the SHA-256 digest of the canonical manifest JSON,
-	// the stable identity of the run configuration.
+	// ConfigDigest is the SHA-256 digest of the canonical manifest JSON
+	// (plus the embedded plans, when there are any), the stable identity of
+	// the run configuration.
 	ConfigDigest string `json:"config_digest,omitempty"`
 	// Manifest embeds the full manifest JSON so the report alone suffices
 	// to re-execute the run (`d2dsim -config`).
 	Manifest json.RawMessage `json:"manifest,omitempty"`
+	// Faults and Net embed the fault and asynchrony plans the run attached
+	// (`d2dsim -faults`, `-net`), absent when it attached none.
+	// ConfigDigest covers them too.
+	Faults json.RawMessage `json:"faults,omitempty"`
+	// Net is the asynchrony plan JSON (see Faults).
+	Net json.RawMessage `json:"net,omitempty"`
 	// Result carries the end-of-run scalars.
 	Result ResultSummary `json:"result"`
 	// SampleEverySlots is the probe sampling interval.

@@ -16,8 +16,8 @@
 //     nil-safe, so instrumented engine code threads the pointer
 //     unconditionally and the disabled hot path pays one predictable
 //     branch per probe site (pinned at <= 1 alloc/slot by
-//     TestStepSlotDisabledRunStatsAllocs, and within the slot benchmark's
-//     noise floor by `make bench-runstats`).
+//     TestStepSlotDisabledRunStatsAllocs, and within 5% of the
+//     uninstrumented slot by `make bench`).
 //   - Deterministic: enabled instrumentation only reads the monotonic
 //     clock and writes into this struct. It never reads or writes
 //     simulation state, never draws from a random stream, never reorders
