@@ -84,7 +84,7 @@ func main() {
 		ckEvery     = flag.Int64("checkpoint-every", 0, "capture a checkpoint of a single/-config run every N slots (requires -checkpoint)")
 		ckPath      = flag.String("checkpoint", "", "file the latest checkpoint is written to (atomically; each checkpoint replaces the previous one)")
 		resumePath  = flag.String("resume", "", "resume a single/-config run from a checkpoint file; the config and -proto must match the run that wrote it")
-		runStats    = flag.Bool("runstats", false, "collect and print engine self-measurement for a single/-config run: per-phase time attribution, per-shard load imbalance, stepped/skipped slots, checkpoint cost; results are bit-identical with or without it")
+		runStats    = flag.Bool("runstats", false, "collect and print engine self-measurement for a single/-config run: per-phase time attribution (the protocol's own rounds included), per-shard load imbalance, stepped/skipped slots, checkpoint cost; results are bit-identical with or without it")
 		progress    = flag.Bool("progress", false, "stream one JSONL progress line per completed sweep job to stderr (done/total, cache reuse, prefix resumption, elapsed wall time)")
 		version     = flag.Bool("version", false, "print build info (module, VCS revision, Go version) and exit")
 	)

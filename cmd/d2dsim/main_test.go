@@ -97,6 +97,27 @@ func TestRunSingle(t *testing.T) {
 	}
 }
 
+// -runstats prints the protocol's own rounds beside the slot pipeline's
+// phases, for either protocol.
+func TestRunSingleRunStatsShowsProtocol(t *testing.T) {
+	for _, proto := range []string{"ST", "FST"} {
+		o := base()
+		o.exp = "single"
+		o.n = 20
+		o.proto = proto
+		o.runStats = true
+		out, _ := capture(t, o)
+		found := false
+		for _, line := range strings.Split(out, "\n") {
+			f := strings.Fields(line)
+			found = found || (len(f) >= 3 && f[0] == "protocol" && f[2] == "-")
+		}
+		if !found {
+			t.Errorf("%s: -runstats shows no protocol row:\n%s", proto, out)
+		}
+	}
+}
+
 func TestRunFig2(t *testing.T) {
 	o := base()
 	o.exp = "fig2"

@@ -298,6 +298,9 @@ type Config struct {
 	// reference stepper that advances every oscillator every slot — the
 	// executable spec the differential suites compare the engine against.
 	oracle stepFunc
+	// fstPick (tests only) observes every FST join pick before the join:
+	// the edge chosen, whether one was, and the ops the pick charged.
+	fstPick func(t *fstTree, u, v int, ok bool, ops uint64)
 }
 
 // PaperConfig returns the run configuration of Table I for n devices at the

@@ -8,6 +8,7 @@ import (
 	"repro/internal/asyncnet"
 	"repro/internal/faults"
 	"repro/internal/oscillator"
+	"repro/internal/rach"
 	"repro/internal/snapshot"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -127,6 +128,11 @@ type engine struct {
 	// repairFn reports the protocol's completed self-healing rounds for
 	// the telemetry sample (nil = 0).
 	repairFn func() int
+	// heard, when set, receives every wave's applied delivery list on the
+	// loop goroutine once the wave's deliveries settled (the list still
+	// names powered-off receivers, which recorded nothing) — the feed FST's
+	// join frontier stays current from, whatever the worker count.
+	heard func(dels []rach.Delivery)
 	// phasesBuf is the reusable alive-phase snapshot sampling reads.
 	phasesBuf []float64
 

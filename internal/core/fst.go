@@ -22,6 +22,10 @@ import (
 //     averaging), so fading can mislead the heavy-edge choice;
 //   - every processed pulse costs an O(n) brightness scan (the basic
 //     Algorithm 3 double loop), versus the ordered structure's O(log n);
+//     every join round likewise charges a scan of every neighbour table.
+//     Both are the *modelled* cost, counted in Result.Ops: the simulator
+//     itself finds the heaviest outgoing edge from an incremental frontier
+//     (fstFrontier) and charges the scan arithmetically;
 //   - a single RACH codec carries everything, so join handshakes ride the
 //     same codec as sync pulses.
 //
@@ -59,6 +63,13 @@ func (FST) Run(env *Env) Result {
 		for i := range t.parent {
 			t.parent[i] = -1
 		}
+	} else {
+		// Fault-free, the tree only grows and no split vetoes a link, so
+		// the heaviest outgoing edge comes from the incremental frontier.
+		// It starts stale: the first pick, fresh or resumed, rebuilds it
+		// from one scan.
+		t.front = &fstFrontier{env: env, inTree: t.inTree, stale: true}
+		h.eng.heard = t.front.heard
 	}
 	// Tree members couple to every PS heard from other members (one
 	// growing fragment); outsiders free-run until they join and adopt.
@@ -121,6 +132,10 @@ type fstTree struct {
 	nextRound  units.Slot
 	roundSlots units.Slot
 
+	// front finds the heaviest outgoing edge without a scan (nil under a
+	// fault plan, whose pruning and partitions keep fstBestOutgoing).
+	front *fstFrontier
+
 	// Fault-layer state: parent pointers (nil without a plan), the healing
 	// flag (the tree is structurally stale; exit waits until it regrows)
 	// and whether a prune ever rewired the tree.
@@ -147,10 +162,21 @@ func (t *fstTree) round(slot units.Slot) bool {
 		}
 		t.inTree[r] = true
 		t.joined, t.joinedLive = 1, 1
+		t.front.join(r)
 	}
 	// A join handshake cannot cross an active network split (linkBlocked),
 	// nor reach a presumed-dead device.
-	u, v, ok := fstBestOutgoing(env, t.inTree, h.presumedDead, h.linkBlocked, &h.res.Ops)
+	var u, v int
+	var ok bool
+	ops := h.res.Ops
+	if t.front != nil {
+		u, v, ok = t.front.best(&h.res.Ops)
+	} else {
+		u, v, ok = fstBestOutgoing(env, t.inTree, h.presumedDead, h.linkBlocked, &h.res.Ops)
+	}
+	if probe := env.Cfg.fstPick; probe != nil {
+		probe(t, u, v, ok, h.res.Ops-ops)
+	}
 	if !ok {
 		return false
 	}
@@ -163,6 +189,7 @@ func (t *fstTree) round(slot units.Slot) bool {
 	res.Counters.TxBytes[rach.RACH1] += trials * rach.PayloadBytes(rach.KindConnect)
 	res.Counters.Rx[rach.RACH1] += 2
 	t.inTree[v] = true
+	t.front.join(v)
 	t.joined++
 	t.joinedLive++
 	if t.parent != nil {
@@ -300,11 +327,12 @@ func fstLinkWeight(env *Env, u, v int) float64 {
 // fstBestOutgoing scans every tree member's neighbour table (and every
 // outsider's view toward tree members) for the heaviest edge leaving the
 // tree, ranked by the *latest* RSSI sample. The scan work is charged to the
-// ops counter — this is the baseline's O(n²)-flavoured per-round cost.
-// Under a fault plan (non-nil presumed) powered-off and presumed-dead
-// devices neither scan nor qualify as endpoints, and edges the blocked
-// predicate vetoes (an active network split) cannot carry the join
-// handshake. For plans without partitions the presumed check adds nothing
+// ops counter — this is the baseline's O(n²)-flavoured per-round cost. It
+// picks every join under a fault plan, and is the oracle the fault-free
+// frontier (fstFrontier) is tested against. Under a fault plan (non-nil
+// presumed) powered-off and presumed-dead devices neither scan nor qualify
+// as endpoints, and edges the blocked predicate vetoes (an active network
+// split) cannot carry the join handshake. For plans without partitions the presumed check adds nothing
 // (a presumed device there is really dead) and nothing is ever blocked.
 func fstBestOutgoing(env *Env, inTree []bool, presumed []bool, blocked func(int, int) bool, ops *uint64) (u, v int, ok bool) {
 	excluded := func(i int) bool { return presumed != nil && (!env.Alive[i] || presumed[i]) }
@@ -336,6 +364,208 @@ func fstBestOutgoing(env *Env, inTree []bool, presumed []bool, blocked func(int,
 		}
 	}
 	return u, v, ok
+}
+
+// fstFrontier is the fault-free baseline's join frontier: a lazy max-heap
+// of the directed observations that cross the tree boundary, so a join
+// round finds what fstBestOutgoing's scan would pick without walking every
+// neighbour table. Each entry carries one observation's latest RSSI as its
+// key, oriented (tree member u, outsider v), and ranks exactly like the
+// scan: heavier first, then the lower (u, v).
+//
+// The heap holds an entry for every current crossing observation, or is
+// marked stale: crossing deliveries push on the loop goroutine once each
+// wave settles (heard), a join pushes the joiner's table toward outsiders
+// and the outsiders' entries toward the joiner, and a stale heap — at the
+// first pick, fresh or resumed, or after its buffer filled — is rebuilt
+// from one scan. Entries whose outsider joined since, or whose RSSI is no
+// longer the latest sample in either direction, are dropped when they
+// surface. The tree only grows without a fault plan, so a dropped entry
+// can never become current again.
+//
+// The buffer is allocated once per run, at the first rebuild, to hold every
+// candidate link the transport could ever deliver along (or twice the
+// table entries, if that is more): a rebuild always fits, and filling the
+// buffer again costs one rebuild per buffer's worth of pushes, so the
+// scan's O(links) cost is paid per buffer, not per round.
+type fstFrontier struct {
+	env    *Env
+	inTree []bool
+	heap   []fstEdge
+	stale  bool
+}
+
+// fstEdge is one frontier entry: the observed RSSI w on link (u, v), u in
+// the tree and v outside it when pushed.
+type fstEdge struct {
+	w    float64
+	u, v int32
+}
+
+// above reports whether a ranks before b: fstBestOutgoing's tie-break.
+func (a fstEdge) above(b fstEdge) bool {
+	if a.w != b.w {
+		return a.w > b.w
+	}
+	if a.u != b.u {
+		return a.u < b.u
+	}
+	return a.v < b.v
+}
+
+// edge orients device o's observation of peer p, at RSSI w, as a frontier
+// entry; ok is false unless it crosses the tree boundary.
+func (f *fstFrontier) edge(o, p int, w units.DBm) (e fstEdge, ok bool) {
+	switch {
+	case f.inTree[o] && !f.inTree[p]:
+		return fstEdge{w: float64(w), u: int32(o), v: int32(p)}, true
+	case !f.inTree[o] && f.inTree[p]:
+		return fstEdge{w: float64(w), u: int32(p), v: int32(o)}, true
+	}
+	return e, false
+}
+
+// heard pushes the wave's crossing deliveries. Powered-off receivers
+// recorded nothing.
+func (f *fstFrontier) heard(dels []rach.Delivery) {
+	if f.stale {
+		return
+	}
+	for i := range dels {
+		d := &dels[i]
+		if e, ok := f.edge(d.To, d.Msg.From, d.Msg.RSSI); ok && f.env.Alive[d.To] {
+			f.push(e)
+		}
+	}
+}
+
+// join pushes the observations device v's joining made crossing: v's own
+// table toward outsiders, and every outsider's entry toward v.
+func (f *fstFrontier) join(v int) {
+	if f == nil || f.stale {
+		return
+	}
+	for peer, s := range f.env.Devices[v].DiscoveredPeers {
+		if e, ok := f.edge(v, peer, s.Last); ok {
+			f.push(e)
+		}
+	}
+	for p, d := range f.env.Devices {
+		if f.inTree[p] {
+			continue
+		}
+		if s, ok := d.DiscoveredPeers[v]; ok {
+			f.push(fstEdge{w: float64(s.Last), u: int32(v), v: int32(p)})
+		}
+	}
+}
+
+// best returns the heaviest outgoing edge, as fstBestOutgoing would, and
+// charges ops the scan it models: the size of every neighbour table.
+func (f *fstFrontier) best(ops *uint64) (u, v int, ok bool) {
+	links := 0
+	for _, d := range f.env.Devices {
+		links += len(d.DiscoveredPeers)
+	}
+	*ops += uint64(links)
+	if f.stale {
+		f.rebuild(links)
+	}
+	for len(f.heap) > 0 {
+		if e := f.heap[0]; f.current(e) {
+			return int(e.u), int(e.v), true
+		}
+		f.pop()
+	}
+	return 0, 0, false
+}
+
+// current reports whether e is still a crossing observation's latest
+// sample, in either direction.
+func (f *fstFrontier) current(e fstEdge) bool {
+	u, v := int(e.u), int(e.v)
+	if !f.inTree[u] || f.inTree[v] {
+		return false
+	}
+	if s, ok := f.env.Devices[u].DiscoveredPeers[v]; ok && float64(s.Last) == e.w {
+		return true
+	}
+	s, ok := f.env.Devices[v].DiscoveredPeers[u]
+	return ok && float64(s.Last) == e.w
+}
+
+// rebuild refills the heap from one scan of every neighbour table (links
+// entries in all).
+func (f *fstFrontier) rebuild(links int) {
+	if cap(f.heap) < links {
+		f.heap = make([]fstEdge, 0, max(2*links, f.env.Transport.CandidatePairs()))
+	}
+	h := f.heap[:0]
+	for i, d := range f.env.Devices {
+		for peer, s := range d.DiscoveredPeers {
+			if e, ok := f.edge(i, peer, s.Last); ok {
+				h = append(h, e)
+			}
+		}
+	}
+	f.heap = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		f.siftDown(i, h[i])
+	}
+	f.stale = false
+}
+
+// push adds e, or marks the heap stale when its buffer is full.
+func (f *fstFrontier) push(e fstEdge) {
+	if f.stale {
+		return
+	}
+	if len(f.heap) == cap(f.heap) {
+		f.stale = true
+		return
+	}
+	h := append(f.heap, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.above(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	f.heap = h
+}
+
+// pop drops the top entry.
+func (f *fstFrontier) pop() {
+	last := len(f.heap) - 1
+	e := f.heap[last]
+	f.heap = f.heap[:last]
+	if last > 0 {
+		f.siftDown(0, e)
+	}
+}
+
+// siftDown places e at index i or below.
+func (f *fstFrontier) siftDown(i int, e fstEdge) {
+	h := f.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].above(h[c]) {
+			c++
+		}
+		if !h[c].above(e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
 }
 
 // fstRestructure prunes the baseline's join tree after membership changed:

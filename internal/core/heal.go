@@ -1,10 +1,13 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/energy"
 	"repro/internal/faults"
 	"repro/internal/oscillator"
 	"repro/internal/snapshot"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -155,7 +158,7 @@ func (h *healer) run(t topology, couples couplingRule) Result {
 		if h.flt != nil {
 			h.observe(t, slot, fired)
 		}
-		if t.round(slot) {
+		if h.round(t, slot) {
 			final = slot
 			break
 		}
@@ -193,6 +196,19 @@ func (h *healer) run(t topology, couples couplingRule) Result {
 	t.finish(&h.res)
 	finishResult(h.env, eng, &h.res)
 	return h.res
+}
+
+// round runs the protocol's round after slot, attributing its wall time to
+// the runstats protocol phase when enabled.
+func (h *healer) round(t topology, slot units.Slot) bool {
+	rs := h.eng.rs
+	if rs == nil {
+		return t.round(slot)
+	}
+	t0 := time.Now()
+	stop := t.round(slot)
+	rs.AddPhase(telemetry.PhaseProtocol, time.Since(t0))
+	return stop
 }
 
 // observe takes in the slot's liveness evidence under a fault plan: the

@@ -122,6 +122,9 @@ func (e *engine) stepSequential(slot units.Slot, couples couplingRule, opsPerPul
 				}
 			}
 		}
+		if e.heard != nil {
+			e.heard(dels)
+		}
 		if rs != nil {
 			t1 := time.Now()
 			rs.AddPhase(telemetry.PhaseDeliver, t1.Sub(t0))

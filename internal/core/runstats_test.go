@@ -77,6 +77,17 @@ func TestRunStatsBitIdentical(t *testing.T) {
 						t.Errorf("%s: runstats counted %d stepped + %d skipped slots, result %d of %d",
 							pl, rep.SteppedSlots, rep.SkippedSlots, got.res.ActiveSlots, got.res.TotalSlots)
 					}
+					// The protocol's own round is timed once after every
+					// stepped slot, in the run loop both protocols share.
+					protocolRounds := uint64(0)
+					for _, p := range rep.Phases {
+						if p.Phase == telemetry.PhaseProtocol.String() {
+							protocolRounds = p.Count
+						}
+					}
+					if protocolRounds != rep.SteppedSlots {
+						t.Errorf("%s: %d protocol rounds timed over %d stepped slots", pl, protocolRounds, rep.SteppedSlots)
+					}
 					if !c.l.oracle && (rep.Shard == nil || rep.SkipSpan == nil) {
 						t.Errorf("%s: engine left no shard or skip-span stats", pl)
 					}

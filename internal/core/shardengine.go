@@ -536,6 +536,9 @@ func (sh *shardEngine) step(slot units.Slot, couples couplingRule, opsPerPulse u
 				sortEchoPairs(ec.ids[fill], ec.epochs[fill])
 			}
 		}
+		if e.heard != nil {
+			e.heard(dels)
+		}
 		if rs != nil {
 			t1 := time.Now()
 			rs.AddPhase(telemetry.PhaseDeliver, t1.Sub(t0))

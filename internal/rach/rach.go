@@ -326,6 +326,16 @@ func (t *Transport) Position(i int) geo.Point { return t.positions[i] }
 // CandidateRadius returns the candidate neighbourhood radius in metres.
 func (t *Transport) CandidateRadius() units.Metre { return t.reach }
 
+// CandidatePairs returns the number of directed candidate pairs the link
+// index holds (0 when it is disabled). Every delivery runs along one, so it
+// bounds the entries of all neighbour tables together.
+func (t *Transport) CandidatePairs() int {
+	if t.idx == nil {
+		return 0
+	}
+	return t.idx.Pairs()
+}
+
 // Counters returns a copy of the current counters.
 func (t *Transport) Counters() Counters { return t.counters }
 

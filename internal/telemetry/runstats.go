@@ -41,10 +41,11 @@ import (
 	"time"
 )
 
-// EnginePhase indexes one instrumented phase of the run engines' slot
-// pipeline. PhaseAdvance..PhaseRefresh partition the measured slot time
-// (their shares sum to 1); PhaseCheckpoint is accounted separately because
-// checkpoint capture happens outside the per-slot pipeline.
+// EnginePhase indexes one instrumented phase of a run. PhaseAdvance..
+// PhaseRefresh partition the measured slot time (their shares sum to 1);
+// PhaseCheckpoint and PhaseProtocol are accounted separately because
+// checkpoint capture and the protocol's own rounds happen outside the
+// per-slot pipeline.
 type EnginePhase int
 
 const (
@@ -53,7 +54,8 @@ const (
 	// PhasePlan is phase B: broadcast planning, channel evaluation and
 	// collision resolution (plus fault-plan delivery filtering).
 	PhasePlan
-	// PhaseDeliver is phase C: pulse delivery and cascade application.
+	// PhaseDeliver is phase C: pulse delivery and cascade application,
+	// including the wave's feed to the protocol (FST's join frontier).
 	PhaseDeliver
 	// PhaseRefresh is phase D: next-fire prediction refresh and shard
 	// minima rescans.
@@ -62,8 +64,12 @@ const (
 	// hook (excluded from slot-time shares; encode cost is itemized
 	// separately via AddEncode).
 	PhaseCheckpoint
+	// PhaseProtocol is the protocol's own round after each stepped slot
+	// (FST join picks, ST merge phases), timed once in the shared run loop
+	// (excluded from slot-time shares).
+	PhaseProtocol
 
-	numPhases = 5
+	numPhases = 6
 )
 
 // NumEnginePhases is the number of instrumented phases (array sizing).
@@ -82,6 +88,8 @@ func (p EnginePhase) String() string {
 		return "refresh"
 	case PhaseCheckpoint:
 		return "checkpoint"
+	case PhaseProtocol:
+		return "protocol"
 	default:
 		return fmt.Sprintf("phase(%d)", int(p))
 	}
@@ -361,7 +369,8 @@ func (rs *RunStats) Report() *RunStatsReport {
 			Phase: p.String(), Nanos: rs.phaseNanos[p], Count: rs.phaseCount[p], Share: share,
 		})
 	}
-	// Largest share first; the checkpoint phase (share 0) sorts last.
+	// Largest share first; the phases outside the slot pipeline (share 0)
+	// sort last, in phase order.
 	for i := 1; i < len(rep.Phases); i++ {
 		for j := i; j > 0 && rep.Phases[j].Nanos > rep.Phases[j-1].Nanos &&
 			rep.Phases[j].Share > 0 && rep.Phases[j-1].Share > 0; j-- {
@@ -407,7 +416,7 @@ func (r *RunStatsReport) FormatTable() string {
 	fmt.Fprintf(&b, "  %-12s %12s %8s %12s\n", "phase", "time", "share", "calls")
 	for _, p := range r.Phases {
 		share := "-"
-		if p.Phase != PhaseCheckpoint.String() {
+		if p.Phase != PhaseCheckpoint.String() && p.Phase != PhaseProtocol.String() {
 			share = fmt.Sprintf("%.1f%%", 100*p.Share)
 		}
 		fmt.Fprintf(&b, "  %-12s %12s %8s %12d\n", p.Phase, time.Duration(p.Nanos), share, p.Count)

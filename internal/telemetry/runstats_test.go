@@ -41,7 +41,8 @@ func TestRunStatsReport(t *testing.T) {
 	rs.AddPhase(PhasePlan, 600*time.Millisecond)
 	rs.AddPhase(PhaseDeliver, 250*time.Millisecond)
 	rs.AddPhase(PhaseRefresh, 50*time.Millisecond)
-	rs.AddCheckpoint(400 * time.Millisecond) // excluded from the denominator
+	rs.AddCheckpoint(400 * time.Millisecond)          // excluded from the denominator
+	rs.AddPhase(PhaseProtocol, 2000*time.Millisecond) // likewise
 	rs.AddEncode(1234, 30*time.Millisecond)
 	for i := 0; i < 500; i++ {
 		rs.SlotStepped(0)
@@ -54,7 +55,7 @@ func TestRunStatsReport(t *testing.T) {
 
 	rep := rs.Report()
 	if want := int64(time.Second); rep.MeasuredNanos != want {
-		t.Errorf("MeasuredNanos %d, want %d (checkpoint must not count)", rep.MeasuredNanos, want)
+		t.Errorf("MeasuredNanos %d, want %d (checkpoint and protocol must not count)", rep.MeasuredNanos, want)
 	}
 	var sum float64
 	for _, p := range rep.Phases {
@@ -66,8 +67,11 @@ func TestRunStatsReport(t *testing.T) {
 	if rep.Phases[0].Phase != "plan" {
 		t.Errorf("phases not sorted largest-first: %v first", rep.Phases[0].Phase)
 	}
-	if last := rep.Phases[len(rep.Phases)-1]; last.Phase != "checkpoint" || last.Share != 0 {
-		t.Errorf("checkpoint phase not last with zero share: %+v", last)
+	// The phases outside the slot pipeline come last, in phase order,
+	// whatever their time.
+	tail := rep.Phases[len(rep.Phases)-2:]
+	if tail[0].Phase != "checkpoint" || tail[1].Phase != "protocol" || tail[0].Share != 0 || tail[1].Share != 0 {
+		t.Errorf("checkpoint and protocol phases not last with zero share: %+v", tail)
 	}
 	if rep.SteppedSlots != 501 || rep.SkippedSlots != 200007 {
 		t.Errorf("slots (%d stepped, %d skipped), want (501, 200007)", rep.SteppedSlots, rep.SkippedSlots)
@@ -111,6 +115,7 @@ func TestRunStatsFormatTable(t *testing.T) {
 	rs.AddPhase(PhaseAdvance, 100*time.Millisecond)
 	rs.AddPhase(PhasePlan, 900*time.Millisecond)
 	rs.AddCheckpoint(50 * time.Millisecond)
+	rs.AddPhase(PhaseProtocol, 20*time.Millisecond)
 	rs.SlotStepped(9)
 	out := rs.Report().FormatTable()
 	for _, want := range []string{"engine time attribution", "1 stepped slots (9 inert slots skipped)",
@@ -119,13 +124,22 @@ func TestRunStatsFormatTable(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}
 	}
-	// The checkpoint phase row renders a dash, not a share: it sits outside
-	// the slot pipeline, so including it would break the 100% sum.
+	// The checkpoint and protocol phase rows render a dash, not a share:
+	// they sit outside the slot pipeline, so including them would break
+	// the 100% sum.
+	rows := 0
 	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "checkpoint ") &&
-			(strings.Contains(line, "%") || !strings.Contains(line, "-")) {
-			t.Errorf("checkpoint phase row shows a share: %q", line)
+		for _, phase := range []string{"checkpoint ", "protocol "} {
+			if strings.HasPrefix(strings.TrimSpace(line), phase) {
+				rows++
+				if strings.Contains(line, "%") || !strings.Contains(line, "-") {
+					t.Errorf("%sphase row shows a share: %q", phase, line)
+				}
+			}
 		}
+	}
+	if rows != 2 {
+		t.Errorf("table shows %d of the checkpoint and protocol rows, want 2:\n%s", rows, out)
 	}
 }
 
@@ -184,6 +198,7 @@ func TestWriteMetricsExposition(t *testing.T) {
 	v.RecordResult(100, true, 50, 100, 7)
 	rs := NewRunStats()
 	rs.AddPhase(PhasePlan, time.Second)
+	rs.AddPhase(PhaseProtocol, time.Second/2)
 	rs.SlotStepped(3)
 	rs.AddEncode(100, time.Millisecond)
 	rs.Publish(&v)
@@ -268,6 +283,7 @@ func TestWriteMetricsExposition(t *testing.T) {
 	}
 	for _, want := range []string{
 		`d2dsim_engine_phase_seconds_total{phase="plan"} 1`,
+		`d2dsim_engine_phase_seconds_total{phase="protocol"} 0.5`,
 		`d2dsim_engine_skip_span_bucket{le="4"} 1`,
 		"d2dsim_checkpoint_encode_seconds_sum 0.001",
 		"d2dsim_geometry_cache_hits_total 4",
