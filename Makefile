@@ -59,7 +59,7 @@ perfbench:
 #     at n=5000 and n=20000;
 #   - runstats on within 5% of off per slot at n=5000;
 #   - a degenerate asynchrony plan within 5% of no plan per slot at n=5000;
-#   - the shared checkpoint prefix no slower than the cold branching sweep.
+#   - the recovery sweep with its checkpoint ring no slower than without it.
 # The stepping benchmarks measure their cases in alternating rounds (see
 # benchSlots in internal/core); the two 5% pairs take -count 5 on top, 25
 # windows a side, because one window varies by up to 10% on a busy 2-CPU

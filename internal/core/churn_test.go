@@ -9,21 +9,34 @@ import (
 
 // Churn tests: synchrony must survive devices powering off after the
 // topology phase — identical clocks make the synchronized state absorbing,
-// and the survivors' coupling keeps it locked.
+// and the survivors' coupling keeps it locked. Devices go down through
+// fault-plan crash actions, the simulator's one way to lose devices.
 
-func TestSTSurvivesChurn(t *testing.T) {
-	cfg := fastConfig(40, 1)
-	cfg.FailAt = 600 // after discovery (200) + a few merge phases
-	cfg.FailSet = []int{35, 36, 37, 38, 39}
+// crashAt builds a fault plan crashing the given devices together at slot.
+func crashAt(slot int64, devices ...int) *faults.Plan {
+	p := &faults.Plan{Version: faults.PlanSchema}
+	for _, d := range devices {
+		p.Actions = append(p.Actions, faults.Action{Kind: faults.KindCrash, At: slot, Device: d})
+	}
+	return p
+}
+
+// survivorsConverged runs proto under cfg and checks that the run converged
+// after at least one repair round, that want devices are left alive, and
+// that every survivor ends on one shared phase.
+func survivorsConverged(t *testing.T, proto Protocol, cfg Config, want int) {
+	t.Helper()
 	env := mustEnv(t, cfg)
-	res := ST{}.Run(env)
+	res := proto.Run(env)
 	if !res.Converged {
-		t.Fatalf("ST with churn did not converge: %v", res)
+		t.Fatalf("%s with churn did not converge: %v", proto.Name(), res)
 	}
-	if env.AliveCount() != 35 {
-		t.Errorf("alive = %d, want 35", env.AliveCount())
+	if res.Repairs < 1 {
+		t.Errorf("%s: no repair round after the crash: %v", proto.Name(), res)
 	}
-	// Survivors share one phase.
+	if got := env.AliveCount(); got != want {
+		t.Errorf("alive = %d, want %d", got, want)
+	}
 	var ref float64
 	first := true
 	for i, d := range env.Devices {
@@ -40,97 +53,20 @@ func TestSTSurvivesChurn(t *testing.T) {
 	}
 }
 
+func TestSTSurvivesChurn(t *testing.T) {
+	cfg := fastConfig(40, 1)
+	// After discovery (200) + a few merge phases.
+	cfg.Faults = crashAt(600, 35, 36, 37, 38, 39)
+	survivorsConverged(t, ST{}, cfg, 35)
+}
+
 func TestFSTSurvivesChurn(t *testing.T) {
 	cfg := fastConfig(40, 2)
 	// n=40: joins finish near slot 200+39*8 ≈ 512; convergence needs ~3
-	// more periods, so 600 lands between setup and convergence.
-	cfg.FailAt = 600
-	cfg.FailSet = []int{0, 1} // even the tree root failing is fine post-setup
-	env := mustEnv(t, cfg)
-	res := FST{}.Run(env)
-	if !res.Converged {
-		t.Fatalf("FST with churn did not converge: %v", res)
-	}
-	if env.AliveCount() != 38 {
-		t.Errorf("alive = %d, want 38", env.AliveCount())
-	}
-}
-
-// FailAt churn must apply under a fault plan too, even after the plan has
-// crashed a device before the tree completed: the topology counts as
-// complete once it spans the live set, not all n devices.
-func TestChurnAppliesUnderFaultPlan(t *testing.T) {
-	for _, proto := range []Protocol{FST{}, ST{}} {
-		for seed := int64(1); seed <= 4; seed++ {
-			cfg := fastConfig(40, seed)
-			cfg.Faults = &faults.Plan{
-				Version: faults.PlanSchema,
-				Actions: []faults.Action{{Kind: faults.KindCrash, At: 300, Device: 7}},
-			}
-			cfg.FailAt = 600
-			cfg.FailSet = []int{0, 1}
-			env := mustEnv(t, cfg)
-			res := proto.Run(env)
-			if !res.Converged {
-				t.Errorf("%s seed %d: did not converge: %v", proto.Name(), seed, res)
-			}
-			if got := env.AliveCount(); got != 37 {
-				t.Errorf("%s seed %d: alive = %d, want 37 (crash plus churn)", proto.Name(), seed, got)
-			}
-		}
-	}
-}
-
-func TestChurnDeferredUntilTopologyDone(t *testing.T) {
-	// FailAt earlier than the topology phase completes: injection waits.
-	cfg := fastConfig(30, 3)
-	cfg.FailAt = 1 // immediately — but the tree needs ~400+ slots
-	cfg.FailSet = []int{29}
-	env := mustEnv(t, cfg)
-	res := ST{}.Run(env)
-	if !res.Converged {
-		t.Fatalf("run did not converge: %v", res)
-	}
-	if env.Alive[29] {
-		t.Error("device 29 should have failed")
-	}
-	// The victim must still have participated in discovery (it was alive
-	// during the topology phase).
-	if len(env.Devices[29].DiscoveredPeers) == 0 {
-		t.Error("victim should have discovered peers before failing")
-	}
-}
-
-func TestFailSetBoundsChecked(t *testing.T) {
-	// Malformed churn config is a validation error, not a silent no-op.
-	for name, mutate := range map[string]func(*Config){
-		"negative id":    func(c *Config) { c.FailSet = []int{-1, 5} },
-		"id past n":      func(c *Config) { c.FailSet = []int{99} },
-		"duplicate id":   func(c *Config) { c.FailSet = []int{5, 5} },
-		"fail past cap":  func(c *Config) { c.FailAt = c.MaxSlots + 1; c.FailSet = []int{5} },
-		"negative retry": func(c *Config) { c.ConnectRetryLimit = -1 },
-		"negative watch": func(c *Config) { c.WatchdogPeriods = -1 },
-	} {
-		cfg := fastConfig(10, 4)
-		cfg.FailAt = 500
-		mutate(&cfg)
-		if _, err := NewEnv(cfg); err == nil {
-			t.Errorf("%s: config accepted, want validation error", name)
-		}
-	}
-
-	// A well-formed FailSet still works end to end.
-	cfg := fastConfig(10, 4)
-	cfg.FailAt = 500
-	cfg.FailSet = []int{5}
-	env := mustEnv(t, cfg)
-	res := ST{}.Run(env)
-	if !res.Converged {
-		t.Fatal("run did not converge")
-	}
-	if env.AliveCount() != 9 {
-		t.Errorf("alive = %d, want 9", env.AliveCount())
-	}
+	// more periods, so 600 lands between setup and convergence. Device 0
+	// is the tree root: the pruned tree must regrow from a new one.
+	cfg.Faults = crashAt(600, 0, 1)
+	survivorsConverged(t, FST{}, cfg, 38)
 }
 
 func TestNoChurnByDefault(t *testing.T) {

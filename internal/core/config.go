@@ -135,27 +135,6 @@ type Config struct {
 	// with the same N and Seed (Validate checks N and Seed; the protocol's
 	// Run panics on a protocol mismatch).
 	Resume *snapshot.State
-	// PrefixSlot, when positive, arms the single shared-prefix capture used
-	// by branching sweeps: the run hands OnPrefix one deep state copy taken
-	// at the LAST slot it naturally stepped at or before PrefixSlot. Unlike
-	// CheckpointEvery no boundary is folded into the engine's next-step
-	// horizon — the capture piggybacks on a slot the engine stepped anyway
-	// — so arming it perturbs nothing, not even the ActiveSlots
-	// accounting. A run that converges before stepping past PrefixSlot
-	// never invokes the hook (callers fall back to from-scratch branches). Honoured by the distributed protocols (FST, ST);
-	// Centralized ignores it.
-	PrefixSlot units.Slot
-	// OnPrefix receives the prefix capture (see PrefixSlot). The state is a
-	// deep copy; the hook must not mutate simulation state.
-	OnPrefix func(st *snapshot.State)
-	// ForkStreams, when non-empty, reroots every random stream into a fresh
-	// universe derived from (current seeds, label) immediately after the
-	// Resume overlay — the seed-branching primitive: many branches restored
-	// from one prefix snapshot diverge stochastically but reproducibly
-	// (same label, same branch). Requires Resume. A forked run's own
-	// snapshots only restore into a run applying the same fork, so
-	// checkpointing past the fork point is unsupported.
-	ForkStreams string
 	// Geometry, when non-nil, memoizes the expensive half of environment
 	// construction — the transport's link-geometry index — across runs that
 	// share a deployment (see GeometryCache). Sweeps set one cache per
@@ -233,21 +212,13 @@ type Config struct {
 	// parameter: manifests do not carry it and result-cache keys refuse it.
 	RunStats *telemetry.RunStats
 
-	// FailAt, when positive, injects post-setup churn: the devices in
-	// FailSet power off at that slot (no earlier than the protocol's
-	// topology phase completing — failures during tree construction are
-	// out of the protocols' scope, as they are in the paper). Convergence
-	// is then judged over the survivors.
-	FailAt units.Slot
-	// FailSet lists the device ids that fail at FailAt.
-	FailSet []int
-
 	// Faults, when non-nil, attaches a deterministic fault schedule
 	// (internal/faults): node crashes, recoveries, mid-run joins, clock
-	// jumps, burst link outages and a per-message loss rate. Unlike the
-	// one-shot FailAt/FailSet churn, fault actions apply at their scheduled
-	// slots regardless of protocol phase, and the self-healing protocols
-	// repair around them: a parent-liveness watchdog detects dead parents,
+	// jumps, burst link outages and a per-message loss rate — the only way
+	// a run loses devices. Fault actions apply at their scheduled slots
+	// regardless of protocol phase, and the self-healing protocols repair
+	// around them: a parent-liveness watchdog (patience: three silent
+	// periods, widened by Net's delay bound) detects dead parents,
 	// orphaned subtrees re-attach through a repair round, and recovered
 	// devices re-join — with convergence judged over the currently-live
 	// set and the recovery time surfaced in Result. The only randomness is
@@ -256,15 +227,6 @@ type Config struct {
 	// shard layouts and worker counts; a nil or empty plan is bit-identical to
 	// no faults layer at all.
 	Faults *faults.Plan
-	// WatchdogPeriods is the parent-liveness watchdog patience: a tree
-	// child presumes its parent dead after the parent has not fired for
-	// this many consecutive periods (0 = the default of 3). Live
-	// oscillators fire at least once per two periods, so any value >= 3
-	// cannot false-positive on a fault-free run. When a message adversary
-	// is configured (Net) the patience additionally widens by the
-	// adversary's maximum delay, so a pulse held to its delivery bound
-	// still cannot trip the watchdog.
-	WatchdogPeriods int
 
 	// Net, when non-nil, attaches the bounded-asynchrony message runtime
 	// (internal/asyncnet): every resolved pulse delivery is enqueued with
@@ -363,26 +325,8 @@ func (c Config) Validate() error {
 			c.Coupling.Alpha, c.Coupling.Beta)
 	case c.CheckpointEvery < 0:
 		return fmt.Errorf("core: CheckpointEvery %d < 0", c.CheckpointEvery)
-	case c.PrefixSlot < 0:
-		return fmt.Errorf("core: PrefixSlot %d < 0", c.PrefixSlot)
-	case c.ForkStreams != "" && c.Resume == nil:
-		return fmt.Errorf("core: ForkStreams %q without Resume (stream forking branches off a restored prefix)", c.ForkStreams)
 	case c.ConnectRetryLimit < 0:
 		return fmt.Errorf("core: ConnectRetryLimit %d < 0", c.ConnectRetryLimit)
-	case c.WatchdogPeriods < 0:
-		return fmt.Errorf("core: WatchdogPeriods %d < 0", c.WatchdogPeriods)
-	case c.FailAt > 0 && c.FailAt > c.MaxSlots:
-		return fmt.Errorf("core: FailAt %d past MaxSlots %d", c.FailAt, c.MaxSlots)
-	}
-	seen := make(map[int]bool, len(c.FailSet))
-	for _, id := range c.FailSet {
-		if id < 0 || id >= c.N {
-			return fmt.Errorf("core: FailSet id %d outside [0,%d)", id, c.N)
-		}
-		if seen[id] {
-			return fmt.Errorf("core: duplicate FailSet id %d", id)
-		}
-		seen[id] = true
 	}
 	if err := c.Faults.Validate(c.N, int64(c.MaxSlots)); err != nil {
 		return err
@@ -414,14 +358,6 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// watchdogPeriods resolves the watchdog patience knob to its default.
-func (c Config) watchdogPeriods() int {
-	if c.WatchdogPeriods > 0 {
-		return c.WatchdogPeriods
-	}
-	return 3
 }
 
 // netMaxDelay returns the message adversary's delay bound in slots — 0 when

@@ -72,6 +72,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.FstRoundSlots = 0 },
 		func(c *Config) { c.Services = 0 },
 		func(c *Config) { c.Coupling = oscillator.Coupling{Alpha: 0.9, Beta: 0.1} },
+		func(c *Config) { c.ConnectRetryLimit = -1 },
 	}
 	for i, m := range mutations {
 		cfg := base

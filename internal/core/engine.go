@@ -143,9 +143,6 @@ type engine struct {
 	totalSlots  uint64
 	lastSlot    units.Slot
 
-	// prefixDone latches after the one shared-prefix capture (wantsPrefix).
-	prefixDone bool
-
 	// Slot-level reused buffers: the merged fired list handed back to the
 	// protocol loop (valid until the next stepSlot), and two ping-pong wave
 	// buffers — the cascade reads wave w-1 while filling wave w, so two
@@ -291,7 +288,7 @@ const slotHorizonNone = units.Slot(1<<63 - 1)
 // bound), a progress-trace or telemetry-sampling boundary, a fault action,
 // an in-flight delivery falling due, pending echo retransmissions and a
 // checkpoint boundary. Protocols min-fold their own timers (RACH join
-// rounds, merge boundaries, churn) on top, so every slot in between is
+// rounds, merge boundaries, the watchdog) on top, so every slot in between is
 // provably inert: no device fires, no RNG stream is consumed (only
 // non-empty waves draw), and no protocol or trace hook runs. The reference
 // oracle steps every slot.
@@ -361,24 +358,6 @@ func (e *engine) runCheckpoint(capture func() *snapshot.State) {
 	}
 }
 
-// wantsPrefix reports whether the protocol loop should hand out the shared-
-// prefix capture after fully processing slot, given the slot it will step
-// next. The capture lands on the last naturally stepped slot at or before
-// PrefixSlot — no boundary is ever folded into the horizon for it, so arming
-// the prefix hook cannot perturb the trajectory or the ActiveSlots
-// accounting. Fires at most once per run.
-func (e *engine) wantsPrefix(slot, next units.Slot) bool {
-	p := e.env.Cfg.PrefixSlot
-	if p <= 0 || e.env.Cfg.OnPrefix == nil || e.prefixDone {
-		return false
-	}
-	if slot > p || next <= p {
-		return false
-	}
-	e.prefixDone = true
-	return true
-}
-
 // materialize catches device i's lazily advanced oscillator up to slot,
 // before a protocol hook reads (or overwrites) its Phase. No-op on the
 // reference oracle, whose oscillators are always current.
@@ -412,13 +391,6 @@ func (e *engine) deschedule(id int) {
 func (e *engine) rescheduleDevice(id int) {
 	if e.sh != nil {
 		e.sh.revive(id)
-	}
-}
-
-// dropFailed prunes powered-off devices from the fire schedule after churn.
-func (e *engine) dropFailed() {
-	if e.sh != nil {
-		e.sh.dropFailedAll()
 	}
 }
 

@@ -24,7 +24,7 @@ type Env struct {
 	Channel   *radio.Channel
 	Transport *rach.Transport
 	Devices   []*device.Device
-	// Alive tracks powered-on devices; churn injection clears entries.
+	// Alive tracks powered-on devices; fault-plan crashes clear entries.
 	Alive []bool
 	// Faults is the compiled fault schedule (nil when Cfg.Faults is nil).
 	// The engine consults it for delivery filtering and the protocols pop
@@ -49,15 +49,6 @@ func (e *Env) AliveCount() int {
 		}
 	}
 	return n
-}
-
-// Fail powers off the configured FailSet (idempotent).
-func (e *Env) Fail() {
-	for _, id := range e.Cfg.FailSet {
-		if id >= 0 && id < len(e.Alive) {
-			e.Alive[id] = false
-		}
-	}
 }
 
 // NewEnv deploys a world from the configuration. Initial oscillator phases

@@ -159,21 +159,6 @@ func TestEventEngineGoldenResults(t *testing.T) {
 	}
 }
 
-// Churn: the failure injection is a protocol timer the engine must step
-// exactly (the reference fires it at the first slot >= FailAt), and the
-// pruned fire schedule must keep the survivor trajectory identical.
-func TestEventEngineChurnDifferential(t *testing.T) {
-	want := [][2]uint64{{157, 817}, {93, 838}}
-	for i, proto := range []Protocol{FST{}, ST{}} {
-		cfg := fastConfig(40, 6)
-		cfg.FailAt = 600
-		cfg.FailSet = []int{0, 7, 35}
-		label := fmt.Sprintf("%s/churn", proto.Name())
-		res := eventDiff(t, proto, cfg, label)
-		checkActive(t, label, res, want[i][0], want[i][1])
-	}
-}
-
 // ProgressTrace boundaries are events: the trace must run at exactly the
 // same slots as on the reference, and — because callbacks may read phases —
 // every oscillator must be materialized when it runs.

@@ -91,7 +91,7 @@ func (FST) Run(env *Env) Result {
 
 	if rst := h.rst; rst != nil {
 		fs := rst.FST
-		h.resume(fs.Result, fs.Detector, fs.Churned)
+		h.resume(fs.Result, fs.Detector)
 		copy(t.inTree, fs.InTree)
 		t.treeEdges = append(t.treeEdges, fs.TreeEdges...)
 		t.joined = fs.Joined
@@ -110,8 +110,8 @@ func (FST) Run(env *Env) Result {
 			// lastFired stays zero — the watchdog ignores never-heard
 			// devices, and everyone still alive re-registers within one
 			// firing interval, before any plan action can apply (the
-			// planner only shares a prefix when the first action leaves
-			// that much headroom).
+			// recovery sweep resumes only from a checkpoint at least two
+			// periods before its crash wave).
 			for _, e := range fs.TreeEdges {
 				t.parent[e.V] = e.U
 			}
@@ -239,13 +239,6 @@ func (t *fstTree) suspect(slot units.Slot, presumed []int) {
 	t.reaim(slot)
 }
 
-// churned treats FailAt churn under a fault plan exactly like crash
-// actions: the live count drops, and tree members leave as corpses the
-// watchdog will prune.
-func (t *fstTree) churned(slot units.Slot, gone []int) {
-	t.applied(slot, appliedFaults{crashed: gone})
-}
-
 // reaim restarts the join cadence if it went stale while the tree was
 // complete: re-joins must run at slots the engine provably steps.
 func (t *fstTree) reaim(slot units.Slot) {
@@ -279,7 +272,6 @@ func (t *fstTree) capture(st *snapshot.State) {
 		TreeEdges: append([]graph.Edge(nil), t.treeEdges...),
 		Joined:    t.joined,
 		NextRound: int64(t.nextRound),
-		Churned:   h.churned,
 	}
 	if h.flt != nil {
 		st.FST.Faults = &snapshot.FSTFaultState{

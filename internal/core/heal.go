@@ -17,25 +17,29 @@ import (
 // heavy-edge fragment merging versus sequential one-node-per-RACH joins —
 // so everything around the tree is one policy, written once here: stepping,
 // the parent-liveness watchdog, disturbance episodes, convergence, run
-// exit, FailAt churn, checkpoints and result finalisation. A protocol plugs
-// in its tree-building strategy as a topology. The liveness policy runs
-// only under a fault plan, so the fault-free path stays byte-identical.
+// exit, checkpoints and result finalisation. A protocol plugs in its
+// tree-building strategy as a topology. The liveness policy runs only under
+// a fault plan, so the fault-free path stays byte-identical.
 
-// topology is a protocol's tree-building strategy. applied, suspect and
-// churned run only under a fault plan.
+// watchdogPeriods is the parent-liveness watchdog's patience: a device
+// silent for this many periods is presumed dead. Live oscillators fire at
+// least once per two periods, so three cannot false-positive on a
+// fault-free run.
+const watchdogPeriods = 3
+
+// topology is a protocol's tree-building strategy. applied and suspect run
+// only under a fault plan.
 type topology interface {
 	timer() (next units.Slot, wanted bool) // the next round, folded into the horizon
 	round(slot units.Slot) (stop bool)     // a round if due; stop on a hopeless partition
 	// applied reacts to fault actions (recovered devices are already
 	// un-presumed); suspect to newly presumed devices, or with nil to a
-	// presumption lifted; churned to FailAt churn powering gone off.
+	// presumption lifted.
 	applied(slot units.Slot, ap appliedFaults)
 	suspect(slot units.Slot, presumed []int)
-	churned(slot units.Slot, gone []int)
-	healed() bool   // once per completed repair: the tree re-spans the live set
-	complete() bool // the tree spans the live set (FailAt churn waits for it)
-	settled() bool  // detected synchrony counts as convergence
-	busy() bool     // outstanding repair work holds off exit under a plan
+	healed() bool  // once per completed repair: the tree re-spans the live set
+	settled() bool // detected synchrony counts as convergence
+	busy() bool    // outstanding repair work holds off exit under a plan
 	capture(st *snapshot.State)
 	finish(res *Result)
 }
@@ -53,8 +57,7 @@ type healer struct {
 	slot        units.Slot              // being processed; read by hooks inside a round
 	linkBlocked func(from, to int) bool // active network split; nil without a plan
 
-	synced  bool // the current live set holds detected synchrony
-	churned bool
+	synced bool // the current live set holds detected synchrony
 
 	// Fault-layer state, allocated only when a plan is active.
 	lastFired    []int64 // per-device slot of the last heard fire
@@ -95,7 +98,7 @@ func newHealer(env *Env, proto string, opsPerPulse uint64) *healer {
 		// sent at slot s arrives by s+netMaxDelay, so only silence beyond
 		// watchdogPeriods*T + maxDelay proves the sender stopped
 		// transmitting (no false positive under bounded asynchrony).
-		h.watchSlots = units.Slot(cfg.watchdogPeriods()*cfg.PeriodSlots) + cfg.netMaxDelay()
+		h.watchSlots = units.Slot(watchdogPeriods*cfg.PeriodSlots) + cfg.netMaxDelay()
 		// The plan may hold devices down from slot 0 (join actions):
 		// synchrony is judged over the initially-live set.
 		h.det = oscillator.NewSyncDetector(env.AliveCount(), cfg.SyncWindowSlots, cfg.StableRounds)
@@ -107,10 +110,9 @@ func newHealer(env *Env, proto string, opsPerPulse uint64) *healer {
 }
 
 // resume overlays the shared portion of a protocol's snapshot section.
-func (h *healer) resume(rs snapshot.ResultState, ds oscillator.DetectorState, churned bool) {
+func (h *healer) resume(rs snapshot.ResultState, ds oscillator.DetectorState) {
 	applyResultState(&h.res, rs)
 	h.det.SetState(ds)
-	h.churned = churned
 }
 
 // restoreWatch overlays the shared portion of a protocol's fault section.
@@ -123,10 +125,10 @@ func (h *healer) restoreWatch(lastFired []int64, presumed []bool, synced, episod
 }
 
 // advance computes the next slot to step after cur: the engine's horizon
-// min-folded with the protocol's round timer, the watchdog boundary and the
-// churn timer. The loop folds it after every slot; a resume folds it once
-// from the snapshot slot, so the restored run steps exactly the slots the
-// uninterrupted run would have.
+// min-folded with the protocol's round timer and the watchdog boundary. The
+// loop folds it after every slot; a resume folds it once from the snapshot
+// slot, so the restored run steps exactly the slots the uninterrupted run
+// would have.
 func (h *healer) advance(t topology, cur units.Slot) units.Slot {
 	next := h.eng.nextStep(cur)
 	if at, ok := t.timer(); ok && at > cur && at < next {
@@ -134,9 +136,6 @@ func (h *healer) advance(t topology, cur units.Slot) units.Slot {
 	}
 	if h.nextWatch < next {
 		next = h.nextWatch
-	}
-	if fa := h.env.Cfg.FailAt; fa > 0 && !h.churned && fa > cur && fa < next {
-		next = fa
 	}
 	return next
 }
@@ -170,7 +169,6 @@ func (h *healer) run(t topology, couples couplingRule) Result {
 		if t.healed() {
 			h.repaired(slot)
 		}
-		h.churn(t, slot)
 		if t.settled() {
 			h.detect(slot, fired)
 		}
@@ -180,17 +178,11 @@ func (h *healer) run(t topology, couples couplingRule) Result {
 		}
 
 		// Checkpoint after the slot fully settled: a resume continues at
-		// slots strictly after it. The shared-prefix capture reuses the
-		// same path but lands only on a slot the engine stepped anyway
-		// (wantsPrefix), so arming it is trajectory- and accounting-neutral.
+		// slots strictly after it.
 		if eng.wantsCheckpoint(slot) {
 			eng.runCheckpoint(func() *snapshot.State { return h.capture(t, slot) })
 		}
-		next := h.advance(t, slot)
-		if eng.wantsPrefix(slot, next) {
-			cfg.OnPrefix(h.capture(t, slot))
-		}
-		slot = next
+		slot = h.advance(t, slot)
 	}
 	eng.finish(final)
 	t.finish(&h.res)
@@ -332,32 +324,6 @@ func (h *healer) repaired(slot units.Slot) {
 	h.res.Repairs++
 	h.env.Cfg.emit(trace.Event{Slot: slot, Kind: trace.KindRepair, A: h.res.Repairs, B: h.env.AliveCount()})
 	h.disturb(slot)
-}
-
-// churn applies the FailAt churn once the topology is complete: the
-// configured devices power off and convergence is judged over the
-// survivors.
-func (h *healer) churn(t topology, slot units.Slot) {
-	cfg := h.env.Cfg
-	if cfg.FailAt <= 0 || h.churned || slot < cfg.FailAt || !t.complete() {
-		return
-	}
-	var gone []int
-	for _, id := range cfg.FailSet {
-		if h.env.Alive[id] {
-			gone = append(gone, id)
-		}
-	}
-	h.env.Fail()
-	h.churned = true
-	h.eng.dropFailed()
-	h.resetDetector()
-	for _, id := range cfg.FailSet {
-		cfg.emit(trace.Event{Slot: slot, Kind: trace.KindChurn, A: id, B: -1})
-	}
-	if h.flt != nil {
-		t.churned(slot, gone)
-	}
 }
 
 // detect feeds the slot's fires to the synchrony detector, recording the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/faults"
@@ -196,6 +197,68 @@ func TestResumeWithFaultPlan(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A fault run resumed from a fault-free snapshot — how the recovery sweep
+// reuses its reference run's prefix — must return the same Result as the
+// fault run from slot 1, up to the ActiveSlots/TotalSlots accounting the
+// checkpoint boundaries add. The snapshot has no fault section, so the
+// resume rebuilds what the fault layer reads: FST's parent pointers from its
+// join log. The snapshot lands mid-join (n=120 joins until slot ~1150) and
+// the crash wave, the FST root among its victims, two periods later; the
+// joins outlast the watchdog's patience, so it prunes the tree around the
+// corpses and the rebuilt pointers decide what survives the prune. (The
+// recovery sweep's own crash wave comes after convergence and its survivors
+// re-synchronize before the watchdog presumes anyone.)
+func TestResumeFaultRunFromFaultFreeSnapshot(t *testing.T) {
+	variants := []struct {
+		name            string
+		period, workers int
+	}{
+		{"dense", 0, 0},
+		{"sparse", 400, 0}, // most slots skipped by the horizon
+		{"auto", 0, -1},    // one worker per CPU
+		{"sharded", 0, 2},
+	}
+	for _, v := range variants {
+		for _, proto := range []Protocol{FST{}, ST{}} {
+			t.Run(v.name+"/"+proto.Name(), func(t *testing.T) {
+				cfg := fastConfig(120, 7)
+				if v.period > 0 {
+					cfg.PeriodSlots = v.period
+				}
+				cfg.Workers = v.workers
+				clean := proto.Run(mustEnv(t, cfg))
+				if !clean.Converged {
+					t.Fatal("fault-free run did not converge")
+				}
+				T := units.Slot(cfg.PeriodSlots)
+				// The latest fault-free checkpoint at or before four periods.
+				var snap *snapshot.State
+				ck := cfg
+				ck.CheckpointEvery = T
+				ck.OnCheckpoint = func(st *snapshot.State) {
+					if units.Slot(st.Slot) <= 4*T {
+						snap = st
+					}
+				}
+				proto.Run(mustEnv(t, ck))
+				if snap == nil || units.Slot(snap.Slot) <= T {
+					t.Fatalf("no checkpoint between one and four periods (converged at %d)", clean.ConvergenceSlots)
+				}
+				faulted := cfg
+				faulted.Faults = crashAt(snap.Slot+2*int64(T)+50, 0, 26, 27, 118, 119)
+				want := proto.Run(mustEnv(t, faulted))
+				faulted.Resume = snap
+				got := proto.Run(mustEnv(t, faulted))
+				want.ActiveSlots, want.TotalSlots = 0, 0
+				got.ActiveSlots, got.TotalSlots = 0, 0
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("resumed from the fault-free snapshot at %d:\n got  %+v\n want %+v", snap.Slot, got, want)
+				}
+			})
+		}
 	}
 }
 

@@ -29,8 +29,8 @@ import (
 //   - Phases stay lazily materialized on their linear segments; AdvanceTo
 //     catches a device up when it fires, receives a pulse, or a protocol
 //     hook reads it. The engine hooks (materialize, phaseWritten,
-//     dropFailed, resyncAll) are the discipline this imposes on every
-//     protocol.
+//     deschedule, rescheduleDevice, resyncAll) are the discipline this
+//     imposes on every protocol.
 //
 // Parallelism shards by space, not device-index ranges: phase A advances
 // due shards concurrently, phase B evaluates senders concurrently (each on
@@ -206,15 +206,6 @@ func (sh *shardEngine) drop(id int) {
 // rebased at the current slot).
 func (sh *shardEngine) revive(id int) {
 	sh.lower(id, sh.bulk.Revive(int(sh.sm.memberOf[id])))
-}
-
-// dropFailedAll prunes every powered-off device after bulk churn.
-func (sh *shardEngine) dropFailedAll() {
-	for _, id := range sh.sm.order {
-		if !sh.env.Alive[id] {
-			sh.drop(int(id))
-		}
-	}
 }
 
 // resync pins every alive oscillator's Phase at slot and rebuilds all

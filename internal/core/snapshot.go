@@ -106,13 +106,6 @@ func restoreEnvState(env *Env, st *snapshot.State) {
 		env.Net.Restore(st.Net)
 	}
 	env.Cfg.Telemetry.SetState(st.Telemetry)
-	// Seed branching: with the prefix state fully overlaid, reroot every
-	// stream into the branch's own universe. Captured stream references
-	// (per-sender pulse streams, the correlated-channel sampler) follow the
-	// reroot in place.
-	if env.Cfg.ForkStreams != "" {
-		env.Streams.Reroot(env.Cfg.ForkStreams)
-	}
 }
 
 // engineState captures the engine's slot accounting and the echoes armed

@@ -111,7 +111,7 @@ func (ST) Run(env *Env) Result {
 
 	if rst := h.rst; rst != nil {
 		ss := rst.ST
-		h.resume(ss.Result, ss.Detector, ss.Churned)
+		h.resume(ss.Result, ss.Detector)
 		if ss.Tree != nil {
 			t.tree = ghs.RestoreProtocol(t.gcfg, *ss.Tree)
 		}
@@ -292,19 +292,15 @@ func (t *stTree) suspect(slot units.Slot, presumed []int) {
 	}
 }
 
-// churned leaves churned members to the watchdog: once armed, it presumes
-// them like any other silent device and a repair round routes around them.
-func (t *stTree) churned(slot units.Slot, gone []int) {}
-
 func (t *stTree) healed() bool {
 	done := t.repaired
 	t.repaired = false
 	return done
 }
 
-func (t *stTree) complete() bool { return t.tree != nil && t.tree.Done() }
-
-func (t *stTree) settled() bool { return t.complete() && t.repair == nil && !t.repairArmed }
+func (t *stTree) settled() bool {
+	return t.tree != nil && t.tree.Done() && t.repair == nil && !t.repairArmed
+}
 
 func (t *stTree) busy() bool { return t.awaitRepair || t.repairArmed }
 
@@ -314,7 +310,6 @@ func (t *stTree) capture(st *snapshot.State) {
 		Result:    resultState(&h.res),
 		Detector:  h.det.State(),
 		NextMerge: int64(t.nextMerge),
-		Churned:   h.churned,
 	}
 	if t.tree != nil {
 		ts := t.tree.State()

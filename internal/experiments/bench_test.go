@@ -1,77 +1,36 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/units"
 )
 
-// BenchmarkSweepPrefix measures a recovery-style branching study — one base
-// trajectory, S what-if crash continuations diverging near its end — run
-// cold (every branch from slot 1) and with the shared checkpoint-prefix
-// planner (branches resume a clone of the base capture). The differential
-// suite (prefix_test.go) pins both variants byte-identical; this benchmark
-// records what the sharing buys, and `make bench` gates shared no slower
-// than cold in BENCH.json.
+// BenchmarkSweepPrefix measures the recovery sweep (RunRecoverySweep) with
+// its checkpoint ring off (cold: every derived crash-wave run replays its
+// prefix from slot 1) and on at the automatic cadence (shared: each derived
+// run resumes from the reference run's latest checkpoint before the crash
+// wave). TestRunRecoverySweepPrefixIdentical pins both variants to the same
+// results; this benchmark records what the ring buys, and `make bench`
+// gates shared no slower than cold in BENCH.json.
 func BenchmarkSweepPrefix(b *testing.B) {
-	const n, seed, branches = 200, 7, 5
-	cfg := core.PaperConfig(n, seed)
-	cfg.MaxSlots = 120000
-	// Weak coupling (α just above the convergence bound) stretches the
-	// approach to synchrony — the regime where a branching study actually
-	// hurts without prefix sharing, and the honest one for this benchmark:
-	// with the paper's strong coupling the shared prefix is a small
-	// fraction of each branch's work and the planner buys proportionally
-	// less.
-	cfg.Coupling.Alpha = 1.001
-
-	// Calibrate once: the crash waves land two periods after the base run
-	// converges (the recovery-sweep shape), and the shared prefix ends just
-	// before convergence, so a shared branch re-simulates only the fault
-	// episode instead of the whole approach to synchrony.
-	env, err := core.NewEnv(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probe := core.ST{}.Run(env)
-	if !probe.Converged {
-		b.Fatal("probe run did not converge")
-	}
-	T := units.Slot(cfg.PeriodSlots)
-	prefix := probe.ConvergenceSlots - T
-	crashAt := int64(probe.ConvergenceSlots) + 2*int64(T)
-	var bs []Branch
-	for i := 0; i < branches; i++ {
-		// Small distinct crash waves: the branch work is dominated by the
-		// shared approach to synchrony, not the per-branch repair episode —
-		// the regime the prefix planner targets.
-		p := &faults.Plan{Version: faults.PlanSchema}
-		for d := 0; d < 2; d++ {
-			p.Actions = append(p.Actions, faults.Action{
-				Kind: faults.KindCrash, At: crashAt, Device: (i*7 + d) % n,
-			})
-		}
-		bs = append(bs, Branch{Name: fmt.Sprintf("wave-%d", i), Faults: p})
-	}
-
 	for _, v := range []struct {
-		name   string
-		prefix units.Slot
-	}{{"cold", 0}, {"shared", prefix}} {
+		name  string
+		slots units.Slot
+	}{{"cold", 0}, {"shared", -1}} {
 		b.Run(v.name, func(b *testing.B) {
+			opts := Options{
+				Sizes:       []int{50, 100, 200},
+				Seeds:       2,
+				BaseSeed:    1,
+				Workers:     1,
+				PrefixSlots: v.slots,
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, brs, err := RunBranches(cfg, core.ST{}, v.prefix, bs, 1)
-				if err != nil {
+				if _, err := RunRecoverySweep(opts); err != nil {
 					b.Fatal(err)
-				}
-				for _, br := range brs {
-					if br.SharedPrefix != (v.prefix > 0) {
-						b.Fatalf("branch %q shared=%v under prefix %d", br.Name, br.SharedPrefix, v.prefix)
-					}
 				}
 			}
 		})

@@ -6,13 +6,13 @@
 // jobs) close to free: a fully warm cache turns a sweep into hash lookups.
 //
 // The key is honest about what it cannot see. Knobs that provably do not
-// change the Result (Workers, PrefixSlot, the observability hooks' cadence
-// fields) are excluded, so a cached row serves any worker count.
+// change the Result (Workers, the observability hooks' cadence fields) are
+// excluded, so a cached row serves any worker count.
 // CheckpointEvery IS included: checkpoint boundaries are stepped slots, so
 // they show in Result.ActiveSlots. Configurations the digest cannot
 // represent — live hooks a cached hit could not replay (telemetry, traces,
-// checkpoint streams), mid-run Resume states, stream forks — refuse caching
-// outright rather than risk a false hit.
+// checkpoint streams) and mid-run Resume states — refuse caching outright
+// rather than risk a false hit.
 package experiments
 
 import (
@@ -34,7 +34,7 @@ import (
 // cacheSchema versions the digest layout and the disk envelope together:
 // bump it whenever the manifest fields, the probe grid or the Result shape
 // change meaning, and every previously stored entry silently misses.
-const cacheSchema = 3
+const cacheSchema = 4
 
 // pathLossProbes are the distances (metres) at which the path-loss model is
 // fingerprinted. PathLoss is an interface with no canonical serialization;
@@ -86,31 +86,27 @@ type cacheManifest struct {
 	Services          int  `json:"services"`
 	MeshCoupling      bool `json:"mesh_coupling"`
 
-	FailAt  int64 `json:"fail_at"`
-	FailSet []int `json:"fail_set,omitempty"`
-
-	Faults          *faults.Plan   `json:"faults,omitempty"`
-	WatchdogPeriods int            `json:"watchdog_periods"`
-	Net             *asyncnet.Plan `json:"net,omitempty"`
+	Faults *faults.Plan   `json:"faults,omitempty"`
+	Net    *asyncnet.Plan `json:"net,omitempty"`
 }
 
 // CacheKey digests the model-relevant configuration of one (config,
 // protocol) run into a content address. ok is false when the configuration
 // is not representable — a cached Result could not stand in for the run:
 //
-//   - Resume / ForkStreams: the run starts mid-trajectory or branches its
-//     randomness; the key has no way to address the prior history.
+//   - Resume: the run starts mid-trajectory; the key has no way to
+//     address the prior history.
 //   - Telemetry, RunStats, FireTrace, ProgressTrace, EventTrace,
-//     OnCheckpoint, OnPrefix: a cache hit skips the run, so live observers
+//     OnCheckpoint: a cache hit skips the run, so live observers
 //     would silently see nothing (for RunStats: a hit records no engine
 //     time, so an attached accumulator would report a run that never
 //     executed).
 func CacheKey(cfg core.Config, protocol string) (key string, ok bool) {
-	if cfg.Resume != nil || cfg.ForkStreams != "" {
+	if cfg.Resume != nil {
 		return "", false
 	}
 	if cfg.Telemetry != nil || cfg.RunStats != nil || cfg.FireTrace != nil || cfg.ProgressTrace != nil ||
-		cfg.EventTrace != nil || cfg.OnCheckpoint != nil || cfg.OnPrefix != nil {
+		cfg.EventTrace != nil || cfg.OnCheckpoint != nil {
 		return "", false
 	}
 	if cfg.PathLoss == nil {
@@ -154,12 +150,8 @@ func CacheKey(cfg core.Config, protocol string) (key string, ok bool) {
 		Services:          cfg.Services,
 		MeshCoupling:      cfg.MeshCoupling,
 
-		FailAt:  int64(cfg.FailAt),
-		FailSet: cfg.FailSet,
-
-		Faults:          cfg.Faults,
-		WatchdogPeriods: cfg.WatchdogPeriods,
-		Net:             cfg.Net,
+		Faults: cfg.Faults,
+		Net:    cfg.Net,
 	}
 	for i, d := range pathLossProbes {
 		m.PathLossProbe[i] = float64(cfg.PathLoss.Loss(units.Metre(d)))

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/snapshot"
 	"repro/internal/units"
 )
@@ -38,7 +39,6 @@ func TestCacheKeyStable(t *testing.T) {
 		func(c *core.Config) { c.Workers = 1 },
 		func(c *core.Config) { c.Workers = 8 },
 		func(c *core.Config) { c.Workers = -1 },
-		func(c *core.Config) { c.PrefixSlot = 500 },
 	}
 	for i, edit := range neutral {
 		c := cfg
@@ -60,7 +60,6 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		"period":     func(c *core.Config) { c.PeriodSlots = 120 },
 		"maxslots":   func(c *core.Config) { c.MaxSlots = 50000 },
 		"faults":     func(c *core.Config) { c.Faults = crashPlan(600, 0) },
-		"failat":     func(c *core.Config) { c.FailAt = 700; c.FailSet = []int{1} },
 		"pathloss":   func(c *core.Config) { c.PathLoss = testPathLoss{offset: 3} },
 	}
 	base, ok := CacheKey(cfg, "FST")
@@ -99,9 +98,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 func TestCacheKeyRefusesUnrepresentable(t *testing.T) {
 	uncacheable := map[string]func(*core.Config){
 		"resume":       func(c *core.Config) { c.Resume = &snapshot.State{} },
-		"fork":         func(c *core.Config) { c.ForkStreams = "x" },
 		"oncheckpoint": func(c *core.Config) { c.OnCheckpoint = func(*snapshot.State) {} },
-		"onprefix":     func(c *core.Config) { c.OnPrefix = func(*snapshot.State) {} },
 		"firetrace":    func(c *core.Config) { c.FireTrace = func(units.Slot, int) {} },
 		"progress":     func(c *core.Config) { c.ProgressTrace = func(units.Slot) {} },
 		"nopathloss":   func(c *core.Config) { c.PathLoss = nil },
@@ -227,8 +224,9 @@ func TestRunSweepWarmCache(t *testing.T) {
 }
 
 // TestRunSweepConfigureErrorReturns is the worker-pool deadlock regression
-// for every driver: when every run fails to build, the sweep must surface
-// the error promptly instead of wedging its worker pool.
+// for every driver: when every run's config fails to build (a slot cap
+// shorter than one period fails Validate), the sweep must surface the error
+// promptly instead of wedging its worker pool.
 func TestRunSweepConfigureErrorReturns(t *testing.T) {
 	for _, d := range sweepDrivers {
 		t.Run(d.name, func(t *testing.T) {
@@ -236,7 +234,7 @@ func TestRunSweepConfigureErrorReturns(t *testing.T) {
 			opts.Sizes = []int{20}
 			opts.Seeds = 8 // more jobs than workers: the pool must not wedge
 			opts.Workers = 2
-			opts.Configure = func(c *core.Config) { c.PathLoss = nil }
+			opts.MaxSlots = 1
 			done := make(chan error, 1)
 			go func() {
 				_, err := d.run(opts)
@@ -245,11 +243,70 @@ func TestRunSweepConfigureErrorReturns(t *testing.T) {
 			select {
 			case err := <-done:
 				if err == nil {
-					t.Error("sweep with failing Configure should error")
+					t.Error("sweep with an invalid run config should error")
 				}
 			case <-time.After(60 * time.Second):
-				t.Fatal("sweep deadlocked on a failing Configure")
+				t.Fatal("sweep deadlocked on an invalid run config")
 			}
 		})
+	}
+}
+
+// crashPlan crashes the given devices together at slot at.
+func crashPlan(at int64, devices ...int) *faults.Plan {
+	p := &faults.Plan{Version: faults.PlanSchema}
+	for _, d := range devices {
+		p.Actions = append(p.Actions, faults.Action{Kind: faults.KindCrash, At: at, Device: d})
+	}
+	return p
+}
+
+// scratchRun runs proto under cfg from slot 1.
+func scratchRun(t *testing.T, cfg core.Config, proto core.Protocol) core.Result {
+	t.Helper()
+	env, err := core.NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return proto.Run(env)
+}
+
+// TestGeometryCacheBitIdentical pins the environment memoization under the
+// sharing the ablation sweeps rely on: one cache serves every variant of a
+// deployment, and a run that reads its world from that shared cache must be
+// bit-identical to a cold run, for every model knob an ablation varies.
+func TestGeometryCacheBitIdentical(t *testing.T) {
+	knobs := []struct {
+		name string
+		edit func(*core.Config)
+	}{
+		{"baseline", func(*core.Config) {}},
+		{"ShadowSigmaDB", func(c *core.Config) { c.ShadowSigmaDB = 4 }},
+		{"CaptureMarginDB", func(c *core.Config) { c.CaptureMarginDB = 12 }},
+		{"Preambles", func(c *core.Config) { c.Preambles = 64 }},
+		{"SINRDetection", func(c *core.Config) { c.SINRDetection = true }},
+		{"CorrelatedChannel", func(c *core.Config) { c.CorrelatedChannel = true }},
+		{"ClockDriftPPM", func(c *core.Config) { c.ClockDriftPPM = 500; c.SyncWindowSlots = 1 }},
+		{"MeshCoupling", func(c *core.Config) { c.MeshCoupling = true }},
+		{"Services", func(c *core.Config) { c.Services = 4 }},
+	}
+	protos := []core.Protocol{core.FST{}, core.ST{}}
+	shared := core.NewGeometryCache()
+	for _, k := range knobs {
+		for _, proto := range protos {
+			cfg := core.PaperConfig(20, 3)
+			cfg.MaxSlots = 60000
+			k.edit(&cfg)
+			cold := scratchRun(t, cfg, proto)
+			cfg.Geometry = shared
+			if warm := scratchRun(t, cfg, proto); !reflect.DeepEqual(cold, warm) {
+				t.Errorf("%s/%s: run on the shared geometry cache differs from a cold run", k.name, proto.Name())
+			}
+		}
+	}
+	// Two worlds: the paper's σ and the ShadowSigmaDB variant's.
+	hits, misses := shared.Stats()
+	if runs := uint64(len(knobs) * len(protos)); misses != 2 || hits != runs-2 {
+		t.Errorf("geometry cache stats hits=%d misses=%d, want %d/2", hits, misses, runs-2)
 	}
 }

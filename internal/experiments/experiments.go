@@ -48,14 +48,6 @@ type Options struct {
 	// slot-level pays off for few large runs, run-level for many small
 	// ones. Results are bit-identical for every setting.
 	SlotWorkers int
-	// Configure, when non-nil, post-processes each run's Config, after the
-	// MaxSlots override and before the driver's own variant edit (an
-	// ablation's knob, the delay sweep's adversary), which therefore wins
-	// where both set a field. It must be a pure function of its input: the
-	// sweep shares one geometry memoization across all runs, whose contract
-	// is that runs with equal (N, Seed, Area, TxPower, Threshold,
-	// ShadowSigmaDB) use the same path-loss model.
-	Configure func(*core.Config)
 	// OnResult, when non-nil, observes every finished run (live telemetry:
 	// `d2dsim -telemetry-addr` feeds its metric registry from here). Called
 	// concurrently from the sweep workers — implementations must be
@@ -93,8 +85,7 @@ type Options struct {
 	// Geometry, when non-nil, is the link-geometry memoization the sweep
 	// shares across its runs instead of the internal per-sweep cache —
 	// callers pass one to read its hit/miss counters afterwards (the
-	// `d2dsim -exp recovery`/`delay`/`activity` summaries). Same contract as
-	// the internal cache: Configure must be a pure function of its input.
+	// `d2dsim -exp recovery`/`delay`/`activity` summaries).
 	Geometry *core.GeometryCache
 }
 

@@ -145,24 +145,6 @@ func TestRunDelaySweepShape(t *testing.T) {
 	}
 }
 
-func TestRunSweepConfigureHook(t *testing.T) {
-	opts := smallOptions()
-	opts.Sizes = []int{20}
-	opts.Workers = 1 // serial: the counter below is unsynchronized
-	called := 0
-	opts.Configure = func(c *core.Config) { called++; c.StableRounds = 2 }
-	rows, err := RunSweep(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if called != 4 { // 1 size x 2 seeds x 2 protocols
-		t.Errorf("Configure called %d times, want 4", called)
-	}
-	if len(rows) != 1 {
-		t.Errorf("rows = %d", len(rows))
-	}
-}
-
 func TestFigureTables(t *testing.T) {
 	rows, err := RunSweep(smallOptions())
 	if err != nil {

@@ -88,16 +88,18 @@ func RunRecoverySweep(opts Options) ([]RecoveryRow, error) {
 	// A job is the reference run plus its derived faulted run; its outcome
 	// is the faulted run's result, nil when there was none.
 	jobs, out, err := runSweep(opts, "recovery", fstST, plain, func(r *sweepRun) (*core.Result, error) {
-		// Shared-prefix reuse (Options.PrefixSlots): the reference run
-		// keeps a rolling ring of in-memory checkpoints. The derived plan's
-		// crash wave lands two periods after the observed convergence slot,
-		// so any checkpoint at or before that slot satisfies the
-		// prefix-shareability margin (first action >= resume slot + 2
-		// periods) and the faulted run can resume from it instead of
-		// replaying the whole pre-fault trajectory. RecoveryRow carries no
-		// ActiveSlots, so the checkpoint-boundary stepping the reference run
-		// adds (and the resumed run's inherited accounting) shifts nothing a
-		// row reports — prefix_test.go pins row equality.
+		// Shared-prefix reuse (Options.PrefixSlots), the simulator's one
+		// prefix reuse: the reference run keeps a rolling ring of in-memory
+		// checkpoints. The derived plan's crash wave lands two periods after
+		// the observed convergence slot, so any checkpoint at or before that
+		// slot leaves the margin a fault run resuming a fault-free snapshot
+		// needs (first action >= resume slot + 2 periods: every survivor
+		// re-registers with the watchdog first), and the faulted run resumes
+		// from it instead of replaying the whole pre-fault trajectory.
+		// RecoveryRow carries no ActiveSlots, so the checkpoint-boundary
+		// stepping the reference run adds (and the resumed run's inherited
+		// accounting) shifts nothing a row reports —
+		// TestRunRecoverySweepPrefixIdentical pins every run's Result.
 		refCfg := r.config()
 		var ring []*snapshot.State
 		if opts.PrefixSlots != 0 {

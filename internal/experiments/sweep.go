@@ -28,8 +28,8 @@ const (
 )
 
 // variant is one point of a driver's variant axis: the label its rows print
-// and the edit it applies to every run config of the point (after
-// Options.Configure). A nil configure leaves the config as built.
+// and the edit it applies to every run config of the point. A nil configure
+// leaves the config as built.
 type variant struct {
 	label     any
 	configure func(*core.Config)
@@ -85,9 +85,6 @@ func (r *sweepRun) config() core.Config {
 	cfg.Workers = r.opts.SlotWorkers
 	if r.opts.MaxSlots > 0 {
 		cfg.MaxSlots = r.opts.MaxSlots
-	}
-	if r.opts.Configure != nil {
-		r.opts.Configure(&cfg)
 	}
 	if r.variant.configure != nil {
 		r.variant.configure(&cfg)
@@ -145,9 +142,8 @@ func runSweep[T any](opts Options, name string, protos []core.Protocol, variants
 	// One geometry memoization per sweep: every run of a deployment (the
 	// protocols of a job group, reference and derived runs, the variants
 	// that keep the deployment) shares one world, so the link-geometry pass
-	// runs once per distinct world. Safe because Configure and the variant
-	// edits are pure functions of their input (see the Options doc), so
-	// PathLoss is uniform per cache key.
+	// runs once per distinct world. Safe because the variant edits are pure
+	// functions of their input, so PathLoss is uniform per cache key.
 	geom := opts.Geometry
 	if geom == nil {
 		geom = core.NewGeometryCache()

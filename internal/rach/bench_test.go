@@ -27,17 +27,6 @@ func BenchmarkBroadcastAll(b *testing.B) {
 	}
 }
 
-func BenchmarkBroadcastSingle(b *testing.B) {
-	streams := xrand.NewStreams(2)
-	positions := geo.UniformDeployment(400, geo.Square(283), streams.Get("deploy"))
-	ch := radio.PaperChannel(streams)
-	tr := NewTransport(ch, positions, 23, -95, 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Broadcast(i%400, RACH1, KindPulse, 0, units.Slot(i))
-	}
-}
-
 // benchTransport builds a transport at the paper's density with per-sender
 // streams (the core simulator's configuration), cached or direct.
 func benchTransport(n int, direct bool) *Transport {
@@ -56,51 +45,72 @@ func benchTransport(n int, direct bool) *Transport {
 	return tr
 }
 
+// broadcastWaves drives one transport through consecutive BroadcastAll
+// waves, the entry point whose plan/eval/resolve steps the run engine
+// composes. Wave w transmits from the n/100 devices w mod 100, w mod 100 +
+// 100, ...: id-ascending like the engine's fired lists, so 100 consecutive
+// waves cover every device once.
+type broadcastWaves struct {
+	tr      *Transport
+	n, w    int
+	senders []int
+}
+
+func newBroadcastWaves(n int, direct bool) *broadcastWaves {
+	return &broadcastWaves{tr: benchTransport(n, direct), n: n}
+}
+
+func (bw *broadcastWaves) next() {
+	bw.senders = bw.senders[:0]
+	for s := bw.w % 100; s < bw.n; s += 100 {
+		bw.senders = append(bw.senders, s)
+	}
+	bw.tr.BroadcastAll(bw.senders, RACH1, KindPulse, zeroService, units.Slot(bw.w))
+	bw.w++
+}
+
+func zeroService(int) int { return 0 }
+
 // TestBroadcastCachedAllocs pins the cached steady-state delivery path that
-// BenchmarkBroadcastCached measures to zero allocations per Broadcast, at
-// each of its sizes. The first pass over every sender grows the reused
-// delivery buffers; after it nothing may allocate.
+// BenchmarkBroadcastCached measures to zero allocations per BroadcastAll
+// wave, at each of its sizes. The warm-up waves (two rotations over every
+// sender) grow the reused plan, arrival and delivery buffers; after them
+// nothing may allocate.
 func TestBroadcastCachedAllocs(t *testing.T) {
 	for _, n := range []int{200, 1000, 5000} {
-		tr := benchTransport(n, false)
-		for i := 0; i < n; i++ {
-			tr.Broadcast(i, RACH1, KindPulse, 0, units.Slot(i))
+		bw := newBroadcastWaves(n, false)
+		for i := 0; i < 200; i++ {
+			bw.next()
 		}
-		i := 0
-		avg := testing.AllocsPerRun(n, func() {
-			tr.Broadcast(i%n, RACH1, KindPulse, 0, units.Slot(n+i))
-			i++
-		})
-		if avg != 0 {
-			t.Errorf("n=%d: cached Broadcast %.2f allocs/op, want 0", n, avg)
+		if avg := testing.AllocsPerRun(100, bw.next); avg != 0 {
+			t.Errorf("n=%d: cached BroadcastAll %.3f allocs/wave, want 0", n, avg)
 		}
 	}
 }
 
-// BenchmarkBroadcastCached / BenchmarkBroadcastDirect measure one Broadcast
-// on the steady-state delivery path at paper density: cached walks the link
-// index's packed rows with reused delivery buffers (the zero-allocation
-// path), direct re-derives the candidate set and pair geometry per call.
+// BenchmarkBroadcastCached / BenchmarkBroadcastDirect measure one
+// BroadcastAll wave of n/100 senders on the steady-state delivery path at
+// paper density: cached walks the link index's packed rows with reused
+// buffers (the zero-allocation path), direct re-derives the candidate set
+// and pair geometry per sender.
 func BenchmarkBroadcastCached(b *testing.B) { benchBroadcast(b, false) }
 
 func BenchmarkBroadcastDirect(b *testing.B) { benchBroadcast(b, true) }
 
 // benchBroadcast builds each size's transport once per sub-benchmark; every
-// call (the one-iteration probe, each -count repeat) broadcasts on from the
-// sender and slot the previous call stopped at.
+// call (the one-iteration probe, each -count repeat) transmits on from the
+// wave the previous call stopped at.
 func benchBroadcast(b *testing.B, direct bool) {
 	for _, n := range []int{200, 1000, 5000} {
-		var tr *Transport
-		next := 0
+		var bw *broadcastWaves
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			if tr == nil {
-				tr = benchTransport(n, direct)
+			if bw == nil {
+				bw = newBroadcastWaves(n, direct)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tr.Broadcast(next%n, RACH1, KindPulse, 0, units.Slot(next))
-				next++
+				bw.next()
 			}
 		})
 	}

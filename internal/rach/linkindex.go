@@ -32,7 +32,7 @@ import (
 // reassign shadowing/fading draws across links and change every downstream
 // result. Golden tests pin that order; Reorder relocates whole rows without
 // touching their contents. The by-id sorted view needed for point lookups
-// (Unicast, MeanRSSI, GHS link queries) is carried as a per-row permutation
+// (LinkGeometry, MeanRSSI, GHS link queries) is carried as a per-row permutation
 // (byID) instead of reordering the rows themselves.
 type LinkIndex struct {
 	start  []int

@@ -69,8 +69,9 @@ func TestLinkIndexGeometry(t *testing.T) {
 }
 
 // TestCachedVsDirectTransport is the transport-level differential: the same
-// seeded sequence of Broadcast, Unicast and BroadcastAll waves over cached
-// and direct transports must produce byte-identical deliveries and counters.
+// seeded sequence of one-sender waves (plain threshold mode) on both codecs
+// and three-sender waves (capture mode) over cached and direct transports
+// must produce byte-identical deliveries and counters.
 func TestCachedVsDirectTransport(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		positions := testPositions(80, seed)
@@ -83,17 +84,15 @@ func TestCachedVsDirectTransport(t *testing.T) {
 		copyDels := func(d []Delivery) []Delivery { return append([]Delivery(nil), d...) }
 		for slot := units.Slot(1); slot <= 40; slot++ {
 			from := int(slot) % len(positions)
-			a := copyDels(cached.Broadcast(from, RACH1, KindPulse, service(from), slot))
-			b := copyDels(direct.Broadcast(from, RACH1, KindPulse, service(from), slot))
-			compareDeliveries(t, "Broadcast", slot, a, b)
+			one := []int{from}
+			a := copyDels(cached.BroadcastAll(one, RACH1, KindPulse, service, slot))
+			b := copyDels(direct.BroadcastAll(one, RACH1, KindPulse, service, slot))
+			compareDeliveries(t, "one-sender RACH1", slot, a, b)
 
-			to := (from + 1 + int(slot)) % len(positions)
-			ma, oka := cached.Unicast(from, to, RACH2, KindConnect, 0, slot)
-			mb, okb := direct.Unicast(from, to, RACH2, KindConnect, 0, slot)
-			if oka != okb || ma != mb {
-				t.Fatalf("seed %d slot %d: Unicast diverged: (%+v,%v) vs (%+v,%v)",
-					seed, slot, ma, oka, mb, okb)
-			}
+			one[0] = (from + 1 + int(slot)) % len(positions)
+			a = copyDels(cached.BroadcastAll(one, RACH2, KindConnect, service, slot))
+			b = copyDels(direct.BroadcastAll(one, RACH2, KindConnect, service, slot))
+			compareDeliveries(t, "one-sender RACH2", slot, a, b)
 
 			senders := []int{from, (from + 7) % len(positions), (from + 29) % len(positions)}
 			a = copyDels(cached.BroadcastAll(senders, RACH1, KindPulse, service, slot))

@@ -193,8 +193,8 @@ type Transport struct {
 	// global draw order, so distinct senders can be evaluated concurrently
 	// with bit-identical results (the same recipe internal/firefly uses
 	// for its parallel optimizer). A non-nil LinkSampler takes precedence.
-	// Unicast and the merge handshakes keep the shared streams: they run
-	// in the sequential protocol phase.
+	// The merge handshakes keep the shared streams: they run in the
+	// sequential protocol phase.
 	SenderStreams []*xrand.Stream
 
 	positions  []geo.Point
@@ -207,7 +207,7 @@ type Transport struct {
 	scratch    []int
 
 	// Reused delivery-path buffers (the zero-allocation broadcast path).
-	// Slices returned by Broadcast/Resolve alias dels and are valid until
+	// Slices returned by BroadcastAll/Resolve alias dels and are valid until
 	// the next transmission on this transport.
 	dels      []Delivery
 	plan      BroadcastPlan
@@ -361,80 +361,6 @@ func (t *Transport) RestoreCounters(c Counters, collisions uint64) {
 	t.collisions = collisions
 }
 
-// Broadcast transmits one PS from device from, sampling the channel to every
-// candidate neighbour, and returns the deliveries whose RSSI met the
-// threshold. The transmission is counted once regardless of how many
-// receivers detect it (a broadcast is one message on the air); each
-// detection increments the reception counter. The returned slice aliases a
-// transport-owned buffer and is valid until the next transmission.
-func (t *Transport) Broadcast(from int, codec Codec, kind Kind, service int, slot units.Slot) []Delivery {
-	t.counters.Tx[codec]++
-	t.counters.TxBytes[codec] += PayloadBytes(kind)
-	out := t.dels[:0]
-	if t.idx != nil {
-		ids, dist, mean := t.idx.Row(from)
-		for q, j := range ids {
-			rx := t.sampleMean(from, int(j), dist[q], mean[q], slot)
-			if !rx.AtLeast(t.Threshold) {
-				continue
-			}
-			t.counters.Rx[codec]++
-			out = append(out, Delivery{
-				To: int(j),
-				Msg: Message{
-					From: from, Codec: codec, Kind: kind,
-					Service: service, Slot: slot, RSSI: rx,
-				},
-			})
-		}
-		t.dels = out
-		return out
-	}
-	src := t.positions[from]
-	t.scratch = t.grid.Neighbors(src, float64(t.reach), from, t.scratch[:0])
-	for _, j := range t.scratch {
-		d := units.Metre(src.Dist(t.positions[j]))
-		rx := t.sample(from, j, d, slot)
-		if !rx.AtLeast(t.Threshold) {
-			continue
-		}
-		t.counters.Rx[codec]++
-		out = append(out, Delivery{
-			To: j,
-			Msg: Message{
-				From: from, Codec: codec, Kind: kind,
-				Service: service, Slot: slot, RSSI: rx,
-			},
-		})
-	}
-	t.dels = out
-	return out
-}
-
-// Unicast transmits one PS from device from addressed to device to (the
-// H_Connect handshake is point-to-point at the protocol level even though
-// the air interface is broadcast). It returns the message and true when the
-// sampled RSSI meets the threshold, and counts exactly one transmission and
-// at most one reception.
-func (t *Transport) Unicast(from, to int, codec Codec, kind Kind, service int, slot units.Slot) (Message, bool) {
-	t.counters.Tx[codec]++
-	t.counters.TxBytes[codec] += PayloadBytes(kind)
-	var rx units.DBm
-	if d, mean, ok := t.LinkGeometry(from, to); ok {
-		rx = t.sampleMean(from, to, d, mean, slot)
-	} else {
-		// Beyond the candidate radius (or cache disabled): derive the pair
-		// geometry directly. Identical draws either way.
-		d := units.Metre(t.positions[from].Dist(t.positions[to]))
-		rx = t.sample(from, to, d, slot)
-	}
-	if !rx.AtLeast(t.Threshold) {
-		return Message{}, false
-	}
-	t.counters.Rx[codec]++
-	return Message{From: from, Codec: codec, Kind: kind, Service: service, Slot: slot, RSSI: rx}, true
-}
-
 // BroadcastAll transmits one PS from every listed sender in the same slot
 // and the same codec, resolving same-slot collisions per receiver with the
 // capture model: among the above-threshold arrivals at a receiver, only the
@@ -443,8 +369,7 @@ func (t *Transport) Unicast(from, to int, codec Codec, kind Kind, service int, s
 // one transmission; only decoded PSs count as receptions.
 //
 // With CaptureMarginDB < 0 the collision model is disabled and every
-// above-threshold arrival is delivered (the behaviour of repeated Broadcast
-// calls).
+// above-threshold arrival is delivered, sender-major (plain threshold mode).
 //
 // BroadcastAll is the sequential composition of the three-step plan API:
 // PlanBroadcastAll, EvalSender for each sender in order, Resolve. Callers
@@ -496,8 +421,8 @@ func (t *Transport) PlanBroadcastAll(senders []int, codec Codec, kind Kind, serv
 	p.senders = senders
 	p.codec, p.kind, p.service, p.slot = codec, kind, service, slot
 	// CaptureMarginDB < 0 disables the collision model; a single sender
-	// cannot collide — both fall back to plain threshold delivery (the
-	// behaviour of repeated Broadcast calls).
+	// cannot collide — both fall back to plain threshold delivery, which
+	// draws no preamble.
 	p.capture = !(t.CaptureMarginDB < 0 || len(senders) == 1)
 	if cap(p.arrivals) >= len(senders) {
 		p.arrivals = p.arrivals[:len(senders)]

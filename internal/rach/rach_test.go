@@ -15,11 +15,17 @@ func quietTransport(positions []geo.Point) *Transport {
 	return NewTransport(ch, positions, 23, -95, 0)
 }
 
+// broadcastOne transmits a one-sender BroadcastAll wave: a single sender
+// cannot collide, so the wave runs in plain threshold mode.
+func broadcastOne(tr *Transport, from int, codec Codec, kind Kind, service int, slot units.Slot) []Delivery {
+	return tr.BroadcastAll([]int{from}, codec, kind, func(int) int { return service }, slot)
+}
+
 func TestBroadcastDetectionByDistance(t *testing.T) {
 	// Deterministic range at 23 dBm / -95 dBm is ~89.1 m.
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 50, Y: 0}, {X: 200, Y: 0}}
 	tr := quietTransport(positions)
-	dels := tr.Broadcast(0, RACH1, KindPulse, 0, 1)
+	dels := broadcastOne(tr, 0, RACH1, KindPulse, 0, 1)
 	if len(dels) != 1 || dels[0].To != 1 {
 		t.Fatalf("deliveries = %+v, want only device 1", dels)
 	}
@@ -35,8 +41,8 @@ func TestBroadcastDetectionByDistance(t *testing.T) {
 func TestCountersTxOncePerBroadcast(t *testing.T) {
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 20, Y: 0}, {X: 30, Y: 0}}
 	tr := quietTransport(positions)
-	tr.Broadcast(0, RACH1, KindPulse, 0, 1)
-	tr.Broadcast(1, RACH2, KindConnect, 0, 2)
+	broadcastOne(tr, 0, RACH1, KindPulse, 0, 1)
+	broadcastOne(tr, 1, RACH2, KindConnect, 0, 2)
 	c := tr.Counters()
 	if c.Tx[RACH1] != 1 || c.Tx[RACH2] != 1 {
 		t.Errorf("tx counters = %+v", c.Tx)
@@ -56,22 +62,27 @@ func TestCountersTxOncePerBroadcast(t *testing.T) {
 	}
 }
 
-func TestUnicast(t *testing.T) {
+// A one-sender wave runs in plain threshold mode even with a preamble pool
+// configured: it reaches the in-range device only, carries the sender's
+// service tag, and draws no preamble.
+func TestOneSenderWave(t *testing.T) {
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 40, Y: 0}, {X: 500, Y: 0}}
 	tr := quietTransport(positions)
-	msg, ok := tr.Unicast(0, 1, RACH2, KindConnect, 7, 5)
-	if !ok {
-		t.Fatal("in-range unicast failed")
+	tr.CaptureMarginDB = 6
+	tr.Preambles = 64
+	tr.PreambleSrc = xrand.NewStreams(9).Get("preamble")
+	dels := broadcastOne(tr, 0, RACH2, KindConnect, 7, 5)
+	if len(dels) != 1 || dels[0].To != 1 {
+		t.Fatalf("deliveries = %+v, want only device 1 (500 m is out of range at 23 dBm)", dels)
 	}
-	if msg.From != 0 || msg.Service != 7 || msg.Kind != KindConnect {
-		t.Errorf("unicast message wrong: %+v", msg)
+	if m := dels[0].Msg; m.From != 0 || m.Service != 7 || m.Kind != KindConnect || m.Codec != RACH2 {
+		t.Errorf("message wrong: %+v", m)
 	}
-	if _, ok := tr.Unicast(0, 2, RACH2, KindConnect, 0, 5); ok {
-		t.Error("unicast to 500 m should fail at 23 dBm")
+	if c := tr.Counters(); c.Tx[RACH2] != 1 || c.Rx[RACH2] != 1 {
+		t.Errorf("counters = %+v, want one RACH2 transmission and one reception", c)
 	}
-	c := tr.Counters()
-	if c.Tx[RACH2] != 2 || c.Rx[RACH2] != 1 {
-		t.Errorf("unicast counters = %+v", c)
+	if pos := tr.PreambleSrc.Pos(); pos != 0 {
+		t.Errorf("one-sender wave drew %d preambles, want 0", pos)
 	}
 }
 
@@ -113,7 +124,7 @@ func TestShadowingMakesDetectionProbabilistic(t *testing.T) {
 	detected := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		if len(tr.Broadcast(0, RACH1, KindPulse, 0, units.Slot(i))) > 0 {
+		if len(broadcastOne(tr, 0, RACH1, KindPulse, 0, units.Slot(i))) > 0 {
 			detected++
 		}
 	}
@@ -136,7 +147,7 @@ func TestMarginExtendsCandidates(t *testing.T) {
 	// least probed, and over many trials some detections occur.
 	detected := 0
 	for i := 0; i < 3000; i++ {
-		if len(withMargin.Broadcast(0, RACH1, KindPulse, 0, units.Slot(i))) > 0 {
+		if len(broadcastOne(withMargin, 0, RACH1, KindPulse, 0, units.Slot(i))) > 0 {
 			detected++
 		}
 	}
@@ -148,7 +159,7 @@ func TestMarginExtendsCandidates(t *testing.T) {
 func TestBroadcastSelfExcluded(t *testing.T) {
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 5, Y: 0}}
 	tr := quietTransport(positions)
-	for _, d := range tr.Broadcast(0, RACH1, KindPulse, 0, 1) {
+	for _, d := range broadcastOne(tr, 0, RACH1, KindPulse, 0, 1) {
 		if d.To == 0 {
 			t.Fatal("device received its own broadcast")
 		}

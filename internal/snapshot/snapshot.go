@@ -133,7 +133,7 @@ type STState struct {
 	Repair    *ghs.ProtocolState       `json:"repair,omitempty"`
 	Frag      []int                    `json:"frag,omitempty"`
 	NextMerge int64                    `json:"next_merge"`
-	Churned   bool                     `json:"churned"`
+	Churned   bool                     `json:"churned"` // retired: written false, ignored on restore
 	Faults    *STFaultState            `json:"faults,omitempty"`
 }
 
@@ -160,7 +160,7 @@ type FSTState struct {
 	TreeEdges []graph.Edge             `json:"tree_edges,omitempty"`
 	Joined    int                      `json:"joined"`
 	NextRound int64                    `json:"next_round"`
-	Churned   bool                     `json:"churned"`
+	Churned   bool                     `json:"churned"` // retired: written false, ignored on restore
 	Faults    *FSTFaultState           `json:"faults,omitempty"`
 }
 

@@ -25,7 +25,7 @@ const (
 	KindJoin
 	// KindConverge marks detected synchrony.
 	KindConverge
-	// KindChurn is a device powering off (post-setup failure injection).
+	// KindChurn is a device powering off (a fault-plan crash).
 	KindChurn
 	// KindRecover is a device powering (back) on: a fault-plan recover or
 	// mid-run join.

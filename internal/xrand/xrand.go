@@ -228,35 +228,6 @@ func (f *Streams) Fork(name string) *Streams {
 	return NewStreams(deriveSeed(f.seed, name))
 }
 
-// Reroot rebases the factory in place onto a new root seed derived from the
-// current seed and label, re-seeding every open stream at position zero.
-// Unlike Fork, existing *Stream pointers stay valid and switch to the new
-// universe — components that captured a stream reference (per-sender pulse
-// streams, channel sampler closures) follow the reroot without rewiring.
-//
-// This is the seed-branching primitive: restore a checkpoint, Reroot with a
-// branch label, and the run continues from the shared trajectory prefix into
-// an independent randomness universe. The same (history, label) pair always
-// yields the same branch. Cursors taken after a Reroot are positions in the
-// new universe, so a rerooted run's own snapshots only restore into a factory
-// that replayed the same reroot sequence.
-func (f *Streams) Reroot(label string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.seed = deriveSeed(f.seed, label)
-	for name, s := range f.open {
-		s.reseed(deriveSeed(f.seed, name))
-	}
-}
-
-// reseed rebases the stream onto a fresh source at position zero.
-func (s *Stream) reseed(seed int64) {
-	s.seed = seed
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	s.src = src
-	s.r = rand.New(src)
-}
-
 func deriveSeed(seed int64, name string) int64 {
 	h := fnv.New64a()
 	var b [8]byte
