@@ -1,6 +1,7 @@
 # Convenience targets; everything is plain `go` underneath.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build test vet race race-core resume-guard net-guard perfbench ci bench sweep examples fuzz clean
 
@@ -36,8 +37,12 @@ net-guard:
 build:
 	$(GO) build ./...
 
+# gofmt -l walks the whole tree, the perfbench module included, and lists
+# every file whose formatting differs; any listed file fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

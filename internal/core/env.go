@@ -247,7 +247,8 @@ func (e *Env) ServiceDiscoveryRatio() float64 {
 func (e *Env) linkTrials(from, to int) int {
 	// The transport's link cache already holds this pair's mean received
 	// power (the merge handshake only probes discovered — in-range — peers);
-	// SampleMean then consumes exactly Sample's draws on top of it.
+	// SampleAtLeast then consumes exactly Sample's draws on top of it, and
+	// skips the fading transform of a trial certain to miss.
 	_, mean, ok := e.Transport.LinkGeometry(from, to)
 	if !ok {
 		d := units.Metre(e.Transport.Position(from).Dist(e.Transport.Position(to)))
@@ -258,7 +259,7 @@ func (e *Env) linkTrials(from, to int) int {
 		limit = 1
 	}
 	for trial := 1; trial <= limit; trial++ {
-		if !e.Channel.SampleMean(mean).AtLeast(e.Cfg.Threshold) {
+		if _, ok := e.Channel.SampleAtLeast(nil, mean, e.Cfg.Threshold); !ok {
 			continue
 		}
 		if e.netLossSrc != nil && e.netLossSrc.Float64() < e.Cfg.Net.LossRate {

@@ -26,16 +26,16 @@ type FragmentState struct {
 // (OnMessage, LinkTrials, OnMerge) are not captured; RestoreProtocol takes a
 // fresh Config to re-wire them.
 type ProtocolState struct {
-	N             int             `json:"n"`
-	W             [][]Neighbor    `json:"w"`
+	N             int                  `json:"n"`
+	W             [][]Neighbor         `json:"w"`
 	UF            graph.UnionFindState `json:"uf"`
-	Fragments     []FragmentState `json:"fragments"`
-	TreeAdj       [][]int         `json:"tree_adj"`
-	Done          bool            `json:"done"`
-	Edges         []graph.Edge    `json:"edges"`
-	Phases        int             `json:"phases"`
-	Messages      uint64          `json:"messages"`
-	Transmissions uint64          `json:"transmissions"`
+	Fragments     []FragmentState      `json:"fragments"`
+	TreeAdj       [][]int              `json:"tree_adj"`
+	Done          bool                 `json:"done"`
+	Edges         []graph.Edge         `json:"edges"`
+	Phases        int                  `json:"phases"`
+	Messages      uint64               `json:"messages"`
+	Transmissions uint64               `json:"transmissions"`
 }
 
 // State returns a deep copy of the protocol's state, with fragments sorted

@@ -14,6 +14,7 @@ package rach
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geo"
 	"repro/internal/radio"
@@ -459,16 +460,18 @@ func (p *BroadcastPlan) EvalSender(k int, scratch []int) []int {
 	t := p.t
 	s := p.senders[k]
 	arr := p.arrivals[k][:0]
+	// The capture model drops sub-threshold arrivals outright; the SINR
+	// model keeps them — they still interfere.
+	keep := t.Threshold
+	if p.capture && t.SINRMode {
+		keep = units.DBm(math.Inf(-1))
+	}
 	if t.idx != nil {
 		ids, dist, mean := t.idx.Row(s)
 		for q, j := range ids {
-			rx := t.sampleMean(s, int(j), dist[q], mean[q], p.slot)
-			// The capture model drops sub-threshold arrivals outright; the
-			// SINR model keeps them — they still interfere.
-			if !(p.capture && t.SINRMode) && !rx.AtLeast(t.Threshold) {
-				continue
+			if rx, ok := t.sample(s, int(j), dist[q], mean[q], keep, p.slot); ok {
+				arr = append(arr, arrival{recv: int(j), rssi: rx})
 			}
-			arr = append(arr, arrival{recv: int(j), rssi: rx})
 		}
 		p.arrivals[k] = arr
 		return scratch
@@ -477,11 +480,13 @@ func (p *BroadcastPlan) EvalSender(k int, scratch []int) []int {
 	scratch = t.grid.Neighbors(src, float64(t.reach), s, scratch[:0])
 	for _, j := range scratch {
 		d := units.Metre(src.Dist(t.positions[j]))
-		rx := t.sample(s, j, d, p.slot)
-		if !(p.capture && t.SINRMode) && !rx.AtLeast(t.Threshold) {
-			continue
+		var mean units.DBm
+		if t.LinkSampler == nil {
+			mean = t.Channel.MeanReceivedPower(t.TxPower, d)
 		}
-		arr = append(arr, arrival{recv: j, rssi: rx})
+		if rx, ok := t.sample(s, j, d, mean, keep, p.slot); ok {
+			arr = append(arr, arrival{recv: j, rssi: rx})
+		}
 	}
 	p.arrivals[k] = arr
 	return scratch
@@ -671,31 +676,25 @@ func (p *BroadcastPlan) Resolve() []Delivery {
 	return out
 }
 
-// sample draws one link-addressed received-power observation: through the
-// LinkSampler when configured, from the sender's own stream when
-// SenderStreams is set, and from the shared i.i.d. Channel otherwise.
-func (t *Transport) sample(from, to int, d units.Metre, slot units.Slot) units.DBm {
+// sample draws one link-addressed received-power observation and reports
+// whether it meets keep: through the LinkSampler when configured, from the
+// sender's own stream when SenderStreams is set, and from the shared i.i.d.
+// Channel otherwise. The channel branches add their draws to the pair's
+// deterministic mean received power; the LinkSampler branch ignores it and
+// takes the distance — correlated-shadowing samplers key off the pair, not
+// the mean. The channel branches go through radio.Channel.SampleAtLeast,
+// which skips the fading transform of a sample certain to miss keep; keep =
+// −Inf has every sample computed in full.
+func (t *Transport) sample(from, to int, d units.Metre, mean, keep units.DBm, slot units.Slot) (units.DBm, bool) {
 	if t.LinkSampler != nil {
-		return t.LinkSampler(from, to, d, slot)
+		rx := t.LinkSampler(from, to, d, slot)
+		return rx, rx.AtLeast(keep)
 	}
+	var src *xrand.Stream
 	if t.SenderStreams != nil {
-		return t.Channel.SampleFrom(t.SenderStreams[from], t.TxPower, d)
+		src = t.SenderStreams[from]
 	}
-	return t.Channel.Sample(t.TxPower, d)
-}
-
-// sampleMean is sample with the pair's deterministic mean received power
-// already cached: the same three-way draw dispatch, minus the per-sample
-// path-loss evaluation. The LinkSampler branch still passes the distance —
-// correlated-shadowing samplers key off the pair, not the mean.
-func (t *Transport) sampleMean(from, to int, d units.Metre, mean units.DBm, slot units.Slot) units.DBm {
-	if t.LinkSampler != nil {
-		return t.LinkSampler(from, to, d, slot)
-	}
-	if t.SenderStreams != nil {
-		return t.Channel.SampleFromMean(t.SenderStreams[from], mean)
-	}
-	return t.Channel.SampleMean(mean)
+	return t.Channel.SampleAtLeast(src, mean, keep)
 }
 
 // MeanRSSI returns the expected (path-loss-only) received power between two

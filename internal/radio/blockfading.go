@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/units"
+	"repro/internal/xrand"
 )
 
 // BlockFading is the time-correlated fast-fading model: the channel gain of
@@ -54,8 +55,7 @@ func (b *BlockFading) GainDB(i, j int, slot units.Slot) float64 {
 	switch b.Kind {
 	case FadingRayleigh:
 		// Unit-mean exponential power gain: g = -ln(U).
-		u := splitUniform(&h)
-		return 10 * math.Log10(-math.Log(u))
+		return xrand.RayleighPowerDBAt(splitUniform(&h))
 	case FadingRician:
 		k := units.DB(b.RicianKdB).LinearRatio()
 		losAmp := math.Sqrt(k / (k + 1))

@@ -100,38 +100,56 @@ func (c *Channel) Sample(txPower units.DBm, d units.Metre) units.DBm {
 // draw sequence is exactly Sample's, so the two are interchangeable bit for
 // bit when the mean matches.
 func (c *Channel) SampleMean(mean units.DBm) units.DBm {
-	p := mean
-	p = p.Add(units.DB(c.ShadowingDB()))
-	p = p.Add(units.DB(c.FadingDB()))
-	return p
+	rx, _ := c.SampleAtLeast(nil, mean, units.DBm(math.Inf(-1)))
+	return rx
 }
 
-// SampleFrom returns one received-power sample at distance d like Sample,
-// but draws the shadowing and fading terms from src instead of the
-// channel's own shared streams. Giving each transmitter its own stream
-// makes concurrent sampling deterministic: the draws a transmitter consumes
-// depend only on its own sample sequence, not on global call order.
-func (c *Channel) SampleFrom(src *xrand.Stream, txPower units.DBm, d units.Metre) units.DBm {
-	return c.SampleFromMean(src, c.MeanReceivedPower(txPower, d))
-}
-
-// SampleFromMean is SampleFrom with the deterministic part precomputed — the
-// per-sender-stream counterpart of SampleMean, and the form the transport's
-// steady-state broadcast path uses once the link cache has the mean. The
-// conditional draw consumption (no shadowing draw when σ = 0, no fading draw
-// for FadingNone) mirrors SampleFrom exactly.
+// SampleFromMean is SampleMean with the shadowing and fading terms drawn
+// from src instead of the channel's own shared streams. Giving each
+// transmitter its own stream makes concurrent sampling deterministic: the
+// draws a transmitter consumes depend only on its own sample sequence, not
+// on global call order. Draw consumption is conditional exactly as
+// SampleMean's: no shadowing draw when σ = 0, no fading draw for
+// FadingNone.
 func (c *Channel) SampleFromMean(src *xrand.Stream, mean units.DBm) units.DBm {
+	rx, _ := c.SampleAtLeast(src, mean, units.DBm(math.Inf(-1)))
+	return rx
+}
+
+// SampleAtLeast draws one received-power sample on top of mean and reports
+// whether it meets the detection threshold thr: from src like SampleFromMean,
+// or from the shared streams like SampleMean when src is nil. It consumes
+// exactly their draws, and whenever ok the sample is theirs bit for bit.
+//
+// Callers that drop sub-threshold samples anyway should use it: under
+// Rayleigh fading it draws the uniform behind the gain and, when even the
+// gain's upper bound (xrand.RayleighPowerDBBound) leaves the sample below
+// thr, rejects without computing the gain's two logarithms. The decision is
+// still exact, because float addition rounds monotonically. A rejected
+// sample's power is not computed and reads −Inf. Rician and unfaded
+// channels always take the exact sum.
+func (c *Channel) SampleAtLeast(src *xrand.Stream, mean, thr units.DBm) (rx units.DBm, ok bool) {
+	shadow, fade := src, src
+	if src == nil {
+		shadow, fade = c.shadow, c.fade
+	}
 	p := mean
-	if c.ShadowSigmaDB != 0 {
-		p = p.Add(units.DB(src.LogNormalDB(c.ShadowSigmaDB)))
+	if c.ShadowSigmaDB != 0 && shadow != nil {
+		p = p.Add(units.DB(shadow.LogNormalDB(c.ShadowSigmaDB)))
 	}
-	switch c.Fading {
-	case FadingRayleigh:
-		p = p.Add(units.DB(src.RayleighPowerDB()))
-	case FadingRician:
-		p = p.Add(units.DB(ricianPowerDB(src, c.RicianKdB)))
+	if fade != nil {
+		switch c.Fading {
+		case FadingRayleigh:
+			u := fade.RayleighUniform()
+			if !p.Add(units.DB(xrand.RayleighPowerDBBound(u))).AtLeast(thr) {
+				return units.DBm(math.Inf(-1)), false
+			}
+			p = p.Add(units.DB(xrand.RayleighPowerDBAt(u)))
+		case FadingRician:
+			p = p.Add(units.DB(ricianPowerDB(fade, c.RicianKdB)))
+		}
 	}
-	return p
+	return p, p.AtLeast(thr)
 }
 
 // ShadowingDB draws one shadowing value in dB (the random variable x of
@@ -170,31 +188,4 @@ func ricianPowerDB(s *xrand.Stream, kDB float64) float64 {
 	im := scatterSigma * s.Norm()
 	g := re*re + im*im
 	return float64(units.DBFromLinear(g))
-}
-
-// LinkBudget describes a one-way link evaluation: the deterministic pieces
-// and the stochastic draws that produced a sample. Useful for tracing why a
-// PS was or was not detected.
-type LinkBudget struct {
-	TxPower     units.DBm
-	Distance    units.Metre
-	PathLossDB  units.DB
-	ShadowingDB float64
-	FadingDB    float64
-	Received    units.DBm
-}
-
-// Budget returns a fully itemised received-power sample.
-func (c *Channel) Budget(txPower units.DBm, d units.Metre) LinkBudget {
-	pl := c.Model.Loss(d)
-	sh := c.ShadowingDB()
-	fd := c.FadingDB()
-	return LinkBudget{
-		TxPower:     txPower,
-		Distance:    d,
-		PathLossDB:  pl,
-		ShadowingDB: sh,
-		FadingDB:    fd,
-		Received:    txPower.Sub(pl).Add(units.DB(sh)).Add(units.DB(fd)),
-	}
 }

@@ -205,19 +205,6 @@ func TestNoFadingNoShadowingIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestBudgetDecomposes(t *testing.T) {
-	streams := xrand.NewStreams(8)
-	c := PaperChannel(streams)
-	b := c.Budget(23, 15)
-	reconstructed := b.TxPower.Sub(b.PathLossDB).Add(units.DB(b.ShadowingDB)).Add(units.DB(b.FadingDB))
-	if math.Abs(float64(reconstructed-b.Received)) > 1e-12 {
-		t.Errorf("budget does not decompose: %v vs %v", reconstructed, b.Received)
-	}
-	if b.PathLossDB != PaperDualSlope().Loss(15) {
-		t.Error("budget path loss mismatch")
-	}
-}
-
 func TestFadingString(t *testing.T) {
 	if FadingRayleigh.String() != "UMi (NLOS) Rayleigh" {
 		t.Errorf("got %q", FadingRayleigh.String())

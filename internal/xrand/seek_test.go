@@ -19,8 +19,8 @@ var drawKinds = []struct {
 	{"norm", func(s *Stream) float64 { return s.Norm() }},
 	{"gaussian", func(s *Stream) float64 { return s.Gaussian(1, 2) }},
 	{"lognormaldb", func(s *Stream) float64 { return s.LogNormalDB(8) }},
-	{"rayleigh", func(s *Stream) float64 { return s.Rayleigh(1.5) }},
 	{"rayleighpowerdb", func(s *Stream) float64 { return s.RayleighPowerDB() }},
+	{"rayleighuniform", func(s *Stream) float64 { return s.RayleighUniform() }},
 	{"exp", func(s *Stream) float64 { return s.Exp(0.7) }},
 	{"perm", func(s *Stream) float64 { return float64(s.Perm(13)[5]) }},
 	{"shuffle", func(s *Stream) float64 {

@@ -1,6 +1,6 @@
 // Package xrand provides deterministic, independently seeded random number
 // streams for the simulator, plus the non-uniform variates the channel and
-// mobility models need (Gaussian, log-normal, Rayleigh, exponential).
+// mobility models need (Gaussian, log-normal, Rayleigh power, exponential).
 //
 // Every stochastic component of the simulator draws from a named Stream
 // obtained from a Streams factory. Streams derived from the same root seed
@@ -111,30 +111,62 @@ func (s *Stream) LogNormalDB(sigmaDB float64) float64 {
 	return sigmaDB * s.r.NormFloat64()
 }
 
-// Rayleigh returns a Rayleigh variate with scale sigma. The squared envelope
-// of a Rayleigh channel is exponential; Rayleigh fading is the standard model
-// for NLOS urban-micro (UMi) fast fading, which Table I of the paper calls
-// "Fast Fading UMi (NLOS)".
-func (s *Stream) Rayleigh(sigma float64) float64 {
-	// Inverse-CDF: F(x) = 1 - exp(-x^2 / (2 sigma^2)).
-	u := s.r.Float64()
-	for u == 0 { // avoid log(0)
-		u = s.r.Float64()
-	}
-	return sigma * math.Sqrt(-2*math.Log(u))
-}
-
 // RayleighPowerDB returns the fading power gain of a unit-mean Rayleigh
 // channel, in dB. The linear power gain is exponentially distributed with
 // mean 1, so the dB value has mean ≈ -2.51 dB and a long negative tail
-// (deep fades).
+// (deep fades). Rayleigh fading is the standard model for NLOS urban-micro
+// (UMi) fast fading, which Table I of the paper calls "Fast Fading UMi
+// (NLOS)". It is RayleighPowerDBAt(s.RayleighUniform()).
 func (s *Stream) RayleighPowerDB() float64 {
+	return RayleighPowerDBAt(s.RayleighUniform())
+}
+
+// RayleighUniform draws the uniform behind RayleighPowerDB: a Float64 in
+// [2⁻⁶³, 1), redrawn while it is zero so that −ln u is finite. Callers that
+// split the draw from the transform (to bound the gain before paying for it)
+// consume exactly the draws RayleighPowerDB consumes.
+func (s *Stream) RayleighUniform() float64 {
 	u := s.r.Float64()
 	for u == 0 {
 		u = s.r.Float64()
 	}
-	g := -math.Log(u) // Exp(1): unit-mean linear power gain
-	return 10 * math.Log10(g)
+	return u
+}
+
+// RayleighPowerDBAt is the Rayleigh power transform 10·log10(−ln u): the dB
+// gain of the unit-mean exponential power −ln u.
+func RayleighPowerDBAt(u float64) float64 {
+	return 10 * math.Log10(-math.Log(u))
+}
+
+// rayleighSlackDB pads every rayleighBound entry above the transform at its
+// bucket's lowest u. The transform is decreasing in u, but its rounded value
+// need not be monotone ulp for ulp; the slack is ~3·10⁵ ulps of the largest
+// gain (16.40 dB, at u = 2⁻⁶³), far beyond the few ulps math.Log and
+// math.Log10 err by.
+const rayleighSlackDB = 1e-9
+
+// rayleighBound[(k−1)·16+m] bounds RayleighPowerDBAt from above over the
+// bucket of uniforms with binary exponent −k (u ∈ [2⁻ᵏ, 2⁻ᵏ⁺¹), k = 1…63)
+// and top four mantissa bits m: u ∈ [2⁻ᵏ(1+m/16), 2⁻ᵏ(1+(m+1)/16)). Each
+// entry is the transform at the bucket's lowest u plus rayleighSlackDB.
+var rayleighBound = func() (b [63 * 16]float64) {
+	for i := range b {
+		lo := math.Ldexp(1+float64(i%16)/16, -(i/16 + 1))
+		b[i] = RayleighPowerDBAt(lo) + rayleighSlackDB
+	}
+	return b
+}()
+
+// RayleighPowerDBBound returns a cheap upper bound on RayleighPowerDBAt(u)
+// for u in [2⁻⁶³, 1) — every value RayleighUniform returns — read from u's
+// exponent and top mantissa bits without a logarithm. It panics outside that
+// range. A caller holding a power p can then decide p + gain < threshold
+// without the transform whenever p + bound < threshold: float addition
+// rounds monotonically, so gain ≤ bound gives fl(p+gain) ≤ fl(p+bound).
+func RayleighPowerDBBound(u float64) float64 {
+	bits := math.Float64bits(u)
+	return rayleighBound[(1022-int(bits>>52))*16+int(bits>>48&15)]
 }
 
 // Exp returns an exponential variate with the given rate (mean 1/rate).

@@ -77,21 +77,6 @@ func TestLogNormalDBMoments(t *testing.T) {
 	}
 }
 
-func TestRayleighMean(t *testing.T) {
-	s := NewStream(17)
-	const n = 100000
-	sigma := 2.0
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += s.Rayleigh(sigma)
-	}
-	mean := sum / n
-	want := sigma * math.Sqrt(math.Pi/2)
-	if math.Abs(mean-want) > 0.03*want {
-		t.Errorf("Rayleigh mean = %v, want ~%v", mean, want)
-	}
-}
-
 func TestRayleighPowerDBUnitMean(t *testing.T) {
 	s := NewStream(19)
 	const n = 200000
