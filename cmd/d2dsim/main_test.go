@@ -23,6 +23,24 @@ func base() runOpts {
 	return runOpts{exp: "single", sizes: "10", seeds: 1, baseSeed: 1, n: 10, proto: "ST", workers: 1}
 }
 
+// readReport decodes the telemetry report a -report run wrote and checks
+// its schema version.
+func readReport(t *testing.T, path string) telemetry.Report {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep telemetry.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Schema != telemetry.ReportSchema {
+		t.Fatalf("report schema %d, want %d", rep.Schema, telemetry.ReportSchema)
+	}
+	return rep
+}
+
 func TestParseSizes(t *testing.T) {
 	got, err := parseSizes("50,100, 200")
 	if err != nil {
@@ -266,10 +284,7 @@ func TestRunSingleWritesReport(t *testing.T) {
 	if err := run(o); err != nil {
 		t.Fatalf("single with -report failed: %v", err)
 	}
-	rep, err := telemetry.LoadReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := readReport(t, path)
 	if rep.Protocol != "ST" {
 		t.Errorf("report identity wrong: %+v", rep)
 	}
@@ -321,10 +336,7 @@ func TestConfigRunHonoursMaxSlots(t *testing.T) {
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := telemetry.LoadReport(o.report)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := readReport(t, o.report)
 	var m manifest.Manifest
 	if err := json.Unmarshal(rep.Manifest, &m); err != nil {
 		t.Fatal(err)
@@ -350,11 +362,7 @@ func TestReportCarriesPlans(t *testing.T) {
 		if err := run(o); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := telemetry.LoadReport(o.report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return readReport(t, o.report)
 	}
 	crash := &faults.Plan{Version: faults.PlanSchema, Actions: []faults.Action{{Kind: faults.KindCrash, At: 2000, Device: 3}}}
 	delay := &asyncnet.Plan{Version: asyncnet.PlanSchema, MaxDelaySlots: 5}

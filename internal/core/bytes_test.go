@@ -15,13 +15,14 @@ func TestBytesChargedForAllProtocols(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("%s did not converge", p.Name())
 		}
-		if res.Counters.TotalTxBytes() == 0 {
+		bytes := res.Counters.TxBytes[rach.RACH1] + res.Counters.TxBytes[rach.RACH2]
+		if bytes == 0 {
 			t.Errorf("%s: no payload bytes charged", p.Name())
 		}
 		// Every transmission carries at least the 4-byte pulse framing.
-		if res.Counters.TotalTxBytes() < 4*res.Counters.TotalTx() {
+		if bytes < 4*res.Counters.TotalTx() {
 			t.Errorf("%s: %d bytes for %d messages — below the minimum framing",
-				p.Name(), res.Counters.TotalTxBytes(), res.Counters.TotalTx())
+				p.Name(), bytes, res.Counters.TotalTx())
 		}
 	}
 }

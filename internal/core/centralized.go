@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sort"
-
-	"repro/internal/eventsim"
 	"repro/internal/graph"
 	"repro/internal/rach"
 	"repro/internal/snapshot"
@@ -17,7 +14,7 @@ import (
 // BS." It is not part of the paper's evaluation — it is the yardstick that
 // shows what the distributed protocols give up and gain.
 //
-// Procedure (driven by a discrete-event schedule, package eventsim):
+// Procedure:
 //
 //  1. Devices beacon for DiscoveryPeriods periods exactly as ST does,
 //     building RSSI neighbour tables (the BS cannot measure D2D links
@@ -93,72 +90,55 @@ func (Centralized) Run(env *Env) Result {
 	slotEng.finish(bound)
 	slot := bound + 1
 
-	// Phase 2: report collection over slotted random access, simulated on
-	// the discrete-event scheduler. Each UE retries in successive contention windows
-	// until its slot is collision-free.
-	eng := eventsim.New()
+	// Phase 2: report collection over slotted random access. Every
+	// contender, in id order, draws a slot in its contention window; an
+	// attempt alone in its slot is received, colliders retry in the next
+	// window. Attempts past the slot budget never reach the air, and the
+	// next window is drawn only if it starts inside the budget.
 	src := env.Streams.Get("bs-uplink")
 	window := units.Slot(4 * cfg.N) // contention window sized to the cell
-	reported := make([]bool, cfg.N)
-	pending := cfg.N
-	res.Counters.Tx[rach.RACH2]++ // report request downlink
+	res.Counters.Tx[rach.RACH2]++   // report request downlink
 	res.Counters.TxBytes[rach.RACH2] += 4
 
-	var scheduleWindow func(start units.Slot, contenders []int)
-	scheduleWindow = func(start units.Slot, contenders []int) {
-		// Every contender draws a slot in [start, start+window).
-		claims := make(map[units.Slot][]int)
-		for _, ue := range contenders {
-			s := start + units.Slot(src.Intn(int(window)))
-			claims[s] = append(claims[s], ue)
-		}
-		var losers []int
-		last := start
-		for s, ues := range claims {
-			if s > last {
-				last = s
-			}
-			for _, ue := range ues {
-				ue := ue
-				collided := len(ues) > 1
-				eng.Schedule(s, "uplink-report", func(*eventsim.Engine) {
-					res.Counters.Tx[rach.RACH1]++ // the attempt is on the air either way
-					// A report carries the UE's whole neighbour table.
-					res.Counters.TxBytes[rach.RACH1] += 4 + 6*uint64(len(env.Devices[ue].DiscoveredPeers))
-					if collided {
-						return
-					}
-					res.Counters.Rx[rach.RACH1]++
-					if !reported[ue] {
-						reported[ue] = true
-						pending--
-					}
-				})
-				if collided {
-					losers = append(losers, ue)
-				}
-			}
-		}
-		if len(losers) > 0 {
-			// Losers contend again in the window after this one. Sort
-			// first: the claims map iterates in arbitrary order, and
-			// the retry draws must not depend on it.
-			retry := append([]int(nil), losers...)
-			sort.Ints(retry)
-			eng.Schedule(start+window, "retry-window", func(*eventsim.Engine) {
-				scheduleWindow(start+window, retry)
-			})
-		}
-		_ = last
+	contenders := make([]int, cfg.N)
+	for i := range contenders {
+		contenders[i] = i
 	}
-	all := make([]int, cfg.N)
-	for i := range all {
-		all[i] = i
+	draws := make([]units.Slot, cfg.N)
+	occupancy := make([]int, window)
+	for start := slot; ; start += window {
+		drawn := draws[:len(contenders)]
+		for i := range drawn {
+			drawn[i] = start + units.Slot(src.Intn(int(window)))
+			occupancy[drawn[i]-start]++
+		}
+		retry := contenders[:0]
+		for i, ue := range contenders {
+			s := drawn[i]
+			alone := occupancy[s-start] == 1
+			if s > cfg.MaxSlots {
+				retry = append(retry, ue)
+				continue
+			}
+			res.Counters.Tx[rach.RACH1]++ // the attempt is on the air either way
+			// A report carries the UE's whole neighbour table.
+			res.Counters.TxBytes[rach.RACH1] += 4 + 6*uint64(len(env.Devices[ue].DiscoveredPeers))
+			if !alone {
+				retry = append(retry, ue)
+				continue
+			}
+			res.Counters.Rx[rach.RACH1]++
+			slot = max(slot, s) // the stop slot: where the last report lands
+		}
+		for _, s := range drawn {
+			occupancy[s-start] = 0
+		}
+		contenders = retry
+		if len(contenders) == 0 || start+window > cfg.MaxSlots {
+			break
+		}
 	}
-	scheduleWindow(slot, all)
-	eng.RunUntil(cfg.MaxSlots, func() bool { return pending == 0 })
-	slot = eng.Now()
-	if pending > 0 {
+	if len(contenders) > 0 {
 		// Report collection did not finish inside the slot budget.
 		finishResult(env, slotEng, &res)
 		return res
@@ -172,7 +152,7 @@ func (Centralized) Run(env *Env) Result {
 	seen := make(map[pair]bool)
 	for i, d := range env.Devices {
 		for peer, stat := range d.DiscoveredPeers {
-			k := pair{min2(i, peer), max2(i, peer)}
+			k := pair{min(i, peer), max(i, peer)}
 			if seen[k] {
 				continue
 			}
@@ -216,20 +196,6 @@ func (Centralized) Run(env *Env) Result {
 	}
 	finishResult(env, slotEng, &res)
 	return res
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 var _ Protocol = Centralized{}

@@ -90,9 +90,10 @@ type Config struct {
 	CoherenceSlots int
 	// SINRDetection switches PS detection from the flat Table I threshold
 	// + capture margin to a physical SINR detector over the LTE PRACH
-	// noise floor. The two nearly coincide without interference (see
-	// radio.EffectiveThreshold); under contention the SINR detector is
-	// stricter because sub-threshold arrivals still interfere.
+	// noise floor. The two nearly coincide without interference (the
+	// required SINR is Threshold minus the noise floor); under contention
+	// the SINR detector is stricter because sub-threshold arrivals still
+	// interfere.
 	SINRDetection bool
 	// SyncWindowSlots is the fire-alignment window defining synchrony.
 	SyncWindowSlots int64

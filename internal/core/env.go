@@ -132,7 +132,8 @@ func newEnv(cfg Config, positions []geo.Point) (*Env, error) {
 		tr.SINRMode = true
 		tr.NoiseFloor = radio.NoiseFloor(radio.PRACHBandwidthHz, 9)
 		// Required SINR chosen so the no-interference detection range
-		// matches the Table I threshold (radio.EffectiveThreshold).
+		// matches the Table I threshold: noise floor + required SINR =
+		// Threshold.
 		tr.RequiredSNRDB = float64(cfg.Threshold - tr.NoiseFloor)
 	}
 

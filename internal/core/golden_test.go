@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/rach"
+	"repro/internal/units"
 )
 
 // Golden regression pins: exact results for one fixed configuration
@@ -45,6 +46,34 @@ func TestGoldenResults(t *testing.T) {
 				g.proto.Name(),
 				res.ConvergenceSlots, res.Counters.Tx[rach.RACH1], res.Counters.Tx[rach.RACH2], res.Ops,
 				g.slots, g.tx1, g.tx2, g.ops)
+		}
+	}
+}
+
+// TestFSTFig3GrowthLaw pins Fig. 3's FST series as a law rather than as
+// numbers: in the paper's configuration FST's convergence time grows by
+// exactly 8 slots per added node, seed by seed, over the sizes `d2dsim -exp
+// fig3 -sizes 50,100,200,400 -seeds 2` sweeps (FST means 856.5, 1256.5,
+// 2056.5 and 3656.5 slots, the same ±CI at every size). A change to the
+// protocol or the channel that bends the curve fails here before it shifts
+// EXPERIMENTS.md.
+func TestFSTFig3GrowthLaw(t *testing.T) {
+	sizes := []int{50, 100, 200, 400}
+	for seed := int64(1); seed <= 2; seed++ {
+		var prev Result
+		for i, n := range sizes {
+			res := FST{}.Run(mustEnv(t, PaperConfig(n, seed)))
+			if !res.Converged {
+				t.Fatalf("seed %d n=%d: FST did not converge", seed, n)
+			}
+			if i > 0 {
+				dn := n - sizes[i-1]
+				if got := res.ConvergenceSlots - prev.ConvergenceSlots; got != units.Slot(8*dn) {
+					t.Errorf("seed %d: slots(%d) - slots(%d) = %d - %d = %d, want 8*%d = %d",
+						seed, n, sizes[i-1], res.ConvergenceSlots, prev.ConvergenceSlots, got, dn, 8*dn)
+				}
+			}
+			prev = res
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/radio"
 	"repro/internal/units"
 	"repro/internal/xrand"
 )
@@ -86,7 +87,9 @@ func TestNewEnvAtRebuildsLinkIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reach := float64(env.Transport.CandidateRadius())
+	// The candidate radius NewEnv gives the transport: Table I's link budget
+	// stretched by the 2σ shadowing margin.
+	reach := float64(radio.MaxRange(env.Channel.Model, cfg.TxPower.Add(units.DB(2*cfg.ShadowSigmaDB)), cfg.Threshold, 1e6))
 	cachedPairs := 0
 	for i := range moved {
 		for j := range moved {

@@ -8,7 +8,6 @@ package device
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geo"
 	"repro/internal/oscillator"
@@ -61,44 +60,6 @@ func (s RSSIStat) Add(rssi units.DBm) RSSIStat {
 	return RSSIStat{Count: s.Count + 1, SumDB: s.SumDB + float64(rssi), Last: rssi}
 }
 
-// EWMA is an exponentially weighted RSSI tracker for mobile scenarios: the
-// infinite-horizon mean of RSSIStat goes stale as devices move, while an
-// EWMA with half-life H observations weights the recent channel. The
-// mobility extension uses it to keep neighbour weights honest between
-// topology epochs.
-type EWMA struct {
-	// Alpha is the update weight in (0, 1]; Alpha = 1 tracks only the
-	// latest sample.
-	Alpha float64
-
-	value float64
-	init  bool
-}
-
-// NewEWMA returns a tracker whose step response reaches half its change
-// after halfLife observations (alpha = 1 − 2^{−1/halfLife}).
-func NewEWMA(halfLife float64) *EWMA {
-	if halfLife <= 0 {
-		return &EWMA{Alpha: 1}
-	}
-	return &EWMA{Alpha: 1 - math.Pow(2, -1/halfLife)}
-}
-
-// Observe folds one RSSI observation in.
-func (e *EWMA) Observe(rssi units.DBm) {
-	if !e.init {
-		e.value = float64(rssi)
-		e.init = true
-		return
-	}
-	e.value = e.Alpha*float64(rssi) + (1-e.Alpha)*e.value
-}
-
-// Value returns the current estimate and whether any observation exists.
-func (e *EWMA) Value() (units.DBm, bool) {
-	return units.DBm(e.value), e.init
-}
-
 // Mean returns the mean observed RSSI. It panics on an empty stat.
 func (s RSSIStat) Mean() units.DBm {
 	if s.Count == 0 {
@@ -140,19 +101,6 @@ func (d *Device) String() string {
 	return fmt.Sprintf("UE%d@%v svc=%d", d.ID, d.Pos, d.Service)
 }
 
-// Mobility moves a device between slots. Implementations must keep the
-// device inside the deployment area.
-type Mobility interface {
-	// Step advances the position by one slot and returns the new position.
-	Step(cur geo.Point) geo.Point
-}
-
-// Static is the paper's deployment: devices do not move.
-type Static struct{}
-
-// Step implements Mobility.
-func (Static) Step(cur geo.Point) geo.Point { return cur }
-
 // waypointSource is the randomness the random-waypoint model needs.
 type waypointSource interface {
 	Uniform(lo, hi float64) float64
@@ -180,7 +128,8 @@ func NewRandomWaypoint(area geo.Rect, speedPerSlot float64, src waypointSource) 
 	return &RandomWaypoint{Area: area, SpeedPerSlot: speedPerSlot, Src: src}
 }
 
-// Step implements Mobility.
+// Step advances the position by one slot and returns the new position,
+// clamped into Area.
 func (w *RandomWaypoint) Step(cur geo.Point) geo.Point {
 	if !w.hasDest || cur.Dist(w.dest) < w.SpeedPerSlot {
 		w.dest = geo.Point{

@@ -67,14 +67,6 @@ func TestDeviceString(t *testing.T) {
 	}
 }
 
-func TestStaticMobility(t *testing.T) {
-	var m Static
-	p := geo.Point{X: 10, Y: 20}
-	if m.Step(p) != p {
-		t.Error("static mobility moved the device")
-	}
-}
-
 func TestRandomWaypointStaysInAreaAndMoves(t *testing.T) {
 	area := geo.Square(100)
 	src := xrand.NewStream(1)
@@ -124,53 +116,6 @@ func TestRandomWaypointRetargetsOnArrival(t *testing.T) {
 		if n > 400 {
 			t.Fatalf("walker stuck at %v for %d steps", pt, n)
 		}
-	}
-}
-
-func TestEWMATracksStep(t *testing.T) {
-	e := NewEWMA(4)
-	// Initialize at -90, then step to -70: after 4 observations the
-	// estimate should have covered about half the gap.
-	e.Observe(-90)
-	for i := 0; i < 4; i++ {
-		e.Observe(-70)
-	}
-	v, ok := e.Value()
-	if !ok {
-		t.Fatal("tracker should be initialized")
-	}
-	if math.Abs(float64(v)-(-80)) > 1.0 {
-		t.Errorf("after one half-life: %v, want ~-80", v)
-	}
-	// Many more observations converge to the new level.
-	for i := 0; i < 50; i++ {
-		e.Observe(-70)
-	}
-	v, _ = e.Value()
-	if math.Abs(float64(v)+70) > 0.1 {
-		t.Errorf("converged value %v, want ~-70", v)
-	}
-}
-
-func TestEWMAEmptyAndDegenerate(t *testing.T) {
-	e := NewEWMA(4)
-	if _, ok := e.Value(); ok {
-		t.Error("empty tracker should report no value")
-	}
-	// Non-positive half-life: tracks the latest sample exactly.
-	inst := NewEWMA(0)
-	inst.Observe(-90)
-	inst.Observe(-60)
-	if v, _ := inst.Value(); v != -60 {
-		t.Errorf("instant tracker = %v, want -60", v)
-	}
-}
-
-func TestEWMAFirstObservationSeeds(t *testing.T) {
-	e := NewEWMA(8)
-	e.Observe(-85)
-	if v, ok := e.Value(); !ok || v != -85 {
-		t.Errorf("first observation should seed the value: %v %v", v, ok)
 	}
 }
 

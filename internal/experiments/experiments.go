@@ -89,16 +89,6 @@ type Options struct {
 	Geometry *core.GeometryCache
 }
 
-// DefaultOptions mirrors the paper's sweep: 50 to 1000 devices at the
-// Table I density, five seeds per point.
-func DefaultOptions() Options {
-	return Options{
-		Sizes:    []int{50, 100, 200, 400, 600, 800, 1000},
-		Seeds:    5,
-		BaseSeed: 1,
-	}
-}
-
 // Row is one sweep point: per-protocol summaries across seeds.
 type Row struct {
 	N          int

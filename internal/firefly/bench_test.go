@@ -35,17 +35,6 @@ func BenchmarkRunOrdered(b *testing.B) {
 	}
 }
 
-func BenchmarkRunSynchronous(b *testing.B) {
-	p := benchParams(128)
-	obj := Sphere([]float64{0, 0})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunSynchronous(p, obj, xrand.NewStreams(int64(i)+1), 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkLocalize(b *testing.B) {
 	obs := []RangeObservation{
 		{Anchor: geo.Point{X: 10, Y: 10}, Distance: 50},

@@ -111,12 +111,10 @@ func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
 }
 
-// uniformSource is the subset of an xrand.Stream the deployment generators
-// need; declared locally so geo does not import xrand.
+// uniformSource is the subset of an xrand.Stream UniformDeployment needs;
+// declared locally so geo does not import xrand.
 type uniformSource interface {
 	Uniform(lo, hi float64) float64
-	Norm() float64
-	Intn(n int) int
 }
 
 // UniformDeployment places n points independently and uniformly in r — the
@@ -125,42 +123,6 @@ func UniformDeployment(n int, r Rect, src uniformSource) []Point {
 	pts := make([]Point, n)
 	for i := range pts {
 		pts[i] = Point{src.Uniform(r.MinX, r.MaxX), src.Uniform(r.MinY, r.MaxY)}
-	}
-	return pts
-}
-
-// ClusterDeployment places n points around k Gaussian cluster centres drawn
-// uniformly in r, with the given per-cluster standard deviation. Points are
-// clamped into r. Used for hotspot (e.g. stadium/mall) D2D scenarios.
-func ClusterDeployment(n, k int, stddev float64, r Rect, src uniformSource) []Point {
-	if k < 1 {
-		k = 1
-	}
-	centres := UniformDeployment(k, r, src)
-	pts := make([]Point, n)
-	for i := range pts {
-		c := centres[src.Intn(k)]
-		p := Point{c.X + stddev*src.Norm(), c.Y + stddev*src.Norm()}
-		pts[i] = r.Clamp(p)
-	}
-	return pts
-}
-
-// GridDeployment places n points on a near-square lattice filling r, useful
-// for deterministic worst/best-case topology studies.
-func GridDeployment(n int, r Rect) []Point {
-	if n <= 0 {
-		return nil
-	}
-	cols := int(math.Ceil(math.Sqrt(float64(n))))
-	rows := (n + cols - 1) / cols
-	pts := make([]Point, 0, n)
-	for i := 0; i < rows && len(pts) < n; i++ {
-		for j := 0; j < cols && len(pts) < n; j++ {
-			x := r.MinX + (float64(j)+0.5)*r.Width()/float64(cols)
-			y := r.MinY + (float64(i)+0.5)*r.Height()/float64(rows)
-			pts = append(pts, Point{x, y})
-		}
 	}
 	return pts
 }

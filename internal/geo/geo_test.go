@@ -113,52 +113,6 @@ func TestUniformDeployment(t *testing.T) {
 	}
 }
 
-func TestClusterDeployment(t *testing.T) {
-	src := xrand.NewStream(2)
-	r := Square(100)
-	pts := ClusterDeployment(200, 3, 5, r, src)
-	if len(pts) != 200 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	for _, p := range pts {
-		if !r.Contains(p) {
-			t.Fatalf("clustered point %v outside area", p)
-		}
-	}
-}
-
-func TestClusterDeploymentDegenerateK(t *testing.T) {
-	src := xrand.NewStream(3)
-	pts := ClusterDeployment(10, 0, 1, Square(10), src)
-	if len(pts) != 10 {
-		t.Fatalf("k=0 should be coerced to 1, got %d points", len(pts))
-	}
-}
-
-func TestGridDeployment(t *testing.T) {
-	r := Square(100)
-	pts := GridDeployment(9, r)
-	if len(pts) != 9 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	for _, p := range pts {
-		if !r.Contains(p) {
-			t.Fatalf("grid point %v outside area", p)
-		}
-	}
-	if GridDeployment(0, r) != nil {
-		t.Error("n=0 should return nil")
-	}
-	// Points should be distinct.
-	seen := map[Point]bool{}
-	for _, p := range pts {
-		if seen[p] {
-			t.Fatalf("duplicate grid point %v", p)
-		}
-		seen[p] = true
-	}
-}
-
 func TestScaledSquareKeepsDensity(t *testing.T) {
 	base := ScaledSquare(50, 50, 100)
 	if base.Width() != 100 {

@@ -177,11 +177,6 @@ func (p *Protocol) Done() bool { return p.done }
 // Fragments returns the current number of fragments.
 func (p *Protocol) Fragments() int { return p.uf.Count() }
 
-// SameFragment reports whether two nodes are currently in one fragment.
-// Not safe for concurrent use (the underlying union-find compresses paths
-// on lookup); concurrent readers should snapshot FragmentIDs instead.
-func (p *Protocol) SameFragment(u, v int) bool { return p.uf.Connected(u, v) }
-
 // FragmentIDs appends each node's current fragment representative to dst
 // (reusing its capacity) and returns it: nodes u and v are in one fragment
 // iff ids[u] == ids[v]. The snapshot is immutable, so it can be read
@@ -193,10 +188,6 @@ func (p *Protocol) FragmentIDs(dst []int) []int {
 	}
 	return dst
 }
-
-// TreeNeighbors returns node u's current tree-edge neighbours. The returned
-// slice is owned by the protocol; do not mutate it.
-func (p *Protocol) TreeNeighbors(u int) []int { return p.treeAdj[u] }
 
 func (p *Protocol) charge(kind MessageKind, from, to int) {
 	trials := 1

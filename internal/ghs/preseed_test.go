@@ -34,7 +34,7 @@ func TestPreseed(t *testing.T) {
 	if got := p.Fragments(); got != 3 {
 		t.Errorf("fragments after preseed = %d, want 3 ({0,1} {2} {3,4})", got)
 	}
-	if !p.SameFragment(0, 1) || !p.SameFragment(3, 4) || p.SameFragment(1, 2) {
+	if ids := p.FragmentIDs(nil); ids[0] != ids[1] || ids[3] != ids[4] || ids[1] == ids[2] {
 		t.Error("preseeded fragment structure wrong")
 	}
 

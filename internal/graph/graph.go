@@ -1,8 +1,9 @@
 // Package graph provides the weighted undirected graph model of Section IV
 // — G(V,E) with vertices as devices and edge weights proportional to
 // observed PS strength — together with the classical reference algorithms
-// (Kruskal, Prim, Borůvka, union-find, BFS, components) used to verify the
-// distributed spanning-tree protocol and to analyse resulting topologies.
+// (Kruskal, union-find, BFS, components; Prim and Borůvka as test
+// cross-checks of Kruskal) used to verify the distributed spanning-tree
+// protocol and to analyse resulting topologies.
 package graph
 
 import (
@@ -39,9 +40,6 @@ func New(n int) *Graph {
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
-// M returns the number of edges.
-func (g *Graph) M() int { return len(g.edges) }
-
 // AddEdge inserts an undirected edge. Self-loops and out-of-range vertices
 // return an error.
 func (g *Graph) AddEdge(u, v int, w float64) error {
@@ -63,9 +61,6 @@ func (g *Graph) Edges() []Edge { return g.edges }
 
 // Adj returns the edges incident to u, oriented outward (Edge.U == u).
 func (g *Graph) Adj(u int) []Edge { return g.adj[u] }
-
-// Degree returns the number of edges incident to u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
 // TotalWeight sums all edge weights.
 func TotalWeight(edges []Edge) float64 {
@@ -149,9 +144,6 @@ func RestoreUnionFind(st UnionFindState) *UnionFind {
 	}
 }
 
-// Connected reports whether x and y are in the same set.
-func (uf *UnionFind) Connected(x, y int) bool { return uf.Find(x) == uf.Find(y) }
-
 // Components returns the connected components of g as vertex lists, each
 // sorted ascending, ordered by their smallest vertex.
 func (g *Graph) Components() [][]int {
@@ -211,18 +203,4 @@ func (g *Graph) BFS(src int) []int {
 		}
 	}
 	return dist
-}
-
-// Diameter returns the longest shortest-path (in hops) over all vertex
-// pairs in the same component, or 0 for empty graphs. O(V·(V+E)).
-func (g *Graph) Diameter() int {
-	best := 0
-	for v := 0; v < g.n; v++ {
-		for _, d := range g.BFS(v) {
-			if d > best {
-				best = d
-			}
-		}
-	}
-	return best
 }

@@ -5,12 +5,12 @@ import (
 	"sort"
 )
 
-// The spanning-tree algorithms below come in minimum and maximum flavours.
 // The paper's protocol selects *heavy* edges (weight ∝ PS strength), i.e. it
-// builds a maximum spanning tree; the maximum variants are implemented by
-// negating the comparison, not the weights, so results carry the original
-// weights. All three classical algorithms are provided so the distributed
-// GHS protocol can be cross-checked against independent constructions.
+// builds a maximum spanning tree. KruskalMax is the reference the runs use;
+// PrimMax and BoruvkaMax are independent constructions the tests check it
+// against, and KruskalMin is the lower bound the tests compare trees with.
+// The maximum variants negate the comparison, not the weights, so results
+// carry the original weights.
 
 // KruskalMin returns a minimum spanning forest of g.
 func KruskalMin(g *Graph) []Edge { return kruskal(g, false) }
@@ -41,35 +41,18 @@ func kruskal(g *Graph, max bool) []Edge {
 	return out
 }
 
-// primItem is a heap entry for Prim's algorithm.
-type primItem struct {
-	edge Edge
-	key  float64
-}
+// edgeHeap is a max-heap of edges by weight, for Prim's algorithm.
+type edgeHeap []Edge
 
-type primHeap []primItem
+func (h edgeHeap) Len() int           { return len(h) }
+func (h edgeHeap) Less(i, j int) bool { return h[i].Weight > h[j].Weight }
+func (h edgeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *edgeHeap) Push(x any)        { *h = append(*h, x.(Edge)) }
+func (h *edgeHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
 
-func (h primHeap) Len() int           { return len(h) }
-func (h primHeap) Less(i, j int) bool { return h[i].key < h[j].key }
-func (h primHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *primHeap) Push(x any)        { *h = append(*h, x.(primItem)) }
-func (h *primHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-func (h *primHeap) push(e Edge, max bool) {
-	k := e.Weight
-	if max {
-		k = -k
-	}
-	heap.Push(h, primItem{edge: e, key: k})
-}
-
-// PrimMin returns a minimum spanning forest via Prim's algorithm (run from
+// PrimMax returns a maximum spanning forest via Prim's algorithm (run from
 // every unvisited vertex, so disconnected graphs yield a forest).
-func PrimMin(g *Graph) []Edge { return prim(g, false) }
-
-// PrimMax returns a maximum spanning forest via Prim's algorithm.
-func PrimMax(g *Graph) []Edge { return prim(g, true) }
-
-func prim(g *Graph, max bool) []Edge {
+func PrimMax(g *Graph) []Edge {
 	visited := make([]bool, g.n)
 	var out []Edge
 	for start := 0; start < g.n; start++ {
@@ -77,21 +60,20 @@ func prim(g *Graph, max bool) []Edge {
 			continue
 		}
 		visited[start] = true
-		h := &primHeap{}
+		h := &edgeHeap{}
 		for _, e := range g.adj[start] {
-			h.push(e, max)
+			heap.Push(h, e)
 		}
 		for h.Len() > 0 {
-			it := heap.Pop(h).(primItem)
-			v := it.edge.V
-			if visited[v] {
+			e := heap.Pop(h).(Edge)
+			if visited[e.V] {
 				continue
 			}
-			visited[v] = true
-			out = append(out, it.edge)
-			for _, e := range g.adj[v] {
-				if !visited[e.V] {
-					h.push(e, max)
+			visited[e.V] = true
+			out = append(out, e)
+			for _, next := range g.adj[e.V] {
+				if !visited[next.V] {
+					heap.Push(h, next)
 				}
 			}
 		}
@@ -99,40 +81,15 @@ func prim(g *Graph, max bool) []Edge {
 	return out
 }
 
-// BoruvkaMin returns a minimum spanning forest via Borůvka phases.
-func BoruvkaMin(g *Graph) []Edge { return boruvka(g, false) }
-
 // BoruvkaMax returns a maximum spanning forest via Borůvka phases — the
 // centralized analogue of the paper's fragment-merging Algorithm 1, where
 // every subtree picks its heaviest outgoing edge in parallel and merges.
-func BoruvkaMax(g *Graph) []Edge { return boruvka(g, true) }
-
-// BoruvkaPhases reports how many Borůvka merge phases the max-variant needs
-// on g; this is the O(log n) phase count behind the paper's O(n log n)
-// claim.
-func BoruvkaPhases(g *Graph) int {
-	_, phases := boruvkaCount(g, true)
-	return phases
-}
-
-func boruvka(g *Graph, max bool) []Edge {
-	out, _ := boruvkaCount(g, max)
-	return out
-}
-
-func boruvkaCount(g *Graph, max bool) ([]Edge, int) {
+func BoruvkaMax(g *Graph) []Edge {
 	uf := NewUnionFind(g.n)
 	var out []Edge
-	phases := 0
 	better := func(a, b Edge) bool {
-		if max {
-			if a.Weight != b.Weight {
-				return a.Weight > b.Weight
-			}
-		} else {
-			if a.Weight != b.Weight {
-				return a.Weight < b.Weight
-			}
+		if a.Weight != b.Weight {
+			return a.Weight > b.Weight
 		}
 		// Deterministic tie-break on endpoint ids keeps phases stable
 		// and, with distinct weights, never triggers.
@@ -144,13 +101,11 @@ func boruvkaCount(g *Graph, max bool) ([]Edge, int) {
 	for {
 		// Each component selects its best outgoing edge.
 		best := make(map[int]Edge)
-		found := false
 		for _, e := range g.edges {
 			ru, rv := uf.Find(e.U), uf.Find(e.V)
 			if ru == rv {
 				continue
 			}
-			found = true
 			if b, ok := best[ru]; !ok || better(e, b) {
 				best[ru] = e
 			}
@@ -158,17 +113,15 @@ func boruvkaCount(g *Graph, max bool) ([]Edge, int) {
 				best[rv] = e
 			}
 		}
-		if !found {
-			break
+		if len(best) == 0 {
+			return out
 		}
-		phases++
 		for _, e := range best {
 			if uf.Union(e.U, e.V) {
 				out = append(out, e)
 			}
 		}
 	}
-	return out, phases
 }
 
 // SpanningTreeOf reports whether edges form a spanning tree of the n-vertex

@@ -120,6 +120,3 @@ func MannWhitneyU(a, b []float64) (u float64, p float64) {
 func normalSF(x float64) float64 {
 	return 0.5 * math.Erfc(x/math.Sqrt2)
 }
-
-// Significant reports whether p clears the conventional 0.05 level.
-func Significant(p float64) bool { return p < 0.05 }

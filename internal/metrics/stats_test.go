@@ -68,7 +68,7 @@ func TestMannWhitneyDetectsShift(t *testing.T) {
 		b[i] = src.Gaussian(130, 5) // clearly shifted
 	}
 	_, p := MannWhitneyU(a, b)
-	if !Significant(p) {
+	if p >= 0.05 {
 		t.Errorf("clear shift not detected: p = %v", p)
 	}
 }
@@ -84,7 +84,7 @@ func TestMannWhitneyNoShift(t *testing.T) {
 			a[i] = src.Gaussian(50, 10)
 			b[i] = src.Gaussian(50, 10)
 		}
-		if _, p := MannWhitneyU(a, b); Significant(p) {
+		if _, p := MannWhitneyU(a, b); p < 0.05 {
 			rejections++
 		}
 	}

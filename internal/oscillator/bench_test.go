@@ -19,22 +19,6 @@ func BenchmarkEnsembleStepMesh(b *testing.B) {
 	}
 }
 
-func BenchmarkKuramotoStepMesh(b *testing.B) {
-	src := xrand.NewStream(2)
-	n := 200
-	ph := make([]float64, n)
-	om := make([]float64, n)
-	for i := range ph {
-		ph[i] = src.Uniform(0, 6.28)
-		om[i] = 1
-	}
-	k := NewKuramoto(ph, om, 1, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Step(0.01)
-	}
-}
-
 func BenchmarkOnPulse(b *testing.B) {
 	o := New(0.4, 100, WeakCoupling())
 	b.ResetTimer()

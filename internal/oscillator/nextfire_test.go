@@ -1,7 +1,6 @@
 package oscillator
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -236,14 +235,11 @@ func TestNextFireWithReachbackQueue(t *testing.T) {
 }
 
 // A stopped clock (Rate so small the horizon is unrepresentable) reports
-// "never" instead of looping, and SlotsToFire surfaces it as MaxInt.
+// "never" instead of looping.
 func TestNextFireNeverFires(t *testing.T) {
 	o := New(0, 100, DefaultCoupling())
 	o.Rate = 1e-18
 	if at, ok := o.NextFire(); ok {
 		t.Errorf("stalled oscillator predicted a fire at %d", at)
-	}
-	if got := o.SlotsToFire(); got != math.MaxInt {
-		t.Errorf("SlotsToFire = %d, want MaxInt", got)
 	}
 }

@@ -710,18 +710,6 @@ func (o *Oscillator) onPreFirePulse(lastFire, sendSlot, nowSlot int64) bool {
 // couplings instead of deliveries.
 func (o *Oscillator) QueuedJumps() int { return len(o.queued) }
 
-// SlotsToFire returns how many Advance calls remain until the oscillator
-// fires from its current phase, assuming no further pulses. It is exact —
-// the prediction comes from the same segment arithmetic Advance steps with.
-// A non-positive effective ramp never fires; that reports math.MaxInt.
-func (o *Oscillator) SlotsToFire() int {
-	at, ok := o.NextFire()
-	if !ok {
-		return math.MaxInt
-	}
-	return int(at - o.lastSlot)
-}
-
 // OrderParameter returns the Kuramoto order parameter r ∈ [0,1] of a set of
 // phases (interpreted as fractions of a cycle): r = |Σ e^{i·2πθ}| / n.
 // r = 1 means perfect synchrony; r ≈ 0 means phases spread uniformly.

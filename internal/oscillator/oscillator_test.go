@@ -169,19 +169,21 @@ func TestOnPulseAbsorptionFiresImmediately(t *testing.T) {
 	}
 }
 
+// TestSlotsToFire checks NextFire's prediction from slot 0, where the
+// predicted fire slot is also the number of Advance calls until it.
 func TestSlotsToFire(t *testing.T) {
 	o := New(0, 100, DefaultCoupling())
-	if got := o.SlotsToFire(); got != 100 {
-		t.Errorf("SlotsToFire from 0 = %d, want 100", got)
+	if got, _ := o.NextFire(); got != 100 {
+		t.Errorf("slots to fire from 0 = %d, want 100", got)
 	}
 	o.Phase = 0.995
-	if got := o.SlotsToFire(); got != 1 {
-		t.Errorf("SlotsToFire from 0.995 = %d, want 1", got)
+	if got, _ := o.NextFire(); got != 1 {
+		t.Errorf("slots to fire from 0.995 = %d, want 1", got)
 	}
 	// Walk and verify the prediction.
 	o2 := New(0.3, 50, DefaultCoupling())
-	predict := o2.SlotsToFire()
-	steps := 0
+	predict, _ := o2.NextFire()
+	steps := int64(0)
 	for slot := int64(1); ; slot++ {
 		steps++
 		if o2.Advance(slot) {

@@ -40,7 +40,7 @@ func testPositions(n int, seed int64) []geo.Point {
 func TestLinkIndexGeometry(t *testing.T) {
 	positions := testPositions(120, 7)
 	tr := noisyTransport(positions, 7, false)
-	reach := float64(tr.CandidateRadius())
+	reach := float64(tr.reach)
 	for i := range positions {
 		for j := range positions {
 			if i == j {

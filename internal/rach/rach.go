@@ -135,10 +135,6 @@ type Counters struct {
 // "total number of exchange messages".
 func (c Counters) TotalTx() uint64 { return c.Tx[RACH1] + c.Tx[RACH2] }
 
-// TotalTxBytes returns the total transmitted payload bytes across codecs —
-// the byte-denominated reading of Fig. 4's control overhead.
-func (c Counters) TotalTxBytes() uint64 { return c.TxBytes[RACH1] + c.TxBytes[RACH2] }
-
 // TotalRx returns the total receptions across codecs.
 func (c Counters) TotalRx() uint64 { return c.Rx[RACH1] + c.Rx[RACH2] }
 
@@ -192,8 +188,7 @@ type Transport struct {
 	// SenderStreams[i] instead of the shared Channel streams. This makes
 	// the per-sender candidate evaluation of a BroadcastAll independent of
 	// global draw order, so distinct senders can be evaluated concurrently
-	// with bit-identical results (the same recipe internal/firefly uses
-	// for its parallel optimizer). A non-nil LinkSampler takes precedence.
+	// with bit-identical results. A non-nil LinkSampler takes precedence.
 	// The merge handshakes keep the shared streams: they run in the
 	// sequential protocol phase.
 	SenderStreams []*xrand.Stream
@@ -324,9 +319,6 @@ func (t *Transport) N() int { return len(t.positions) }
 // Position returns device i's position.
 func (t *Transport) Position(i int) geo.Point { return t.positions[i] }
 
-// CandidateRadius returns the candidate neighbourhood radius in metres.
-func (t *Transport) CandidateRadius() units.Metre { return t.reach }
-
 // CandidatePairs returns the number of directed candidate pairs the link
 // index holds (0 when it is disabled). Every delivery runs along one, so it
 // bounds the entries of all neighbour tables together.
@@ -347,13 +339,6 @@ func (t *Transport) Counters() Counters { return t.counters }
 // made, kept outside Counters so the differential fingerprints and goldens
 // that compare Counters by value are untouched.
 func (t *Transport) Collisions() uint64 { return t.collisions }
-
-// ResetCounters zeroes the counters and the collision tally (used between
-// experiment phases).
-func (t *Transport) ResetCounters() {
-	t.counters = Counters{}
-	t.collisions = 0
-}
 
 // RestoreCounters overwrites the counters and collision tally with saved
 // values, for checkpoint restore.

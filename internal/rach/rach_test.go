@@ -56,10 +56,6 @@ func TestCountersTxOncePerBroadcast(t *testing.T) {
 	if c.TotalRx() != c.Rx[RACH1]+c.Rx[RACH2] {
 		t.Error("TotalRx mismatch")
 	}
-	tr.ResetCounters()
-	if tr.Counters().TotalTx() != 0 {
-		t.Error("ResetCounters failed")
-	}
 }
 
 // A one-sender wave runs in plain threshold mode even with a preamble pool
@@ -140,7 +136,7 @@ func TestMarginExtendsCandidates(t *testing.T) {
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 120, Y: 0}}
 	noMargin := NewTransport(ch, positions, 23, -95, 0)
 	withMargin := NewTransport(ch, positions, 23, -95, 30)
-	if noMargin.CandidateRadius() >= withMargin.CandidateRadius() {
+	if noMargin.reach >= withMargin.reach {
 		t.Error("margin should extend the candidate radius")
 	}
 	// 120 m needs ~+11 dB of shadowing; with margin the device is at

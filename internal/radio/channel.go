@@ -152,30 +152,6 @@ func (c *Channel) SampleAtLeast(src *xrand.Stream, mean, thr units.DBm) (rx unit
 	return p, p.AtLeast(thr)
 }
 
-// ShadowingDB draws one shadowing value in dB (the random variable x of
-// eq. (9): zero-mean Gaussian with variance sigma^2).
-func (c *Channel) ShadowingDB() float64 {
-	if c.ShadowSigmaDB == 0 || c.shadow == nil {
-		return 0
-	}
-	return c.shadow.LogNormalDB(c.ShadowSigmaDB)
-}
-
-// FadingDB draws one fast-fading power gain in dB.
-func (c *Channel) FadingDB() float64 {
-	if c.fade == nil {
-		return 0
-	}
-	switch c.Fading {
-	case FadingRayleigh:
-		return c.fade.RayleighPowerDB()
-	case FadingRician:
-		return ricianPowerDB(c.fade, c.RicianKdB)
-	default:
-		return 0
-	}
-}
-
 // ricianPowerDB draws the power gain (dB) of a unit-mean Rician channel with
 // K-factor kDB, via the standard two-Gaussian construction: a fixed LOS
 // component of power K/(K+1) plus a scattered complex Gaussian of power

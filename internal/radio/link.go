@@ -45,11 +45,3 @@ func SINR(signal units.DBm, interferers []units.DBm, noise units.DBm) units.DB {
 func Detectable(sinr units.DB, requiredDB float64) bool {
 	return float64(sinr) >= requiredDB
 }
-
-// EffectiveThreshold returns the received-power level equivalent to an
-// SINR-based detector with the given bandwidth, noise figure and required
-// SNR, in the absence of interference. With LTE PRACH numbers
-// (1.08 MHz, NF 9 dB, ~0 dB required) this lands near Table I's −95 dBm.
-func EffectiveThreshold(bandwidthHz, noiseFigureDB, requiredSNRDB float64) units.DBm {
-	return NoiseFloor(bandwidthHz, noiseFigureDB).Add(units.DB(requiredSNRDB))
-}

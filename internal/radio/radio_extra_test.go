@@ -17,7 +17,7 @@ func TestShadowMapMarginalStd(t *testing.T) {
 		pts := geo.UniformDeployment(20, geo.Square(200), src)
 		m := NewShadowMap(pts, 10, 13, src)
 		for i := range pts {
-			devVals = append(devVals, m.DeviceShadowDB(i))
+			devVals = append(devVals, m.SigmaDB*m.latent[i])
 		}
 		linkVals = append(linkVals, m.LinkShadowDB(0, 19))
 	}
@@ -51,7 +51,7 @@ func TestShadowMapSpatialCorrelation(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		pts := []geo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 200, Y: 0}}
 		m := NewShadowMap(pts, 10, 13, src)
-		a, b, c := m.DeviceShadowDB(0), m.DeviceShadowDB(1), m.DeviceShadowDB(2)
+		a, b, c := m.latent[0], m.latent[1], m.latent[2]
 		prodAB += a * b
 		prodAC += a * c
 		sqA += a * a
@@ -82,14 +82,6 @@ func TestShadowMapSymmetry(t *testing.T) {
 	}
 }
 
-func TestShadowMapCorrelationHelper(t *testing.T) {
-	m := &ShadowMap{DecorrDistance: 13}
-	got := m.Correlation(geo.Point{X: 0, Y: 0}, geo.Point{X: 13, Y: 0})
-	if math.Abs(got-math.Exp(-1)) > 1e-12 {
-		t.Errorf("Correlation at one decorrelation distance = %v", got)
-	}
-}
-
 func TestNoiseFloorKnownValue(t *testing.T) {
 	// kTB over 1.08 MHz with NF 9: -174 + 60.33 + 9 ≈ -104.66 dBm.
 	got := float64(NoiseFloor(PRACHBandwidthHz, 9))
@@ -101,7 +93,7 @@ func TestNoiseFloorKnownValue(t *testing.T) {
 func TestEffectiveThresholdNearTableI(t *testing.T) {
 	// PRACH bandwidth, 9 dB NF, ~9.5 dB detection SNR lands within ~0.5 dB
 	// of the paper's -95 dBm flat threshold — grounding Table I.
-	got := float64(EffectiveThreshold(PRACHBandwidthHz, 9, 9.5))
+	got := float64(NoiseFloor(PRACHBandwidthHz, 9).Add(9.5))
 	if math.Abs(got+95) > 1.0 {
 		t.Errorf("effective threshold = %v, want ~-95", got)
 	}

@@ -152,7 +152,7 @@ func TestRayleighFadingUnitMeanPower(t *testing.T) {
 	const n = 100000
 	var sumLin float64
 	for i := 0; i < n; i++ {
-		sumLin += units.DB(c.FadingDB()).LinearRatio()
+		sumLin += units.DB(c.SampleMean(0)).LinearRatio()
 	}
 	if mean := sumLin / n; math.Abs(mean-1) > 0.02 {
 		t.Errorf("Rayleigh fading linear mean = %v, want ~1", mean)
@@ -165,7 +165,7 @@ func TestRicianFadingUnitMeanPower(t *testing.T) {
 	const n = 100000
 	var sumLin float64
 	for i := 0; i < n; i++ {
-		sumLin += units.DB(c.FadingDB()).LinearRatio()
+		sumLin += units.DB(c.SampleMean(0)).LinearRatio()
 	}
 	if mean := sumLin / n; math.Abs(mean-1) > 0.02 {
 		t.Errorf("Rician fading linear mean = %v, want ~1", mean)
@@ -180,7 +180,7 @@ func TestRicianLessVariableThanRayleigh(t *testing.T) {
 		const n = 50000
 		var sum, sumsq float64
 		for i := 0; i < n; i++ {
-			v := units.DB(c.FadingDB()).LinearRatio()
+			v := units.DB(c.SampleMean(0)).LinearRatio()
 			sum += v
 			sumsq += v * v
 		}
@@ -229,7 +229,7 @@ func TestModelNames(t *testing.T) {
 func TestChannelNilStreamsSafe(t *testing.T) {
 	c := &Channel{Model: PaperDualSlope(), ShadowSigmaDB: 10, Fading: FadingRayleigh}
 	// No streams attached: stochastic terms degrade to zero, no panic.
-	if c.ShadowingDB() != 0 || c.FadingDB() != 0 {
+	if c.Sample(23, 30) != c.MeanReceivedPower(23, 30) {
 		t.Error("nil streams should yield zero stochastic terms")
 	}
 }

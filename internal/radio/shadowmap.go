@@ -34,7 +34,6 @@ type ShadowMap struct {
 	DecorrDistance float64
 
 	latent []float64
-	pos    []geo.Point
 }
 
 // NewShadowMap builds the correlated field over the given positions using
@@ -46,7 +45,6 @@ func NewShadowMap(positions []geo.Point, sigmaDB, decorrDistance float64, src *x
 		SigmaDB:        sigmaDB,
 		DecorrDistance: math.Max(decorrDistance, 1e-9),
 		latent:         make([]float64, len(positions)),
-		pos:            positions,
 	}
 	rho := func(a, b geo.Point) float64 {
 		return math.Exp(-a.Dist(b) / m.DecorrDistance)
@@ -79,16 +77,4 @@ func NewShadowMap(positions []geo.Point, sigmaDB, decorrDistance float64, src *x
 // symmetric: LinkShadowDB(i, j) == LinkShadowDB(j, i).
 func (m *ShadowMap) LinkShadowDB(i, j int) float64 {
 	return m.SigmaDB * (m.latent[i] + m.latent[j]) / math.Sqrt2
-}
-
-// DeviceShadowDB returns device i's latent shadowing contribution in dB
-// (marginally N(0, σ²)); useful for device-to-infrastructure links.
-func (m *ShadowMap) DeviceShadowDB(i int) float64 {
-	return m.SigmaDB * m.latent[i]
-}
-
-// Correlation returns the model correlation between the latent shadowing of
-// two positions (for tests and documentation).
-func (m *ShadowMap) Correlation(a, b geo.Point) float64 {
-	return math.Exp(-a.Dist(b) / m.DecorrDistance)
 }

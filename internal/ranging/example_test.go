@@ -3,12 +3,9 @@ package ranging_test
 import (
 	"fmt"
 
-	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/ranging"
 )
-
-func pt(x, y float64) geo.Point { return geo.Point{X: x, Y: y} }
 
 // ExampleEstimator_EstimateDistance inverts the Table I path-loss model: a
 // PS transmitted at 23 dBm and received at -97 dBm has seen 120 dB of path
@@ -26,21 +23,4 @@ func ExampleErrorFromShadowing() {
 	eps := ranging.ErrorFromShadowing(10, 4)
 	fmt.Printf("%.0f%%\n", 100*eps)
 	// Output: 78%
-}
-
-// ExampleMultilaterate fixes a position from three perfect ranges to the
-// true point (3, 4).
-func ExampleMultilaterate() {
-	obs := []ranging.Observation{
-		{Anchor: pt(0, 0), Distance: 5},
-		{Anchor: pt(10, 0), Distance: 8.0622577},
-		{Anchor: pt(0, 10), Distance: 6.7082039},
-	}
-	fix, _, err := ranging.Multilaterate(obs, 0)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("(%.1f, %.1f)\n", fix.X, fix.Y)
-	// Output: (3.0, 4.0)
 }

@@ -11,17 +11,11 @@
 package ranging
 
 import (
-	"errors"
 	"math"
-	"sort"
 
 	"repro/internal/radio"
 	"repro/internal/units"
 )
-
-// ErrBelowReference is returned when an observed power implies a distance
-// below the model's valid range.
-var ErrBelowReference = errors.New("ranging: observed power above model's 1 m level")
 
 // Estimator inverts a path-loss model: given a received power and the known
 // transmit power, it returns the maximum-likelihood distance under the
@@ -78,27 +72,6 @@ func (e *Estimator) EstimateFromSamples(rx []units.DBm, maxRange units.Metre) (u
 	return e.EstimateDistance(units.DBm(sum/float64(len(rx))), maxRange), len(rx)
 }
 
-// EstimateMedian inverts the median of the observations; the median is
-// robust to deep Rayleigh fades that would drag a mean estimate far out.
-func (e *Estimator) EstimateMedian(rx []units.DBm, maxRange units.Metre) (units.Metre, error) {
-	if len(rx) == 0 {
-		return 0, errors.New("ranging: no samples")
-	}
-	vals := make([]float64, len(rx))
-	for i, p := range rx {
-		vals[i] = float64(p)
-	}
-	sort.Float64s(vals)
-	var med float64
-	n := len(vals)
-	if n%2 == 1 {
-		med = vals[n/2]
-	} else {
-		med = (vals[n/2-1] + vals[n/2]) / 2
-	}
-	return e.EstimateDistance(units.DBm(med), maxRange), nil
-}
-
 // RelativeError is eq. (6): ε = r*/r − 1, the relative error of a measured
 // distance r* against the true distance r. Its range is [−1, +∞).
 func RelativeError(measured, actual units.Metre) float64 {
@@ -112,13 +85,6 @@ func RelativeError(measured, actual units.Metre) float64 {
 // shadowing draw x (dB) under path-loss exponent n: ε = 10^{x/(10n)} − 1.
 func ErrorFromShadowing(xDB, n float64) float64 {
 	return math.Pow(10, xDB/(10*n)) - 1
-}
-
-// MeasuredDistance is eq. (11): the distance a receiver infers when the true
-// distance is r and the shadowing draw is x dB under exponent n:
-// r_u = r · 10^{x/(10n)}.
-func MeasuredDistance(r units.Metre, xDB, n float64) units.Metre {
-	return units.Metre(float64(r) * math.Pow(10, xDB/(10*n)))
 }
 
 // ExpectedAbsRelativeError returns E|ε| for shadowing stddev sigma (dB) under

@@ -90,29 +90,6 @@ func TestEstimateFromSamplesEmpty(t *testing.T) {
 	}
 }
 
-func TestEstimateMedian(t *testing.T) {
-	e := paperEstimator()
-	model := radio.PaperDualSlope()
-	rxAt := func(d float64) units.DBm { return units.DBm(23).Sub(model.Loss(units.Metre(d))) }
-	// Two good samples around 20 m and one deep fade outlier.
-	samples := []units.DBm{rxAt(20), rxAt(21), rxAt(500)}
-	est, err := e.EstimateMedian(samples, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := float64(est); got < 19 || got > 22 {
-		t.Errorf("median estimate %v should be robust to the outlier", got)
-	}
-	if _, err := e.EstimateMedian(nil, 100); err == nil {
-		t.Error("empty median should error")
-	}
-	// Even count takes the midpoint.
-	est2, _ := e.EstimateMedian([]units.DBm{rxAt(10), rxAt(20)}, 1000)
-	if float64(est2) <= 10 || float64(est2) >= 20 {
-		t.Errorf("even-count median estimate %v should be between the two", est2)
-	}
-}
-
 func TestRelativeError(t *testing.T) {
 	if got := RelativeError(15, 10); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("RelativeError(15,10) = %v, want 0.5", got)
@@ -152,22 +129,13 @@ func TestErrorFromShadowingMatchesEq12(t *testing.T) {
 	}
 }
 
-func TestMeasuredDistanceMatchesEq11(t *testing.T) {
-	// r_u = r·10^{x/10n}: with x=10, n=4 → factor 10^0.25.
-	got := float64(MeasuredDistance(100, 10, 4))
-	want := 100 * math.Pow(10, 0.25)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("MeasuredDistance = %v, want %v", got, want)
-	}
-}
-
 func TestEq11Eq12Consistency(t *testing.T) {
 	// ε computed from eq. 12 must equal RelativeError of eq. 11's output.
 	f := func(xRaw, dRaw float64) bool {
 		x := math.Mod(xRaw, 30)
 		d := 1 + math.Abs(math.Mod(dRaw, 500))
 		eps := ErrorFromShadowing(x, 4)
-		ru := MeasuredDistance(units.Metre(d), x, 4)
+		ru := units.Metre(d * math.Pow(10, x/40)) // eq. (11) with n = 4
 		return math.Abs(RelativeError(ru, units.Metre(d))-eps) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -186,19 +186,6 @@ func (s Scenario) CellularOnly(assign []int) Capacity {
 	return cap
 }
 
-// RandomAssign gives every pair a PRB uniformly at random.
-func RandomAssign(nPairs, nPRBs int, src interface{ Intn(int) int }) []int {
-	out := make([]int, nPairs)
-	for i := range out {
-		if nPRBs <= 0 {
-			out[i] = -1
-			continue
-		}
-		out[i] = src.Intn(nPRBs)
-	}
-	return out
-}
-
 // GreedyAssign assigns each pair the PRB that maximizes the marginal system
 // capacity given the assignments made so far — the interference-aware
 // scheduler a BS-managed underlay would run.

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 
 	"repro/internal/units"
@@ -158,20 +157,4 @@ func (rep Report) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadReport reads and validates a report written by WriteFile.
-func LoadReport(path string) (Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Report{}, err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return Report{}, fmt.Errorf("telemetry: parse %s: %w", path, err)
-	}
-	if rep.Schema != ReportSchema {
-		return Report{}, fmt.Errorf("telemetry: report schema %d, want %d", rep.Schema, ReportSchema)
-	}
-	return rep, nil
 }

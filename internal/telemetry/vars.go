@@ -23,8 +23,6 @@ var histBounds = [histBuckets - 1]float64{
 	1024, 2048, 4096, 8192, 16384, 32768, 65536,
 }
 
-var histInf = math.Inf(1)
-
 // histBucket maps an observation to its bucket index (last = overflow).
 func histBucket(v float64) int {
 	for i, b := range histBounds {

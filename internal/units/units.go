@@ -53,9 +53,6 @@ func (p DBm) Add(g DB) DBm { return p + DBm(g) }
 // Sub applies a loss in dB to a dBm level.
 func (p DBm) Sub(l DB) DBm { return p - DBm(l) }
 
-// Ratio returns the dB difference p - q as a ratio in dB.
-func (p DBm) Ratio(q DBm) DB { return DB(p - q) }
-
 // AtLeast reports whether the level meets a detection threshold.
 func (p DBm) AtLeast(threshold DBm) bool { return p >= threshold }
 
@@ -63,19 +60,6 @@ func (p DBm) String() string       { return fmt.Sprintf("%.2f dBm", float64(p)) 
 func (g DB) String() string        { return fmt.Sprintf("%.2f dB", float64(g)) }
 func (m MilliWatt) String() string { return fmt.Sprintf("%.4g mW", float64(m)) }
 func (d Metre) String() string     { return fmt.Sprintf("%.2f m", float64(d)) }
-
-// SumMilliWatts combines several dBm levels in the linear domain and returns
-// the aggregate level in dBm. Useful for interference totals.
-func SumMilliWatts(levels ...DBm) DBm {
-	var total MilliWatt
-	for _, l := range levels {
-		if math.IsInf(float64(l), -1) {
-			continue
-		}
-		total += l.MilliWatts()
-	}
-	return total.DBm()
-}
 
 // LinearRatio converts a dB ratio to its linear equivalent.
 func (g DB) LinearRatio() float64 { return math.Pow(10, float64(g)/10) }

@@ -79,12 +79,6 @@ func TestAddSub(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	if got := DBm(-80).Ratio(DBm(-95)); got != DB(15) {
-		t.Errorf("ratio = %v, want 15 dB", got)
-	}
-}
-
 func TestAtLeast(t *testing.T) {
 	thr := DBm(-95)
 	if !DBm(-95).AtLeast(thr) {
@@ -92,37 +86,6 @@ func TestAtLeast(t *testing.T) {
 	}
 	if DBm(-95.01).AtLeast(thr) {
 		t.Error("-95.01 dBm should not meet a -95 dBm threshold")
-	}
-}
-
-func TestSumMilliWatts(t *testing.T) {
-	// Two equal powers combine to +3.0103 dB over one of them.
-	got := float64(SumMilliWatts(DBm(-90), DBm(-90)))
-	want := -90 + 10*math.Log10(2)
-	if !almostEqual(got, want, 1e-9) {
-		t.Errorf("sum of two -90 dBm = %v, want %v", got, want)
-	}
-	// -Inf contributions are ignored.
-	got2 := float64(SumMilliWatts(DBm(math.Inf(-1)), DBm(-90)))
-	if !almostEqual(got2, -90, 1e-9) {
-		t.Errorf("sum with -Inf = %v, want -90", got2)
-	}
-	// Empty sum is -Inf.
-	if !math.IsInf(float64(SumMilliWatts()), -1) {
-		t.Error("empty sum should be -Inf dBm")
-	}
-}
-
-func TestSumMilliWattsMonotoneProperty(t *testing.T) {
-	f := func(a, b float64) bool {
-		a = math.Mod(a, 100)
-		b = math.Mod(b, 100)
-		s := SumMilliWatts(DBm(a), DBm(b))
-		// The combined power is at least as large as either component.
-		return float64(s) >= a-1e-9 && float64(s) >= b-1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -59,9 +59,6 @@ func NewStream(seed int64) *Stream {
 	return &Stream{r: rand.New(src), src: src, seed: seed}
 }
 
-// StreamSeed returns the seed the stream was created from.
-func (s *Stream) StreamSeed() int64 { return s.seed }
-
 // Pos returns the stream's cursor: the number of low-level source steps
 // consumed so far. Together with the seed it fully determines the stream's
 // future output, so a snapshot needs only (seed, Pos).
@@ -177,9 +174,6 @@ func (s *Stream) Exp(rate float64) float64 {
 // Perm returns a random permutation of [0,n).
 func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
 // Streams derives named, independent child streams from one root seed.
 // The same (root seed, name) pair always yields the same stream, regardless
 // of the order in which streams are requested — names are hashed, not
@@ -251,13 +245,6 @@ func (f *Streams) Restore(cursors []Cursor) {
 		}
 		s.Seek(c.Pos)
 	}
-}
-
-// Fork returns a new factory whose root seed is derived from this factory's
-// seed and the given name. Use it to give a sub-experiment (for example one
-// repetition of a sweep) its own independent universe of streams.
-func (f *Streams) Fork(name string) *Streams {
-	return NewStreams(deriveSeed(f.seed, name))
 }
 
 func deriveSeed(seed int64, name string) int64 {

@@ -141,31 +141,6 @@ func TestStreamsIndependentNames(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	f := NewStreams(77)
-	r1 := f.Fork("rep-1").Get("channel")
-	r2 := f.Fork("rep-2").Get("channel")
-	same := 0
-	for i := 0; i < 100; i++ {
-		if r1.Float64() == r2.Float64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Errorf("forked streams agree on %d/100 draws", same)
-	}
-}
-
-func TestForkDeterminism(t *testing.T) {
-	a := NewStreams(7).Fork("rep-3").Get("x")
-	b := NewStreams(7).Fork("rep-3").Get("x")
-	for i := 0; i < 20; i++ {
-		if a.Float64() != b.Float64() {
-			t.Fatal("fork is not deterministic")
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := NewStream(3)
 	p := s.Perm(20)
