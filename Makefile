@@ -11,7 +11,7 @@ all: build vet test
 # the race detector over the concurrent packages, the checkpoint/restore
 # and message-runtime guards, the perfbench module's own checks, then the
 # benchmark ledger and its pair gates.
-ci: build vet test race-core resume-guard net-guard perfbench bench
+ci: build vet test race-core resume-guard net-guard perfbench examples bench
 
 # The core package alone took 534 s under -race on a 2-CPU host (Intel Xeon),
 # close to go test's 10-minute default timeout; the explicit bound leaves

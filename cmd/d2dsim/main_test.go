@@ -270,8 +270,26 @@ func TestDocsNameRegisteredExperiments(t *testing.T) {
 				t.Errorf("README.md never names -exp %s", e.name)
 			}
 		}
+		// The experiment table's "Runs on" column must match each entry's
+		// kind.
+		runsOn := map[expKind]string{direct: "direct", sweepSizes: "sweep, `-sizes`", sweepN: "sweep, `-n`"}
+		rows := map[string]string{}
+		for _, m := range tableRow.FindAllStringSubmatch(string(raw), -1) {
+			rows[m[1]] = strings.TrimSpace(m[2])
+		}
+		for _, e := range registry {
+			if got, ok := rows[e.name]; !ok {
+				t.Errorf("README.md's experiment table has no row for -exp %s", e.name)
+			} else if want := runsOn[e.kind]; got != want {
+				t.Errorf("README.md says -exp %s runs on %q, the registry says %q", e.name, got, want)
+			}
+		}
 	}
 }
+
+// tableRow matches one row of README's experiment table: the -exp name and
+// its "Runs on" cell.
+var tableRow = regexp.MustCompile("(?m)^\\| `-exp ([a-z0-9-]+)` \\|([^|]*)\\|")
 
 // Acceptance: `-report out.json` must emit a report that parses, carries
 // the config identity, and holds a non-empty order-parameter series.

@@ -139,7 +139,9 @@ func (Centralized) Run(env *Env) Result {
 		}
 	}
 	if len(contenders) > 0 {
-		// Report collection did not finish inside the slot budget.
+		// Report collection did not finish inside the slot budget, which
+		// the collection covered with the oscillators frozen.
+		slotEng.cover(cfg.MaxSlots)
 		finishResult(env, slotEng, &res)
 		return res
 	}
@@ -175,10 +177,11 @@ func (Centralized) Run(env *Env) Result {
 	slotEng.resyncAll(slot)
 
 	// Validate synchrony with the same detector discipline as the
-	// distributed protocols: StableRounds of aligned firing.
+	// distributed protocols: StableRounds of aligned firing, cut at the
+	// slot budget.
 	need := cfg.StableRounds
-	for round := 0; round < need && slot <= cfg.MaxSlots; round++ {
-		roundEnd := slot + units.Slot(cfg.PeriodSlots)
+	for round := 0; round < need && slot < cfg.MaxSlots; round++ {
+		roundEnd := min(slot+units.Slot(cfg.PeriodSlots), cfg.MaxSlots)
 		for cur := slotEng.nextStep(slot); cur <= roundEnd; cur = slotEng.nextStep(cur) {
 			fired := slotEng.stepSlot(cur, couples, 1, &res.Ops)
 			if len(fired) == cfg.N {

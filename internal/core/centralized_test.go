@@ -93,7 +93,10 @@ func TestCentralizedContentionScalesWithN(t *testing.T) {
 // stop slot. At n=30 seed 8 a retry lands on the first slot of the second
 // window (321), so a budget of 321 must draw that window and charge it.
 // Tx and TxBytes include the discovery beacons; RACH2 holds the report
-// request and, once every report is in, the tree broadcast.
+// request and, once every report is in, the tree broadcast. The validation
+// rounds after the broadcast stop at the budget too: when the last report
+// lands within one period of it, no validation beacon is charged. No run
+// covers a slot past its budget.
 func TestCentralizedUplinkBudgetPins(t *testing.T) {
 	pins := []struct {
 		n         int
@@ -115,9 +118,9 @@ func TestCentralizedUplinkBudgetPins(t *testing.T) {
 		{100, 1, 1051, false, 1051, [2]uint64{331, 1}, [2]uint64{7401, 0}, [2]uint64{41908, 4}},
 		{100, 1, 1052, false, 1052, [2]uint64{331, 1}, [2]uint64{7401, 0}, [2]uint64{41908, 4}},
 		{100, 1, 1360, false, 1360, [2]uint64{340, 1}, [2]uint64{7410, 0}, [2]uint64{44668, 4}},
-		{100, 1, 1361, false, 1361, [2]uint64{441, 2}, [2]uint64{7474, 0}, [2]uint64{45408, 800}},
-		{100, 1, 1398, false, 1398, [2]uint64{441, 2}, [2]uint64{7474, 0}, [2]uint64{45408, 800}},
-		{100, 1, 1399, false, 1399, [2]uint64{441, 2}, [2]uint64{7474, 0}, [2]uint64{45408, 800}},
+		{100, 1, 1361, false, 1361, [2]uint64{341, 2}, [2]uint64{7411, 0}, [2]uint64{45008, 800}},
+		{100, 1, 1398, false, 1398, [2]uint64{341, 2}, [2]uint64{7411, 0}, [2]uint64{45008, 800}},
+		{100, 1, 1399, false, 1399, [2]uint64{341, 2}, [2]uint64{7411, 0}, [2]uint64{45008, 800}},
 		{100, 1, 100000, true, 1661, [2]uint64{641, 2}, [2]uint64{7599, 0}, [2]uint64{46208, 800}},
 		{100, 2, 200, false, 200, [2]uint64{200, 1}, [2]uint64{8419, 0}, [2]uint64{800, 4}},
 		{100, 2, 201, false, 201, [2]uint64{201, 1}, [2]uint64{8420, 0}, [2]uint64{1122, 4}},
@@ -131,7 +134,7 @@ func TestCentralizedUplinkBudgetPins(t *testing.T) {
 		{100, 2, 1360, false, 1360, [2]uint64{331, 1}, [2]uint64{8518, 0}, [2]uint64{47242, 4}},
 		{100, 2, 1361, false, 1361, [2]uint64{331, 1}, [2]uint64{8518, 0}, [2]uint64{47242, 4}},
 		{100, 2, 1398, false, 1398, [2]uint64{331, 1}, [2]uint64{8518, 0}, [2]uint64{47242, 4}},
-		{100, 2, 1399, false, 1399, [2]uint64{432, 2}, [2]uint64{8585, 0}, [2]uint64{48006, 800}},
+		{100, 2, 1399, false, 1399, [2]uint64{332, 2}, [2]uint64{8519, 0}, [2]uint64{47606, 800}},
 		{100, 2, 100000, true, 1699, [2]uint64{632, 2}, [2]uint64{8711, 0}, [2]uint64{48806, 800}},
 		{100, 3, 200, false, 200, [2]uint64{200, 1}, [2]uint64{7384, 0}, [2]uint64{800, 4}},
 		{100, 3, 201, false, 201, [2]uint64{200, 1}, [2]uint64{7384, 0}, [2]uint64{800, 4}},
@@ -141,7 +144,7 @@ func TestCentralizedUplinkBudgetPins(t *testing.T) {
 		{100, 3, 1000, false, 1000, [2]uint64{326, 1}, [2]uint64{7482, 0}, [2]uint64{40640, 4}},
 		{100, 3, 1001, false, 1001, [2]uint64{326, 1}, [2]uint64{7482, 0}, [2]uint64{40640, 4}},
 		{100, 3, 1051, false, 1051, [2]uint64{327, 1}, [2]uint64{7483, 0}, [2]uint64{41004, 4}},
-		{100, 3, 1052, false, 1052, [2]uint64{428, 2}, [2]uint64{7553, 0}, [2]uint64{41678, 800}},
+		{100, 3, 1052, false, 1052, [2]uint64{328, 2}, [2]uint64{7484, 0}, [2]uint64{41278, 800}},
 		{100, 3, 1360, true, 1352, [2]uint64{628, 2}, [2]uint64{7691, 0}, [2]uint64{42478, 800}},
 		{100, 3, 1361, true, 1352, [2]uint64{628, 2}, [2]uint64{7691, 0}, [2]uint64{42478, 800}},
 		{100, 3, 1398, true, 1352, [2]uint64{628, 2}, [2]uint64{7691, 0}, [2]uint64{42478, 800}},
@@ -160,6 +163,11 @@ func TestCentralizedUplinkBudgetPins(t *testing.T) {
 		if res.Converged != p.converged || res.ConvergenceSlots != p.slots || got != want {
 			t.Errorf("n=%d seed %d MaxSlots %d: converged=%v slots=%d tx/rx/bytes=%v, want %v %d %v",
 				p.n, p.seed, p.maxSlots, res.Converged, res.ConvergenceSlots, got, p.converged, p.slots, want)
+		}
+		// A run cut by the budget covers exactly the budget.
+		if res.TotalSlots > uint64(p.maxSlots) || (!res.Converged && res.TotalSlots != uint64(p.maxSlots)) {
+			t.Errorf("n=%d seed %d MaxSlots %d: TotalSlots %d, want the budget (at most, once converged)",
+				p.n, p.seed, p.maxSlots, res.TotalSlots)
 		}
 	}
 }

@@ -63,11 +63,8 @@ type Config struct {
 	// unlimited). The default 1 matches slotted implementations (MEMFIS)
 	// that apply one adjustment per frame from the superimposed pulses.
 	JumpsPerCycle int
-	// ListenPhase opens the coupling window: pulses arriving earlier in
-	// the cycle are ignored (RFA/MEMFIS listen near the firing instant).
-	ListenPhase float64
 	// CaptureMarginDB configures same-slot PS collision resolution (see
-	// rach.Transport.CaptureMarginDB). Negative disables collisions.
+	// rach.Transport.CaptureMarginDB); it must be ≥ 0.
 	CaptureMarginDB float64
 	// ClockDriftPPM is the standard deviation of per-device clock-rate
 	// offsets in parts per million (0 = ideal clocks, the paper's
@@ -81,13 +78,10 @@ type Config struct {
 	// CorrelatedChannel switches the stochastic channel terms from
 	// i.i.d.-per-sample (the light Table I reading) to the physical
 	// correlated forms: a static spatially correlated shadowing field
-	// (Gudmundson, 13 m decorrelation) plus block fading with
-	// CoherenceSlots coherence time. Correlation defeats naive RSSI
-	// averaging, so this is the stress setting for the ranging layer.
+	// (Gudmundson, 13 m decorrelation) plus block fading with a 50-slot
+	// coherence time (≈ pedestrian at 2 GHz). Correlation defeats naive
+	// RSSI averaging, so this is the stress setting for the ranging layer.
 	CorrelatedChannel bool
-	// CoherenceSlots is the block-fading coherence time in slots
-	// (default 50 ≈ pedestrian at 2 GHz) when CorrelatedChannel is set.
-	CoherenceSlots int
 	// SINRDetection switches PS detection from the flat Table I threshold
 	// + capture margin to a physical SINR detector over the LTE PRACH
 	// noise floor. The two nearly coincide without interference (the
@@ -236,15 +230,12 @@ type Config struct {
 	// transmissions pay the same per-message transport loss. All draws
 	// come from the dedicated "asyncnet" stream in delivery-list order, so
 	// adversarial runs stay bit-identical across shard layouts and worker
-	// counts — and a degenerate plan (zero delay, no
-	// duplication, no loss) is bit-identical to no Net at all (the
-	// transport layer is not even constructed). A non-degenerate plan
-	// requires the capture collision model (CaptureMarginDB >= 0, the
-	// paper's default), whose receiver-ascending delivery order the
-	// transport's drain order extends, a maximum delay below one firing
-	// period (bounded asynchrony: a pulse arrives before its sender's
-	// next fire), and a bounded jump budget (JumpsPerCycle >= 1, the
-	// MEMFIS discipline): with an unlimited budget the extra pulses an
+	// counts — and a degenerate plan (zero delay, no duplication, no loss)
+	// is bit-identical to no Net at all (the transport layer is not even
+	// constructed). A non-degenerate plan requires a maximum delay below
+	// one firing period (bounded asynchrony: a pulse arrives before its
+	// sender's next fire) and a bounded jump budget (JumpsPerCycle >= 1,
+	// the MEMFIS discipline): with an unlimited budget the extra pulses an
 	// adversary keeps in flight compress every oscillator's effective
 	// period until the delay/period ratio leaves the convergent regime.
 	Net *asyncnet.Plan
@@ -283,7 +274,6 @@ func PaperConfig(n int, seed int64) Config {
 		PeriodSlots:     100,
 		Coupling:        oscillator.WeakCoupling(),
 		JumpsPerCycle:   0,
-		ListenPhase:     0,
 		CaptureMarginDB: 6,
 		SyncWindowSlots: 0,
 		StableRounds:    3,
@@ -328,6 +318,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: CheckpointEvery %d < 0", c.CheckpointEvery)
 	case c.ConnectRetryLimit < 0:
 		return fmt.Errorf("core: ConnectRetryLimit %d < 0", c.ConnectRetryLimit)
+	case c.CaptureMarginDB < 0:
+		return fmt.Errorf("core: CaptureMarginDB %v < 0", c.CaptureMarginDB)
 	}
 	if err := c.Faults.Validate(c.N, int64(c.MaxSlots)); err != nil {
 		return err
@@ -336,9 +328,6 @@ func (c Config) Validate() error {
 		return err
 	}
 	if c.Net != nil && !c.Net.Degenerate() {
-		if c.CaptureMarginDB < 0 {
-			return fmt.Errorf("core: Net adversary requires the capture collision model (CaptureMarginDB >= 0)")
-		}
 		if c.Net.MaxDelaySlots >= c.PeriodSlots {
 			return fmt.Errorf("core: Net max delay %d slots not below the period %d (bounded asynchrony requires delay < T)",
 				c.Net.MaxDelaySlots, c.PeriodSlots)

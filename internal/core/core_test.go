@@ -73,6 +73,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Services = 0 },
 		func(c *Config) { c.Coupling = oscillator.Coupling{Alpha: 0.9, Beta: 0.1} },
 		func(c *Config) { c.ConnectRetryLimit = -1 },
+		func(c *Config) { c.CaptureMarginDB = -1 },
 	}
 	for i, m := range mutations {
 		cfg := base

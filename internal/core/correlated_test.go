@@ -34,17 +34,16 @@ func TestCorrelatedChannelBlockStructure(t *testing.T) {
 	// shadowing + held fading); across blocks it moves.
 	cfg := fastConfig(5, 3)
 	cfg.CorrelatedChannel = true
-	cfg.CoherenceSlots = 100
 	env := mustEnv(t, cfg)
 	s := env.Transport.LinkSampler
 	d := units.Metre(30)
 	v0 := s(0, 1, d, 0)
-	for slot := units.Slot(1); slot < 100; slot++ {
+	for slot := units.Slot(1); slot < coherenceSlots; slot++ {
 		if s(0, 1, d, slot) != v0 {
 			t.Fatalf("sample changed within a coherence block at slot %d", slot)
 		}
 	}
-	if s(0, 1, d, 100) == v0 {
+	if s(0, 1, d, coherenceSlots) == v0 {
 		t.Error("sample should change across blocks")
 	}
 	// Reciprocity.

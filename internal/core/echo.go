@@ -46,19 +46,6 @@ func (ec *echoState) reset(buf int) {
 
 func (ec *echoState) pending(buf int) bool { return len(ec.ids[buf]) > 0 }
 
-// collect records an echo of epoch for device id. Delivery lists are
-// receiver-grouped, so a device re-absorbed within one wave arrives as a
-// consecutive duplicate and collapses to the latest epoch instead of
-// transmitting twice.
-func (ec *echoState) collect(buf, id int, epoch units.Slot) {
-	if k := len(ec.ids[buf]); k > 0 && ec.ids[buf][k-1] == id {
-		ec.epochs[buf][k-1] = epoch
-		return
-	}
-	ec.ids[buf] = append(ec.ids[buf], id)
-	ec.epochs[buf] = append(ec.epochs[buf], epoch)
-}
-
 // senders returns the wave extended with buf's echo transmitters (the wave
 // slice itself when there are none). The echo ids follow the fires, both in
 // ascending device order, so every shard layout reproduces the same

@@ -416,12 +416,19 @@ func (e *engine) materializeAllAt(slot units.Slot) {
 // finish closes the run at finalSlot: oscillators materialize and the slot
 // accounting extends to the covered span.
 func (e *engine) finish(finalSlot units.Slot) {
+	e.cover(finalSlot)
+	e.materializeAllAt(finalSlot)
+}
+
+// cover extends the slot accounting to finalSlot without stepping or
+// materializing anything — for a span the run covers with its oscillators
+// frozen (the BS uplink collection).
+func (e *engine) cover(finalSlot units.Slot) {
 	if finalSlot > e.lastSlot {
 		e.totalSlots += uint64(finalSlot - e.lastSlot)
 		e.rs.SlotsSkipped(uint64(finalSlot - e.lastSlot))
 		e.lastSlot = finalSlot
 	}
-	e.materializeAllAt(finalSlot)
 }
 
 // slotStats reports how many slots the engine stepped (active) out of the

@@ -67,6 +67,10 @@ func NewEnvAt(cfg Config, positions []geo.Point) (*Env, error) {
 	return newEnv(cfg, positions)
 }
 
+// coherenceSlots is the block-fading coherence time of the correlated
+// channel: 50 slots ≈ a pedestrian at 2 GHz.
+const coherenceSlots = 50
+
 func newEnv(cfg Config, positions []geo.Point) (*Env, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -108,12 +112,8 @@ func newEnv(cfg Config, positions []geo.Point) (*Env, error) {
 		tr.PreambleSrc = streams.Get("preambles")
 	}
 	if cfg.CorrelatedChannel {
-		coherence := cfg.CoherenceSlots
-		if coherence < 1 {
-			coherence = 50
-		}
 		shadow := radio.NewShadowMap(positions, cfg.ShadowSigmaDB, 13, streams.Get("shadowmap"))
-		block := radio.NewBlockFading(coherence, cfg.Fading, streams.Get("blockfading").Int63())
+		block := radio.NewBlockFading(coherenceSlots, cfg.Fading, streams.Get("blockfading").Int63())
 		model := cfg.PathLoss
 		tx := cfg.TxPower
 		tr.LinkSampler = func(from, to int, d units.Metre, slot units.Slot) units.DBm {
@@ -143,7 +143,6 @@ func newEnv(cfg Config, positions []geo.Point) (*Env, error) {
 	for i := range devs {
 		osc := oscillator.New(phaseSrc.Float64(), cfg.PeriodSlots, cfg.Coupling)
 		osc.JumpsPerCycle = cfg.JumpsPerCycle
-		osc.ListenPhase = cfg.ListenPhase
 		if cfg.ClockDriftPPM > 0 {
 			// Clamp to ±3σ so a single pathological crystal cannot
 			// dominate a run.

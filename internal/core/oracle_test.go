@@ -226,3 +226,16 @@ func TestEngineMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// collect records an echo of epoch for device id in the reference
+// stepper's echo buffer buf. Delivery lists are receiver-grouped, so a
+// device re-absorbed within one wave arrives as a consecutive duplicate and
+// collapses to the latest epoch instead of transmitting twice.
+func (ec *echoState) collect(buf, id int, epoch units.Slot) {
+	if k := len(ec.ids[buf]); k > 0 && ec.ids[buf][k-1] == id {
+		ec.epochs[buf][k-1] = epoch
+		return
+	}
+	ec.ids[buf] = append(ec.ids[buf], id)
+	ec.epochs[buf] = append(ec.epochs[buf], epoch)
+}

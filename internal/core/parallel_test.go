@@ -148,29 +148,6 @@ func fmtLabel(proto string, n int, seed int64, workers int) string {
 	return fmt.Sprintf("%s/n=%d/seed=%d/workers=%d", proto, n, seed, workers)
 }
 
-// The negative-margin transport (collision model disabled) produces a
-// sender-major delivery list that is not receiver-contiguous; the engine
-// must detect that and still match the reference exactly.
-func TestParallelEngineBitIdenticalWithoutCaptureModel(t *testing.T) {
-	for _, workers := range []int{2, 8} {
-		cfg := PaperConfig(50, 11)
-		cfg.MaxSlots = 1500
-		cfg.CaptureMarginDB = -1
-		seq := ST{}.Run(mustEnv(t, withOracle(cfg)))
-
-		cfg.Workers = workers
-		cfg.shards = 4
-		envP := mustEnv(t, cfg)
-		par := ST{}.Run(envP)
-
-		if seq.ConvergenceSlots != par.ConvergenceSlots || seq.Counters != par.Counters || seq.Ops != par.Ops {
-			t.Errorf("workers=%d: no-capture run diverged: seq (%d, %+v, %d) vs par (%d, %+v, %d)",
-				workers, seq.ConvergenceSlots, seq.Counters, seq.Ops,
-				par.ConvergenceSlots, par.Counters, par.Ops)
-		}
-	}
-}
-
 // Negative workers resolve to NumCPU; the result must still match the
 // reference bit for bit (it always does — the knob only changes
 // scheduling).

@@ -61,24 +61,6 @@ func TestShardEngineWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// The non-capture transport produces a delivery list that is not
-// receiver-contiguous; the sharded engine must fall back to sequential
-// application and still match.
-func TestShardEngineBitIdenticalWithoutCaptureModel(t *testing.T) {
-	cfg := PaperConfig(50, 11)
-	cfg.MaxSlots = 1500
-	cfg.CaptureMarginDB = -1
-	seq, seqPhases := fingerprintCfg(t, ST{}, withOracle(cfg))
-	for _, shards := range []int{4, 50} {
-		sCfg := cfg
-		sCfg.shards = shards
-		got, gotPhases := fingerprintCfg(t, ST{}, sCfg)
-		label := fmt.Sprintf("ST/no-capture/shards=%d", shards)
-		compareFingerprints(t, label, seq, got)
-		comparePhases(t, label, seqPhases, gotPhases)
-	}
-}
-
 // An active fault plan — crashes, recovery, a join, a clock jump, outages
 // and background loss — exercises every sharded-engine hook (deschedule,
 // rescheduleDevice, phaseWritten, dropFailed); the trajectory and the

@@ -263,11 +263,11 @@ func (sh *shardEngine) advanceShard(s int, slot units.Slot) {
 // the shard's receivers in delivery-list order. Receivers materialize
 // before OnPulse (AdvanceTo cannot cross a fire — a fire due this slot
 // already popped in phase A) and are marked dirty only when the pulse
-// actually changed their trajectory: a coupling jump moves Phase, a
-// reachback pulse queues a jump, an absorption fires. Refractory or
-// listen-gated pulses leave the trajectory untouched and cost no refresh —
-// the distinction that keeps the dense pre-synchronization regime (every
-// device hearing every wave) from recomputing n predictions per slot.
+// actually changed their trajectory: a coupling jump moves Phase, an
+// absorption fires. Refractory or budget-gated pulses leave the trajectory
+// untouched and cost no refresh — the distinction that keeps the dense
+// pre-synchronization regime (every device hearing every wave) from
+// recomputing n predictions per slot.
 func (sh *shardEngine) deliverShard(s int, dels []rach.Delivery, couples couplingRule, slot units.Slot) {
 	rs := sh.eng.rs
 	var t0 time.Time
@@ -295,12 +295,11 @@ func (sh *shardEngine) deliverShard(s int, dels []rach.Delivery, couples couplin
 			}
 			recv.Osc.AdvanceTo(int64(slot))
 			prePhase := recv.Osc.Phase
-			preQueued := recv.Osc.QueuedJumps()
 			if recv.Osc.OnPulseSent(int64(del.Msg.Slot), int64(slot)) {
 				nx = append(nx, del.To)
 				sh.markDirty(del.To, slot)
 			} else {
-				if recv.Osc.Phase != prePhase || recv.Osc.QueuedJumps() != preQueued {
+				if recv.Osc.Phase != prePhase {
 					sh.markDirty(del.To, slot)
 				}
 				if withNet {
@@ -394,7 +393,6 @@ func (sh *shardEngine) step(slot units.Slot, couples couplingRule, opsPerPulse u
 		// Phase B: plan sequentially (shared-stream preamble draws in wave
 		// order), evaluate senders in parallel on their own streams, resolve
 		// sequentially.
-		contiguous := true
 		senders := wave
 		if net != nil {
 			senders = ec.senders(wave, echoCur)
@@ -418,7 +416,6 @@ func (sh *shardEngine) step(slot units.Slot, couples couplingRule, opsPerPulse u
 				sh.scratch[0] = sc
 			}
 			dels = plan.Resolve()
-			contiguous = plan.ReceiverContiguous()
 			if net != nil {
 				ec.stamp(dels, echoCur)
 			}
@@ -428,7 +425,6 @@ func (sh *shardEngine) step(slot units.Slot, couples couplingRule, opsPerPulse u
 		}
 		if net != nil {
 			dels = net.Cycle(dels, slot)
-			contiguous = true // drained in (receiver, sequence) order
 			ec.reset(1 - echoCur)
 		}
 		if rs != nil {
@@ -437,42 +433,15 @@ func (sh *shardEngine) step(slot units.Slot, couples couplingRule, opsPerPulse u
 			t0 = t1
 		}
 
-		// Phase C: apply deliveries. The receiver-sorted list buckets into
-		// shards, each applied by one worker; when the list is not
-		// receiver-contiguous (collision model disabled with several
-		// senders) fall back to sequential application in list order.
+		// Phase C: apply deliveries. The list visits each receiver in one
+		// contiguous run — capture resolution sorts it by receiver, a
+		// one-sender wave names each receiver once, and the message
+		// adversary drains in (receiver, sequence) order — so it buckets
+		// into shards, each applied by one worker.
 		buf := waveBuf
 		waveBuf ^= 1
 		next := e.waves[buf][:0]
-		if !contiguous {
-			for _, del := range dels {
-				if !env.Alive[del.To] {
-					continue
-				}
-				recv := env.Devices[del.To]
-				recv.ObservePS(del.Msg.From, del.Msg.RSSI, device.Service(del.Msg.Service))
-				*ops += opsPerPulse
-				if !couples(del.Msg.From, del.To) {
-					continue
-				}
-				recv.Osc.AdvanceTo(s64)
-				prePhase := recv.Osc.Phase
-				preQueued := recv.Osc.QueuedJumps()
-				if recv.Osc.OnPulseSent(int64(del.Msg.Slot), s64) {
-					next = append(next, del.To)
-					sh.markDirty(del.To, slot)
-				} else {
-					if recv.Osc.Phase != prePhase || recv.Osc.QueuedJumps() != preQueued {
-						sh.markDirty(del.To, slot)
-					}
-					if net != nil {
-						if ep, ok := recv.Osc.TakeEcho(); ok {
-							ec.collect(1-echoCur, del.To, units.Slot(ep))
-						}
-					}
-				}
-			}
-		} else if len(dels) > 0 {
+		if len(dels) > 0 {
 			runs := sh.runs[:0]
 			for i := 0; i < len(dels); {
 				j := i + 1

@@ -34,7 +34,7 @@ import (
 // cacheSchema versions the digest layout and the disk envelope together:
 // bump it whenever the manifest fields, the probe grid or the Result shape
 // change meaning, and every previously stored entry silently misses.
-const cacheSchema = 4
+const cacheSchema = 5
 
 // pathLossProbes are the distances (metres) at which the path-loss model is
 // fingerprinted. PathLoss is an interface with no canonical serialization;
@@ -67,12 +67,10 @@ type cacheManifest struct {
 	CouplingAlpha     float64 `json:"coupling_alpha"`
 	CouplingBeta      float64 `json:"coupling_beta"`
 	JumpsPerCycle     int     `json:"jumps_per_cycle"`
-	ListenPhase       float64 `json:"listen_phase"`
 	CaptureMarginDB   float64 `json:"capture_margin_db"`
 	ClockDriftPPM     float64 `json:"clock_drift_ppm"`
 	Preambles         int     `json:"preambles"`
 	CorrelatedChannel bool    `json:"correlated_channel"`
-	CoherenceSlots    int     `json:"coherence_slots"`
 	SINRDetection     bool    `json:"sinr_detection"`
 	SyncWindowSlots   int64   `json:"sync_window_slots"`
 	StableRounds      int     `json:"stable_rounds"`
@@ -131,12 +129,10 @@ func CacheKey(cfg core.Config, protocol string) (key string, ok bool) {
 		CouplingAlpha:     cfg.Coupling.Alpha,
 		CouplingBeta:      cfg.Coupling.Beta,
 		JumpsPerCycle:     cfg.JumpsPerCycle,
-		ListenPhase:       cfg.ListenPhase,
 		CaptureMarginDB:   cfg.CaptureMarginDB,
 		ClockDriftPPM:     cfg.ClockDriftPPM,
 		Preambles:         cfg.Preambles,
 		CorrelatedChannel: cfg.CorrelatedChannel,
-		CoherenceSlots:    cfg.CoherenceSlots,
 		SINRDetection:     cfg.SINRDetection,
 		SyncWindowSlots:   cfg.SyncWindowSlots,
 		StableRounds:      cfg.StableRounds,

@@ -1,6 +1,7 @@
 package manifest
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -70,6 +71,31 @@ func TestToConfigValidation(t *testing.T) {
 		if _, err := m.ToConfig(); err == nil {
 			t.Errorf("case %d: invalid manifest accepted", i)
 		}
+	}
+}
+
+// A negative capture margin reaches core.Config.Validate, which rejects it.
+func TestToConfigRejectsNegativeCaptureMargin(t *testing.T) {
+	var b strings.Builder
+	if err := Default(20, 1).Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal([]byte(b.String()), &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["capture_margin_db"] = -1
+	raw, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Read(strings.NewReader(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.ToConfig()
+	if err == nil || !strings.Contains(err.Error(), "CaptureMarginDB -1 < 0") {
+		t.Errorf("ToConfig with capture_margin_db -1: err = %v, want the CaptureMarginDB < 0 rejection", err)
 	}
 }
 

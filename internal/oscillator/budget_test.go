@@ -6,8 +6,7 @@ import (
 )
 
 // Tests for the slotted-radio extensions of the oscillator: the per-cycle
-// jump budget (MEMFIS-style one adjustment per frame), the listening
-// window, and clock-rate drift.
+// jump budget (MEMFIS-style one adjustment per frame) and clock-rate drift.
 
 func TestJumpsPerCycleBudget(t *testing.T) {
 	o := New(0.5, 100, DefaultCoupling())
@@ -52,36 +51,6 @@ func TestJumpsPerCycleZeroIsUnlimited(t *testing.T) {
 			t.Fatalf("pulse %d did not advance phase", i)
 		}
 		p = o.Phase
-	}
-}
-
-func TestListenPhaseGatesPulses(t *testing.T) {
-	o := New(0.3, 100, DefaultCoupling())
-	o.ListenPhase = 0.5
-	before := o.Phase
-	if o.OnPulse(10) {
-		t.Fatal("gated pulse should not fire")
-	}
-	if o.Phase != before {
-		t.Error("pulse before the listening window must be ignored")
-	}
-	o.Phase = 0.7
-	o.OnPulse(11)
-	if o.Phase <= 0.7 {
-		t.Error("pulse inside the listening window must couple")
-	}
-}
-
-func TestListenPhaseDoesNotConsumeBudget(t *testing.T) {
-	o := New(0.3, 100, DefaultCoupling())
-	o.ListenPhase = 0.5
-	o.JumpsPerCycle = 1
-	o.OnPulse(10) // gated: must not consume the budget
-	o.Phase = 0.8
-	// With budget still available, the in-window pulse couples — here it
-	// absorbs (0.8 is within the absorption window), i.e. fires.
-	if !o.OnPulse(11) {
-		t.Error("in-window pulse should still have budget after a gated pulse")
 	}
 }
 

@@ -8,7 +8,7 @@
 // linear scan over cache-resident integers (NextFireMin) and advancing a
 // range through a slot touches only the members that fire (AdvanceAll).
 //
-// The mutable segment state (Phase, segment anchor, queued jumps) stays
+// The mutable segment state (Phase, segment anchor, jump budget) stays
 // object-resident on purpose: protocols poke *Oscillator directly through
 // the engine hooks, and duplicating that state into arrays would buy a
 // coherence problem for fields that are only read at discontinuities. The
@@ -62,8 +62,8 @@ func (b *Bulk) NextFire(i int) int64 { return b.nf[i] }
 
 // Refresh recomputes member i's next-fire slot from its oscillator state and
 // returns it. Call after anything that changes the member's trajectory: an
-// own fire, a coupling jump, a queued reachback jump, an external Phase
-// write (after Rebase), or a rate change.
+// own fire, a coupling jump, an external Phase write (after Rebase), or a
+// rate change.
 func (b *Bulk) Refresh(i int) int64 {
 	if b.dead[i] {
 		return NeverFires
@@ -107,10 +107,10 @@ func (b *Bulk) NextFireMin(lo, hi int) int64 {
 
 // AdvanceAll advances members [lo, hi) through slot and appends the member
 // indices that fire, in roster order. It is equivalent to calling Advance
-// once per slot on every live member — bit for bit, including fire resets
-// and queued reachback-jump maturation — but touches only the members whose
-// cached next fire is due; everyone else's phase stays lazily materialized
-// on its unchanged trajectory (AdvanceTo catches it up on demand).
+// once per slot on every live member — bit for bit, including fire resets —
+// but touches only the members whose cached next fire is due; everyone
+// else's phase stays lazily materialized on its unchanged trajectory
+// (AdvanceTo catches it up on demand).
 //
 // Fired members' cached next-fire slots are left stale on purpose: the
 // caller refreshes them after the slot's pulse cascade settles, folding the

@@ -9,18 +9,14 @@ import (
 // be driven independently. Fresh oscillators share no mutable state.
 func cloneOsc(src *Oscillator) *Oscillator {
 	o := New(src.Phase, src.PeriodSlots, src.Coupling)
-	o.Refractory = src.Refractory
 	o.JumpsPerCycle = src.JumpsPerCycle
-	o.ListenPhase = src.ListenPhase
 	o.Rate = src.Rate
-	o.ReachbackDelaySlots = src.ReachbackDelaySlots
 	return o
 }
 
-// randomRoster builds n oscillators with varied phases, drift rates, jump
-// budgets and (when reachback is true) queued-jump delays — every edge the
-// bulk path must reproduce.
-func randomRoster(rng *rand.Rand, n int, reachback bool) ([]*Oscillator, []*Oscillator) {
+// randomRoster builds n oscillators with varied phases, drift rates and jump
+// budgets — every edge the bulk path must reproduce.
+func randomRoster(rng *rand.Rand, n int) ([]*Oscillator, []*Oscillator) {
 	bulk := make([]*Oscillator, n)
 	ref := make([]*Oscillator, n)
 	for i := range bulk {
@@ -28,12 +24,6 @@ func randomRoster(rng *rand.Rand, n int, reachback bool) ([]*Oscillator, []*Osci
 		o.Rate = 1 + (rng.Float64()-0.5)*0.02 // ±1% drift
 		if rng.Intn(3) == 0 {
 			o.JumpsPerCycle = 1 + rng.Intn(2)
-		}
-		if rng.Intn(4) == 0 {
-			o.ListenPhase = rng.Float64() * 0.3
-		}
-		if reachback && rng.Intn(2) == 0 {
-			o.ReachbackDelaySlots = 1 + rng.Intn(5)
 		}
 		bulk[i] = o
 		ref[i] = cloneOsc(o)
@@ -45,22 +35,19 @@ func randomRoster(rng *rand.Rand, n int, reachback bool) ([]*Oscillator, []*Osci
 // roster driven through Bulk.AdvanceAll (lazy, fire-scheduled) must produce
 // exactly the fires, phases and segment trajectories of a twin roster driven
 // by per-oscillator Advance every slot — including fire resets (absorption
-// via OnPulse pushing a phase to threshold) and queued reachback-jump
-// maturation splitting the linear segment mid-span.
+// via OnPulse pushing a phase to threshold).
 func TestBulkAdvanceAllMatchesAdvance(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
-		reachback bool
 		pulseProb float64
 	}{
-		{"pure-ramp", false, 0},
-		{"coupled", false, 0.15},
-		{"reachback", true, 0.15},
-		{"dense-coupling", false, 0.6},
+		{"pure-ramp", 0},
+		{"coupled", 0.15},
+		{"dense-coupling", 0.6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
-			oscs, refs := randomRoster(rng, 60, tc.reachback)
+			oscs, refs := randomRoster(rng, 60)
 			b := NewBulk(oscs)
 			var fired []int
 			const slots = 500
@@ -103,17 +90,13 @@ func TestBulkAdvanceAllMatchesAdvance(t *testing.T) {
 				for _, i := range fired {
 					b.Refresh(i)
 				}
-				// Periodically materialize everything and compare phases and
-				// queued-jump counts exactly.
+				// Periodically materialize everything and compare phases
+				// exactly.
 				if slot%97 == 0 || slot == slots {
 					b.MaterializeAll(0, b.Len(), slot)
 					for i := range oscs {
 						if oscs[i].Phase != refs[i].Phase {
 							t.Fatalf("slot %d member %d: phase bulk=%v ref=%v", slot, i, oscs[i].Phase, refs[i].Phase)
-						}
-						if oscs[i].QueuedJumps() != refs[i].QueuedJumps() {
-							t.Fatalf("slot %d member %d: queued bulk=%d ref=%d",
-								slot, i, oscs[i].QueuedJumps(), refs[i].QueuedJumps())
 						}
 					}
 				}
@@ -125,7 +108,7 @@ func TestBulkAdvanceAllMatchesAdvance(t *testing.T) {
 // TestBulkNextFireMin pins the range-minimum scan against the cached values.
 func TestBulkNextFireMin(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	oscs, _ := randomRoster(rng, 40, false)
+	oscs, _ := randomRoster(rng, 40)
 	b := NewBulk(oscs)
 	for _, r := range [][2]int{{0, 40}, {0, 1}, {13, 27}, {39, 40}} {
 		want := NeverFires

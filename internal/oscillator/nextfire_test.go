@@ -136,25 +136,41 @@ func TestNextFireAtThresholdBoundary(t *testing.T) {
 	}
 }
 
-// Refractory and the listen window gate OnPulse only — the free-running
-// prediction must ignore them entirely.
+// The refractory window and the jump budget gate OnPulse only — the
+// free-running prediction must ignore them entirely.
 func TestNextFireUnaffectedByPulseGates(t *testing.T) {
-	a, b := twin(0.3, 100, func(o *Oscillator) {
-		o.Refractory = 25
-		o.ListenPhase = 0.9
-		o.JumpsPerCycle = 1
-	})
+	a, b := twin(0.3, 100, func(o *Oscillator) { o.JumpsPerCycle = 1 })
 	at, ok := a.NextFire()
 	want, wok := nextFireBySteps(b, 300)
 	if !ok || !wok || at != want {
 		t.Fatalf("gated oscillator: NextFire=(%d,%v), oracle=(%d,%v)", at, ok, want, wok)
 	}
-	// A pulse inside the refractory window (or below the listen phase) is
-	// ignored and must not move the prediction.
+	// A second pulse in one cycle finds the budget spent: it is ignored and
+	// must not move the prediction the first pulse's jump set.
+	a, b = twin(0.3, 100, func(o *Oscillator) { o.JumpsPerCycle = 1 })
+	a.AdvanceTo(10)
+	for s := int64(1); s <= 10; s++ {
+		b.Advance(s)
+	}
+	a.OnPulse(10)
+	b.OnPulse(10)
+	jumped, _ := a.NextFire()
+	if jumped >= at {
+		t.Fatalf("the budgeted pulse did not advance the fire: %d, free-running %d", jumped, at)
+	}
+	a.OnPulse(10)
+	b.OnPulse(10)
+	at, _ = a.NextFire()
+	want, _ = nextFireBySteps(b, 300)
+	if at != want || at != jumped {
+		t.Fatalf("budget-gated pulse: NextFire=%d, oracle=%d, after the first jump %d", at, want, jumped)
+	}
+	// A pulse inside the refractory window (the fire's own slot) is ignored
+	// and must not move the prediction either.
 	a.AdvanceTo(at) // fire: refractory opens
 	b.AdvanceTo(at)
-	a.OnPulse(a.lastSlot + 1)
-	b.OnPulse(b.lastSlot + 1)
+	a.OnPulse(at)
+	b.OnPulse(at)
 	at2, _ := a.NextFire()
 	want2, _ := nextFireBySteps(b, 300)
 	if at2 != want2 {
@@ -179,58 +195,6 @@ func TestNextFireAfterPulseJump(t *testing.T) {
 	want, wok := nextFireBySteps(b, 300)
 	if !ok || !wok || at != want {
 		t.Fatalf("post-jump: NextFire=(%d,%v), oracle=(%d,%v)", at, ok, want, wok)
-	}
-}
-
-// Reachback mode: queued corrections mature mid-flight and split the ramp;
-// the prediction must apply them at exactly the slots Advance does.
-func TestNextFireWithReachbackQueue(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		period := 50 + rng.Intn(100)
-		delay := 1 + rng.Intn(period/2)
-		phase := rng.Float64()
-		a, b := twin(phase, period, func(o *Oscillator) {
-			o.ReachbackDelaySlots = delay
-			o.Refractory = 1
-		})
-		// Queue a few pulses at staggered slots on both twins. The analytic
-		// twin steps to each predicted fire first — the AdvanceTo contract
-		// the run engine honours — because a maturing correction can pull
-		// a fire into the span.
-		pulses := 1 + rng.Intn(3)
-		for p := 0; p < pulses; p++ {
-			target := a.lastSlot + int64(1+rng.Intn(5))
-			for a.lastSlot < target {
-				stop := target
-				if at, ok := a.NextFire(); ok && at < stop {
-					stop = at
-				}
-				a.AdvanceTo(stop)
-			}
-			for b.lastSlot < a.lastSlot {
-				b.Advance(b.lastSlot + 1)
-			}
-			if a.Phase != b.Phase {
-				t.Fatalf("trial %d: phase mismatch before pulse %d: %v vs %v", trial, p, a.Phase, b.Phase)
-			}
-			a.OnPulse(a.lastSlot)
-			b.OnPulse(b.lastSlot)
-		}
-		at, ok := a.NextFire()
-		want, wok := nextFireBySteps(b, int64(4*period)+4)
-		if ok != wok || (ok && at != want) {
-			t.Fatalf("trial %d (period=%d delay=%d): NextFire=(%d,%v), oracle=(%d,%v)",
-				trial, period, delay, at, ok, want, wok)
-		}
-		if ok {
-			if !a.AdvanceTo(at) {
-				t.Fatalf("trial %d: predicted fire at %d did not happen", trial, at)
-			}
-			if a.Phase != b.Phase {
-				t.Fatalf("trial %d: post-fire phase mismatch: %v vs %v", trial, a.Phase, b.Phase)
-			}
-		}
 	}
 }
 

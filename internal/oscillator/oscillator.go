@@ -78,41 +78,21 @@ type Oscillator struct {
 	PeriodSlots int
 	// Coupling is the PRC applied on pulse reception.
 	Coupling Coupling
-	// Refractory, when positive, is the number of slots after a fire
-	// during which incoming pulses are ignored. A short refractory period
-	// is the standard cure for same-instant echo storms on radio channels
-	// (cf. the Reachback Firefly Algorithm's treatment).
-	Refractory int
 	// JumpsPerCycle caps how many PRC jumps are applied between two of
 	// this oscillator's own fires; 0 means unlimited (pure Mirollo–
 	// Strogatz). Slotted radio implementations apply one adjustment per
 	// frame from the superimposed received pulses (MEMFIS-style); the
 	// protocol layers set 1.
 	JumpsPerCycle int
-	// ListenPhase is the phase the listening window opens at: pulses
-	// arriving while Phase < ListenPhase neither couple nor consume the
-	// jump budget. Radio firefly implementations (RFA, MEMFIS) listen in
-	// a window near their own firing instant; 0 listens always.
-	ListenPhase float64
 	// Rate scales the phase ramp to model clock drift: an oscillator with
 	// Rate 1.001 runs 1000 ppm fast. Zero is treated as 1 (nominal).
 	// With drifted clocks synchrony is no longer an absorbing state — it
 	// must be actively maintained by pulse coupling, which tolerates
 	// drift only up to roughly β·T slots per period.
 	Rate float64
-	// ReachbackDelaySlots enables the Reachback Firefly Algorithm
-	// discipline (Werner-Allen et al., the paper's ref [13]): a pulse's
-	// PRC jump is not applied at reception but queued and applied after
-	// this many slots — the radio/MAC processing delay RFA was designed
-	// around. The delay must stay well below the period: queuing jumps a
-	// full cycle (as a naive "apply at my next fire" reading would)
-	// flips the dynamics into stable antiphase/splay locking, the classic
-	// delayed-pulse-coupling result. Zero means immediate coupling.
-	ReachbackDelaySlots int
 
 	refractUntil int64 // absolute slot until which pulses are ignored
 	jumpsUsed    int   // PRC jumps consumed since the last own fire
-	queued       []queuedJump
 	echoEpoch    int64 // adopted epoch of the latest virtual fire
 	echoSet      bool  // an echo of echoEpoch is pending transmission
 	// anchorVirtual marks the current cycle anchor as a virtual fire: the
@@ -130,13 +110,13 @@ type Oscillator struct {
 	retroFrom int64
 
 	// Lazy segment state. Between discontinuities (fires, PRC jumps,
-	// matured reachback corrections, external Phase writes, step-size
-	// changes) the ramp is linear, so the phase after k uninterrupted
-	// steps is the closed form fl(segBase + fl(k·segStep)) — one rounding
-	// for the product, one for the sum, independent of how the k steps
-	// are grouped. Advance, AdvanceTo and NextFire all evaluate exactly
-	// this expression, which is what makes slot-by-slot stepping and
-	// event-driven fast-forwarding bit-identical.
+	// external Phase writes, step-size changes) the ramp is linear, so the
+	// phase after k uninterrupted steps is the closed form
+	// fl(segBase + fl(k·segStep)) — one rounding for the product, one for
+	// the sum, independent of how the k steps are grouped. Advance,
+	// AdvanceTo and NextFire all evaluate exactly this expression, which is
+	// what makes slot-by-slot stepping and event-driven fast-forwarding
+	// bit-identical.
 	segBase  float64 // phase at the segment origin
 	segSteps int64   // ramp steps taken since the segment origin
 	segStep  float64 // per-slot increment the segment was built with
@@ -149,21 +129,19 @@ type Oscillator struct {
 // the ramp arithmetic (e.g. 100 × 0.01 accumulating to 1.0000000000000002).
 const fireEpsilon = 1e-12
 
-// queuedJump is a matured-delivery PRC adjustment (reachback mode).
-type queuedJump struct {
-	applyAt int64
-	delta   float64
-}
+// refractory is the number of slots after a fire during which incoming
+// pulses are ignored: one slot, so an oscillator fires at most once per slot
+// and same-slot echo cascades always terminate.
+const refractory = 1
 
 // New returns an oscillator with the given initial phase, period (slots) and
-// coupling and a 1-slot refractory window.
+// coupling.
 func New(phase float64, periodSlots int, c Coupling) *Oscillator {
 	if periodSlots <= 0 {
 		panic("oscillator: period must be positive")
 	}
 	p := clampPhase(phase)
-	return &Oscillator{Phase: p, PeriodSlots: periodSlots, Coupling: c, Refractory: 1,
-		segBase: p, lastMat: p}
+	return &Oscillator{Phase: p, PeriodSlots: periodSlots, Coupling: c, segBase: p, lastMat: p}
 }
 
 func clampPhase(p float64) float64 {
@@ -209,8 +187,7 @@ func (o *Oscillator) resegment() float64 {
 	return step
 }
 
-// rebaseHere restarts the segment at the current Phase (after a PRC jump or
-// a matured reachback correction).
+// rebaseHere restarts the segment at the current Phase (after a PRC jump).
 func (o *Oscillator) rebaseHere() {
 	o.segBase = o.Phase
 	o.segSteps = 0
@@ -218,37 +195,16 @@ func (o *Oscillator) rebaseHere() {
 }
 
 // fireReset is the threshold crossing: phase to zero, refractory window
-// opens, jump budget refills. Queued corrections survive the reset: a jump
-// earned just before firing still advances the next cycle, which is how a
-// laggard finishes closing the last few slots.
+// opens, jump budget refills.
 func (o *Oscillator) fireReset(nowSlot int64) {
 	o.Phase = 0
 	o.segBase = 0
 	o.segSteps = 0
 	o.lastMat = 0
-	o.refractUntil = nowSlot + int64(o.Refractory)
+	o.refractUntil = nowSlot + refractory
 	o.jumpsUsed = 0
 	o.anchorVirtual = false
 	o.retroFrom = 0
-}
-
-// applyMatured folds queued reachback jumps whose delay has elapsed into the
-// phase (in queue order) and restarts the segment at the corrected value.
-func (o *Oscillator) applyMatured(nowSlot int64) {
-	kept := o.queued[:0]
-	applied := false
-	for _, q := range o.queued {
-		if q.applyAt <= nowSlot {
-			o.Phase += q.delta
-			applied = true
-		} else {
-			kept = append(kept, q)
-		}
-	}
-	o.queued = kept
-	if applied {
-		o.rebaseHere()
-	}
 }
 
 // Advance moves the oscillator forward one slot (eq. (3)) and reports
@@ -256,10 +212,6 @@ func (o *Oscillator) applyMatured(nowSlot int64) {
 // (eq. (4), first case).
 func (o *Oscillator) Advance(nowSlot int64) (fired bool) {
 	step := o.resegment()
-	// Apply matured reachback jumps first.
-	if len(o.queued) > 0 {
-		o.applyMatured(nowSlot)
-	}
 	o.segSteps++
 	o.Phase = segPhase(o.segBase, o.segSteps, step)
 	o.lastSlot = nowSlot
@@ -286,53 +238,20 @@ func (o *Oscillator) AdvanceTo(target int64) (fired bool) {
 		return false
 	}
 	step := o.resegment()
-	for o.lastSlot < target {
-		// Next queued-jump maturity in range, if any. Matured jumps apply
-		// at the top of their slot, before that slot's ramp, so they split
-		// the linear segment.
-		m, hasM := int64(0), false
-		for _, q := range o.queued {
-			if q.applyAt <= target && (!hasM || q.applyAt < m) {
-				m, hasM = q.applyAt, true
-			}
+	if d, fires := o.fireStep(step, target-o.lastSlot); fires {
+		at := o.lastSlot + d
+		if at != target {
+			panic("oscillator: AdvanceTo skipped a fire; step to NextFire first")
 		}
-		pureEnd := target
-		if hasM {
-			pureEnd = m - 1
-		}
-		if pureEnd > o.lastSlot {
-			if d, fires := o.fireStep(step, pureEnd-o.lastSlot); fires {
-				at := o.lastSlot + d
-				if at != target {
-					panic("oscillator: AdvanceTo skipped a fire; step to NextFire first")
-				}
-				o.segSteps += d
-				o.lastSlot = at
-				o.fireReset(at)
-				return true
-			}
-			o.segSteps += pureEnd - o.lastSlot
-			o.Phase = segPhase(o.segBase, o.segSteps, step)
-			o.lastMat = o.Phase
-			o.lastSlot = pureEnd
-		}
-		if hasM {
-			// Slot m itself: corrections first, then one ramp step —
-			// the exact order Advance uses.
-			o.applyMatured(m)
-			o.segSteps++
-			o.Phase = segPhase(o.segBase, o.segSteps, step)
-			o.lastSlot = m
-			if o.Phase >= Threshold-fireEpsilon {
-				if m != target {
-					panic("oscillator: AdvanceTo skipped a fire; step to NextFire first")
-				}
-				o.fireReset(m)
-				return true
-			}
-			o.lastMat = o.Phase
-		}
+		o.segSteps += d
+		o.lastSlot = at
+		o.fireReset(at)
+		return true
 	}
+	o.segSteps += target - o.lastSlot
+	o.Phase = segPhase(o.segBase, o.segSteps, step)
+	o.lastMat = o.Phase
+	o.lastSlot = target
 	return false
 }
 
@@ -366,65 +285,32 @@ func (o *Oscillator) fireStep(step float64, span int64) (d int64, ok bool) {
 }
 
 // NextFire predicts the absolute slot of the oscillator's next fire under
-// free running — no further pulses, queued reachback corrections maturing
-// on schedule — or ok=false if it never reaches the threshold (non-positive
-// effective step, or a horizon beyond any representable run). It evaluates
-// the same segment expression Advance does, so the prediction is exact: the
-// run engine schedules it, fast-forwards, and the fire happens on that
-// slot, bit for bit.
+// free running — no further pulses — or ok=false if it never reaches the
+// threshold (non-positive effective step, or a horizon beyond any
+// representable run). It evaluates the same segment expression Advance
+// does, so the prediction is exact: the run engine schedules it,
+// fast-forwards, and the fire happens on that slot, bit for bit.
 func (o *Oscillator) NextFire() (slot int64, ok bool) {
 	step := o.resegment()
-	base, k, last := o.segBase, o.segSteps, o.lastSlot
-	phase := o.Phase
-	var pending []queuedJump
-	if len(o.queued) > 0 {
-		pending = append(pending, o.queued...)
-	}
+	base, k := o.segBase, o.segSteps
 	fireAt := Threshold - fireEpsilon
-	for {
-		m, hasM := int64(0), false
-		for _, q := range pending {
-			if !hasM || q.applyAt < m {
-				m, hasM = q.applyAt, true
-			}
-		}
-		if r := (fireAt - base) / step; step > 0 && r <= 1e15 {
-			// Fire on the pure ramp strictly before the next maturity?
-			lo := k + 1
-			guess := lo
-			if r > float64(lo) {
-				guess = int64(math.Ceil(r))
-			}
-			for guess > lo && segPhase(base, guess-1, step) >= fireAt {
-				guess--
-			}
-			for segPhase(base, guess, step) < fireAt {
-				guess++
-			}
-			if at := last + (guess - k); !hasM || at < m {
-				return at, true
-			}
-		}
-		if !hasM {
-			// Non-positive step, or a horizon beyond any representable
-			// run, with no queued correction left to change that.
-			return 0, false
-		}
-		// Ramp to the end of slot m−1, apply the matured corrections in
-		// queue order (what applyMatured does at the top of slot m), and
-		// restart the segment there.
-		phase = segPhase(base, k+(m-1-last), step)
-		var kept []queuedJump
-		for _, q := range pending {
-			if q.applyAt <= m {
-				phase += q.delta
-			} else {
-				kept = append(kept, q)
-			}
-		}
-		pending = kept
-		base, k, last = phase, 0, m-1
+	r := (fireAt - base) / step
+	if !(step > 0 && r <= 1e15) {
+		// Non-positive step, or a horizon beyond any representable run.
+		return 0, false
 	}
+	lo := k + 1
+	guess := lo
+	if r > float64(lo) {
+		guess = int64(math.Ceil(r))
+	}
+	for guess > lo && segPhase(base, guess-1, step) >= fireAt {
+		guess--
+	}
+	for segPhase(base, guess, step) < fireAt {
+		guess++
+	}
+	return o.lastSlot + (guess - k), true
 }
 
 // Rebase pins an externally assigned Phase as the oscillator's state at the
@@ -488,7 +374,7 @@ func (o *Oscillator) OnPulseSent(sendSlot, nowSlot int64) (fired bool) {
 		// would have delivered it before the receiver fired, so the fire
 		// the receiver already performed happened at the wrong slot and
 		// is retro-aligned toward the sender's beat.
-		lastFire := o.refractUntil - int64(o.Refractory)
+		lastFire := o.refractUntil - refractory
 		if sendSlot >= lastFire {
 			return false
 		}
@@ -497,22 +383,10 @@ func (o *Oscillator) OnPulseSent(sendSlot, nowSlot int64) (fired bool) {
 	if sendSlot != nowSlot {
 		return o.onAgedPulse(sendSlot, nowSlot)
 	}
-	if o.Phase < o.ListenPhase {
-		return false
-	}
 	if o.JumpsPerCycle > 0 && o.jumpsUsed >= o.JumpsPerCycle {
 		return false
 	}
 	o.jumpsUsed++
-	if o.ReachbackDelaySlots > 0 {
-		// Queue the jump for the processing delay (RFA discipline);
-		// no same-slot absorption cascade is possible.
-		o.queued = append(o.queued, queuedJump{
-			applyAt: nowSlot + int64(o.ReachbackDelaySlots),
-			delta:   o.Coupling.Jump(o.Phase) - o.Phase,
-		})
-		return false
-	}
 	o.Phase = o.Coupling.Jump(o.Phase)
 	if o.Phase >= Threshold-fireEpsilon {
 		o.fireReset(nowSlot)
@@ -548,20 +422,10 @@ func (o *Oscillator) onAgedPulse(sendSlot, nowSlot int64) bool {
 	if phaseThen < 0 {
 		phaseThen = 0
 	}
-	if phaseThen < o.ListenPhase {
-		return false
-	}
 	if o.JumpsPerCycle > 0 && o.jumpsUsed >= o.JumpsPerCycle {
 		return false
 	}
 	o.jumpsUsed++
-	if o.ReachbackDelaySlots > 0 {
-		o.queued = append(o.queued, queuedJump{
-			applyAt: nowSlot + int64(o.ReachbackDelaySlots),
-			delta:   o.Coupling.Jump(phaseThen) - phaseThen,
-		})
-		return false
-	}
 	jumped := o.Coupling.Jump(phaseThen)
 	// First slot in the replayed window where the corrected trajectory
 	// reaches the threshold; fireD == 0 is absorption at the window base
@@ -666,9 +530,6 @@ func (o *Oscillator) onPreFirePulse(lastFire, sendSlot, nowSlot int64) bool {
 	if phaseThen < 0 {
 		phaseThen = 0
 	}
-	if phaseThen < o.ListenPhase {
-		return false
-	}
 	if o.JumpsPerCycle > 0 && o.jumpsUsed >= o.JumpsPerCycle {
 		return false
 	}
@@ -701,14 +562,6 @@ func (o *Oscillator) onPreFirePulse(lastFire, sendSlot, nowSlot int64) bool {
 	o.retroFrom = origin
 	return false
 }
-
-// QueuedJumps returns the number of reachback PRC corrections queued but not
-// yet matured. The sharded run engine compares it (with Phase) around an
-// OnPulse to decide whether the pulse changed the trajectory — a refractory
-// or listen-window rejection leaves both untouched, and skipping the
-// next-fire recompute for those keeps the dirty set proportional to actual
-// couplings instead of deliveries.
-func (o *Oscillator) QueuedJumps() int { return len(o.queued) }
 
 // OrderParameter returns the Kuramoto order parameter r ∈ [0,1] of a set of
 // phases (interpreted as fractions of a cycle): r = |Σ e^{i·2πθ}| / n.

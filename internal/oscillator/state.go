@@ -1,23 +1,16 @@
 // Checkpoint support: serializable copies of the oscillator's and the sync
-// detector's mutable state. Static parameters (period, coupling, refractory,
-// listen window, drift rate) are not captured — a restore rebuilds them by
-// re-running the deterministic environment setup and then overlays this
-// state, so the snapshot stays small and schema changes stay rare.
+// detector's mutable state. Static parameters (period, coupling, jump budget,
+// drift rate) are not captured — a restore rebuilds them by re-running the
+// deterministic environment setup and then overlays this state, so the
+// snapshot stays small and schema changes stay rare.
 
 package oscillator
 
-// QueuedJumpState is one pending reachback correction.
-type QueuedJumpState struct {
-	ApplyAt int64   `json:"apply_at"`
-	Delta   float64 `json:"delta"`
-}
-
 // State is the mutable state of one oscillator: the phase, the refractory /
-// jump-budget bookkeeping, pending reachback corrections, and the lazy
-// segment anchor. The segment anchor must round-trip exactly — Advance and
-// NextFire evaluate the closed-form segment expression, so a restore that
-// re-derived the anchor from Phase alone could round differently and drift
-// off the bit-identical trajectory.
+// jump-budget bookkeeping, and the lazy segment anchor. The segment anchor
+// must round-trip exactly — Advance and NextFire evaluate the closed-form
+// segment expression, so a restore that re-derived the anchor from Phase
+// alone could round differently and drift off the bit-identical trajectory.
 type State struct {
 	Phase        float64 `json:"phase"`
 	RefractUntil int64   `json:"refract_until"`
@@ -28,13 +21,12 @@ type State struct {
 	VirtualAnchor bool `json:"virtual_anchor,omitempty"`
 	// RetroFrom is the origin fire slot of a retro-aligned cycle (adversary
 	// runs only; zero and omitted when the cycle's fire stands unrewritten).
-	RetroFrom int64             `json:"retro_from,omitempty"`
-	Queued    []QueuedJumpState `json:"queued,omitempty"`
-	SegBase   float64           `json:"seg_base"`
-	SegSteps  int64             `json:"seg_steps"`
-	SegStep   float64           `json:"seg_step"`
-	LastMat   float64           `json:"last_mat"`
-	LastSlot  int64             `json:"last_slot"`
+	RetroFrom int64   `json:"retro_from,omitempty"`
+	SegBase   float64 `json:"seg_base"`
+	SegSteps  int64   `json:"seg_steps"`
+	SegStep   float64 `json:"seg_step"`
+	LastMat   float64 `json:"last_mat"`
+	LastSlot  int64   `json:"last_slot"`
 }
 
 // State returns a deep copy of the oscillator's mutable state, in canonical
@@ -63,9 +55,6 @@ func (o *Oscillator) State() State {
 		st.SegSteps = 0
 		st.LastMat = o.Phase
 	}
-	for _, q := range o.queued {
-		st.Queued = append(st.Queued, QueuedJumpState{ApplyAt: q.applyAt, Delta: q.delta})
-	}
 	return st
 }
 
@@ -77,10 +66,6 @@ func (o *Oscillator) SetState(st State) {
 	o.jumpsUsed = st.JumpsUsed
 	o.anchorVirtual = st.VirtualAnchor
 	o.retroFrom = st.RetroFrom
-	o.queued = o.queued[:0]
-	for _, q := range st.Queued {
-		o.queued = append(o.queued, queuedJump{applyAt: q.ApplyAt, delta: q.Delta})
-	}
 	o.segBase = st.SegBase
 	o.segSteps = st.SegSteps
 	o.segStep = st.SegStep

@@ -152,8 +152,8 @@ type Transport struct {
 	// when it exceeds the second strongest by this margin ("capture
 	// effect"); otherwise all colliding PSs are lost at that receiver.
 	// This is the "intra-group proximity signal interference due to
-	// misalignment of devices" the paper notes. Zero disables the margin
-	// (strongest always captures); negative disables collisions entirely.
+	// misalignment of devices" the paper notes. It must be ≥ 0; zero
+	// disables the margin (strongest always captures).
 	CaptureMarginDB float64
 	// Preambles is the per-codec PRACH preamble pool size. Each sender in
 	// a BroadcastAll draws one preamble uniformly; distinct preambles are
@@ -352,10 +352,9 @@ func (t *Transport) RestoreCounters(c Counters, collisions uint64) {
 // capture model: among the above-threshold arrivals at a receiver, only the
 // strongest is decoded, and only if it exceeds the runner-up by
 // CaptureMarginDB (single arrivals always decode). Each sender is charged
-// one transmission; only decoded PSs count as receptions.
-//
-// With CaptureMarginDB < 0 the collision model is disabled and every
-// above-threshold arrival is delivered, sender-major (plain threshold mode).
+// one transmission; only decoded PSs count as receptions. A one-sender wave
+// cannot collide: every above-threshold arrival is delivered (plain
+// threshold mode).
 //
 // BroadcastAll is the sequential composition of the three-step plan API:
 // PlanBroadcastAll, EvalSender for each sender in order, Resolve. Callers
@@ -390,7 +389,7 @@ type BroadcastPlan struct {
 	kind     Kind
 	service  func(sender int) int
 	slot     units.Slot
-	capture  bool  // capture/SINR grouping; false = plain threshold mode
+	capture  bool  // capture/SINR grouping; false = one sender, plain threshold mode
 	preamble []int // per sender index, capture mode only; nil = all zero
 	arrivals [][]arrival
 }
@@ -406,10 +405,9 @@ func (t *Transport) PlanBroadcastAll(senders []int, codec Codec, kind Kind, serv
 	p.t = t
 	p.senders = senders
 	p.codec, p.kind, p.service, p.slot = codec, kind, service, slot
-	// CaptureMarginDB < 0 disables the collision model; a single sender
-	// cannot collide — both fall back to plain threshold delivery, which
-	// draws no preamble.
-	p.capture = !(t.CaptureMarginDB < 0 || len(senders) == 1)
+	// A single sender cannot collide: it falls back to plain threshold
+	// delivery, which draws no preamble.
+	p.capture = len(senders) != 1
 	if cap(p.arrivals) >= len(senders) {
 		p.arrivals = p.arrivals[:len(senders)]
 	} else {
@@ -475,17 +473,6 @@ func (p *BroadcastPlan) EvalSender(k int, scratch []int) []int {
 	}
 	p.arrivals[k] = arr
 	return scratch
-}
-
-// ReceiverContiguous reports whether Resolve's delivery list visits each
-// receiver in one contiguous run (true in capture/SINR mode, where
-// deliveries are sorted by receiver, and trivially for a single sender).
-// With the collision model disabled and several senders, a receiver can
-// appear once per sender, scattered through the sender-major list — callers
-// that fan deliveries out per receiver must fall back to sequential
-// processing in that case.
-func (p *BroadcastPlan) ReceiverContiguous() bool {
-	return p.capture || len(p.senders) <= 1
 }
 
 // groupedArrival is Resolve's flat contention record: one evaluated arrival
@@ -561,25 +548,25 @@ func (t *Transport) sortGroups(pool int) {
 
 // Resolve arbitrates the evaluated arrivals into deliveries: in capture
 // mode it groups arrivals per (receiver, preamble) and applies the capture
-// or SINR rule; in plain mode every above-threshold arrival is delivered
-// sender-major. Decoded PSs are charged to the reception counters here. The
+// or SINR rule, so deliveries come out sorted by receiver; a one-sender
+// wave delivers every above-threshold arrival in the sender's neighbour
+// order, one delivery per receiver. Decoded PSs are charged to the reception counters here. The
 // returned slice aliases a transport-owned buffer and is valid until the
 // next transmission.
 func (p *BroadcastPlan) Resolve() []Delivery {
 	t := p.t
 	out := t.dels[:0]
 	if !p.capture {
-		for k, s := range p.senders {
-			for _, a := range p.arrivals[k] {
-				t.counters.Rx[p.codec]++
-				out = append(out, Delivery{
-					To: a.recv,
-					Msg: Message{
-						From: s, Codec: p.codec, Kind: p.kind,
-						Service: p.service(s), Slot: p.slot, RSSI: a.rssi,
-					},
-				})
-			}
+		s := p.senders[0]
+		for _, a := range p.arrivals[0] {
+			t.counters.Rx[p.codec]++
+			out = append(out, Delivery{
+				To: a.recv,
+				Msg: Message{
+					From: s, Codec: p.codec, Kind: p.kind,
+					Service: p.service(s), Slot: p.slot, RSSI: a.rssi,
+				},
+			})
 		}
 		t.dels = out
 		return out
