@@ -64,7 +64,9 @@ perfbench:
 #     at n=5000 and n=20000;
 #   - runstats on within 5% of off per slot at n=5000;
 #   - a degenerate asynchrony plan within 5% of no plan per slot at n=5000;
-#   - the recovery sweep with its checkpoint ring no slower than without it.
+#   - the recovery sweep with its checkpoint ring no slower than without it;
+#   - environment construction through a warm geometry cache no slower than
+#     cold construction at n=1000.
 # The stepping benchmarks measure their cases in alternating rounds (see
 # benchSlots in internal/core); the two 5% pairs take -count 5 on top, 25
 # windows a side, because one window varies by up to 10% on a busy 2-CPU
@@ -89,6 +91,7 @@ bench:
 	$(GO) run ./cmd/benchjson -in BENCH.json -pair '/off/=/on/' -match '^BenchmarkStepSlotRunStats/.*/n=5000$$' -max-pair-regress 5
 	$(GO) run ./cmd/benchjson -in BENCH.json -pair '/off/=/degen/' -match '^BenchmarkStepSlotNet/.*/n=5000$$' -max-pair-regress 5
 	$(GO) run ./cmd/benchjson -in BENCH.json -pair '/cold=/shared' -match '^BenchmarkSweepPrefix/' -max-pair-regress 0
+	$(GO) run ./cmd/benchjson -in BENCH.json -pair '/cold=/memoized' -match '^BenchmarkEnvMemoized/' -max-pair-regress 0
 
 # Regenerate every table and figure of the paper's evaluation.
 sweep:

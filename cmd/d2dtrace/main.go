@@ -47,12 +47,11 @@ func main() {
 
 func run(n int, seed int64, proto string, periods int, events bool, jsonlPath string) error {
 	cfg := core.PaperConfig(n, seed)
-	rec := trace.NewRecorder(500000)
-	cfg.FireTrace = func(slot units.Slot, dev int) { rec.Fire(slot, dev) }
-
+	// The bounded in-memory ring the rasters read keeps the fires only.
 	// The JSONL sink streams fires and protocol events (merge/join/churn/
 	// converge) in callback order — the unbounded export external tools
-	// replay, next to the bounded in-memory ring the rasters read.
+	// replay.
+	rec := trace.NewRecorder(500000)
 	var jw *trace.JSONLWriter
 	if jsonlPath != "" {
 		f, err := os.Create(jsonlPath)
@@ -61,11 +60,14 @@ func run(n int, seed int64, proto string, periods int, events bool, jsonlPath st
 		}
 		defer f.Close()
 		jw = trace.NewJSONLWriter(f)
-		cfg.FireTrace = func(slot units.Slot, dev int) {
-			rec.Fire(slot, dev)
-			jw.Write(trace.Event{Slot: slot, Kind: trace.KindFire, A: dev, B: -1})
+	}
+	cfg.EventTrace = func(ev trace.Event) {
+		if ev.Kind == trace.KindFire {
+			rec.Add(ev)
 		}
-		cfg.EventTrace = func(ev trace.Event) { jw.Write(ev) }
+		if jw != nil {
+			jw.Write(ev)
+		}
 	}
 
 	env, err := core.NewEnv(cfg)

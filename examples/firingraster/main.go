@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/trace"
-	"repro/internal/units"
 )
 
 func main() {
@@ -21,7 +20,11 @@ func main() {
 	cfg := core.PaperConfig(n, 9)
 
 	rec := trace.NewRecorder(200000)
-	cfg.FireTrace = func(slot units.Slot, dev int) { rec.Fire(slot, dev) }
+	cfg.EventTrace = func(ev trace.Event) {
+		if ev.Kind == trace.KindFire {
+			rec.Add(ev)
+		}
+	}
 
 	env, err := core.NewEnv(cfg)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/trace"
-	"repro/internal/units"
 )
 
 func TestManifestPipelineEndToEnd(t *testing.T) {
@@ -50,7 +49,11 @@ func TestTracePipelineEndToEnd(t *testing.T) {
 	cfg := PaperConfig(12, 4)
 	cfg.MaxSlots = 60000
 	rec := trace.NewRecorder(100000)
-	cfg.FireTrace = func(slot units.Slot, dev int) { rec.Fire(slot, dev) }
+	cfg.EventTrace = func(ev trace.Event) {
+		if ev.Kind == trace.KindFire {
+			rec.Add(ev)
+		}
+	}
 	res, err := Run(ST(), cfg)
 	if err != nil {
 		t.Fatal(err)

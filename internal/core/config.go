@@ -48,7 +48,8 @@ type Config struct {
 	TxPower units.DBm
 	// Threshold is the PS detection threshold (Table I: −95 dBm).
 	Threshold units.DBm
-	// ShadowSigmaDB is the log-normal shadowing σ (Table I: 10 dB).
+	// ShadowSigmaDB is the log-normal shadowing σ (Table I: 10 dB); it
+	// must be ≥ 0.
 	ShadowSigmaDB float64
 	// Fading is the fast-fading model (Table I: UMi NLOS → Rayleigh).
 	Fading radio.Fading
@@ -70,6 +71,7 @@ type Config struct {
 	// offsets in parts per million (0 = ideal clocks, the paper's
 	// assumption). Out-of-coverage UEs run on ±10–20 ppm crystals; the
 	// drift ablation sweeps far beyond that to find the breakdown point.
+	// It must be ≥ 0.
 	ClockDriftPPM float64
 	// Preambles is the per-codec PRACH preamble pool size (< 2 = one
 	// shared sequence, the default; LTE provisions up to 64). See
@@ -89,7 +91,8 @@ type Config struct {
 	// the SINR detector is stricter because sub-threshold arrivals still
 	// interfere.
 	SINRDetection bool
-	// SyncWindowSlots is the fire-alignment window defining synchrony.
+	// SyncWindowSlots is the fire-alignment window defining synchrony; it
+	// must be ≥ 0.
 	SyncWindowSlots int64
 	// StableRounds is how many consecutive aligned rounds declare
 	// convergence.
@@ -158,10 +161,6 @@ type Config struct {
 	// coupling (ablation B: isolate the topology's effect).
 	MeshCoupling bool
 
-	// FireTrace, when non-nil, is invoked for every device fire (after
-	// the slot's cascade settles) — observability for debugging and the
-	// trace tooling. It must not mutate simulation state.
-	FireTrace func(slot units.Slot, device int)
 	// ProgressTrace, when non-nil, is invoked every ProgressEvery slots
 	// during a protocol run (both protocols honour it). Use it to sample
 	// time series — discovery coverage, order parameter — as a run
@@ -171,9 +170,10 @@ type Config struct {
 	// (0 disables).
 	ProgressEvery units.Slot
 
-	// EventTrace, when non-nil, receives structured protocol events —
-	// merges, joins, churn, detected convergence — as they happen (fires
-	// keep their dedicated FireTrace hook). Sinks stream these as
+	// EventTrace, when non-nil, receives structured events as they
+	// happen: every device fire (trace.KindFire, after the slot's cascade
+	// settles) and the protocol events — merges, joins, churn, detected
+	// convergence. Sinks stream these as
 	// schema-versioned JSONL (trace.JSONLWriter) so external tools can
 	// replay runs. Like every observability hook it must not mutate
 	// simulation state, and the engine guarantees it is RNG-neutral: the
@@ -320,6 +320,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: ConnectRetryLimit %d < 0", c.ConnectRetryLimit)
 	case c.CaptureMarginDB < 0:
 		return fmt.Errorf("core: CaptureMarginDB %v < 0", c.CaptureMarginDB)
+	case c.ShadowSigmaDB < 0:
+		// The transport's candidate margin is 2σ: a negative σ shrinks the
+		// candidate radius below the deterministic coverage radius.
+		return fmt.Errorf("core: ShadowSigmaDB %v < 0", c.ShadowSigmaDB)
+	case c.SyncWindowSlots < 0:
+		return fmt.Errorf("core: SyncWindowSlots %d < 0", c.SyncWindowSlots)
+	case c.ClockDriftPPM < 0:
+		return fmt.Errorf("core: ClockDriftPPM %v < 0", c.ClockDriftPPM)
 	}
 	if err := c.Faults.Validate(c.N, int64(c.MaxSlots)); err != nil {
 		return err

@@ -74,6 +74,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Coupling = oscillator.Coupling{Alpha: 0.9, Beta: 0.1} },
 		func(c *Config) { c.ConnectRetryLimit = -1 },
 		func(c *Config) { c.CaptureMarginDB = -1 },
+		func(c *Config) { c.ShadowSigmaDB = -5 },
+		func(c *Config) { c.SyncWindowSlots = -1 },
+		func(c *Config) { c.ClockDriftPPM = -20 },
 	}
 	for i, m := range mutations {
 		cfg := base

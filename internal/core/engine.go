@@ -192,11 +192,6 @@ func newEngine(env *Env) *engine {
 		e.pool = newWorkerPool(w)
 	}
 	e.sh = newShardEngine(e, shards)
-	if e.pool != nil {
-		// Pack each shard's link rows contiguously for the workers'
-		// cache locality; a single worker gains nothing from the copy.
-		env.Transport.ReorderLinkIndex(e.sh.sm.order)
-	}
 	return e
 }
 

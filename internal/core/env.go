@@ -91,7 +91,7 @@ func newEnv(cfg Config, positions []geo.Point) (*Env, error) {
 	if cfg.Geometry != nil && drawn && !cfg.directGeometry {
 		tr = cfg.Geometry.newTransport(cfg, ch, positions)
 	} else {
-		tr = rach.NewTransport(ch, positions, cfg.TxPower, cfg.Threshold, 2*cfg.ShadowSigmaDB)
+		tr = rach.NewTransport(ch, positions, cfg.TxPower, cfg.Threshold, 2*cfg.ShadowSigmaDB, nil)
 	}
 	if cfg.directGeometry {
 		tr.DisableLinkIndex()

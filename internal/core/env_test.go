@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -79,14 +80,17 @@ func TestFireTraceHook(t *testing.T) {
 	cfg := fastConfig(10, 4)
 	fires := 0
 	var lastSlot units.Slot
-	cfg.FireTrace = func(slot units.Slot, dev int) {
+	cfg.EventTrace = func(ev trace.Event) {
+		if ev.Kind != trace.KindFire {
+			return
+		}
 		fires++
-		if slot < lastSlot {
+		if ev.Slot < lastSlot {
 			t.Fatal("fire trace slots went backwards")
 		}
-		lastSlot = slot
-		if dev < 0 || dev >= 10 {
-			t.Fatalf("bad device id %d", dev)
+		lastSlot = ev.Slot
+		if ev.A < 0 || ev.A >= 10 || ev.B != -1 {
+			t.Fatalf("bad fire event %+v", ev)
 		}
 	}
 	env := mustEnv(t, cfg)

@@ -17,14 +17,12 @@ import (
 // the proof that the next-event horizon is exact and that no RNG stream is
 // consumed at a different point.
 
-// fingerprintCfg runs proto on cfg with a FireTrace attached and returns
+// fingerprintCfg runs proto on cfg with its fires recorded and returns
 // the run fingerprint plus the alive devices' final phases.
 func fingerprintCfg(t *testing.T, proto Protocol, cfg Config) (runFingerprint, []float64) {
 	t.Helper()
 	var fires []fireEvent
-	cfg.FireTrace = func(slot units.Slot, dev int) {
-		fires = append(fires, fireEvent{slot: slot, dev: dev})
-	}
+	recordFires(&cfg, &fires)
 	env := mustEnv(t, cfg)
 	res := proto.Run(env)
 	phases := make([]float64, len(env.Devices))

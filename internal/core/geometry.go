@@ -11,9 +11,8 @@
 // cached: the deployment draw must still run so the "deployment" stream
 // cursor advances exactly as in an unmemoized run (snapshots record absolute
 // cursors; skipping draws would corrupt byte-identity). Only the built
-// LinkIndex is kept, and every env receives a private clone — Reorder
-// physically repacks rows in shard-major engine order, so the canonical build
-// must never be handed out directly.
+// LinkIndex is kept. It is immutable, so every env of the world receives the
+// same index and reads it concurrently without a copy.
 package core
 
 import (
@@ -58,7 +57,7 @@ type GeometryCache struct {
 }
 
 // geoEntry is one world's memoized index. ready closes once the first
-// caller's build finished; idx is nil when that build had no index to share.
+// caller's build finished.
 type geoEntry struct {
 	ready chan struct{}
 	idx   *rach.LinkIndex
@@ -77,11 +76,11 @@ func (g *GeometryCache) Stats() (hits, misses uint64) {
 	return g.hits, g.misses
 }
 
-// newTransport builds the env's transport, reusing the memoized index for
-// cfg's world when present and memoizing the canonical (pre-Reorder) build on
-// first sight. positions must be the stream-drawn deployment for cfg — the
-// caller guarantees this by bypassing the cache for caller-supplied
-// deployments (NewEnvAt) and for the direct-geometry test path.
+// newTransport builds the env's transport, sharing the memoized index for
+// cfg's world when present and memoizing the build on first sight. positions
+// must be the stream-drawn deployment for cfg — the caller guarantees this by
+// bypassing the cache for caller-supplied deployments (NewEnvAt) and for the
+// direct-geometry test path, so the index is never disabled here.
 func (g *GeometryCache) newTransport(cfg Config, ch *radio.Channel, positions []geo.Point) *rach.Transport {
 	key := geoKey{
 		n:             cfg.N,
@@ -103,25 +102,12 @@ func (g *GeometryCache) newTransport(cfg Config, ch *radio.Channel, positions []
 	if found {
 		<-e.ready
 		g.mu.Lock()
-		if e.idx != nil {
-			g.hits++
-		} else {
-			g.misses++
-		}
+		g.hits++
 		g.mu.Unlock()
-		if e.idx != nil {
-			return rach.NewTransportShared(ch, positions, cfg.TxPower, cfg.Threshold, 2*cfg.ShadowSigmaDB, e.idx.Clone())
-		}
-		return rach.NewTransport(ch, positions, cfg.TxPower, cfg.Threshold, 2*cfg.ShadowSigmaDB)
+		return rach.NewTransport(ch, positions, cfg.TxPower, cfg.Threshold, 2*cfg.ShadowSigmaDB, e.idx)
 	}
-	tr := rach.NewTransport(ch, positions, cfg.TxPower, cfg.Threshold, 2*cfg.ShadowSigmaDB)
-	e.idx = tr.CloneLinkIndex()
-	if e.idx == nil {
-		// Nothing to share: forget the world so a later caller builds again.
-		g.mu.Lock()
-		delete(g.entries, key)
-		g.mu.Unlock()
-	}
+	tr := rach.NewTransport(ch, positions, cfg.TxPower, cfg.Threshold, 2*cfg.ShadowSigmaDB, nil)
+	e.idx = tr.LinkIndex()
 	close(e.ready)
 	return tr
 }

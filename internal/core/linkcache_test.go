@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/rach"
 	"repro/internal/radio"
 	"repro/internal/units"
 	"repro/internal/xrand"
@@ -25,9 +26,7 @@ func geomFingerprint(t *testing.T, proto Protocol, n int, seed int64, maxSlots u
 	cfg.Workers = workers
 	cfg.directGeometry = direct
 	var fires []fireEvent
-	cfg.FireTrace = func(slot units.Slot, dev int) {
-		fires = append(fires, fireEvent{slot: slot, dev: dev})
-	}
+	recordFires(&cfg, &fires)
 	env := mustEnv(t, cfg)
 	res := proto.Run(env)
 	return runFingerprint{res: res, fires: fires}
@@ -137,13 +136,17 @@ func TestNewEnvAtRebuildsLinkIndex(t *testing.T) {
 // TestGeometryCacheConcurrentFirstFill pins the first-fill contract of the
 // geometry memoization: goroutines that look up one world at the same time
 // run the geometry pass once between them (one miss, every other lookup a
-// hit), and every run is bit-identical to the others.
+// hit), every env shares the one index, and the runs — alternating FST and
+// ST, which read the shared index concurrently — are bit-identical per
+// protocol.
 func TestGeometryCacheConcurrentFirstFill(t *testing.T) {
 	const goroutines = 8
 	cfg := PaperConfig(30, 4)
 	cfg.MaxSlots = 2000
 	cfg.Geometry = NewGeometryCache()
+	protocols := []Protocol{FST{}, ST{}}
 	results := make([]Result, goroutines)
+	indices := make([]*rach.LinkIndex, goroutines)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := range results {
@@ -156,7 +159,8 @@ func TestGeometryCacheConcurrentFirstFill(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			results[i] = ST{}.Run(env)
+			indices[i] = env.Transport.LinkIndex()
+			results[i] = protocols[i%len(protocols)].Run(env)
 		}()
 	}
 	close(start)
@@ -164,9 +168,18 @@ func TestGeometryCacheConcurrentFirstFill(t *testing.T) {
 	if hits, misses := cfg.Geometry.Stats(); misses != 1 || hits != goroutines-1 {
 		t.Errorf("geometry cache stats hits=%d misses=%d, want %d/1", hits, misses, goroutines-1)
 	}
+	if indices[0] == nil {
+		t.Fatal("env 0 has no link index")
+	}
 	for i := 1; i < goroutines; i++ {
-		if !reflect.DeepEqual(results[0], results[i]) {
-			t.Fatalf("run %d differs from run 0:\n%+v\n%+v", i, results[0], results[i])
+		if indices[i] != indices[0] {
+			t.Errorf("env %d holds its own link index, not the shared one", i)
+		}
+	}
+	for i := len(protocols); i < goroutines; i++ {
+		if ref := results[i%len(protocols)]; !reflect.DeepEqual(ref, results[i]) {
+			t.Fatalf("%s run %d differs from run %d:\n%+v\n%+v",
+				protocols[i%len(protocols)].Name(), i, i%len(protocols), ref, results[i])
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/rach"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -136,9 +137,9 @@ func (e *engine) stepSequential(slot units.Slot, couples couplingRule, opsPerPul
 		echoCur = 1 - echoCur
 	}
 	e.firedAll = fired
-	if env.Cfg.FireTrace != nil {
+	if env.Cfg.EventTrace != nil {
 		for _, f := range fired {
-			env.Cfg.FireTrace(slot, f)
+			env.Cfg.EventTrace(trace.Event{Slot: slot, Kind: trace.KindFire, A: f, B: -1})
 		}
 	}
 	if env.Cfg.ProgressTrace != nil && env.Cfg.ProgressEvery > 0 && slot%env.Cfg.ProgressEvery == 0 {

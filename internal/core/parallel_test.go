@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -15,7 +16,7 @@ import (
 // sizes are capped by MaxSlots so the large cases stay affordable —
 // bit-identity does not need convergence, only identical trajectories.
 
-// fireEvent is one FireTrace callback, in callback order.
+// fireEvent is one trace.KindFire event, in callback order.
 type fireEvent struct {
 	slot units.Slot
 	dev  int
@@ -27,15 +28,27 @@ type runFingerprint struct {
 	fires []fireEvent
 }
 
+// recordFires chains onto cfg's EventTrace hook and appends every fire event
+// it passes to *fires.
+func recordFires(cfg *Config, fires *[]fireEvent) {
+	next := cfg.EventTrace
+	cfg.EventTrace = func(ev trace.Event) {
+		if ev.Kind == trace.KindFire {
+			*fires = append(*fires, fireEvent{slot: ev.Slot, dev: ev.A})
+		}
+		if next != nil {
+			next(ev)
+		}
+	}
+}
+
 func fingerprint(t *testing.T, proto Protocol, n int, seed int64, maxSlots units.Slot, l layout) runFingerprint {
 	t.Helper()
 	cfg := PaperConfig(n, seed)
 	cfg.MaxSlots = maxSlots
 	cfg = l.apply(cfg)
 	var fires []fireEvent
-	cfg.FireTrace = func(slot units.Slot, dev int) {
-		fires = append(fires, fireEvent{slot: slot, dev: dev})
-	}
+	recordFires(&cfg, &fires)
 	env := mustEnv(t, cfg)
 	res := proto.Run(env)
 	// Strip the non-comparable pieces that don't add signal beyond the

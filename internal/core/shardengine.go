@@ -9,6 +9,7 @@ import (
 	"repro/internal/oscillator"
 	"repro/internal/rach"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -530,9 +531,9 @@ func (sh *shardEngine) step(slot units.Slot, couples couplingRule, opsPerPulse u
 		rs.AddPhase(telemetry.PhaseRefresh, time.Since(t0))
 	}
 
-	if env.Cfg.FireTrace != nil {
+	if env.Cfg.EventTrace != nil {
 		for _, f := range fired {
-			env.Cfg.FireTrace(slot, f)
+			env.Cfg.EventTrace(trace.Event{Slot: slot, Kind: trace.KindFire, A: f, B: -1})
 		}
 	}
 	if env.Cfg.ProgressTrace != nil && env.Cfg.ProgressEvery > 0 && slot%env.Cfg.ProgressEvery == 0 {

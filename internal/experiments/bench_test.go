@@ -39,8 +39,9 @@ func BenchmarkSweepPrefix(b *testing.B) {
 
 // BenchmarkEnvMemoized measures environment construction cold (positions,
 // channel state and the O(n·degree) link index built from scratch) against
-// construction through a warm GeometryCache (link index cloned from the
-// memoized build).
+// construction through a warm GeometryCache (the memoized index shared as
+// is, with no copy). `make bench` gates memoized no slower than cold in
+// BENCH.json.
 func BenchmarkEnvMemoized(b *testing.B) {
 	cfg := core.PaperConfig(1000, 7)
 	for _, v := range []struct {

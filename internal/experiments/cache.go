@@ -94,16 +94,15 @@ type cacheManifest struct {
 //
 //   - Resume: the run starts mid-trajectory; the key has no way to
 //     address the prior history.
-//   - Telemetry, RunStats, FireTrace, ProgressTrace, EventTrace,
-//     OnCheckpoint: a cache hit skips the run, so live observers
-//     would silently see nothing (for RunStats: a hit records no engine
-//     time, so an attached accumulator would report a run that never
-//     executed).
+//   - Telemetry, RunStats, ProgressTrace, EventTrace, OnCheckpoint: a
+//     cache hit skips the run, so live observers would silently see
+//     nothing (for RunStats: a hit records no engine time, so an attached
+//     accumulator would report a run that never executed).
 func CacheKey(cfg core.Config, protocol string) (key string, ok bool) {
 	if cfg.Resume != nil {
 		return "", false
 	}
-	if cfg.Telemetry != nil || cfg.RunStats != nil || cfg.FireTrace != nil || cfg.ProgressTrace != nil ||
+	if cfg.Telemetry != nil || cfg.RunStats != nil || cfg.ProgressTrace != nil ||
 		cfg.EventTrace != nil || cfg.OnCheckpoint != nil {
 		return "", false
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/snapshot"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -99,7 +100,7 @@ func TestCacheKeyRefusesUnrepresentable(t *testing.T) {
 	uncacheable := map[string]func(*core.Config){
 		"resume":       func(c *core.Config) { c.Resume = &snapshot.State{} },
 		"oncheckpoint": func(c *core.Config) { c.OnCheckpoint = func(*snapshot.State) {} },
-		"firetrace":    func(c *core.Config) { c.FireTrace = func(units.Slot, int) {} },
+		"eventtrace":   func(c *core.Config) { c.EventTrace = func(trace.Event) {} },
 		"progress":     func(c *core.Config) { c.ProgressTrace = func(units.Slot) {} },
 		"nopathloss":   func(c *core.Config) { c.PathLoss = nil },
 	}

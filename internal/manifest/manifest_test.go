@@ -75,7 +75,10 @@ func TestToConfigValidation(t *testing.T) {
 }
 
 // A negative capture margin reaches core.Config.Validate, which rejects it.
-func TestToConfigRejectsNegativeCaptureMargin(t *testing.T) {
+// toConfigWith sets one JSON key of the default manifest to value and
+// returns ToConfig's error for the result.
+func toConfigWith(t *testing.T, key string, value any) error {
+	t.Helper()
 	var b strings.Builder
 	if err := Default(20, 1).Write(&b); err != nil {
 		t.Fatal(err)
@@ -84,7 +87,7 @@ func TestToConfigRejectsNegativeCaptureMargin(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &fields); err != nil {
 		t.Fatal(err)
 	}
-	fields["capture_margin_db"] = -1
+	fields[key] = value
 	raw, err := json.Marshal(fields)
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +97,30 @@ func TestToConfigRejectsNegativeCaptureMargin(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = m.ToConfig()
-	if err == nil || !strings.Contains(err.Error(), "CaptureMarginDB -1 < 0") {
+	return err
+}
+
+func TestToConfigRejectsNegativeCaptureMargin(t *testing.T) {
+	if err := toConfigWith(t, "capture_margin_db", -1); err == nil || !strings.Contains(err.Error(), "CaptureMarginDB -1 < 0") {
 		t.Errorf("ToConfig with capture_margin_db -1: err = %v, want the CaptureMarginDB < 0 rejection", err)
+	}
+}
+
+func TestToConfigRejectsNegativeShadowSigma(t *testing.T) {
+	if err := toConfigWith(t, "shadow_sigma_db", -5); err == nil || !strings.Contains(err.Error(), "ShadowSigmaDB -5 < 0") {
+		t.Errorf("ToConfig with shadow_sigma_db -5: err = %v, want the ShadowSigmaDB < 0 rejection", err)
+	}
+}
+
+func TestToConfigRejectsNegativeSyncWindow(t *testing.T) {
+	if err := toConfigWith(t, "sync_window_slots", -1); err == nil || !strings.Contains(err.Error(), "SyncWindowSlots -1 < 0") {
+		t.Errorf("ToConfig with sync_window_slots -1: err = %v, want the SyncWindowSlots < 0 rejection", err)
+	}
+}
+
+func TestToConfigRejectsNegativeClockDrift(t *testing.T) {
+	if err := toConfigWith(t, "clock_drift_ppm", -20); err == nil || !strings.Contains(err.Error(), "ClockDriftPPM -20 < 0") {
+		t.Errorf("ToConfig with clock_drift_ppm -20: err = %v, want the ClockDriftPPM < 0 rejection", err)
 	}
 }
 

@@ -14,7 +14,7 @@ func BenchmarkBroadcastAll(b *testing.B) {
 	streams := xrand.NewStreams(1)
 	positions := geo.UniformDeployment(400, geo.Square(283), streams.Get("deploy"))
 	ch := radio.PaperChannel(streams)
-	tr := NewTransport(ch, positions, 23, -95, 20)
+	tr := NewTransport(ch, positions, 23, -95, 20, nil)
 	tr.CaptureMarginDB = 6
 	senders := make([]int, 40)
 	for i := range senders {
@@ -33,7 +33,7 @@ func benchTransport(n int, direct bool) *Transport {
 	streams := xrand.NewStreams(int64(n))
 	positions := geo.UniformDeployment(n, geo.ScaledSquare(n, 50, 100), streams.Get("deploy"))
 	ch := radio.PaperChannel(streams)
-	tr := NewTransport(ch, positions, 23, -95, 20)
+	tr := NewTransport(ch, positions, 23, -95, 20, nil)
 	if direct {
 		tr.DisableLinkIndex()
 	}

@@ -21,7 +21,7 @@ func TestCollisionsCountedUnderCaptureMargin(t *testing.T) {
 	positions := []geo.Point{{X: -30, Y: 0}, {X: 30, Y: 0}, {X: 0, Y: 0}}
 	streams := xrand.NewStreams(7)
 	ch := radio.NewChannel(radio.PaperDualSlope(), 0, radio.FadingNone, streams)
-	tr := NewTransport(ch, positions, 23, -95, 0)
+	tr := NewTransport(ch, positions, 23, -95, 0, nil)
 	tr.CaptureMarginDB = 6
 	svc := func(int) int { return 0 }
 
@@ -68,7 +68,7 @@ func TestNoCollisionOnCleanDecode(t *testing.T) {
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 50, Y: 0}, {X: 2000, Y: 0}, {X: 2010, Y: 0}}
 	streams := xrand.NewStreams(9)
 	ch := radio.NewChannel(radio.PaperDualSlope(), 0, radio.FadingNone, streams)
-	tr := NewTransport(ch, positions, 23, -95, 0)
+	tr := NewTransport(ch, positions, 23, -95, 0, nil)
 	tr.CaptureMarginDB = 6
 	svc := func(int) int { return 0 }
 	// Two senders far apart so each receiver hears exactly one arrival —

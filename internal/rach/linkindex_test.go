@@ -16,7 +16,7 @@ import (
 func noisyTransport(positions []geo.Point, seed int64, direct bool) *Transport {
 	streams := xrand.NewStreams(seed)
 	ch := radio.NewChannel(radio.PaperDualSlope(), 10, radio.FadingRayleigh, streams)
-	tr := NewTransport(ch, positions, 23, -95, 20)
+	tr := NewTransport(ch, positions, 23, -95, 20, nil)
 	if direct {
 		tr.DisableLinkIndex()
 	}
@@ -154,42 +154,6 @@ func TestCachedVsDirectSINR(t *testing.T) {
 	}
 }
 
-// TestInvalidateRebuild moves devices in place and proves Invalidate resyncs
-// the cache: after the move the transport behaves exactly like a fresh one
-// built at the new positions (same seeds), and without Invalidate the stale
-// mean powers would differ.
-func TestInvalidateRebuild(t *testing.T) {
-	positions := testPositions(50, 5)
-	tr := noisyTransport(positions, 5, false)
-	before, _, _ := tr.LinkGeometry(0, 1)
-
-	// Drift every device and rebuild.
-	drift := xrand.NewStream(99)
-	for i := range positions {
-		positions[i].X += drift.Uniform(-20, 20)
-		positions[i].Y += drift.Uniform(-20, 20)
-	}
-	tr.Invalidate()
-
-	fresh := noisyTransport(positions, 5, false)
-	for i := range positions {
-		for j := range positions {
-			if i == j {
-				continue
-			}
-			d1, m1, ok1 := tr.LinkGeometry(i, j)
-			d2, m2, ok2 := fresh.LinkGeometry(i, j)
-			if d1 != d2 || m1 != m2 || ok1 != ok2 {
-				t.Fatalf("pair (%d,%d) after Invalidate: (%v,%v,%v) vs fresh (%v,%v,%v)",
-					i, j, d1, m1, ok1, d2, m2, ok2)
-			}
-		}
-	}
-	if after, _, ok := tr.LinkGeometry(0, 1); ok && after == before {
-		t.Log("pair (0,1) distance unchanged by drift — coincidence, not a bug")
-	}
-}
-
 func compareDeliveries(t *testing.T, what string, slot units.Slot, a, b []Delivery) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -199,49 +163,5 @@ func compareDeliveries(t *testing.T, what string, slot units.Slot, a, b []Delive
 		if a[i] != b[i] {
 			t.Fatalf("%s slot %d delivery %d: %+v vs %+v", what, slot, i, a[i], b[i])
 		}
-	}
-}
-
-// TestReorderIdentityIsFree pins Reorder's early return: rows already packed
-// in the requested order — the identity on a fresh build, which a
-// single-shard engine asks for — are left in place with no copy, while a
-// real permutation still repacks without changing any row.
-func TestReorderIdentityIsFree(t *testing.T) {
-	positions := testPositions(200, 5)
-	tr := noisyTransport(positions, 5, false)
-	n := len(positions)
-	identity := make([]int32, n)
-	for i := range identity {
-		identity[i] = int32(i)
-	}
-	ids := &tr.idx.ids[0]
-	if allocs := testing.AllocsPerRun(10, func() { tr.ReorderLinkIndex(identity) }); allocs != 0 {
-		t.Errorf("identity reorder allocated %.0f times, want 0", allocs)
-	}
-	if &tr.idx.ids[0] != ids {
-		t.Error("identity reorder moved the packed rows")
-	}
-
-	want := tr.idx.Clone()
-	reversed := make([]int32, n)
-	for i := range reversed {
-		reversed[i] = int32(n - 1 - i)
-	}
-	tr.ReorderLinkIndex(reversed)
-	if &tr.idx.ids[0] == ids {
-		t.Error("a real permutation did not repack the rows")
-	}
-	for i := 0; i < n; i++ {
-		gotIDs, gotDist, gotMean := tr.idx.Row(i)
-		wantIDs, wantDist, wantMean := want.Row(i)
-		if fmt.Sprint(gotIDs, gotDist, gotMean) != fmt.Sprint(wantIDs, wantDist, wantMean) {
-			t.Fatalf("row %d changed under reorder", i)
-		}
-	}
-	// Reordering back to the identity must repack again: the rows are no
-	// longer laid out in id order.
-	tr.ReorderLinkIndex(identity)
-	if !tr.idx.packedIn(identity) {
-		t.Error("reorder to the identity left the rows out of id order")
 	}
 }

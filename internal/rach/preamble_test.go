@@ -18,7 +18,7 @@ func contendedTransport(nSenders, pool int, seed int64) (*Transport, []int) {
 	}
 	streams := xrand.NewStreams(seed)
 	ch := radio.NewChannel(radio.PaperDualSlope(), 0, radio.FadingNone, streams)
-	tr := NewTransport(ch, positions, 23, -95, 0)
+	tr := NewTransport(ch, positions, 23, -95, 0, nil)
 	tr.CaptureMarginDB = 0 // strongest always captures within a preamble
 	if pool > 1 {
 		tr.Preambles = pool

@@ -196,7 +196,6 @@ type Transport struct {
 	positions  []geo.Point
 	grid       *geo.Grid
 	idx        *LinkIndex
-	noIndex    bool
 	reach      units.Metre
 	counters   Counters
 	collisions uint64
@@ -219,88 +218,47 @@ type Transport struct {
 // shadowing/fading headroom: devices beyond it are never probed (their mean
 // path loss leaves them marginDB below threshold), devices inside it get a
 // fresh channel sample per PS.
-func NewTransport(ch *radio.Channel, positions []geo.Point, txPower, threshold units.DBm, marginDB float64) *Transport {
+//
+// idx is the deployment's link index when one is already built, nil to build
+// it here: the grid query plus one log10 per directed candidate pair that
+// dominates environment construction. A supplied idx must describe exactly
+// the deployment, channel model and powers passed here (take it from
+// LinkIndex of a transport built with identical inputs). The index is never
+// mutated, so transports of one deployment share it read-only, and every
+// lookup, row and draw is bit-identical to a freshly built one. The spatial
+// grid is built either way: the direct fallback paths and beyond-radius
+// queries need it.
+func NewTransport(ch *radio.Channel, positions []geo.Point, txPower, threshold units.DBm, marginDB float64, idx *LinkIndex) *Transport {
 	// Stretch the budget by marginDB to keep strong positive fades in.
 	reach := radio.MaxRange(ch.Model, txPower.Add(units.DB(marginDB)), threshold, 1e6)
-	t := &Transport{
-		Channel:   ch,
-		Threshold: threshold,
-		TxPower:   txPower,
-		positions: positions,
-		reach:     reach,
-	}
-	t.Invalidate()
-	return t
-}
-
-// NewTransportShared is NewTransport with the link-geometry pass replaced by
-// an already-built index: the spatial grid is still constructed (the direct
-// fallback paths and beyond-radius queries need it), but buildLinkIndex — the
-// grid query plus one log10 per directed candidate pair that dominates
-// environment construction — is skipped. idx must describe exactly the
-// deployment, channel model and powers passed here (take it from
-// CloneLinkIndex of a transport built with identical inputs); the transport
-// takes ownership and may Reorder it. Every lookup, row and draw downstream
-// is bit-identical to a NewTransport-built instance.
-func NewTransportShared(ch *radio.Channel, positions []geo.Point, txPower, threshold units.DBm, marginDB float64, idx *LinkIndex) *Transport {
-	reach := radio.MaxRange(ch.Model, txPower.Add(units.DB(marginDB)), threshold, 1e6)
-	t := &Transport{
-		Channel:   ch,
-		Threshold: threshold,
-		TxPower:   txPower,
-		positions: positions,
-		reach:     reach,
-	}
-	cell := float64(t.reach)
+	cell := float64(reach)
 	if cell <= 0 {
 		cell = 1
 	}
-	t.grid = geo.NewGrid(positions, cell)
+	t := &Transport{
+		Channel:   ch,
+		Threshold: threshold,
+		TxPower:   txPower,
+		positions: positions,
+		grid:      geo.NewGrid(positions, cell),
+		reach:     reach,
+	}
+	if idx == nil {
+		idx = buildLinkIndex(t.grid, positions, float64(reach), ch, txPower)
+	}
 	t.idx = idx
 	return t
 }
 
-// CloneLinkIndex returns a deep copy of the transport's link-geometry index
-// in its current row order, or nil when the index is disabled. Cloned before
-// any Reorder, it is the canonical build NewTransportShared expects.
-func (t *Transport) CloneLinkIndex() *LinkIndex { return t.idx.Clone() }
-
-// Invalidate rebuilds the spatial grid and the link-geometry cache from the
-// transport's current positions. NewTransport calls it once; callers that
-// re-point or mutate the deployment (mobility snapshots, tests) must call it
-// again before transmitting — the cache holds per-pair distances and mean
-// powers, so stale geometry silently desynchronises every link budget.
-func (t *Transport) Invalidate() {
-	cell := float64(t.reach)
-	if cell <= 0 {
-		cell = 1
-	}
-	t.grid = geo.NewGrid(t.positions, cell)
-	t.idx = nil
-	if !t.noIndex {
-		t.idx = buildLinkIndex(t.grid, t.positions, float64(t.reach), t.Channel, t.TxPower)
-	}
-}
-
-// ReorderLinkIndex repacks the link index's rows into the given device
-// order (see LinkIndex.Reorder) — engines that sweep senders shard-major
-// call it once at construction so a shard's candidate rows are physically
-// contiguous. Bit-neutral: row contents and all lookups are unchanged.
-// No-op when the index is disabled.
-func (t *Transport) ReorderLinkIndex(order []int32) {
-	if t.idx != nil {
-		t.idx.Reorder(order)
-	}
-}
+// LinkIndex returns the transport's link-geometry index, nil when it is
+// disabled. The index is shared read-only: callers must not modify it.
+func (t *Transport) LinkIndex() *LinkIndex { return t.idx }
 
 // DisableLinkIndex drops the transport back to direct per-call geometry (grid
 // scan + distance + path loss on every sample). The two paths are bit
 // identical; this exists so differential tests can run the reference side,
 // and as an escape hatch if the O(Σ degree) cache memory is ever unwelcome.
-func (t *Transport) DisableLinkIndex() {
-	t.noIndex = true
-	t.idx = nil
-}
+func (t *Transport) DisableLinkIndex() { t.idx = nil }
 
 // LinkGeometry returns the cached distance and deterministic mean received
 // power for the ordered pair (from, to). ok is false when the pair is beyond

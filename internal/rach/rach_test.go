@@ -12,7 +12,7 @@ import (
 func quietTransport(positions []geo.Point) *Transport {
 	streams := xrand.NewStreams(1)
 	ch := radio.NewChannel(radio.PaperDualSlope(), 0, radio.FadingNone, streams)
-	return NewTransport(ch, positions, 23, -95, 0)
+	return NewTransport(ch, positions, 23, -95, 0, nil)
 }
 
 // broadcastOne transmits a one-sender BroadcastAll wave: a single sender
@@ -116,7 +116,7 @@ func TestShadowingMakesDetectionProbabilistic(t *testing.T) {
 	// 89.1 m is the zero-noise detection boundary: with 10 dB shadowing,
 	// detection there should succeed roughly half the time.
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 89, Y: 0}}
-	tr := NewTransport(ch, positions, 23, -95, 30)
+	tr := NewTransport(ch, positions, 23, -95, 30, nil)
 	detected := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
@@ -134,8 +134,8 @@ func TestMarginExtendsCandidates(t *testing.T) {
 	streams := xrand.NewStreams(3)
 	ch := radio.NewChannel(radio.PaperDualSlope(), 10, radio.FadingNone, streams)
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 120, Y: 0}}
-	noMargin := NewTransport(ch, positions, 23, -95, 0)
-	withMargin := NewTransport(ch, positions, 23, -95, 30)
+	noMargin := NewTransport(ch, positions, 23, -95, 0, nil)
+	withMargin := NewTransport(ch, positions, 23, -95, 30, nil)
 	if noMargin.reach >= withMargin.reach {
 		t.Error("margin should extend the candidate radius")
 	}

@@ -14,7 +14,7 @@ func sinrTransport(positions []geo.Point, seed int64) *Transport {
 	ch := radio.NewChannel(radio.PaperDualSlope(), 0, radio.FadingNone, streams)
 	// A positive candidate margin matters in SINR mode: sub-threshold
 	// arrivals within the margin still interfere (core passes 2σ).
-	tr := NewTransport(ch, positions, 23, -95, 10)
+	tr := NewTransport(ch, positions, 23, -95, 10, nil)
 	tr.SINRMode = true
 	tr.NoiseFloor = radio.NoiseFloor(radio.PRACHBandwidthHz, 9)
 	tr.RequiredSNRDB = float64(units.DBm(-95) - tr.NoiseFloor)
@@ -73,7 +73,7 @@ func TestSINRModeSubThresholdInterferes(t *testing.T) {
 	capture := func() int {
 		streams := xrand.NewStreams(4)
 		ch := radio.NewChannel(radio.PaperDualSlope(), 0, radio.FadingNone, streams)
-		tr := NewTransport(ch, positions, 23, -95, 0)
+		tr := NewTransport(ch, positions, 23, -95, 0, nil)
 		tr.CaptureMarginDB = 6
 		n := 0
 		for trial := 0; trial < 50; trial++ {

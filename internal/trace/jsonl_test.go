@@ -100,13 +100,13 @@ func (*sinkError) Error() string { return "sink failed" }
 func TestRecorderDropped(t *testing.T) {
 	r := NewRecorder(3)
 	for i := 0; i < 3; i++ {
-		r.Fire(units.Slot(i), i)
+		fire(r, units.Slot(i), i)
 	}
 	if r.Dropped() != 0 {
 		t.Fatalf("Dropped = %d before wrap, want 0", r.Dropped())
 	}
 	for i := 3; i < 8; i++ {
-		r.Fire(units.Slot(i), i)
+		fire(r, units.Slot(i), i)
 	}
 	if r.Dropped() != 5 {
 		t.Fatalf("Dropped = %d, want 5", r.Dropped())

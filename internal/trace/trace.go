@@ -94,11 +94,6 @@ func (r *Recorder) Add(e Event) {
 	r.next = (r.next + 1) % len(r.buf)
 }
 
-// Fire is shorthand for recording a device fire.
-func (r *Recorder) Fire(slot units.Slot, device int) {
-	r.Add(Event{Slot: slot, Kind: KindFire, A: device, B: -1})
-}
-
 // Len returns the number of retained events.
 func (r *Recorder) Len() int { return r.count }
 

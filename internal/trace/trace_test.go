@@ -7,10 +7,15 @@ import (
 	"repro/internal/units"
 )
 
+// fire records one device fire on r, as the engine emits it.
+func fire(r *Recorder, slot units.Slot, device int) {
+	r.Add(Event{Slot: slot, Kind: KindFire, A: device, B: -1})
+}
+
 func TestRecorderOrder(t *testing.T) {
 	r := NewRecorder(10)
 	for i := 0; i < 5; i++ {
-		r.Fire(units.Slot(i), i)
+		fire(r, units.Slot(i), i)
 	}
 	evs := r.Events()
 	if len(evs) != 5 || r.Len() != 5 {
@@ -26,7 +31,7 @@ func TestRecorderOrder(t *testing.T) {
 func TestRecorderWraps(t *testing.T) {
 	r := NewRecorder(3)
 	for i := 0; i < 7; i++ {
-		r.Fire(units.Slot(i), i)
+		fire(r, units.Slot(i), i)
 	}
 	evs := r.Events()
 	if len(evs) != 3 {
@@ -41,8 +46,8 @@ func TestRecorderWraps(t *testing.T) {
 
 func TestRecorderMinCapacity(t *testing.T) {
 	r := NewRecorder(0)
-	r.Fire(1, 1)
-	r.Fire(2, 2)
+	fire(r, 1, 1)
+	fire(r, 2, 2)
 	if r.Len() != 1 || r.Events()[0].A != 2 {
 		t.Error("capacity-1 recorder should keep the latest event")
 	}
@@ -50,7 +55,7 @@ func TestRecorderMinCapacity(t *testing.T) {
 
 func TestWriteTo(t *testing.T) {
 	r := NewRecorder(4)
-	r.Fire(10, 3)
+	fire(r, 10, 3)
 	r.Add(Event{Slot: 11, Kind: KindMerge, A: 1, B: 2})
 	var b strings.Builder
 	if _, err := r.WriteTo(&b); err != nil {
