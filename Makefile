@@ -70,7 +70,10 @@ perfbench:
 # The stepping benchmarks measure their cases in alternating rounds (see
 # benchSlots in internal/core); the two 5% pairs take -count 5 on top, 25
 # windows a side, because one window varies by up to 10% on a busy 2-CPU
-# host.
+# host. The two 0% pairs (SweepPrefix, EnvMemoized) alternate their sides
+# in three rounds inside the benchmark (benchPair in internal/experiments)
+# and take no -count: repeats by -count run every cold iteration before
+# any warm one, so a drift in host speed between the blocks flips the gate.
 # Committing BENCH.json makes a ledger entry. The allocation guards are
 # tests (TestStepSlot*Allocs, TestBroadcastCachedAllocs) and run in `make
 # test`.
@@ -85,7 +88,8 @@ bench:
 	  $(BENCH) -bench '^BenchmarkRun(FST|ST|STSparse)$$/n=200\b' -benchtime 1x -count 5 ./internal/core/ ; \
 	  $(BENCH) -bench '^BenchmarkRun(FST|ST)$$/n=1000' -benchtime 1x -count 3 ./internal/core/ ; \
 	  $(BENCH) -bench '^BenchmarkBroadcast(Cached|Direct)$$' -benchtime 1000x -count 5 ./internal/rach/ ; \
-	  $(BENCH) -bench '^Benchmark(SweepPrefix|EnvMemoized|SweepCached)$$' -benchtime 1x -count 3 ./internal/experiments/ ; } \
+	  $(BENCH) -bench '^Benchmark(SweepPrefix|EnvMemoized)$$' -benchtime 1x ./internal/experiments/ ; \
+	  $(BENCH) -bench '^BenchmarkSweepCached$$' -benchtime 1x -count 3 ./internal/experiments/ ; } \
 		| $(GO) run ./cmd/benchjson -o BENCH.json
 	$(GO) run ./cmd/benchjson -in BENCH.json -pair '/seq/=/shard/' -match '^BenchmarkStepSlot/.*/n=(5000|20000)$$' -max-pair-regress 25
 	$(GO) run ./cmd/benchjson -in BENCH.json -pair '/off/=/on/' -match '^BenchmarkStepSlotRunStats/.*/n=5000$$' -max-pair-regress 5

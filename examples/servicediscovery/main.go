@@ -11,9 +11,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 
 	"repro/internal/core"
+	"repro/internal/units"
 )
 
 func main() {
@@ -33,19 +33,24 @@ func main() {
 		// Inspect one device from each group.
 		for _, id := range []int{0, 1} {
 			d := env.Devices[id]
-			peers := make([]int, 0, len(d.ServicePeers))
-			for p := range d.ServicePeers {
-				peers = append(peers, p)
-			}
-			sort.Ints(peers)
-			if len(peers) > 8 {
-				peers = peers[:8]
+			// The neighbour table lists every peer heard, in id order; a
+			// same-interest peer is one whose service tag matches.
+			var peers []int
+			var first units.DBm
+			for _, p := range env.Peers(id) {
+				if env.Devices[p.Peer].Service != d.Service {
+					continue
+				}
+				if len(peers) == 0 {
+					first = units.DBm(p.SumDB / float64(p.Count))
+				}
+				if len(peers) < 8 {
+					peers = append(peers, p.Peer)
+				}
 			}
 			fmt.Printf("UE%d (service %d) found same-interest peers %v", id, d.Service, peers)
 			if len(peers) > 0 {
-				if rssi, ok := d.MeanRSSITo(peers[0]); ok {
-					fmt.Printf("; link to UE%d averages %v", peers[0], rssi)
-				}
+				fmt.Printf("; link to UE%d averages %v", peers[0], first)
 			}
 			fmt.Println()
 		}

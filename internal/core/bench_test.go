@@ -133,10 +133,14 @@ type slotCase struct {
 // drift in the host's speed hits all of them alike and cancels out of a
 // comparison between two. Each engine is built and warmed once and steps on
 // from window to window. go test names the repeats of a case name#01,
-// name#02, ...; benchjson folds them into one row by median.
+// name#02, ...; benchjson folds them into one row by median. A -bench
+// pattern that ends a case name with $ matches only the first round, so a
+// case that ran in some rounds but not all fails the benchmark instead of
+// silently recording one window.
 func benchSlots(b *testing.B, cases ...slotCase) {
 	engines := make([]*engine, len(cases))
 	steps := make([]func(), len(cases))
+	rounds := make([]int, len(cases))
 	defer func() {
 		for _, eng := range engines {
 			if eng != nil {
@@ -146,7 +150,9 @@ func benchSlots(b *testing.B, cases ...slotCase) {
 	}()
 	for r := 0; r < benchRounds; r++ {
 		for i, c := range cases {
+			ran := false
 			b.Run(c.name, func(b *testing.B) {
+				ran = true
 				if engines[i] == nil {
 					engines[i], steps[i] = steadyEngine(b, c.cfg, 3)
 				}
@@ -156,6 +162,15 @@ func benchSlots(b *testing.B, cases ...slotCase) {
 					steps[i]()
 				}
 			})
+			if ran {
+				rounds[i]++
+			}
+		}
+	}
+	for i, c := range cases {
+		if rounds[i] > 0 && rounds[i] < benchRounds {
+			b.Fatalf("%s ran in %d of %d rounds: the -bench pattern misses its repeats %s#01…, end it with \\b instead of $",
+				c.name, rounds[i], benchRounds, c.name)
 		}
 	}
 }

@@ -122,7 +122,7 @@ func (Centralized) Run(env *Env) Result {
 			}
 			res.Counters.Tx[rach.RACH1]++ // the attempt is on the air either way
 			// A report carries the UE's whole neighbour table.
-			res.Counters.TxBytes[rach.RACH1] += 4 + 6*uint64(len(env.Devices[ue].DiscoveredPeers))
+			res.Counters.TxBytes[rach.RACH1] += 4 + 6*uint64(env.nbr.links[ue])
 			if !alone {
 				retry = append(retry, ue)
 				continue
@@ -149,17 +149,15 @@ func (Centralized) Run(env *Env) Result {
 	// Phase 3: central tree computation and timing broadcast.
 	res.Counters.Tx[rach.RACH2]++ // tree + timing downlink
 	res.Counters.TxBytes[rach.RACH2] += 4 + 8*uint64(cfg.N-1)
+	// Each heard pair becomes one edge, weighted by the lower id's mean
+	// RSSI when it heard the other, else by the higher id's.
 	g := graph.New(cfg.N)
-	type pair struct{ a, b int }
-	seen := make(map[pair]bool)
-	for i, d := range env.Devices {
-		for peer, stat := range d.DiscoveredPeers {
-			k := pair{min(i, peer), max(i, peer)}
-			if seen[k] {
-				continue
+	t := env.nbr
+	for i := range env.Devices {
+		for _, e := range t.idx.ByID(i) {
+			if p := t.idx.Peer(int(e)); t.heard(int(e)) && (p > i || !t.heard(t.idx.Mirror(int(e)))) {
+				_ = g.AddEdge(min(i, p), max(i, p), float64(t.mean(int(e))))
 			}
-			seen[k] = true
-			_ = g.AddEdge(k.a, k.b, float64(stat.Mean()))
 		}
 	}
 	tree := graph.KruskalMax(g)

@@ -90,8 +90,8 @@ func TestNoChurnByDefault(t *testing.T) {
 // observationCount fingerprints how much device i has ever observed.
 func observationCount(env *Env, i int) int {
 	total := 0
-	for _, stat := range env.Devices[i].DiscoveredPeers {
-		total += stat.Count
+	for _, e := range env.nbr.idx.ByID(i) {
+		total += int(env.nbr.count[e])
 	}
 	return total
 }

@@ -309,9 +309,9 @@ func TestDiscoveryPopulatesTables(t *testing.T) {
 		t.Errorf("service discovery ratio = %v", res.ServiceDiscovery)
 	}
 	// With a full run every device should know most of its neighbourhood.
-	for _, d := range env.Devices {
-		if len(d.DiscoveredPeers) == 0 {
-			t.Fatalf("device %d discovered nothing", d.ID)
+	for i, l := range env.nbr.links {
+		if l == 0 {
+			t.Fatalf("device %d discovered nothing", i)
 		}
 	}
 }

@@ -174,6 +174,7 @@ func engineWorkers(cfg Config) int {
 // (per-sender streams or a stateless link sampler); shared-stream
 // transports run the sharded loops inline, which preserves draw order.
 func newEngine(env *Env) *engine {
+	env.nbr.alloc()
 	e := &engine{env: env, flt: env.Faults, rs: env.Cfg.RunStats, net: env.Net, oracle: env.Cfg.oracle}
 	e.fltFilters = e.flt != nil && e.flt.Filters()
 	e.service = func(sender int) int { return int(env.Devices[sender].Service) }
@@ -264,7 +265,7 @@ func (e *engine) sample(slot units.Slot) telemetry.Sample {
 		Slot:        slot,
 		OrderParam:  oscillator.OrderParameter(buf),
 		PhaseSpread: oscillator.PhaseSpread(buf),
-		Links:       countDiscoveredLinks(env),
+		Links:       env.DiscoveredLinks(),
 		Fragments:   frags,
 		RachTx:      tc.TotalTx() + extra,
 		Collisions:  env.Transport.Collisions(),

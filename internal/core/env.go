@@ -38,6 +38,8 @@ type Env struct {
 	// adversary has a loss rate (nil otherwise); consumed only on the
 	// sequential protocol path, in handshake order.
 	netLossSrc *xrand.Stream
+	// nbr holds every device's neighbour table (neighbors.go).
+	nbr *neighborTable
 }
 
 // AliveCount returns the number of powered-on devices.
@@ -93,6 +95,9 @@ func newEnv(cfg Config, positions []geo.Point) (*Env, error) {
 	} else {
 		tr = rach.NewTransport(ch, positions, cfg.TxPower, cfg.Threshold, 2*cfg.ShadowSigmaDB, nil)
 	}
+	// The neighbour tables sit on the index's rows even on the
+	// direct-geometry path, whose deliveries find their entries by search.
+	nbr := newNeighborTable(tr.LinkIndex(), cfg.N)
 	if cfg.directGeometry {
 		tr.DisableLinkIndex()
 	}
@@ -155,7 +160,7 @@ func newEnv(cfg Config, positions []geo.Point) (*Env, error) {
 			}
 			osc.Rate = 1 + cfg.ClockDriftPPM*1e-6*z
 		}
-		devs[i] = device.New(i, positions[i], cfg.TxPower, osc, device.Service(i%cfg.Services))
+		devs[i] = &device.Device{ID: i, Pos: positions[i], TxPower: cfg.TxPower, Osc: osc, Service: device.Service(i % cfg.Services)}
 	}
 	alive := make([]bool, cfg.N)
 	for i := range alive {
@@ -183,7 +188,14 @@ func newEnv(cfg Config, positions []geo.Point) (*Env, error) {
 			netLossSrc = streams.Get("netlink")
 		}
 	}
-	return &Env{Cfg: cfg, Streams: streams, Channel: ch, Transport: tr, Devices: devs, Alive: alive, Faults: inj, Net: netq, netLossSrc: netLossSrc}, nil
+	env := &Env{Cfg: cfg, Streams: streams, Channel: ch, Transport: tr, Devices: devs, Alive: alive, Faults: inj, Net: netq, netLossSrc: netLossSrc, nbr: nbr}
+	if cfg.Resume != nil {
+		// The run's Resume overlays the rest (restoreEnvState).
+		if err := env.restoreTables(cfg.Resume); err != nil {
+			return nil, err
+		}
+	}
+	return env, nil
 }
 
 // ReferenceGraph builds the deterministic (zero-fading) proximity graph
@@ -220,14 +232,14 @@ func (e *Env) Phases() []float64 {
 // each other.
 func (e *Env) ServiceDiscoveryRatio() float64 {
 	g := e.ReferenceGraph()
+	t := e.nbr
 	total, found := 0, 0
 	for _, edge := range g.Edges() {
-		a, b := e.Devices[edge.U], e.Devices[edge.V]
-		if a.Service != b.Service {
+		if e.Devices[edge.U].Service != e.Devices[edge.V].Service {
 			continue
 		}
 		total++
-		if a.ServicePeers[b.ID] && b.ServicePeers[a.ID] {
+		if uv, ok := t.idx.Entry(edge.U, edge.V); ok && t.heard(uv) && t.heard(t.idx.Mirror(uv)) {
 			found++
 		}
 	}

@@ -31,7 +31,7 @@ func fingerprintCfg(t *testing.T, proto Protocol, cfg Config) (runFingerprint, [
 			phases[i] = d.Osc.Phase
 		}
 	}
-	return runFingerprint{res: res, fires: fires}, phases
+	return runFingerprint{res: res, fires: fires, tables: env.nbr}, phases
 }
 
 func comparePhases(t *testing.T, label string, want, got []float64) {

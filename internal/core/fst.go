@@ -307,11 +307,13 @@ func (t *fstTree) finish(res *Result) {
 // fstLinkWeight returns the latest observed RSSI on the (u,v) link from
 // whichever direction holds an observation (u's table first).
 func fstLinkWeight(env *Env, u, v int) float64 {
-	if s, ok := env.Devices[u].DiscoveredPeers[v]; ok {
-		return float64(s.Last)
-	}
-	if s, ok := env.Devices[v].DiscoveredPeers[u]; ok {
-		return float64(s.Last)
+	t := env.nbr
+	if e, ok := t.idx.Entry(u, v); ok {
+		for _, x := range [2]int{e, t.idx.Mirror(e)} {
+			if t.heard(x) {
+				return float64(t.last[x])
+			}
+		}
 	}
 	return 0
 }
@@ -328,14 +330,16 @@ func fstLinkWeight(env *Env, u, v int) float64 {
 // (a presumed device there is really dead) and nothing is ever blocked.
 func fstBestOutgoing(env *Env, inTree []bool, presumed []bool, blocked func(int, int) bool, ops *uint64) (u, v int, ok bool) {
 	excluded := func(i int) bool { return presumed != nil && (!env.Alive[i] || presumed[i]) }
+	t := env.nbr
 	best := -1e18
-	for i, d := range env.Devices {
+	for i := range env.Devices {
 		if excluded(i) {
 			continue
 		}
-		*ops += uint64(len(d.DiscoveredPeers))
-		for peer, stat := range d.DiscoveredPeers {
-			if excluded(peer) || (blocked != nil && blocked(i, peer)) {
+		*ops += uint64(t.links[i])
+		for _, e := range t.idx.ByID(i) {
+			peer := t.idx.Peer(int(e))
+			if !t.heard(int(e)) || excluded(peer) || (blocked != nil && blocked(i, peer)) {
 				continue
 			}
 			var tu, tv int
@@ -347,7 +351,7 @@ func fstBestOutgoing(env *Env, inTree []bool, presumed []bool, blocked func(int,
 			default:
 				continue
 			}
-			w := float64(stat.Last)
+			w := float64(t.last[e])
 			// Deterministic tie-break keeps runs reproducible even
 			// in the measure-zero case of equal samples.
 			if !ok || w > best || (w == best && (tu < u || (tu == u && tv < v))) {
@@ -367,13 +371,14 @@ func fstBestOutgoing(env *Env, inTree []bool, presumed []bool, blocked func(int,
 //
 // The heap holds an entry for every current crossing observation, or is
 // marked stale: crossing deliveries push on the loop goroutine once each
-// wave settles (heard), a join pushes the joiner's table toward outsiders
-// and the outsiders' entries toward the joiner, and a stale heap — at the
-// first pick, fresh or resumed, or after its buffer filled — is rebuilt
-// from one scan. Entries whose outsider joined since, or whose RSSI is no
-// longer the latest sample in either direction, are dropped when they
-// surface. The tree only grows without a fault plan, so a dropped entry
-// can never become current again.
+// wave settles (heard), a join walks the joiner's row once, pushing its
+// entry for each outsider and, through the mirror, the outsider's entry
+// for it, and a stale heap — at the first pick, fresh or resumed, or after
+// its buffer filled — is rebuilt from one walk of the members' rows.
+// Entries whose outsider joined since, or whose RSSI is no longer the
+// latest sample in either direction, are dropped when they surface. The
+// tree only grows without a fault plan, so a dropped entry can never
+// become current again.
 //
 // The buffer is allocated once per run, at the first rebuild, to hold every
 // candidate link the transport could ever deliver along (or twice the
@@ -405,49 +410,46 @@ func (a fstEdge) above(b fstEdge) bool {
 	return a.v < b.v
 }
 
-// edge orients device o's observation of peer p, at RSSI w, as a frontier
-// entry; ok is false unless it crosses the tree boundary.
-func (f *fstFrontier) edge(o, p int, w units.DBm) (e fstEdge, ok bool) {
-	switch {
-	case f.inTree[o] && !f.inTree[p]:
-		return fstEdge{w: float64(w), u: int32(o), v: int32(p)}, true
-	case !f.inTree[o] && f.inTree[p]:
-		return fstEdge{w: float64(w), u: int32(p), v: int32(o)}, true
-	}
-	return e, false
-}
-
-// heard pushes the wave's crossing deliveries. Powered-off receivers
-// recorded nothing.
+// heard pushes the wave's crossing deliveries, oriented (member,
+// outsider). Powered-off receivers recorded nothing.
 func (f *fstFrontier) heard(dels []rach.Delivery) {
 	if f.stale {
 		return
 	}
 	for i := range dels {
 		d := &dels[i]
-		if e, ok := f.edge(d.To, d.Msg.From, d.Msg.RSSI); ok && f.env.Alive[d.To] {
-			f.push(e)
+		u, v := d.Msg.From, d.To
+		if f.inTree[u] == f.inTree[v] || !f.env.Alive[v] {
+			continue
 		}
+		if f.inTree[v] {
+			u, v = v, u
+		}
+		f.push(fstEdge{w: float64(d.Msg.RSSI), u: int32(u), v: int32(v)})
 	}
 }
 
-// join pushes the observations device v's joining made crossing: v's own
-// table toward outsiders, and every outsider's entry toward v.
+// join pushes the observations device v's joining made crossing.
 func (f *fstFrontier) join(v int) {
-	if f == nil || f.stale {
-		return
+	if f != nil && !f.stale {
+		f.crossings(v, f.push)
 	}
-	for peer, s := range f.env.Devices[v].DiscoveredPeers {
-		if e, ok := f.edge(v, peer, s.Last); ok {
-			f.push(e)
-		}
-	}
-	for p, d := range f.env.Devices {
+}
+
+// crossings passes fn every observation crossing the tree boundary at
+// member v, in one walk of v's row: v's entry for each outsider, and its
+// mirror, the outsider's entry for v.
+func (f *fstFrontier) crossings(v int, fn func(fstEdge)) {
+	t := f.env.nbr
+	for _, e := range t.idx.ByID(v) {
+		p := t.idx.Peer(int(e))
 		if f.inTree[p] {
 			continue
 		}
-		if s, ok := d.DiscoveredPeers[v]; ok {
-			f.push(fstEdge{w: float64(s.Last), u: int32(v), v: int32(p)})
+		for _, x := range [2]int{int(e), t.idx.Mirror(int(e))} {
+			if t.heard(x) {
+				fn(fstEdge{w: float64(t.last[x]), u: int32(v), v: int32(p)})
+			}
 		}
 	}
 }
@@ -456,8 +458,8 @@ func (f *fstFrontier) join(v int) {
 // charges ops the scan it models: the size of every neighbour table.
 func (f *fstFrontier) best(ops *uint64) (u, v int, ok bool) {
 	links := 0
-	for _, d := range f.env.Devices {
-		links += len(d.DiscoveredPeers)
+	for _, l := range f.env.nbr.links {
+		links += int(l)
 	}
 	*ops += uint64(links)
 	if f.stale {
@@ -479,25 +481,27 @@ func (f *fstFrontier) current(e fstEdge) bool {
 	if !f.inTree[u] || f.inTree[v] {
 		return false
 	}
-	if s, ok := f.env.Devices[u].DiscoveredPeers[v]; ok && float64(s.Last) == e.w {
-		return true
+	t := f.env.nbr
+	if uv, ok := t.idx.Entry(u, v); ok {
+		for _, x := range [2]int{uv, t.idx.Mirror(uv)} {
+			if t.heard(x) && float64(t.last[x]) == e.w {
+				return true
+			}
+		}
 	}
-	s, ok := f.env.Devices[v].DiscoveredPeers[u]
-	return ok && float64(s.Last) == e.w
+	return false
 }
 
-// rebuild refills the heap from one scan of every neighbour table (links
-// entries in all).
+// rebuild refills the heap from one walk of every tree member's row (links
+// table entries in all).
 func (f *fstFrontier) rebuild(links int) {
 	if cap(f.heap) < links {
-		f.heap = make([]fstEdge, 0, max(2*links, f.env.Transport.CandidatePairs()))
+		f.heap = make([]fstEdge, 0, max(2*links, f.env.nbr.idx.Pairs()))
 	}
 	h := f.heap[:0]
-	for i, d := range f.env.Devices {
-		for peer, s := range d.DiscoveredPeers {
-			if e, ok := f.edge(i, peer, s.Last); ok {
-				h = append(h, e)
-			}
+	for v, in := range f.inTree {
+		if in {
+			f.crossings(v, func(e fstEdge) { h = append(h, e) })
 		}
 	}
 	f.heap = h

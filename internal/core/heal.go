@@ -374,7 +374,7 @@ func finishResult(env *Env, eng *engine, res *Result) {
 		res.Counters.TxBytes[c] += tc.TxBytes[c]
 	}
 	res.Energy = energy.LTEDefaults().Charge(res.Counters, env.Cfg.N, res.ConvergenceSlots)
-	res.DiscoveredLinks = countDiscoveredLinks(env)
+	res.DiscoveredLinks = env.DiscoveredLinks()
 	res.ServiceDiscovery = env.ServiceDiscoveryRatio()
 	if env.Net != nil {
 		c := env.Net.Counters()

@@ -29,7 +29,7 @@ func geomFingerprint(t *testing.T, proto Protocol, n int, seed int64, maxSlots u
 	recordFires(&cfg, &fires)
 	env := mustEnv(t, cfg)
 	res := proto.Run(env)
-	return runFingerprint{res: res, fires: fires}
+	return runFingerprint{res: res, fires: fires, tables: env.nbr}
 }
 
 func TestLinkIndexEquivalence(t *testing.T) {

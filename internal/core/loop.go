@@ -15,20 +15,6 @@ func (c *Config) emit(ev trace.Event) {
 // sender. FST couples on everything heard; ST couples along tree edges.
 type couplingRule func(sender, receiver int) bool
 
-// countDiscoveredLinks tallies the directed neighbour-table entries across
-// alive devices — a powered-off device's stale table is not discovery
-// coverage the network currently holds.
-func countDiscoveredLinks(env *Env) int {
-	total := 0
-	for i, d := range env.Devices {
-		if !env.Alive[i] {
-			continue
-		}
-		total += len(d.DiscoveredPeers)
-	}
-	return total
-}
-
 // log2ceil returns ceil(log2(n)), minimum 1 — the per-pulse ranking cost in
 // the ordered-tree structure.
 func log2ceil(n int) uint64 {

@@ -3,8 +3,9 @@ package core
 import (
 	"testing"
 
-	"repro/internal/device"
 	"repro/internal/geo"
+	"repro/internal/rach"
+	"repro/internal/units"
 )
 
 // log2ceil is the ST per-pulse ranking cost; the ops accounting of whole
@@ -34,6 +35,12 @@ func TestLog2CeilBoundaries(t *testing.T) {
 	}
 }
 
+// hear files one PS from p at device i, as the delivery phase would.
+func hear(env *Env, i, p int, rssi units.DBm) {
+	env.nbr.alloc()
+	env.nbr.record(&rach.Delivery{To: i, Msg: rach.Message{From: p, RSSI: rssi}})
+}
+
 func TestCountDiscoveredLinks(t *testing.T) {
 	cfg := PaperConfig(4, 1)
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 0, Y: 10}, {X: 10, Y: 10}}
@@ -41,19 +48,24 @@ func TestCountDiscoveredLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := countDiscoveredLinks(env); got != 0 {
+	if got := env.DiscoveredLinks(); got != 0 {
 		t.Fatalf("fresh env has %d links, want 0", got)
 	}
 	// Links are directed neighbour-table entries: observing the same peer
 	// twice is still one entry; A→B and B→A are two.
-	env.Devices[0].ObservePS(1, -60, device.Service(0))
-	env.Devices[0].ObservePS(1, -61, device.Service(0))
-	if got := countDiscoveredLinks(env); got != 1 {
+	hear(env, 0, 1, -60)
+	hear(env, 0, 1, -61)
+	if got := env.DiscoveredLinks(); got != 1 {
 		t.Errorf("after repeated observation: %d links, want 1", got)
 	}
-	env.Devices[1].ObservePS(0, -60, device.Service(0))
-	env.Devices[2].ObservePS(3, -70, device.Service(1))
-	if got := countDiscoveredLinks(env); got != 3 {
+	hear(env, 1, 0, -60)
+	hear(env, 2, 3, -70)
+	if got := env.DiscoveredLinks(); got != 3 {
 		t.Errorf("after three directed observations: %d links, want 3", got)
+	}
+	// A powered-off device's table is not coverage the network holds.
+	env.Alive[2] = false
+	if got := env.DiscoveredLinks(); got != 2 {
+		t.Errorf("with device 2 off: %d links, want 2", got)
 	}
 }

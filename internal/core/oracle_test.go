@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/asyncnet"
-	"repro/internal/device"
 	"repro/internal/faults"
 	"repro/internal/rach"
 	"repro/internal/telemetry"
@@ -105,12 +104,13 @@ func (e *engine) stepSequential(slot units.Slot, couples couplingRule, opsPerPul
 			rs.AddPhase(telemetry.PhasePlan, t1.Sub(t0))
 			t0 = t1
 		}
-		for _, del := range dels {
+		for k := range dels {
+			del := &dels[k]
 			if !env.Alive[del.To] {
 				continue // powered-off receivers hear nothing
 			}
 			recv := env.Devices[del.To]
-			recv.ObservePS(del.Msg.From, del.Msg.RSSI, device.Service(del.Msg.Service))
+			env.nbr.record(del)
 			*ops += opsPerPulse
 			if !couples(del.Msg.From, del.To) {
 				continue

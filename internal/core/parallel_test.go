@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
@@ -26,6 +27,16 @@ type fireEvent struct {
 type runFingerprint struct {
 	res   Result
 	fires []fireEvent
+	// tables is the run's final neighbour tables: two runs agree on them
+	// only if every device recorded the same observations in the same
+	// order (the dB sums are order-sensitive).
+	tables *neighborTable
+}
+
+// sameTables reports whether two runs' neighbour tables hold the same
+// count, dB sum and latest sample in every entry.
+func sameTables(a, b *neighborTable) bool {
+	return slices.Equal(a.count, b.count) && slices.Equal(a.sum, b.sum) && slices.Equal(a.last, b.last)
 }
 
 // recordFires chains onto cfg's EventTrace hook and appends every fire event
@@ -53,7 +64,7 @@ func fingerprint(t *testing.T, proto Protocol, n int, seed int64, maxSlots units
 	res := proto.Run(env)
 	// Strip the non-comparable pieces that don't add signal beyond the
 	// scalars: TreeEdges/TreePhases are pinned via weight and count.
-	fp := runFingerprint{res: res, fires: fires}
+	fp := runFingerprint{res: res, fires: fires, tables: env.nbr}
 	return fp
 }
 
@@ -75,6 +86,9 @@ func compareFingerprints(t *testing.T, label string, want, got runFingerprint) {
 	}
 	if w.ServiceDiscovery != g.ServiceDiscovery {
 		t.Errorf("%s: service discovery differs: seq %v vs par %v", label, w.ServiceDiscovery, g.ServiceDiscovery)
+	}
+	if !sameTables(want.tables, got.tables) {
+		t.Errorf("%s: neighbour tables differ", label)
 	}
 	if w.TreeWeight != g.TreeWeight || len(w.TreeEdges) != len(g.TreeEdges) {
 		t.Errorf("%s: tree differs: seq (%d edges, %v) vs par (%d edges, %v)",

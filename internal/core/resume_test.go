@@ -58,7 +58,7 @@ func checkResume(t *testing.T, label string, baseline runFingerprint, snapSlot u
 	for prefix < len(baseline.fires) && baseline.fires[prefix].slot <= snapSlot {
 		prefix++
 	}
-	stitched := runFingerprint{res: cont.res}
+	stitched := runFingerprint{res: cont.res, tables: cont.tables}
 	stitched.fires = append(stitched.fires, baseline.fires[:prefix]...)
 	stitched.fires = append(stitched.fires, cont.fires...)
 	compareFingerprints(t, label, baseline, stitched)

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/device"
 	"repro/internal/geo"
 	"repro/internal/oscillator"
 	"repro/internal/rach"
@@ -276,6 +275,7 @@ func (sh *shardEngine) deliverShard(s int, dels []rach.Delivery, couples couplin
 		t0 = time.Now()
 	}
 	env := sh.env
+	nbr := env.nbr
 	withNet := sh.eng.net != nil
 	nx := sh.nextSh[s][:0]
 	exIds := sh.echoSh[s][:0]
@@ -284,12 +284,12 @@ func (sh *shardEngine) deliverShard(s int, dels []rach.Delivery, couples couplin
 	for _, ri := range sh.shRuns[s] {
 		r := sh.runs[ri]
 		for di := r[0]; di < r[1]; di++ {
-			del := dels[di]
+			del := &dels[di]
 			if !env.Alive[del.To] {
 				continue // powered-off receivers hear nothing
 			}
 			recv := env.Devices[del.To]
-			recv.ObservePS(del.Msg.From, del.Msg.RSSI, device.Service(del.Msg.Service))
+			nbr.record(del)
 			delivered++
 			if !couples(del.Msg.From, del.To) {
 				continue

@@ -14,9 +14,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/device"
 	"repro/internal/snapshot"
 	"repro/internal/units"
 )
@@ -47,52 +45,23 @@ func captureState(env *Env, eng *engine, slot units.Slot) *snapshot.State {
 	}
 	st.Devices = make([]snapshot.DeviceState, len(env.Devices))
 	for i, d := range env.Devices {
-		st.Devices[i] = captureDevice(d)
+		ds := snapshot.DeviceState{Osc: d.Osc.State(), Peers: env.Peers(i)}
+		ds.ServicePeers = env.servicePeers(i, ds.Peers)
+		st.Devices[i] = ds
 	}
 	return st
 }
 
-// captureDevice copies one device's mutable state, serializing the peer maps
-// as sorted slices so the encoded form is byte-stable.
-func captureDevice(d *device.Device) snapshot.DeviceState {
-	ds := snapshot.DeviceState{Osc: d.Osc.State()}
-	for peer, stat := range d.DiscoveredPeers {
-		ds.Peers = append(ds.Peers, snapshot.PeerStat{
-			Peer:  peer,
-			Count: stat.Count,
-			SumDB: stat.SumDB,
-			Last:  float64(stat.Last),
-		})
-	}
-	sort.Slice(ds.Peers, func(i, j int) bool { return ds.Peers[i].Peer < ds.Peers[j].Peer })
-	for peer := range d.ServicePeers {
-		ds.ServicePeers = append(ds.ServicePeers, peer)
-	}
-	sort.Ints(ds.ServicePeers)
-	return ds
-}
-
 // restoreEnvState overlays a snapshot's environment-level state onto a
-// freshly built Env. It must run before newEngine — the engine derives its
-// next-fire schedule from the oscillator states this installs.
+// freshly built Env, whose NewEnv already installed the snapshot's
+// neighbour tables (restoreTables). It must run before newEngine — the
+// engine derives its next-fire schedule from the oscillator states this
+// installs.
 func restoreEnvState(env *Env, st *snapshot.State) {
 	env.Streams.Restore(st.Streams)
 	copy(env.Alive, st.Alive)
 	for i, ds := range st.Devices {
-		d := env.Devices[i]
-		d.Osc.SetState(ds.Osc)
-		d.DiscoveredPeers = make(map[int]device.RSSIStat, len(ds.Peers))
-		for _, p := range ds.Peers {
-			d.DiscoveredPeers[p.Peer] = device.RSSIStat{
-				Count: p.Count,
-				SumDB: p.SumDB,
-				Last:  units.DBm(p.Last),
-			}
-		}
-		d.ServicePeers = make(map[int]bool, len(ds.ServicePeers))
-		for _, p := range ds.ServicePeers {
-			d.ServicePeers[p] = true
-		}
+		env.Devices[i].Osc.SetState(ds.Osc)
 	}
 	env.Transport.RestoreCounters(st.Transport.Counters, st.Transport.Collisions)
 	if env.Faults != nil {

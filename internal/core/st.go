@@ -362,23 +362,24 @@ func ghsKind(k ghs.MessageKind) rach.Kind {
 	}
 }
 
-// snapshotNeighbors converts the devices' discovered RSSI statistics into
-// the merge protocol's neighbour tables. The weight is the mean observed
-// RSSI in dBm — monotone in PS strength, exactly the paper's "weight of
-// edge is directly proportional to PS strength observed by nodes". A
-// non-nil presumed restricts the tables to devices that are powered on and
-// not presumed dead by the watchdog: a repair round must not route
-// re-attachment through a corpse.
+// snapshotNeighbors converts the devices' neighbour tables into the merge
+// protocol's neighbour lists, each in peer-id order. The weight is the mean
+// observed RSSI in dBm — monotone in PS strength, exactly the paper's
+// "weight of edge is directly proportional to PS strength observed by
+// nodes". A non-nil presumed restricts the lists to devices that are
+// powered on and not presumed dead by the watchdog: a repair round must not
+// route re-attachment through a corpse.
 func snapshotNeighbors(env *Env, presumed []bool) [][]ghs.Neighbor {
 	usable := func(i int) bool { return presumed == nil || (env.Alive[i] && !presumed[i]) }
+	t := env.nbr
 	out := make([][]ghs.Neighbor, len(env.Devices))
-	for i, d := range env.Devices {
+	for i := range env.Devices {
 		if !usable(i) {
 			continue
 		}
-		for peer, stat := range d.DiscoveredPeers {
-			if usable(peer) {
-				out[i] = append(out[i], ghs.Neighbor{Peer: peer, Weight: float64(stat.Mean())})
+		for _, e := range t.idx.ByID(i) {
+			if peer := t.idx.Peer(int(e)); t.heard(int(e)) && usable(peer) {
+				out[i] = append(out[i], ghs.Neighbor{Peer: peer, Weight: float64(t.mean(int(e)))})
 			}
 		}
 	}

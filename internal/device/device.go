@@ -34,66 +34,6 @@ type Device struct {
 	Osc *oscillator.Oscillator
 	// Service is the device's service interest tag.
 	Service Service
-
-	// DiscoveredPeers maps peer id -> running mean RSSI in dBm, built
-	// from received PSs (physical-level proximity discovery).
-	DiscoveredPeers map[int]RSSIStat
-	// ServicePeers is the subset of discovered peers sharing this
-	// device's Service tag (application-level discovery).
-	ServicePeers map[int]bool
-}
-
-// RSSIStat accumulates the RSSI observations a device holds about one peer.
-// Averaging happens in the dB domain (the shadowing term is Gaussian there,
-// so the dB mean is the maximum-likelihood combiner). Last keeps the most
-// recent single sample — the quantity the FST baseline ranks links by,
-// since (per the paper) it "did not consider how the signal strength will
-// vary ... when noise or real environment come in picture".
-type RSSIStat struct {
-	Count int
-	SumDB float64
-	Last  units.DBm
-}
-
-// Add returns the stat extended with one observation.
-func (s RSSIStat) Add(rssi units.DBm) RSSIStat {
-	return RSSIStat{Count: s.Count + 1, SumDB: s.SumDB + float64(rssi), Last: rssi}
-}
-
-// Mean returns the mean observed RSSI. It panics on an empty stat.
-func (s RSSIStat) Mean() units.DBm {
-	if s.Count == 0 {
-		panic("device: Mean of empty RSSIStat")
-	}
-	return units.DBm(s.SumDB / float64(s.Count))
-}
-
-// New returns a device with an initialized peer table.
-func New(id int, pos geo.Point, txPower units.DBm, osc *oscillator.Oscillator, svc Service) *Device {
-	return &Device{
-		ID: id, Pos: pos, TxPower: txPower, Osc: osc, Service: svc,
-		DiscoveredPeers: make(map[int]RSSIStat),
-		ServicePeers:    make(map[int]bool),
-	}
-}
-
-// ObservePS records a received PS from peer with the given RSSI and service
-// tag, updating both discovery tables.
-func (d *Device) ObservePS(peer int, rssi units.DBm, svc Service) {
-	d.DiscoveredPeers[peer] = d.DiscoveredPeers[peer].Add(rssi)
-	if svc == d.Service {
-		d.ServicePeers[peer] = true
-	}
-}
-
-// MeanRSSITo returns the device's current RSSI estimate toward peer and
-// whether any observation exists.
-func (d *Device) MeanRSSITo(peer int) (units.DBm, bool) {
-	s, ok := d.DiscoveredPeers[peer]
-	if !ok {
-		return 0, false
-	}
-	return s.Mean(), true
 }
 
 // String implements fmt.Stringer.

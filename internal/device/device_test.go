@@ -1,7 +1,6 @@
 package device
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/geo"
@@ -12,52 +11,7 @@ import (
 
 func newTestDevice(id int, svc Service) *Device {
 	osc := oscillator.New(0, 100, oscillator.DefaultCoupling())
-	return New(id, geo.Point{X: 1, Y: 2}, 23, osc, svc)
-}
-
-func TestObservePSUpdatesDiscovery(t *testing.T) {
-	d := newTestDevice(0, 1)
-	d.ObservePS(5, -80, 1)
-	d.ObservePS(5, -90, 1)
-	d.ObservePS(7, -70, 2)
-
-	rssi, ok := d.MeanRSSITo(5)
-	if !ok {
-		t.Fatal("peer 5 not discovered")
-	}
-	if math.Abs(float64(rssi)+85) > 1e-12 {
-		t.Errorf("mean RSSI = %v, want -85", rssi)
-	}
-	if !d.ServicePeers[5] {
-		t.Error("peer 5 shares service 1, should be a service peer")
-	}
-	if d.ServicePeers[7] {
-		t.Error("peer 7 has service 2, must not be a service peer")
-	}
-	if _, ok := d.MeanRSSITo(99); ok {
-		t.Error("undiscovered peer reported")
-	}
-}
-
-func TestRSSIStat(t *testing.T) {
-	var s RSSIStat
-	s = s.Add(-80).Add(-84)
-	if s.Count != 2 {
-		t.Errorf("count = %d", s.Count)
-	}
-	if got := float64(s.Mean()); math.Abs(got+82) > 1e-12 {
-		t.Errorf("mean = %v, want -82", got)
-	}
-}
-
-func TestRSSIStatEmptyMeanPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Mean of empty stat should panic")
-		}
-	}()
-	var s RSSIStat
-	s.Mean()
+	return &Device{ID: id, Pos: geo.Point{X: 1, Y: 2}, TxPower: 23, Osc: osc, Service: svc}
 }
 
 func TestDeviceString(t *testing.T) {

@@ -452,13 +452,9 @@ func Timeline(n int, seed int64) (*metrics.Table, error) {
 	var samples []sample
 	env.Cfg.ProgressEvery = units.Slot(cfg.PeriodSlots)
 	env.Cfg.ProgressTrace = func(slot units.Slot) {
-		links := 0
-		for _, d := range env.Devices {
-			links += len(d.DiscoveredPeers)
-		}
 		samples = append(samples, sample{
 			slot:    slot,
-			links:   links,
+			links:   env.DiscoveredLinks(),
 			service: env.ServiceDiscoveryRatio(),
 			order:   oscillator.OrderParameter(env.Phases()),
 		})

@@ -160,8 +160,62 @@ func compareDeliveries(t *testing.T, what string, slot units.Slot, a, b []Delive
 		t.Fatalf("%s slot %d: %d vs %d deliveries", what, slot, len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		// The cached side carries its link-index entry; the direct side
+		// has none to carry.
+		if a[i].To != b[i].To || a[i].Msg != b[i].Msg {
 			t.Fatalf("%s slot %d delivery %d: %+v vs %+v", what, slot, i, a[i], b[i])
+		}
+	}
+}
+
+// TestLinkIndexMirrorInvolution pins the two views the transpose builds
+// without a sort or a search: every entry's mirror mirrors back to it, names
+// the entry's row owner, and sits in the row of the peer the entry names;
+// every row's by-id list is ascending; and a delivery's carried entry maps
+// to the same receiver entry the search finds.
+func TestLinkIndexMirrorInvolution(t *testing.T) {
+	for _, n := range []int{50, 400, 2000} {
+		for _, seed := range []int64{1, 2, 3} {
+			positions := testPositions(n, seed)
+			tr := noisyTransport(positions, seed, false)
+			x := tr.idx
+			for i := 0; i < n; i++ {
+				lo, hi := x.off[i], x.off[i+1]
+				for e := lo; e < hi; e++ {
+					m := x.Mirror(e)
+					if x.Mirror(m) != e {
+						t.Fatalf("n=%d seed=%d: rev[rev[%d]] = %d", n, seed, e, x.Mirror(m))
+					}
+					if x.Peer(m) != i {
+						t.Fatalf("n=%d seed=%d: entry %d of row %d mirrors to %d, which names %d", n, seed, e, i, m, x.Peer(m))
+					}
+					j := x.Peer(e)
+					if m < x.off[j] || m >= x.off[j+1] {
+						t.Fatalf("n=%d seed=%d: mirror %d of (%d→%d) is outside row %d", n, seed, m, i, j, j)
+					}
+				}
+				byID := x.ByID(i)
+				for k, e := range byID {
+					if int(e) < lo || int(e) >= hi {
+						t.Fatalf("n=%d seed=%d: row %d's by-id list holds entry %d of another row", n, seed, i, e)
+					}
+					if k > 0 && x.Peer(int(byID[k-1])) >= x.Peer(int(e)) {
+						t.Fatalf("n=%d seed=%d: row %d's by-id list is not ascending", n, seed, i)
+					}
+				}
+			}
+			service := func(s int) int { return 0 }
+			for slot := units.Slot(1); slot <= 5; slot++ {
+				senders := []int{int(slot) % n, (int(slot) * 17) % n}
+				for _, d := range tr.BroadcastAll(senders, RACH1, KindPulse, service, slot) {
+					carried, ok := x.EntryOf(&d)
+					searched, found := x.Entry(d.To, d.Msg.From)
+					if !ok || !found || carried != searched {
+						t.Fatalf("n=%d seed=%d: delivery %d→%d maps to entry %d/%v, search finds %d/%v",
+							n, seed, d.Msg.From, d.To, carried, ok, searched, found)
+					}
+				}
+			}
 		}
 	}
 }

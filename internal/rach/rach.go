@@ -101,6 +101,10 @@ type Message struct {
 type Delivery struct {
 	To  int
 	Msg Message
+	// link is 1 + the sender-row LinkIndex entry the delivery travelled
+	// along when the transport resolved it over its index, else 0, so the
+	// zero value never reads as entry 0 (LinkIndex.EntryOf).
+	link int32
 }
 
 // PayloadBytes returns the over-the-air payload size of a message kind, per
@@ -265,10 +269,12 @@ func (t *Transport) DisableLinkIndex() { t.idx = nil }
 // the candidate radius or the cache is disabled; callers then fall back to
 // computing the pair geometry directly.
 func (t *Transport) LinkGeometry(from, to int) (d units.Metre, meanRx units.DBm, ok bool) {
-	if t.idx == nil {
-		return 0, 0, false
+	if t.idx != nil {
+		if e, ok := t.idx.Entry(from, to); ok {
+			return t.idx.dist[e], t.idx.meanRx[e], true
+		}
 	}
-	return t.idx.Lookup(from, to)
+	return 0, 0, false
 }
 
 // N returns the number of devices on the transport.
@@ -276,16 +282,6 @@ func (t *Transport) N() int { return len(t.positions) }
 
 // Position returns device i's position.
 func (t *Transport) Position(i int) geo.Point { return t.positions[i] }
-
-// CandidatePairs returns the number of directed candidate pairs the link
-// index holds (0 when it is disabled). Every delivery runs along one, so it
-// bounds the entries of all neighbour tables together.
-func (t *Transport) CandidatePairs() int {
-	if t.idx == nil {
-		return 0
-	}
-	return t.idx.Pairs()
-}
 
 // Counters returns a copy of the current counters.
 func (t *Transport) Counters() Counters { return t.counters }
@@ -326,10 +322,11 @@ func (t *Transport) BroadcastAll(senders []int, codec Codec, kind Kind, service 
 	return p.Resolve()
 }
 
-// arrival is one candidate reception produced by EvalSender: the receiver
-// and the sampled received power.
+// arrival is one candidate reception produced by EvalSender: the receiver,
+// the delivery's link (Delivery.link) and the sampled received power.
 type arrival struct {
-	recv int
+	recv int32
+	link int32
 	rssi units.DBm
 }
 
@@ -409,9 +406,10 @@ func (p *BroadcastPlan) EvalSender(k int, scratch []int) []int {
 	}
 	if t.idx != nil {
 		ids, dist, mean := t.idx.Row(s)
+		link := int32(t.idx.off[s]) + 1
 		for q, j := range ids {
 			if rx, ok := t.sample(s, int(j), dist[q], mean[q], keep, p.slot); ok {
-				arr = append(arr, arrival{recv: int(j), rssi: rx})
+				arr = append(arr, arrival{recv: j, link: link + int32(q), rssi: rx})
 			}
 		}
 		p.arrivals[k] = arr
@@ -426,7 +424,7 @@ func (p *BroadcastPlan) EvalSender(k int, scratch []int) []int {
 			mean = t.Channel.MeanReceivedPower(t.TxPower, d)
 		}
 		if rx, ok := t.sample(s, j, d, mean, keep, p.slot); ok {
-			arr = append(arr, arrival{recv: j, rssi: rx})
+			arr = append(arr, arrival{recv: int32(j), rssi: rx})
 		}
 	}
 	p.arrivals[k] = arr
@@ -441,6 +439,7 @@ type groupedArrival struct {
 	recv     int32
 	preamble int32
 	sender   int32
+	link     int32
 	rssi     units.DBm
 }
 
@@ -519,11 +518,12 @@ func (p *BroadcastPlan) Resolve() []Delivery {
 		for _, a := range p.arrivals[0] {
 			t.counters.Rx[p.codec]++
 			out = append(out, Delivery{
-				To: a.recv,
+				To: int(a.recv),
 				Msg: Message{
 					From: s, Codec: p.codec, Kind: p.kind,
 					Service: p.service(s), Slot: p.slot, RSSI: a.rssi,
 				},
+				link: a.link,
 			})
 		}
 		t.dels = out
@@ -545,8 +545,8 @@ func (p *BroadcastPlan) Resolve() []Delivery {
 		}
 		for _, a := range p.arrivals[k] {
 			g = append(g, groupedArrival{
-				recv: int32(a.recv), preamble: pre,
-				sender: int32(s), rssi: a.rssi,
+				recv: a.recv, preamble: pre,
+				sender: int32(s), link: a.link, rssi: a.rssi,
 			})
 		}
 	}
@@ -599,6 +599,7 @@ func (p *BroadcastPlan) Resolve() []Delivery {
 				From: int(arr[best].sender), Codec: p.codec, Kind: p.kind,
 				Service: p.service(int(arr[best].sender)), Slot: p.slot, RSSI: arr[best].rssi,
 			},
+			link: arr[best].link,
 		})
 		lo = hi
 	}

@@ -56,8 +56,8 @@ type Envelope struct {
 	State  json.RawMessage `json:"state"`
 }
 
-// PeerStat is one row of a device's discovery table (device.RSSIStat keyed
-// by peer), serialized in sorted-peer order.
+// PeerStat is one row of a device's neighbour table — what it heard from
+// one peer — serialized in sorted-peer order.
 type PeerStat struct {
 	Peer  int     `json:"peer"`
 	Count int     `json:"count"`
