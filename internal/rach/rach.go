@@ -15,6 +15,7 @@ package rach
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/radio"
@@ -211,7 +212,7 @@ type Transport struct {
 	dels      []Delivery
 	plan      BroadcastPlan
 	groups    groupedArrivals
-	groupsAlt groupedArrivals // counting-sort ping-pong buffer
+	groupsAlt groupedArrivals // counting-sort buffer of the preamble pass
 	recvCount []int32         // counting-sort bucket offsets, len N+1
 	preCount  []int32
 	interf    []units.DBm
@@ -323,11 +324,36 @@ func (t *Transport) BroadcastAll(senders []int, codec Codec, kind Kind, service 
 }
 
 // arrival is one candidate reception produced by EvalSender: the receiver,
-// the delivery's link (Delivery.link) and the sampled received power.
+// the delivery's link (Delivery.link) and the sampled received power. An
+// arrival whose Rayleigh gain is deferred has u > 0: rssi then holds the
+// power before fading and u the fading uniform, and the exact received
+// power rssi + RayleighPowerDBAt(u) is paid for only when Resolve needs it.
+// u = 0 marks rssi exact (RayleighUniform never returns 0).
 type arrival struct {
 	recv int32
 	link int32
 	rssi units.DBm
+	u    float64
+}
+
+// exact returns the arrival's received power, computing a deferred gain
+// exactly as radio.Channel.SampleAtLeast does.
+func (a *arrival) exact() units.DBm {
+	if a.u == 0 {
+		return a.rssi
+	}
+	return a.rssi.Add(units.DB(xrand.RayleighPowerDBAt(a.u)))
+}
+
+// bounds returns lo ≤ exact() ≤ hi from the gain's bound tables, without a
+// logarithm: float addition rounds monotonically, so bounding the gain
+// bounds the rounded sum.
+func (a *arrival) bounds() (lo, hi units.DBm) {
+	if a.u == 0 {
+		return a.rssi, a.rssi
+	}
+	gl, gh := xrand.RayleighPowerDBBounds(a.u)
+	return a.rssi.Add(units.DB(gl)), a.rssi.Add(units.DB(gh))
 }
 
 // BroadcastPlan carries one same-slot broadcast wave through its three
@@ -345,6 +371,7 @@ type BroadcastPlan struct {
 	service  func(sender int) int
 	slot     units.Slot
 	capture  bool  // capture/SINR grouping; false = one sender, plain threshold mode
+	deferred bool  // EvalSender defers Rayleigh gains (see PlanBroadcastAll)
 	preamble []int // per sender index, capture mode only; nil = all zero
 	arrivals [][]arrival
 }
@@ -363,6 +390,13 @@ func (t *Transport) PlanBroadcastAll(senders []int, codec Codec, kind Kind, serv
 	// A single sender cannot collide: it falls back to plain threshold
 	// delivery, which draws no preamble.
 	p.capture = len(senders) != 1
+	// Under the capture rule only each group's winner has its power read;
+	// the rest are only compared, which Resolve mostly settles on bounds.
+	// Every other mode reads every arrival's power: a one-sender wave
+	// delivers them all, SINR sums them, a LinkSampler or Rician fading
+	// draws no uniform to defer.
+	p.deferred = p.capture && !t.SINRMode && t.LinkSampler == nil && t.SenderStreams != nil &&
+		t.idx != nil && t.Channel.Fading == radio.FadingRayleigh
 	if cap(p.arrivals) >= len(senders) {
 		p.arrivals = p.arrivals[:len(senders)]
 	} else {
@@ -398,6 +432,10 @@ func (p *BroadcastPlan) EvalSender(k int, scratch []int) []int {
 	t := p.t
 	s := p.senders[k]
 	arr := p.arrivals[k][:0]
+	if p.deferred {
+		p.arrivals[k] = t.evalDeferred(s, arr)
+		return scratch
+	}
 	// The capture model drops sub-threshold arrivals outright; the SINR
 	// model keeps them — they still interfere.
 	keep := t.Threshold
@@ -431,76 +469,127 @@ func (p *BroadcastPlan) EvalSender(k int, scratch []int) []int {
 	return scratch
 }
 
+// evalDeferred is EvalSender's capture-wave loop over sender s's row,
+// appending its arrivals to arr. It draws each candidate's shadowing and
+// fading uniform from s's stream exactly as radio.Channel.SampleAtLeast
+// does, and decides the threshold on the gain's bounds: below it on the
+// upper bound, the candidate is dropped; at or above it on the lower bound,
+// the arrival is kept with its gain deferred. Only a candidate whose bounds
+// straddle the threshold pays for its exact power here.
+func (t *Transport) evalDeferred(s int, arr []arrival) []arrival {
+	ids, _, mean := t.idx.Row(s)
+	link := int32(t.idx.off[s]) + 1
+	src := t.SenderStreams[s]
+	sigma := t.Channel.ShadowSigmaDB
+	thr := t.Threshold
+	for q, j := range ids {
+		p := mean[q]
+		if sigma != 0 {
+			p = p.Add(units.DB(src.LogNormalDB(sigma)))
+		}
+		u := src.RayleighUniform()
+		gl, gh := xrand.RayleighPowerDBBounds(u)
+		if !p.Add(units.DB(gh)).AtLeast(thr) {
+			continue
+		}
+		a := arrival{recv: j, link: link + int32(q), rssi: p, u: u}
+		if !p.Add(units.DB(gl)).AtLeast(thr) {
+			if a.rssi, a.u = a.exact(), 0; !a.rssi.AtLeast(thr) {
+				continue
+			}
+		}
+		arr = append(arr, a)
+	}
+	return arr
+}
+
 // groupedArrival is Resolve's flat contention record: one evaluated arrival
-// tagged with its contention group (receiver, preamble) and its sender's
-// plan index k, which preserves the within-group contender order the
-// previous map-of-slices grouping produced (senders appended in k order).
+// tagged with its contention group (receiver, preamble) and its sender.
+// Within a group, records keep the senders' plan order, the contender order
+// the previous map-of-slices grouping produced.
 type groupedArrival struct {
-	recv     int32
+	arrival
 	preamble int32
 	sender   int32
-	link     int32
-	rssi     units.DBm
 }
 
 type groupedArrivals []groupedArrival
 
-// sortGroups orders t.groups by (recv, preamble, sender-index) without a
-// comparison sort: the flatten pass emits records in sender-index order, so
-// two stable counting-sort passes — by preamble (skipped when every sender
-// shares preamble 0), then by receiver — complete an LSD radix sort in
-// O(arrivals + N + pool). A wave at n=5000 carries ~60k arrivals; the
-// comparison sort's A·log A interface calls dominated the whole slot, and a
-// per-wave map of per-group slices (the original grouping) allocates — this
-// is the shape that is both fast and allocation-free.
-func (t *Transport) sortGroups(pool int) {
-	src := t.groups
-	if len(src) == 0 {
-		return
+// groupArrivals fills t.groups with the wave's arrivals ordered by
+// (receiver, preamble, sender index) without a comparison sort: stable
+// counting-sort passes scatter them straight from the per-sender lists,
+// visited in sender-index order — by receiver alone when every sender
+// shares preamble 0, else by preamble into groupsAlt and then by receiver
+// (an LSD radix sort), in O(arrivals + N + pool). A wave at n=5000 carries
+// ~60k arrivals; the comparison sort's A·log A interface calls dominated
+// the whole slot, and a per-wave map of per-group slices (the original
+// grouping) allocates — this is the shape that is both fast and
+// allocation-free. Both buffers grow amortized.
+func (p *BroadcastPlan) groupArrivals() groupedArrivals {
+	t := p.t
+	total := 0
+	for _, arr := range p.arrivals {
+		total += len(arr)
 	}
-	if cap(t.groupsAlt) < len(src) {
-		t.groupsAlt = make(groupedArrivals, len(src))
-	}
-	dst := t.groupsAlt[:len(src)]
-	if pool > 1 {
-		if cap(t.preCount) < pool+1 {
-			t.preCount = make([]int32, pool+1)
+	g := slices.Grow(t.groups[:0], total)[:total]
+	t.groups = g
+	recv := zeroed(&t.recvCount, len(t.positions)+1)
+	if len(p.preamble) == 0 {
+		for _, arr := range p.arrivals {
+			for i := range arr {
+				recv[arr[i].recv+1]++
+			}
 		}
-		counts := t.preCount[:pool+1]
-		for i := range counts {
-			counts[i] = 0
+		prefixSum(recv)
+		for k, s := range p.senders {
+			for _, a := range p.arrivals[k] {
+				g[recv[a.recv]] = groupedArrival{arrival: a, sender: int32(s)}
+				recv[a.recv]++
+			}
 		}
-		for i := range src {
-			counts[src[i].preamble+1]++
+		return g
+	}
+	pre := zeroed(&t.preCount, t.Preambles+1)
+	for k, arr := range p.arrivals {
+		pre[p.preamble[k]+1] += int32(len(arr))
+	}
+	prefixSum(pre)
+	alt := slices.Grow(t.groupsAlt[:0], total)[:total]
+	t.groupsAlt = alt
+	for k, s := range p.senders {
+		q := p.preamble[k]
+		for _, a := range p.arrivals[k] {
+			alt[pre[q]] = groupedArrival{arrival: a, preamble: int32(q), sender: int32(s)}
+			pre[q]++
 		}
-		for i := 1; i < len(counts); i++ {
-			counts[i] += counts[i-1]
-		}
-		for i := range src {
-			dst[counts[src[i].preamble]] = src[i]
-			counts[src[i].preamble]++
-		}
-		src, dst = dst, src
 	}
-	n := int32(len(t.positions))
-	if cap(t.recvCount) < int(n)+1 {
-		t.recvCount = make([]int32, n+1)
+	for i := range alt {
+		recv[alt[i].recv+1]++
 	}
-	counts := t.recvCount[:n+1]
-	for i := range counts {
-		counts[i] = 0
+	prefixSum(recv)
+	for i := range alt {
+		g[recv[alt[i].recv]] = alt[i]
+		recv[alt[i].recv]++
 	}
-	for i := range src {
-		counts[src[i].recv+1]++
+	return g
+}
+
+// zeroed returns (*buf)[:n] cleared, growing *buf when it is shorter.
+func zeroed(buf *[]int32, n int) []int32 {
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
 	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
+	c := (*buf)[:n]
+	clear(c)
+	return c
+}
+
+// prefixSum turns per-bucket counts, shifted up by one, into each bucket's
+// start offset.
+func prefixSum(c []int32) {
+	for i := 1; i < len(c); i++ {
+		c[i] += c[i-1]
 	}
-	for i := range src {
-		dst[counts[src[i].recv]] = src[i]
-		counts[src[i].recv]++
-	}
-	t.groups, t.groupsAlt = dst, src
 }
 
 // Resolve arbitrates the evaluated arrivals into deliveries: in capture
@@ -529,82 +618,133 @@ func (p *BroadcastPlan) Resolve() []Delivery {
 		t.dels = out
 		return out
 	}
-	// Flatten arrivals into contention records and radix-sort group-major.
-	// Flatten order is sender-index order and the counting passes are
-	// stable, so the resulting group sequence and within-group contender
-	// order match what sorting map keys and appending per sender used to
-	// produce — with no map, no per-group slices, and reusable backing
-	// arrays.
-	g := t.groups[:0]
-	pool := 1
-	for k, s := range p.senders {
-		pre := int32(0)
-		if len(p.preamble) > 0 {
-			pre = int32(p.preamble[k])
-			pool = t.Preambles
-		}
-		for _, a := range p.arrivals[k] {
-			g = append(g, groupedArrival{
-				recv: a.recv, preamble: pre,
-				sender: int32(s), link: a.link, rssi: a.rssi,
-			})
-		}
-	}
-	t.groups = g
-	t.sortGroups(pool)
-	g = t.groups
+	g := p.groupArrivals()
 	for lo := 0; lo < len(g); {
 		hi := lo + 1
 		for hi < len(g) && g[hi].recv == g[lo].recv && g[hi].preamble == g[lo].preamble {
 			hi++
 		}
 		arr := g[lo:hi]
-		best, second := 0, -1
-		for i := 1; i < len(arr); i++ {
-			switch {
-			case arr[i].rssi > arr[best].rssi:
-				second = best
-				best = i
-			case second == -1 || arr[i].rssi > arr[second].rssi:
-				second = i
-			}
-		}
+		var win int
 		if t.SINRMode {
-			interferers := t.interf[:0]
-			for i := range arr {
-				if i != best {
-					interferers = append(interferers, arr[i].rssi)
-				}
-			}
-			t.interf = interferers
-			sinr := radio.SINR(arr[best].rssi, interferers, t.NoiseFloor)
-			if !radio.Detectable(sinr, t.RequiredSNRDB) {
-				if len(arr) > 1 {
-					// A lone sub-threshold arrival failing SINR is noise,
-					// not interference; with contenders it is a collision.
-					t.collisions++
-				}
-				lo = hi
-				continue
-			}
-		} else if second >= 0 && float64(arr[best].rssi-arr[second].rssi) < t.CaptureMarginDB {
-			t.collisions++
-			lo = hi
-			continue // collision: nothing decodable on this preamble
+			win = t.sinrWinner(arr)
+		} else {
+			win = t.captureWinner(arr)
 		}
-		t.counters.Rx[p.codec]++
-		out = append(out, Delivery{
-			To: int(arr[best].recv),
-			Msg: Message{
-				From: int(arr[best].sender), Codec: p.codec, Kind: p.kind,
-				Service: p.service(int(arr[best].sender)), Slot: p.slot, RSSI: arr[best].rssi,
-			},
-			link: arr[best].link,
-		})
+		if win >= 0 {
+			a := &arr[win]
+			t.counters.Rx[p.codec]++
+			out = append(out, Delivery{
+				To: int(a.recv),
+				Msg: Message{
+					From: int(a.sender), Codec: p.codec, Kind: p.kind,
+					Service: p.service(int(a.sender)), Slot: p.slot, RSSI: a.exact(),
+				},
+				link: a.link,
+			})
+		}
 		lo = hi
 	}
 	t.dels = out
 	return out
+}
+
+// strongest returns the index of the first strongest arrival of a contention
+// group and the index of a strongest other one (−1 for a lone arrival), on
+// exact powers.
+func strongest(arr []groupedArrival) (best, second int) {
+	best, second = 0, -1
+	for i := 1; i < len(arr); i++ {
+		switch {
+		case arr[i].rssi > arr[best].rssi:
+			second = best
+			best = i
+		case second == -1 || arr[i].rssi > arr[second].rssi:
+			second = i
+		}
+	}
+	return best, second
+}
+
+// captureWinner applies the capture rule to one contention group: the
+// strongest arrival decodes iff it exceeds the runner-up by
+// CaptureMarginDB. It returns the winner's index, or −1 for a collision
+// (counted). The rule is first decided on the arrivals' power bounds, which
+// settle it for all but a few groups without a logarithm. With B and S the
+// exact best and runner-up powers, B ≤ the largest upper bound and S ≥ the
+// second-largest lower bound, so a bound gap short of the margin is a
+// collision; and an arrival whose lower bound exceeds every other upper
+// bound is the unique best, with B − S at least that excess, so an excess
+// that meets the margin is a capture. Float subtraction rounds
+// monotonically, so each decision is the one the exact powers give. Groups
+// the bounds leave open have every gain computed and the rule applied
+// exactly.
+func (t *Transport) captureWinner(arr []groupedArrival) int {
+	if len(arr) == 1 {
+		return 0
+	}
+	margin := t.CaptureMarginDB
+	// b holds the largest lower bound lo1, lo2 is the second largest; hi1
+	// is the largest upper bound, held by h, and hi2 the second largest.
+	b, h := 0, 0
+	lo1, hi1 := arr[0].bounds()
+	lo2, hi2 := units.DBm(math.Inf(-1)), units.DBm(math.Inf(-1))
+	for i := 1; i < len(arr); i++ {
+		l, u := arr[i].bounds()
+		if l > lo1 {
+			lo2, lo1, b = lo1, l, i
+		} else if l > lo2 {
+			lo2 = l
+		}
+		if u > hi1 {
+			hi2, hi1, h = hi1, u, i
+		} else if u > hi2 {
+			hi2 = u
+		}
+	}
+	if float64(hi1-lo2) < margin {
+		t.collisions++
+		return -1
+	}
+	other := hi1 // the largest upper bound among arrivals other than b
+	if h == b {
+		other = hi2
+	}
+	if lo1 > other && float64(lo1-other) >= margin {
+		return b
+	}
+	for i := range arr {
+		arr[i].rssi, arr[i].u = arr[i].exact(), 0
+	}
+	best, second := strongest(arr)
+	if second >= 0 && float64(arr[best].rssi-arr[second].rssi) < margin {
+		t.collisions++
+		return -1
+	}
+	return best
+}
+
+// sinrWinner applies the SINR detector to one contention group of exact
+// powers: the strongest arrival decodes iff its power over noise plus every
+// other arrival meets RequiredSNRDB. It returns the winner's index, or −1
+// when detection fails — a collision (counted) when contenders were
+// present; a lone sub-threshold arrival failing SINR is noise.
+func (t *Transport) sinrWinner(arr []groupedArrival) int {
+	best, _ := strongest(arr)
+	interferers := t.interf[:0]
+	for i := range arr {
+		if i != best {
+			interferers = append(interferers, arr[i].rssi)
+		}
+	}
+	t.interf = interferers
+	if !radio.Detectable(radio.SINR(arr[best].rssi, interferers, t.NoiseFloor), t.RequiredSNRDB) {
+		if len(arr) > 1 {
+			t.collisions++
+		}
+		return -1
+	}
+	return best
 }
 
 // sample draws one link-addressed received-power observation and reports

@@ -123,7 +123,7 @@ func (c *Channel) SampleFromMean(src *xrand.Stream, mean units.DBm) units.DBm {
 //
 // Callers that drop sub-threshold samples anyway should use it: under
 // Rayleigh fading it draws the uniform behind the gain and, when even the
-// gain's upper bound (xrand.RayleighPowerDBBound) leaves the sample below
+// gain's upper bound (xrand.RayleighPowerDBBounds) leaves the sample below
 // thr, rejects without computing the gain's two logarithms. The decision is
 // still exact, because float addition rounds monotonically. A rejected
 // sample's power is not computed and reads −Inf. Rician and unfaded
@@ -141,7 +141,7 @@ func (c *Channel) SampleAtLeast(src *xrand.Stream, mean, thr units.DBm) (rx unit
 		switch c.Fading {
 		case FadingRayleigh:
 			u := fade.RayleighUniform()
-			if !p.Add(units.DB(xrand.RayleighPowerDBBound(u))).AtLeast(thr) {
+			if _, hi := xrand.RayleighPowerDBBounds(u); !p.Add(units.DB(hi)).AtLeast(thr) {
 				return units.DBm(math.Inf(-1)), false
 			}
 			p = p.Add(units.DB(xrand.RayleighPowerDBAt(u)))

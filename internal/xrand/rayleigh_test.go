@@ -22,7 +22,7 @@ func TestRayleighSplitMatchesWhole(t *testing.T) {
 	}
 }
 
-// TestRayleighPowerDBBoundTable checks every bucket of the bound table: for
+// TestRayleighPowerDBBoundTable checks every bucket of the upper table: for
 // binary exponent −k (k = 1…63) and top mantissa bits m, the bound read for
 // any u in the bucket is the table entry — the transform at the bucket's
 // lowest u plus the slack — and it is at least the exact transform at the
@@ -31,38 +31,63 @@ func TestRayleighSplitMatchesWhole(t *testing.T) {
 // index off by one in exponent or mantissa) or an entry lowered below the
 // transform fails it.
 func TestRayleighPowerDBBoundTable(t *testing.T) {
+	checkBoundTable(t, func(lo, hi float64) float64 { return RayleighPowerDBAt(lo) + rayleighSlackDB },
+		func(u float64) float64 { _, hi := RayleighPowerDBBounds(u); return hi }, true)
+}
+
+// TestRayleighPowerDBLowerBoundTable checks the lower table the same way:
+// the entry read for any u in a bucket is the transform at the bucket's
+// upper edge minus the slack (−Inf for the top bucket), and it is at most
+// the exact transform everywhere in the bucket.
+func TestRayleighPowerDBLowerBoundTable(t *testing.T) {
+	if lo, _ := RayleighPowerDBBounds(math.Nextafter(1, 0)); !math.IsInf(lo, -1) {
+		t.Fatalf("top bucket's lower bound = %v, want −Inf", lo)
+	}
+	checkBoundTable(t, func(lo, hi float64) float64 { return RayleighPowerDBAt(hi) - rayleighSlackDB },
+		func(u float64) float64 { lo, _ := RayleighPowerDBBounds(u); return lo }, false)
+}
+
+// checkBoundTable walks every bucket [lo, hi) of one bound table: bound(u)
+// must equal entry(lo, hi) for u in the bucket and lie on its side of the
+// exact transform (above when upper) at the bucket's edges, their
+// neighbours and random u inside.
+func checkBoundTable(t *testing.T, entry func(lo, hi float64) float64, bound func(u float64) float64, upper bool) {
+	t.Helper()
 	r := rand.New(rand.NewSource(7))
 	samples := 10000
 	if testing.Short() {
 		samples = 500
 	}
-	// bounds checks the bound at u against the exact transform there and,
+	// check checks the bound at u against the exact transform there and,
 	// for u inside the bucket under test, against the bucket's entry.
-	bounds := func(u, entry float64, inBucket bool) {
+	check := func(u, want float64, inBucket bool) {
 		t.Helper()
 		if u < math.Ldexp(1, -63) || u >= 1 {
 			return // outside RayleighUniform's range
 		}
-		b := RayleighPowerDBBound(u)
-		if f := RayleighPowerDBAt(u); !(b >= f) {
-			t.Fatalf("u = %v (bits %#x): bound %v < transform %v", u, math.Float64bits(u), b, f)
+		b, f := bound(u), RayleighPowerDBAt(u)
+		if upper && !(b >= f) || !upper && !(b <= f) {
+			t.Fatalf("u = %v (bits %#x): bound %v on the wrong side of transform %v", u, math.Float64bits(u), b, f)
 		}
-		if inBucket && b != entry {
-			t.Fatalf("u = %v (bits %#x): bound %v, want the bucket's entry %v", u, math.Float64bits(u), b, entry)
+		if inBucket && b != want {
+			t.Fatalf("u = %v (bits %#x): bound %v, want the bucket's entry %v", u, math.Float64bits(u), b, want)
 		}
 	}
 	for k := 1; k <= 63; k++ {
 		for m := 0; m < 16; m++ {
 			lo := math.Ldexp(1+float64(m)/16, -k)
-			hi := math.Nextafter(math.Ldexp(1+float64(m+1)/16, -k), 0)
-			entry := RayleighPowerDBAt(lo) + rayleighSlackDB
-			bounds(lo, entry, true)
-			bounds(math.Nextafter(lo, 1), entry, true)
-			bounds(hi, entry, true)
-			bounds(math.Nextafter(lo, 0), entry, false) // the bucket below
+			edge := math.Ldexp(1+float64(m+1)/16, -k)
+			hi := math.Nextafter(edge, 0)
+			want := entry(lo, edge)
+			check(lo, want, true)
+			check(math.Nextafter(lo, 1), want, true)
+			check(hi, want, true)
+			check(math.Nextafter(hi, 0), want, true)
+			check(math.Nextafter(lo, 0), want, false) // the bucket below
+			check(edge, want, false)                  // the bucket above
 			loBits := math.Float64bits(lo)
 			for i := 0; i < samples; i++ {
-				bounds(math.Float64frombits(loBits|r.Uint64()&(1<<48-1)), entry, true)
+				check(math.Float64frombits(loBits|r.Uint64()&(1<<48-1)), want, true)
 			}
 		}
 	}
@@ -78,23 +103,23 @@ func TestRayleighPowerDBBoundValues(t *testing.T) {
 		{0.5, -1.5917},
 	}
 	for _, c := range cases {
-		if got := RayleighPowerDBBound(c.u); math.Abs(got-c.want) > 1e-4 {
+		if _, got := RayleighPowerDBBounds(c.u); math.Abs(got-c.want) > 1e-4 {
 			t.Errorf("bound at u = %v: %v, want ≈ %v", c.u, got, c.want)
 		}
 	}
 }
 
-// TestRayleighPowerDBBoundDomain pins the bound's domain: it panics rather
+// TestRayleighPowerDBBoundDomain pins the bounds' domain: they panic rather
 // than read past the table for u outside [2⁻⁶³, 1).
 func TestRayleighPowerDBBoundDomain(t *testing.T) {
 	for _, u := range []float64{0, 1, math.Ldexp(1, -64), -0.5, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("RayleighPowerDBBound(%v) did not panic", u)
+					t.Errorf("RayleighPowerDBBounds(%v) did not panic", u)
 				}
 			}()
-			RayleighPowerDBBound(u)
+			RayleighPowerDBBounds(u)
 		}()
 	}
 }

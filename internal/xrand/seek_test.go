@@ -25,21 +25,21 @@ var drawKinds = []struct {
 	{"perm", func(s *Stream) float64 { return float64(s.Perm(13)[5]) }},
 }
 
-// TestCountingSourceTransparent pins that the cursor instrumentation does not
-// change the draw sequence: a wrapped stream must replay math/rand verbatim.
+// TestCountingSourceTransparent pins that the generator's step counter does
+// not change the draw sequence: a stream must replay math/rand verbatim.
 func TestCountingSourceTransparent(t *testing.T) {
 	s := NewStream(42)
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 200; i++ {
 		if got, want := s.Float64(), r.Float64(); got != want {
-			t.Fatalf("draw %d: counting stream %v, bare math/rand %v", i, got, want)
+			t.Fatalf("draw %d: stream %v, math/rand %v", i, got, want)
 		}
 	}
 	s2 := NewStream(43)
 	r2 := rand.New(rand.NewSource(43))
 	for i := 0; i < 200; i++ {
 		if got, want := s2.Norm(), r2.NormFloat64(); got != want {
-			t.Fatalf("norm draw %d: counting stream %v, bare math/rand %v", i, got, want)
+			t.Fatalf("norm draw %d: stream %v, math/rand %v", i, got, want)
 		}
 	}
 }

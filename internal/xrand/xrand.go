@@ -10,53 +10,26 @@
 package xrand
 
 import (
-	"hash/fnv"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 )
 
-// Stream is a deterministic pseudo-random stream. It is a thin wrapper over
-// math/rand with the distributions the simulator needs. A Stream is not safe
-// for concurrent use; give each goroutine its own named stream.
+// Stream is a deterministic pseudo-random stream: math/rand's generator and
+// algorithms (rng.go, normal.go, exp.go here) called directly, with the
+// distributions the simulator needs. Every draw is bit-identical to the
+// same draw from rand.New(rand.NewSource(seed)). A Stream is not safe for
+// concurrent use; give each goroutine its own named stream.
 type Stream struct {
-	r    *rand.Rand
-	src  *countingSource
+	src  rngSource
 	seed int64
-}
-
-// countingSource wraps the stock math/rand source and counts low-level state
-// advances. It implements both Int63 and Uint64 so rand.New keeps taking the
-// Source64 fast path it takes for a bare rand.NewSource — draw sequences are
-// bit-identical to an unwrapped source. Every generator method of rand.Rand
-// consumes the source one step at a time (Int63 and Uint64 each advance the
-// underlying state by exactly one step), so the counter is a complete cursor:
-// (seed, n) determines all future draws.
-type countingSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-func (c *countingSource) Int63() int64 {
-	c.n++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.n++
-	return c.src.Uint64()
-}
-
-func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.n = 0
 }
 
 // NewStream returns a stream seeded directly with seed.
 func NewStream(seed int64) *Stream {
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &Stream{r: rand.New(src), src: src, seed: seed}
+	s := &Stream{seed: seed}
+	s.src.Seed(seed)
+	return s
 }
 
 // Pos returns the stream's cursor: the number of low-level source steps
@@ -65,47 +38,47 @@ func NewStream(seed int64) *Stream {
 func (s *Stream) Pos() uint64 { return s.src.n }
 
 // Seek repositions the stream to the absolute cursor pos, counted from the
-// seed. Seeking is O(pos): the source is re-created from the seed and the
-// skipped steps are replayed. After Seek(Pos()) the stream continues exactly
-// as if nothing happened; after Seek(p) with p < Pos() it replays history.
+// seed, by stepping the source there: forward from the current cursor when
+// pos is ahead of it, else from a re-seed. After Seek(Pos()) the stream
+// continues exactly as if nothing happened; after Seek(p) with p < Pos() it
+// replays history.
 func (s *Stream) Seek(pos uint64) {
-	src := &countingSource{src: rand.NewSource(s.seed).(rand.Source64)}
-	for i := uint64(0); i < pos; i++ {
-		src.src.Uint64()
+	if pos < s.src.n {
+		s.src.Seed(s.seed)
 	}
-	src.n = pos
-	s.src = src
-	s.r = rand.New(src)
+	for s.src.n < pos {
+		s.src.Uint64()
+	}
 }
 
 // Float64 returns a uniform variate in [0,1).
-func (s *Stream) Float64() float64 { return s.r.Float64() }
+func (s *Stream) Float64() float64 { return s.src.Float64() }
 
 // Intn returns a uniform integer in [0,n). It panics if n <= 0, matching
 // math/rand.
-func (s *Stream) Intn(n int) int { return s.r.Intn(n) }
+func (s *Stream) Intn(n int) int { return s.src.Intn(n) }
 
 // Int63 returns a non-negative uniform 63-bit integer.
-func (s *Stream) Int63() int64 { return s.r.Int63() }
+func (s *Stream) Int63() int64 { return s.src.Int63() }
 
 // Uniform returns a uniform variate in [lo, hi).
 func (s *Stream) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.r.Float64()
+	return lo + (hi-lo)*s.src.Float64()
 }
 
 // Norm returns a standard Gaussian variate (mean 0, stddev 1).
-func (s *Stream) Norm() float64 { return s.r.NormFloat64() }
+func (s *Stream) Norm() float64 { return s.src.NormFloat64() }
 
 // Gaussian returns a Gaussian variate with the given mean and stddev.
 func (s *Stream) Gaussian(mean, stddev float64) float64 {
-	return mean + stddev*s.r.NormFloat64()
+	return mean + stddev*s.src.NormFloat64()
 }
 
 // LogNormalDB draws a log-normal shadowing value expressed in dB: a Gaussian
 // in the dB domain with mean 0 and the given stddev. This is exactly the
 // random variable x of eq. (9) in the paper.
 func (s *Stream) LogNormalDB(sigmaDB float64) float64 {
-	return sigmaDB * s.r.NormFloat64()
+	return sigmaDB * s.src.NormFloat64()
 }
 
 // RayleighPowerDB returns the fading power gain of a unit-mean Rayleigh
@@ -123,9 +96,9 @@ func (s *Stream) RayleighPowerDB() float64 {
 // split the draw from the transform (to bound the gain before paying for it)
 // consume exactly the draws RayleighPowerDB consumes.
 func (s *Stream) RayleighUniform() float64 {
-	u := s.r.Float64()
+	u := s.src.Float64()
 	for u == 0 {
-		u = s.r.Float64()
+		u = s.src.Float64()
 	}
 	return u
 }
@@ -136,43 +109,57 @@ func RayleighPowerDBAt(u float64) float64 {
 	return 10 * math.Log10(-math.Log(u))
 }
 
-// rayleighSlackDB pads every rayleighBound entry above the transform at its
-// bucket's lowest u. The transform is decreasing in u, but its rounded value
+// rayleighSlackDB pads every rayleighBounds entry away from the transform at
+// its bucket's edge. The transform is decreasing in u, but its rounded value
 // need not be monotone ulp for ulp; the slack is ~3·10⁵ ulps of the largest
 // gain (16.40 dB, at u = 2⁻⁶³), far beyond the few ulps math.Log and
 // math.Log10 err by.
 const rayleighSlackDB = 1e-9
 
-// rayleighBound[(k−1)·16+m] bounds RayleighPowerDBAt from above over the
-// bucket of uniforms with binary exponent −k (u ∈ [2⁻ᵏ, 2⁻ᵏ⁺¹), k = 1…63)
-// and top four mantissa bits m: u ∈ [2⁻ᵏ(1+m/16), 2⁻ᵏ(1+(m+1)/16)). Each
-// entry is the transform at the bucket's lowest u plus rayleighSlackDB.
-var rayleighBound = func() (b [63 * 16]float64) {
+// rayleighBounds[(k−1)·16+m] bounds RayleighPowerDBAt over the bucket of
+// uniforms with binary exponent −k (u ∈ [2⁻ᵏ, 2⁻ᵏ⁺¹), k = 1…63) and top four
+// mantissa bits m: u ∈ [2⁻ᵏ(1+m/16), 2⁻ᵏ(1+(m+1)/16)). Entry [0] is the lower
+// bound, the transform at the bucket's upper edge minus rayleighSlackDB
+// (−Inf for the top bucket, whose edge is u = 1); entry [1] the upper bound,
+// the transform at the bucket's lowest u plus rayleighSlackDB. The pair
+// shares a cache line.
+var rayleighBounds = func() (b [63 * 16][2]float64) {
 	for i := range b {
 		lo := math.Ldexp(1+float64(i%16)/16, -(i/16 + 1))
-		b[i] = RayleighPowerDBAt(lo) + rayleighSlackDB
+		hi := math.Ldexp(1+float64(i%16+1)/16, -(i/16 + 1))
+		b[i] = [2]float64{RayleighPowerDBAt(hi) - rayleighSlackDB, RayleighPowerDBAt(lo) + rayleighSlackDB}
 	}
 	return b
 }()
 
-// RayleighPowerDBBound returns a cheap upper bound on RayleighPowerDBAt(u)
-// for u in [2⁻⁶³, 1) — every value RayleighUniform returns — read from u's
-// exponent and top mantissa bits without a logarithm. It panics outside that
-// range. A caller holding a power p can then decide p + gain < threshold
-// without the transform whenever p + bound < threshold: float addition
-// rounds monotonically, so gain ≤ bound gives fl(p+gain) ≤ fl(p+bound).
-func RayleighPowerDBBound(u float64) float64 {
+// rayleighBucket returns u's rayleighBounds index, read from its exponent and
+// top mantissa bits; it is out of the table's range for u outside
+// [2⁻⁶³, 1).
+func rayleighBucket(u float64) int {
 	bits := math.Float64bits(u)
-	return rayleighBound[(1022-int(bits>>52))*16+int(bits>>48&15)]
+	return (1022-int(bits>>52))*16 + int(bits>>48&15)
+}
+
+// RayleighPowerDBBounds returns cheap bounds lo ≤ RayleighPowerDBAt(u) ≤ hi
+// for u in [2⁻⁶³, 1) — every value RayleighUniform returns — read from u's
+// exponent and top mantissa bits without a logarithm. It panics outside
+// that range. lo is −Inf for u ≥ 31/32, where the gain has no floor. Float
+// addition rounds monotonically, so fl(p+lo) ≤ fl(p+gain) ≤ fl(p+hi) for
+// any power p: a caller can decide p + gain < threshold without the
+// transform whenever p + hi < threshold, and any comparison of sums the
+// bounds settle is the comparison of the exact sums.
+func RayleighPowerDBBounds(u float64) (lo, hi float64) {
+	b := &rayleighBounds[rayleighBucket(u)]
+	return b[0], b[1]
 }
 
 // Exp returns an exponential variate with the given rate (mean 1/rate).
 func (s *Stream) Exp(rate float64) float64 {
-	return s.r.ExpFloat64() / rate
+	return s.src.ExpFloat64() / rate
 }
 
 // Perm returns a random permutation of [0,n).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
+func (s *Stream) Perm(n int) []int { return s.src.Perm(n) }
 
 // Streams derives named, independent child streams from one root seed.
 // The same (root seed, name) pair always yields the same stream, regardless
@@ -247,17 +234,23 @@ func (f *Streams) Restore(cursors []Cursor) {
 	}
 }
 
+// deriveSeed hashes the root seed's eight little-endian bytes and the name
+// with 64-bit FNV-1a (hash/fnv's New64a, inlined to keep stream creation
+// allocation-free).
 func deriveSeed(seed int64, name string) int64 {
-	h := fnv.New64a()
-	var b [8]byte
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
 	for i := 0; i < 8; i++ {
-		b[i] = byte(seed >> (8 * i))
+		h ^= uint64(byte(seed >> (8 * i)))
+		h *= prime64
 	}
-	h.Write(b[:])
-	h.Write([]byte(name))
-	v := int64(h.Sum64())
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= prime64
+	}
+	v := int64(h)
 	if v == 0 {
-		v = 1 // math/rand treats a zero seed specially; avoid it
+		v = 1 // Seed treats a zero seed specially; avoid it
 	}
 	return v
 }
