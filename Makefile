@@ -21,10 +21,13 @@ race-core:
 
 # Checkpoint/restore correctness spine under the race detector: resume
 # bit-identity across worker counts, shard layouts and the reference
-# stepper, and the committed golden checkpoint fixture.
+# stepper, and the committed golden checkpoint fixture; then the snapshot
+# codec's own tests, and 20 s of fuzzing Decode, whose envelope parser is
+# hand-written.
 resume-guard:
-	$(GO) test -race -count 1 -run 'TestResume|TestGoldenCheckpoint' ./internal/core/
+	$(GO) test -race -count 1 -run 'TestResume|TestGoldenCheckpoint|TestSnapshotRoundTrip' ./internal/core/
 	$(GO) test -count 1 ./internal/snapshot/
+	$(GO) test -run '^$$' -fuzz=FuzzSnapshotDecode -fuzztime=20s ./internal/snapshot/
 
 # Bounded-asynchrony correctness spine under the race detector: degenerate
 # bit-identity, adversary determinism across shard layouts and worker
@@ -84,7 +87,8 @@ bench:
 	  $(BENCH) -bench '^BenchmarkStepSlotNet$$/(off|degen)/n=5000' -benchtime 100x -count 5 ./internal/core/ ; \
 	  $(BENCH) -bench '^BenchmarkStepSlotNet$$/on/n=5000' -benchtime 100x ./internal/core/ ; \
 	  $(BENCH) -bench '^BenchmarkStepSlot(RunStats|Net|Faults|Telemetry)$$/.*/n=200\b' -benchtime 100x -count 3 ./internal/core/ ; \
-	  $(BENCH) -bench '^BenchmarkSnapshotRoundTrip$$' -benchtime 100x -count 5 ./internal/core/ ; \
+	  $(BENCH) -bench '^BenchmarkSnapshotRoundTrip$$/n=40' -benchtime 100x -count 5 ./internal/core/ ; \
+	  $(BENCH) -bench '^BenchmarkSnapshotRoundTrip$$/(encode|decode)/n=400' -benchtime 10x -count 3 ./internal/core/ ; \
 	  $(BENCH) -bench '^BenchmarkRun(FST|ST|STSparse)$$/n=200\b' -benchtime 1x -count 5 ./internal/core/ ; \
 	  $(BENCH) -bench '^BenchmarkRun(FST|ST)$$/n=1000' -benchtime 1x -count 3 ./internal/core/ ; \
 	  $(BENCH) -bench '^BenchmarkBroadcast(Cached|Direct)$$' -benchtime 1000x -count 5 ./internal/rach/ ; \

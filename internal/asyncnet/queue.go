@@ -1,6 +1,8 @@
 package asyncnet
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/rach"
@@ -219,10 +221,10 @@ func (q *Queue) NextDue(after units.Slot) (units.Slot, bool) {
 // counters. The adversary stream's cursor itself is checkpointed with every
 // other named stream by the engine's stream-cursor capture.
 type State struct {
-	Seq      uint64     `json:"seq"`
-	InFlight []Flight   `json:"in_flight,omitempty"`
-	Accepted []LinkSlot `json:"accepted,omitempty"`
-	Counters Counters   `json:"counters"`
+	Seq      uint64    `json:"seq"`
+	InFlight []Flight  `json:"in_flight,omitempty"`
+	Accepted LinkSlots `json:"accepted"`
+	Counters Counters  `json:"counters"`
 }
 
 // Flight is one serialized in-flight message.
@@ -238,12 +240,13 @@ type Flight struct {
 	Code int     `json:"codec"`
 }
 
-// LinkSlot is one duplicate-filter entry: the newest accepted send slot of
-// a directed link.
-type LinkSlot struct {
-	From int   `json:"from"`
-	To   int   `json:"to"`
-	Slot int64 `json:"slot"`
+// LinkSlots is the duplicate-filter table as parallel columns, one row per
+// directed link in (From, To) order: the newest accepted send slot of the
+// link From→To.
+type LinkSlots struct {
+	From []int   `json:"from"`
+	To   []int   `json:"to"`
+	Slot []int64 `json:"slot"`
 }
 
 // State captures the queue. In-flight messages are emitted in (At, Seq)
@@ -270,15 +273,22 @@ func (q *Queue) State() *State {
 		}
 		return st.InFlight[i].Seq < st.InFlight[j].Seq
 	})
-	for k, s := range q.last {
-		st.Accepted = append(st.Accepted, LinkSlot{From: k.From, To: k.To, Slot: int64(s)})
+	type row struct {
+		k linkKey
+		s units.Slot
 	}
-	sort.Slice(st.Accepted, func(i, j int) bool {
-		if st.Accepted[i].From != st.Accepted[j].From {
-			return st.Accepted[i].From < st.Accepted[j].From
-		}
-		return st.Accepted[i].To < st.Accepted[j].To
+	rows := make([]row, 0, len(q.last))
+	for k, s := range q.last {
+		rows = append(rows, row{k, s})
+	}
+	slices.SortFunc(rows, func(a, b row) int {
+		return cmp.Or(cmp.Compare(a.k.From, b.k.From), cmp.Compare(a.k.To, b.k.To))
 	})
+	a := &st.Accepted
+	a.From, a.To, a.Slot = make([]int, len(rows)), make([]int, len(rows)), make([]int64, len(rows))
+	for i, r := range rows {
+		a.From[i], a.To[i], a.Slot[i] = r.k.From, r.k.To, int64(r.s)
+	}
 	return st
 }
 
@@ -315,10 +325,11 @@ func (q *Queue) Restore(st *State) {
 			}},
 		})
 	}
-	if q.last == nil && (len(st.Accepted) > 0 || len(st.InFlight) > 0) {
-		q.last = make(map[linkKey]units.Slot)
+	a := st.Accepted
+	if q.last != nil || len(a.From) > 0 || len(st.InFlight) > 0 {
+		q.last = make(map[linkKey]units.Slot, len(a.From))
 	}
-	for _, a := range st.Accepted {
-		q.last[linkKey{From: a.From, To: a.To}] = units.Slot(a.Slot)
+	for i, from := range a.From {
+		q.last[linkKey{From: from, To: a.To[i]}] = units.Slot(a.Slot[i])
 	}
 }

@@ -12,13 +12,17 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the committed golden checkpoint fixture")
 
-// The committed fixture is a schema-v3 FST checkpoint at slot 450 of the
-// golden run (n=40, seed 12345). It pins the on-disk form: any change to the
-// snapshot layout or encoding breaks TestGoldenCheckpointBytes until the
-// schema version is bumped deliberately and the fixture regenerated with
+// The committed fixture is a schema-v4 FST checkpoint at slot 450 of the
+// golden run (n=40, seed 12345): the hand-framed envelope around a state
+// whose neighbour tables are columns. It pins the on-disk form: any change
+// to the snapshot layout or encoding breaks TestGoldenCheckpointBytes until
+// the schema version is bumped deliberately and the fixture regenerated
+// with
 //
 //	go test ./internal/core/ -run TestGoldenCheckpoint -update
-const goldenCheckpointPath = "testdata/checkpoint_v3.json"
+//
+// The snapshot package's fuzz corpus seeds from this file too.
+const goldenCheckpointPath = "testdata/checkpoint_v4.json"
 
 func goldenCheckpoint(t *testing.T) []byte {
 	t.Helper()

@@ -66,53 +66,61 @@ func (t *neighborTable) heard(e int) bool { return t.count != nil && t.count[e] 
 // mean returns entry e's mean observed RSSI; e must have been heard.
 func (t *neighborTable) mean(e int) units.DBm { return units.DBm(t.sum[e] / float64(t.count[e])) }
 
-// servicePeers returns the ids of the peers in ps sharing device i's
-// service tag — i's application-level discovery.
-func (e *Env) servicePeers(i int, ps []snapshot.PeerStat) []int {
-	var out []int
-	for _, p := range ps {
-		if e.Devices[p.Peer].Service == e.Devices[i].Service {
-			out = append(out, p.Peer)
-		}
+// capture returns the tables in their checkpoint form: one CSR over
+// devices, each device's heard entries in peer-id order.
+func (t *neighborTable) capture() snapshot.PeerTable {
+	rows := 0
+	for _, l := range t.links {
+		rows += int(l)
 	}
-	return out
+	pt := snapshot.PeerTable{Off: make([]int, len(t.links)+1),
+		Peer: make([]int, 0, rows), Count: make([]int32, 0, rows),
+		SumDB: make([]float64, 0, rows), Last: make([]float64, 0, rows)}
+	for i := range t.links {
+		for _, x := range t.idx.ByID(i) {
+			if t.heard(int(x)) {
+				pt.Peer = append(pt.Peer, t.idx.Peer(int(x)))
+				pt.Count = append(pt.Count, t.count[x])
+				pt.SumDB = append(pt.SumDB, t.sum[x])
+				pt.Last = append(pt.Last, float64(t.last[x]))
+			}
+		}
+		pt.Off[i+1] = len(pt.Peer)
+	}
+	return pt
 }
 
 // restoreTables fills the fresh tables from a resume snapshot, rejecting
 // tables this deployment could not have produced: a peer outside the
-// device's candidate row (the snapshot came from another deployment), a
-// peer list that is not strictly ascending or holds an entry never heard,
-// or service peers other than the heard peers sharing the device's tag.
+// device's candidate row (the snapshot came from another deployment), or
+// rows that do not strictly ascend by peer or hold an entry never heard.
 func (e *Env) restoreTables(st *snapshot.State) error {
 	t := e.nbr
 	t.alloc()
-	for i, ds := range st.Devices {
-		// The peers, the row's by-id list and the service peers all ascend
-		// by peer: one merge walk matches them.
+	pt := &st.Peers
+	if len(pt.Off) != len(e.Devices)+1 {
+		return fmt.Errorf("core: resume snapshot: neighbour tables over %d devices for n=%d", len(pt.Off)-1, len(e.Devices))
+	}
+	for i := range e.Devices {
+		// The rows and the device's by-id list both ascend by peer: one
+		// merge walk matches them.
 		row, q := t.idx.ByID(i), 0
-		svc, sp, same := e.Devices[i].Service, ds.ServicePeers, true
-		for k, p := range ds.Peers {
-			if p.Count < 1 || (k > 0 && p.Peer <= ds.Peers[k-1].Peer) {
-				return fmt.Errorf("core: resume snapshot: device %d peer entry %d (peer %d, count %d) is not a captured table row", i, k, p.Peer, p.Count)
+		lo, hi := pt.Off[i], pt.Off[i+1]
+		for k := lo; k < hi; k++ {
+			p := pt.Peer[k]
+			if pt.Count[k] < 1 || (k > lo && p <= pt.Peer[k-1]) {
+				return fmt.Errorf("core: resume snapshot: device %d peer entry %d (peer %d, count %d) is not a captured table row", i, k-lo, p, pt.Count[k])
 			}
-			for q < len(row) && t.idx.Peer(int(row[q])) < p.Peer {
+			for q < len(row) && t.idx.Peer(int(row[q])) < p {
 				q++
 			}
-			if q == len(row) || t.idx.Peer(int(row[q])) != p.Peer {
-				return fmt.Errorf("core: resume snapshot: device %d heard %d, which is not within its candidate radius in this deployment", i, p.Peer)
+			if q == len(row) || t.idx.Peer(int(row[q])) != p {
+				return fmt.Errorf("core: resume snapshot: device %d heard %d, which is not within its candidate radius in this deployment", i, p)
 			}
 			x := row[q]
-			t.count[x], t.sum[x], t.last[x] = int32(p.Count), p.SumDB, units.DBm(p.Last)
-			if e.Devices[p.Peer].Service == svc {
-				if same = same && len(sp) > 0 && sp[0] == p.Peer; same {
-					sp = sp[1:]
-				}
-			}
+			t.count[x], t.sum[x], t.last[x] = pt.Count[k], pt.SumDB[k], units.DBm(pt.Last[k])
 		}
-		if !same || len(sp) > 0 {
-			return fmt.Errorf("core: resume snapshot: device %d service peers %v, its peers and service tags imply %v", i, ds.ServicePeers, e.servicePeers(i, ds.Peers))
-		}
-		t.links[i] = int32(len(ds.Peers))
+		t.links[i] = int32(hi - lo)
 	}
 	return nil
 }
@@ -130,16 +138,23 @@ func (e *Env) DiscoveredLinks() int {
 	return total
 }
 
+// PeerStat is one row of a device's neighbour table: what it heard from
+// one peer.
+type PeerStat struct {
+	Peer  int
+	Count int
+	SumDB float64
+	Last  units.DBm
+}
+
 // Peers returns device i's neighbour table in peer-id order: per peer heard,
-// the observation count, the dB sum and the latest sample (its checkpoint
-// form).
-func (e *Env) Peers(i int) []snapshot.PeerStat {
+// the observation count, the dB sum and the latest sample.
+func (e *Env) Peers(i int) []PeerStat {
 	t := e.nbr
-	var out []snapshot.PeerStat
+	var out []PeerStat
 	for _, x := range t.idx.ByID(i) {
 		if t.heard(int(x)) {
-			out = append(out, snapshot.PeerStat{Peer: t.idx.Peer(int(x)), Count: int(t.count[x]),
-				SumDB: t.sum[x], Last: float64(t.last[x])})
+			out = append(out, PeerStat{Peer: t.idx.Peer(int(x)), Count: int(t.count[x]), SumDB: t.sum[x], Last: t.last[x]})
 		}
 	}
 	return out

@@ -46,7 +46,12 @@ func TestNeighborTableObserve(t *testing.T) {
 	if rssi := env.nbr.mean(e); math.Abs(float64(rssi)+85) > 1e-12 {
 		t.Errorf("mean RSSI = %v, want -85", rssi)
 	}
-	svc := env.servicePeers(0, env.Peers(0))
+	var svc []int
+	for _, p := range env.Peers(0) {
+		if env.Devices[p.Peer].Service == env.Devices[0].Service {
+			svc = append(svc, p.Peer)
+		}
+	}
 	if len(svc) != 1 || svc[0] != 2 {
 		t.Errorf("service peers of device 0 = %v, want [2]: peer 1 has another service", svc)
 	}
@@ -117,13 +122,22 @@ func goldenResume(t *testing.T) (Config, *snapshot.State) {
 // TestResumeRejectsForeignTables pins that NewEnv refuses a checkpoint whose
 // discovery tables this deployment could not have produced. At a 2000 m area
 // the fixture's peers are out of radio reach, and resuming anyway would run
-// the protocol on links the radios cannot carry; a changed service
-// assignment, or an edited service-peer list, breaks the rule that service
-// peers are exactly the heard peers sharing the tag.
+// the protocol on links the radios cannot carry; a device's rows out of peer
+// order, or a row for a peer never heard, are not a captured table.
 func TestResumeRejectsForeignTables(t *testing.T) {
 	cfg, _ := goldenResume(t)
 	if _, err := NewEnv(cfg); err != nil {
 		t.Fatalf("resume at the checkpoint's own deployment: %v", err)
+	}
+	// firstPair returns the first device with at least two rows.
+	firstPair := func(pt *snapshot.PeerTable) int {
+		for i := 0; i+1 < len(pt.Off); i++ {
+			if pt.Off[i+1]-pt.Off[i] >= 2 {
+				return pt.Off[i]
+			}
+		}
+		t.Fatal("the fixture has no device with two peers")
+		return 0
 	}
 	cases := []struct {
 		name string
@@ -131,16 +145,11 @@ func TestResumeRejectsForeignTables(t *testing.T) {
 		want string
 	}{
 		{"wider area", func(c *Config, _ *snapshot.State) { c.Area = geo.Square(2000) }, "candidate radius"},
-		{"other services", func(c *Config, _ *snapshot.State) { c.Services = 3 }, "service peers"},
-		{"edited service peers", func(_ *Config, st *snapshot.State) {
-			for i := range st.Devices {
-				if sp := st.Devices[i].ServicePeers; len(sp) > 0 {
-					st.Devices[i].ServicePeers = sp[1:]
-					return
-				}
-			}
-			t.Fatal("the fixture has no service peers")
-		}, "service peers"},
+		{"rows out of order", func(_ *Config, st *snapshot.State) {
+			k := firstPair(&st.Peers)
+			st.Peers.Peer[k], st.Peers.Peer[k+1] = st.Peers.Peer[k+1], st.Peers.Peer[k]
+		}, "not a captured table row"},
+		{"unheard row", func(_ *Config, st *snapshot.State) { st.Peers.Count[firstPair(&st.Peers)] = 0 }, "not a captured table row"},
 	}
 	for _, c := range cases {
 		cfg, st := goldenResume(t)

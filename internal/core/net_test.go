@@ -279,7 +279,8 @@ func TestNetSnapshotValidatesInFlight(t *testing.T) {
 	corrupt("due slot zero", func(s *snapshot.State) { s.Net.InFlight[0].At = 0 })
 	corrupt("seq beyond cursor", func(s *snapshot.State) { s.Net.InFlight[0].Seq = s.Net.Seq })
 	corrupt("accepted out of range", func(s *snapshot.State) {
-		s.Net.Accepted = append(s.Net.Accepted, asyncnet.LinkSlot{From: s.N, To: 0, Slot: 1})
+		a := &s.Net.Accepted
+		a.From, a.To, a.Slot = append(a.From, s.N), append(a.To, 0), append(a.Slot, 1)
 	})
 }
 

@@ -45,10 +45,9 @@ func captureState(env *Env, eng *engine, slot units.Slot) *snapshot.State {
 	}
 	st.Devices = make([]snapshot.DeviceState, len(env.Devices))
 	for i, d := range env.Devices {
-		ds := snapshot.DeviceState{Osc: d.Osc.State(), Peers: env.Peers(i)}
-		ds.ServicePeers = env.servicePeers(i, ds.Peers)
-		st.Devices[i] = ds
+		st.Devices[i] = snapshot.DeviceState{Osc: d.Osc.State()}
 	}
+	st.Peers = env.nbr.capture()
 	return st
 }
 

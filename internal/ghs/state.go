@@ -27,7 +27,7 @@ type FragmentState struct {
 // fresh Config to re-wire them.
 type ProtocolState struct {
 	N             int                  `json:"n"`
-	W             [][]Neighbor         `json:"w"`
+	W             Adjacency            `json:"w"`
 	UF            graph.UnionFindState `json:"uf"`
 	Fragments     []FragmentState      `json:"fragments"`
 	TreeAdj       [][]int              `json:"tree_adj"`
@@ -38,12 +38,21 @@ type ProtocolState struct {
 	Transmissions uint64               `json:"transmissions"`
 }
 
+// Adjacency is the symmetrized weighted neighbour tables as one CSR: node
+// u's neighbours are Peer[Off[u]:Off[u+1]], with their link weights in the
+// parallel Weight column, in the protocol's row order.
+type Adjacency struct {
+	Off    []int     `json:"off"`
+	Peer   []int     `json:"peer"`
+	Weight []float64 `json:"weight"`
+}
+
 // State returns a deep copy of the protocol's state, with fragments sorted
 // by root so the serialized form is byte-stable.
 func (p *Protocol) State() ProtocolState {
 	st := ProtocolState{
 		N:             p.n,
-		W:             make([][]Neighbor, p.n),
+		W:             Adjacency{Off: make([]int, p.n+1)},
 		UF:            p.uf.State(),
 		TreeAdj:       make([][]int, p.n),
 		Done:          p.done,
@@ -52,8 +61,11 @@ func (p *Protocol) State() ProtocolState {
 		Messages:      p.messages,
 		Transmissions: p.transmissions,
 	}
-	for i := range p.w {
-		st.W[i] = append([]Neighbor(nil), p.w[i]...)
+	for i, row := range p.w {
+		for _, nb := range row {
+			st.W.Peer, st.W.Weight = append(st.W.Peer, nb.Peer), append(st.W.Weight, nb.Weight)
+		}
+		st.W.Off[i+1] = len(st.W.Peer)
 	}
 	for i := range p.treeAdj {
 		st.TreeAdj[i] = append([]int(nil), p.treeAdj[i]...)
@@ -89,8 +101,13 @@ func RestoreProtocol(cfg Config, st ProtocolState) *Protocol {
 		messages:      st.Messages,
 		transmissions: st.Transmissions,
 	}
-	for i := 0; i < st.N && i < len(st.W); i++ {
-		p.w[i] = append([]Neighbor(nil), st.W[i]...)
+	w := st.W
+	nbs := make([]Neighbor, len(w.Peer))
+	for k := range nbs {
+		nbs[k] = Neighbor{Peer: w.Peer[k], Weight: w.Weight[k]}
+	}
+	for i := 0; i < st.N && i+1 < len(w.Off); i++ {
+		p.w[i] = nbs[w.Off[i]:w.Off[i+1]:w.Off[i+1]]
 	}
 	for i := 0; i < st.N && i < len(st.TreeAdj); i++ {
 		p.treeAdj[i] = append([]int(nil), st.TreeAdj[i]...)

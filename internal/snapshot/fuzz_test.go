@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"testing"
 )
 
@@ -17,6 +18,17 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	st, err := Encode(testSTState())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(st)
+	// The committed v4 checkpoint fixture: a real FST run's state.
+	fixture, err := os.ReadFile("../core/testdata/checkpoint_v4.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
 	// Truncations and bit flips of a real snapshot.
 	f.Add(valid[:len(valid)/2])
 	flipped := append([]byte(nil), valid...)

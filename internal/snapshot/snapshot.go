@@ -15,10 +15,12 @@
 package snapshot
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/asyncnet"
 	"repro/internal/ghs"
@@ -45,33 +47,39 @@ import (
 // still armed at the end of the captured slot. Version-2 files are
 // rejected: their accounting came from other engines and they lack the echo
 // state a resume under an asynchrony plan needs.
-const Schema = 3
+//
+// v4 stores the per-link tables as columns — the neighbour tables (Peers),
+// the message runtime's duplicate filter and GHS's weighted adjacency —
+// drops the service-peer lists, which the neighbour tables and the service
+// tags imply, and drops the retired Churned flags. Version-3 files are
+// rejected like version-2 ones.
+const Schema = 4
 
-// Envelope is the on-disk framing: a version, a digest over the raw state
-// bytes, and the state itself kept as raw JSON so the digest can be verified
-// before anything is interpreted.
-type Envelope struct {
-	Schema int             `json:"schema"`
-	Digest string          `json:"digest"`
-	State  json.RawMessage `json:"state"`
+// envelopeHead opens every encoded snapshot; the canonical envelope is
+// envelopeHead + schema + digestKey + 64 hex digits + stateKey + state + "}".
+const (
+	envelopeHead = `{"schema":`
+	digestKey    = `,"digest":"`
+	stateKey     = `","state":`
+)
+
+// PeerTable is every device's neighbour table as one CSR: device i's rows
+// are Off[i] to Off[i+1] of the parallel columns, ascending by peer id. A
+// row is what the device heard from one peer: the observation count, the
+// dB sum and the latest sample.
+type PeerTable struct {
+	Off   []int     `json:"off"`
+	Peer  []int     `json:"peer"`
+	Count []int32   `json:"count"`
+	SumDB []float64 `json:"sum_db"`
+	Last  []float64 `json:"last"`
 }
 
-// PeerStat is one row of a device's neighbour table — what it heard from
-// one peer — serialized in sorted-peer order.
-type PeerStat struct {
-	Peer  int     `json:"peer"`
-	Count int     `json:"count"`
-	SumDB float64 `json:"sum_db"`
-	Last  float64 `json:"last"`
-}
-
-// DeviceState is one device's mutable state: its oscillator and its
-// discovery tables. Position, service and static oscillator parameters are
-// environment setup, rebuilt deterministically on restore.
+// DeviceState is one device's oscillator state. Position, service and
+// static oscillator parameters are environment setup, rebuilt
+// deterministically on restore.
 type DeviceState struct {
-	Osc          oscillator.State `json:"osc"`
-	Peers        []PeerStat       `json:"peers,omitempty"`
-	ServicePeers []int            `json:"service_peers,omitempty"`
+	Osc oscillator.State `json:"osc"`
 }
 
 // TransportState is the RACH transport's cumulative accounting.
@@ -133,7 +141,6 @@ type STState struct {
 	Repair    *ghs.ProtocolState       `json:"repair,omitempty"`
 	Frag      []int                    `json:"frag,omitempty"`
 	NextMerge int64                    `json:"next_merge"`
-	Churned   bool                     `json:"churned"` // retired: written false, ignored on restore
 	Faults    *STFaultState            `json:"faults,omitempty"`
 }
 
@@ -160,7 +167,6 @@ type FSTState struct {
 	TreeEdges []graph.Edge             `json:"tree_edges,omitempty"`
 	Joined    int                      `json:"joined"`
 	NextRound int64                    `json:"next_round"`
-	Churned   bool                     `json:"churned"` // retired: written false, ignored on restore
 	Faults    *FSTFaultState           `json:"faults,omitempty"`
 }
 
@@ -182,6 +188,7 @@ type State struct {
 
 	Streams     []xrand.Cursor      `json:"streams"`
 	Devices     []DeviceState       `json:"devices"`
+	Peers       PeerTable           `json:"peers"`
 	Alive       []bool              `json:"alive"`
 	Transport   TransportState      `json:"transport"`
 	FaultCursor int                 `json:"fault_cursor,omitempty"`
@@ -197,7 +204,10 @@ type State struct {
 	BS  *BSState  `json:"bs,omitempty"`
 }
 
-// Encode serializes a state into the digest-stamped envelope.
+// Encode serializes a state into the digest-stamped envelope
+// {"schema":4,"digest":"<hex SHA-256 of the state bytes>","state":<state>},
+// framed by hand around the one marshal of the state: the bytes are those
+// json.Marshal would give for the envelope, without re-scanning the state.
 func Encode(st *State) ([]byte, error) {
 	if st == nil {
 		return nil, fmt.Errorf("snapshot: nil state")
@@ -207,42 +217,68 @@ func Encode(st *State) ([]byte, error) {
 		return nil, fmt.Errorf("snapshot: marshal state: %w", err)
 	}
 	sum := sha256.Sum256(raw)
-	env := Envelope{Schema: Schema, Digest: hex.EncodeToString(sum[:]), State: raw}
-	return json.Marshal(&env)
+	out := make([]byte, 0, len(envelopeHead)+len(digestKey)+len(stateKey)+2*len(sum)+len(raw)+8)
+	out = append(out, envelopeHead...)
+	out = strconv.AppendInt(out, Schema, 10)
+	out = append(out, digestKey...)
+	out = hex.AppendEncode(out, sum[:])
+	out = append(out, stateKey...)
+	out = append(out, raw...)
+	return append(out, '}'), nil
 }
 
 // Decode parses and validates an encoded snapshot. It rejects — with an
-// error, never a panic — version skew, digest mismatches (truncation or
-// corruption of the state payload), and structurally inconsistent state:
-// wrong array lengths, out-of-range indices, a protocol section that does
-// not match the Protocol tag. A successfully decoded snapshot is safe to
-// hand to the core restore path.
+// error, never a panic — any framing other than Encode's, version skew,
+// digest mismatches (truncation or corruption of the state payload), and
+// structurally inconsistent state: wrong array lengths, out-of-range
+// indices, malformed columns, a protocol section that does not match the
+// Protocol tag. A successfully decoded snapshot is safe to hand to the core
+// restore path.
 func Decode(data []byte) (*State, error) {
-	var env Envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("snapshot: parse envelope: %w", err)
+	schema, digest, raw, err := splitEnvelope(data)
+	if err != nil {
+		return nil, err
 	}
-	if env.Schema == 2 {
-		return nil, fmt.Errorf("snapshot: schema 2 not supported (want %d): version-2 checkpoints predate the single run engine and lack its echo state; re-capture them", Schema)
+	if schema == 2 || schema == 3 {
+		return nil, fmt.Errorf("snapshot: schema %d not supported (want %d): version-%d checkpoints hold per-link tables in a layout this version no longer reads; re-capture them", schema, Schema, schema)
 	}
-	if env.Schema != Schema {
-		return nil, fmt.Errorf("snapshot: schema %d not supported (want %d)", env.Schema, Schema)
+	if schema != Schema {
+		return nil, fmt.Errorf("snapshot: schema %d not supported (want %d)", schema, Schema)
 	}
-	if len(env.State) == 0 {
-		return nil, fmt.Errorf("snapshot: empty state payload")
-	}
-	sum := sha256.Sum256(env.State)
-	if got := hex.EncodeToString(sum[:]); got != env.Digest {
-		return nil, fmt.Errorf("snapshot: state digest mismatch (stamped %q, computed %q)", env.Digest, got)
+	sum := sha256.Sum256(raw)
+	var computed [2 * sha256.Size]byte
+	hex.Encode(computed[:], sum[:])
+	if !bytes.Equal(computed[:], digest) {
+		return nil, fmt.Errorf("snapshot: state digest mismatch (stamped %q, computed %q)", digest, computed[:])
 	}
 	var st State
-	if err := json.Unmarshal(env.State, &st); err != nil {
+	if err := json.Unmarshal(raw, &st); err != nil {
 		return nil, fmt.Errorf("snapshot: parse state: %w", err)
 	}
 	if err := st.validate(); err != nil {
 		return nil, err
 	}
 	return &st, nil
+}
+
+// splitEnvelope cuts Encode's framing into the schema number, the stamped
+// digest and the raw state bytes. The digest pins the state bytes, so a
+// reformatted envelope never decoded; anything but the canonical framing is
+// rejected here before any of it is interpreted.
+func splitEnvelope(data []byte) (schema int, digest, raw []byte, err error) {
+	num, rest, found := bytes.Cut(data, []byte(digestKey))
+	num, head := bytes.CutPrefix(num, []byte(envelopeHead))
+	schema, aerr := strconv.Atoi(string(num))
+	if !found || !head || aerr != nil || strconv.Itoa(schema) != string(num) || len(rest) < 2*sha256.Size {
+		return 0, nil, nil, fmt.Errorf(`snapshot: parse envelope: not {"schema":<n>,"digest":"<64 hex>",... as Encode writes it`)
+	}
+	digest, rest = rest[:2*sha256.Size], rest[2*sha256.Size:]
+	rest, found = bytes.CutPrefix(rest, []byte(stateKey))
+	raw, closed := bytes.CutSuffix(rest, []byte("}"))
+	if !found || !closed || len(raw) == 0 {
+		return 0, nil, nil, fmt.Errorf("snapshot: parse envelope: the digest is not followed by the state and a closing brace that ends the input")
+	}
+	return schema, digest, raw, nil
 }
 
 func (st *State) validate() error {
@@ -258,17 +294,11 @@ func (st *State) validate() error {
 	if len(st.Alive) != st.N {
 		return fmt.Errorf("snapshot: %d alive flags for n=%d", len(st.Alive), st.N)
 	}
-	for i, d := range st.Devices {
-		for _, p := range d.Peers {
-			if p.Peer < 0 || p.Peer >= st.N {
-				return fmt.Errorf("snapshot: device %d peer %d out of range", i, p.Peer)
-			}
-		}
-		for _, p := range d.ServicePeers {
-			if p < 0 || p >= st.N {
-				return fmt.Errorf("snapshot: device %d service peer %d out of range", i, p)
-			}
-		}
+	if err := checkCSR("neighbour table", st.Peers.Off, st.N, len(st.Peers.Peer), len(st.Peers.Count), len(st.Peers.SumDB), len(st.Peers.Last)); err != nil {
+		return err
+	}
+	if err := checkIDs("neighbour table peer", st.Peers.Peer, st.N); err != nil {
+		return err
 	}
 	for _, c := range st.Streams {
 		if c.Name == "" {
@@ -295,10 +325,15 @@ func (st *State) validate() error {
 				return fmt.Errorf("snapshot: net flight %d seq %d not below queue seq %d", i, f.Seq, net.Seq)
 			}
 		}
-		for i, a := range net.Accepted {
-			if a.From < 0 || a.From >= st.N || a.To < 0 || a.To >= st.N {
-				return fmt.Errorf("snapshot: net filter entry %d endpoints (%d,%d) out of range for n=%d", i, a.From, a.To, st.N)
-			}
+		a := &net.Accepted
+		if len(a.To) != len(a.From) || len(a.Slot) != len(a.From) {
+			return fmt.Errorf("snapshot: net filter column lengths (%d,%d,%d) differ", len(a.From), len(a.To), len(a.Slot))
+		}
+		if err := checkIDs("net filter sender", a.From, st.N); err != nil {
+			return err
+		}
+		if err := checkIDs("net filter receiver", a.To, st.N); err != nil {
+			return err
 		}
 	}
 	sections := 0
@@ -394,15 +429,14 @@ func validateGHS(g *ghs.ProtocolState, n int) error {
 			return fmt.Errorf("snapshot: GHS union-find parent %d out of range", p)
 		}
 	}
-	if len(g.W) > n || len(g.TreeAdj) > n {
-		return fmt.Errorf("snapshot: GHS adjacency lengths (%d,%d) exceed n=%d", len(g.W), len(g.TreeAdj), n)
+	if err := checkCSR("GHS adjacency", g.W.Off, n, len(g.W.Peer), len(g.W.Weight)); err != nil {
+		return err
 	}
-	for u, row := range g.W {
-		for _, nb := range row {
-			if nb.Peer < 0 || nb.Peer >= n {
-				return fmt.Errorf("snapshot: GHS neighbour %d of %d out of range", nb.Peer, u)
-			}
-		}
+	if err := checkIDs("GHS neighbour", g.W.Peer, n); err != nil {
+		return err
+	}
+	if len(g.TreeAdj) > n {
+		return fmt.Errorf("snapshot: GHS tree adjacency length %d exceeds n=%d", len(g.TreeAdj), n)
 	}
 	for u, row := range g.TreeAdj {
 		for _, v := range row {
@@ -424,6 +458,35 @@ func validateGHS(g *ghs.ProtocolState, n int) error {
 	for _, e := range g.Edges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 			return fmt.Errorf("snapshot: GHS edge (%d,%d) out of range", e.U, e.V)
+		}
+	}
+	return nil
+}
+
+// checkCSR checks the offsets of a CSR over n rows: n+1 of them, starting
+// at 0, never decreasing, the last equal to every parallel column's length.
+func checkCSR(what string, off []int, n int, cols ...int) error {
+	if len(off) != n+1 || off[0] != 0 {
+		return fmt.Errorf("snapshot: %s has %d offsets for n=%d, or does not start at 0", what, len(off), n)
+	}
+	for i := 1; i <= n; i++ {
+		if off[i] < off[i-1] {
+			return fmt.Errorf("snapshot: %s offsets decrease at row %d (%d after %d)", what, i, off[i], off[i-1])
+		}
+	}
+	for _, l := range cols {
+		if l != off[n] {
+			return fmt.Errorf("snapshot: %s column length %d, offsets end at %d", what, l, off[n])
+		}
+	}
+	return nil
+}
+
+// checkIDs checks that every id in a column names one of n devices.
+func checkIDs(what string, ids []int, n int) error {
+	for k, id := range ids {
+		if id < 0 || id >= n {
+			return fmt.Errorf("snapshot: %s %d (row %d) out of range for n=%d", what, id, k, n)
 		}
 	}
 	return nil
