@@ -92,6 +92,7 @@ bench:
 	  $(BENCH) -bench '^BenchmarkRun(FST|ST|STSparse)$$/n=200\b' -benchtime 1x -count 5 ./internal/core/ ; \
 	  $(BENCH) -bench '^BenchmarkRun(FST|ST)$$/n=1000' -benchtime 1x -count 3 ./internal/core/ ; \
 	  $(BENCH) -bench '^BenchmarkBroadcast(Cached|Direct)$$' -benchtime 1000x -count 5 ./internal/rach/ ; \
+	  $(BENCH) -bench '^BenchmarkRun$$' -benchtime 100x -count 5 ./internal/ghs/ ; \
 	  $(BENCH) -bench '^BenchmarkStreamNormFloat64Pair$$' -benchtime 10000000x -count 5 ./internal/xrand/ ; \
 	  $(BENCH) -bench '^BenchmarkStreamSeek$$' -benchtime 100x -count 5 ./internal/xrand/ ; \
 	  $(BENCH) -bench '^BenchmarkNewStream$$' -benchtime 10000x -count 5 ./internal/xrand/ ; \

@@ -58,19 +58,21 @@ type Host struct {
 }
 
 // Result is one benchmark: a parsed result line, or the per-column median
-// of Runs such lines.
+// of Runs such lines. Metrics holds the columns of any other unit, such as
+// those b.ReportMetric adds, keyed by unit.
 type Result struct {
-	Name        string  `json:"name"`
-	Runs        int     `json:"runs"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"b_per_op,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	Name        string             `json:"name"`
+	Runs        int                `json:"runs"`
+	Iterations  int64              `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  float64            `json:"b_per_op,omitempty"`
+	AllocsPerOp float64            `json:"allocs_per_op"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 // parseLine parses a `go test -bench` result line of the form
 //
-//	BenchmarkName-8   1234   5678 ns/op   90 B/op   1 allocs/op
+//	BenchmarkName-8   1234   5678 ns/op   90 B/op   1 allocs/op   12 widgets
 //
 // returning ok=false for any line that is not a benchmark result.
 func parseLine(line string) (Result, bool) {
@@ -95,6 +97,11 @@ func parseLine(line string) (Result, bool) {
 			r.BytesPerOp = v
 		case "allocs/op":
 			r.AllocsPerOp = v
+		default:
+			if r.Metrics == nil {
+				r.Metrics = map[string]float64{}
+			}
+			r.Metrics[fields[i+1]] = v
 		}
 	}
 	if r.NsPerOp == 0 {
@@ -129,7 +136,8 @@ func median(vals []float64) float64 {
 }
 
 // fold merges the samples of each benchmark name into one row, in
-// first-seen order, holding the median of every column.
+// first-seen order, holding the median of every column; a metric's median
+// is over the samples that report it.
 func fold(samples []Result) []Result {
 	byName := map[string][]Result{}
 	var order []string
@@ -149,14 +157,27 @@ func fold(samples []Result) []Result {
 			}
 			return median(vals)
 		}
-		out = append(out, Result{
+		row := Result{
 			Name:        name,
 			Runs:        len(rs),
 			Iterations:  int64(col(func(r Result) float64 { return float64(r.Iterations) })),
 			NsPerOp:     col(func(r Result) float64 { return r.NsPerOp }),
 			BytesPerOp:  col(func(r Result) float64 { return r.BytesPerOp }),
 			AllocsPerOp: col(func(r Result) float64 { return r.AllocsPerOp }),
-		})
+		}
+		metrics := map[string][]float64{}
+		for _, r := range rs {
+			for unit, v := range r.Metrics {
+				metrics[unit] = append(metrics[unit], v)
+			}
+		}
+		for unit, vals := range metrics {
+			if row.Metrics == nil {
+				row.Metrics = map[string]float64{}
+			}
+			row.Metrics[unit] = median(vals)
+		}
+		out = append(out, row)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -31,7 +32,14 @@ func TestParseLine(t *testing.T) {
 
 	// Without -benchmem there are no alloc columns.
 	r, ok = parseLine("BenchmarkStepSlot/seq/n=200-8 \t 9999 \t 100.5 ns/op")
-	if !ok || r.NsPerOp != 100.5 || r.AllocsPerOp != 0 {
+	if !ok || r.NsPerOp != 100.5 || r.AllocsPerOp != 0 || r.Metrics != nil {
+		t.Fatalf("parsed %+v ok=%v", r, ok)
+	}
+
+	// b.ReportMetric units are kept, keyed by unit.
+	r, ok = parseLine("BenchmarkSnapshotRoundTrip/ST/n=1000-2 \t 5 \t 123456 ns/op \t 13012345 snapshot-bytes \t 900 B/op \t 12 allocs/op")
+	if !ok || r.NsPerOp != 123456 || r.BytesPerOp != 900 || r.AllocsPerOp != 12 ||
+		!reflect.DeepEqual(r.Metrics, map[string]float64{"snapshot-bytes": 13012345}) {
 		t.Fatalf("parsed %+v ok=%v", r, ok)
 	}
 }
@@ -54,15 +62,17 @@ func TestBaseName(t *testing.T) {
 }
 
 // -count repeats fold into one row per name, in first-seen order, holding
-// the median of every column: one outlier sample moves nothing.
+// the median of every column: one outlier sample moves nothing. A custom
+// metric's median is over the samples that report it.
 func TestReadRecordFoldsRepeatsByMedian(t *testing.T) {
 	out := `goos: linux
 cpu: Test CPU @ 1GHz
 BenchmarkA/off/n=5-2   100   1000 ns/op   10 B/op   0 allocs/op
 BenchmarkA/off/n=5#01-2   100   9000 ns/op   10 B/op   5 allocs/op
 BenchmarkA/off/n=5-2   100   1100 ns/op   12 B/op   0 allocs/op
-BenchmarkB-2           3     50 ns/op
-BenchmarkB-2           3     70 ns/op
+BenchmarkB-2           3     50 ns/op   7 widgets   2.5 ratio
+BenchmarkB-2           3     70 ns/op   9 widgets
+BenchmarkB-2           3     60 ns/op   8 widgets   0.5 ratio
 PASS
 ok  	repro/x	1.0s
 `
@@ -75,13 +85,14 @@ ok  	repro/x	1.0s
 	}
 	want := []Result{
 		{Name: "BenchmarkA/off/n=5", Runs: 3, Iterations: 100, NsPerOp: 1100, BytesPerOp: 10, AllocsPerOp: 0},
-		{Name: "BenchmarkB", Runs: 2, Iterations: 3, NsPerOp: 60},
+		{Name: "BenchmarkB", Runs: 3, Iterations: 3, NsPerOp: 60,
+			Metrics: map[string]float64{"widgets": 8, "ratio": 1.5}},
 	}
 	if len(rec.Results) != len(want) {
 		t.Fatalf("results = %+v", rec.Results)
 	}
 	for i := range want {
-		if rec.Results[i] != want[i] {
+		if !reflect.DeepEqual(rec.Results[i], want[i]) {
 			t.Errorf("result %d = %+v, want %+v", i, rec.Results[i], want[i])
 		}
 	}
@@ -96,7 +107,7 @@ ok  	repro/x	1.0s
 		t.Fatal(err)
 	}
 	back, err := loadRecord(path)
-	if err != nil || back.Host != rec.Host || len(back.Results) != 2 || back.Results[1] != want[1] {
+	if err != nil || back.Host != rec.Host || len(back.Results) != 2 || !reflect.DeepEqual(back.Results[1], want[1]) {
 		t.Errorf("round trip: %+v, %v", back, err)
 	}
 	if lines := strings.Count(string(enc), "\n"); lines != 5+len(want) {

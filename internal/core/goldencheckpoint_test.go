@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/rach"
 	"repro/internal/snapshot"
 )
@@ -87,5 +90,57 @@ func TestGoldenCheckpointRestore(t *testing.T) {
 			t.Errorf("%s: resumed golden run drifted:\n got  slots=%d tx1=%d tx2=%d ops=%d\n want slots=772 tx1=406 tx2=0 ops=195009",
 				l.name, res.ConvergenceSlots, res.Counters.Tx[rach.RACH1], res.Counters.Tx[rach.RACH2], res.Ops)
 		}
+	}
+}
+
+// TestSTCheckpointBytes pins the encoded bytes of two ST checkpoints of the
+// golden deployment under a fault plan, by SHA-256: one mid-merge (several
+// fragments, so the merge protocol's tables, fragments and tree adjacency
+// are all populated) and one during a self-healing repair round (a second
+// merge protocol built over the live devices' links). A change to how the
+// merge protocol is built or stored that moves any byte fails here.
+func TestSTCheckpointBytes(t *testing.T) {
+	cfg := PaperConfig(40, 12345)
+	cfg.MaxSlots = 2500
+	cfg.CheckpointEvery = 150
+	cfg.Faults = &faults.Plan{
+		Version:  faults.PlanSchema,
+		LossRate: 0.05,
+		Actions: []faults.Action{
+			{Kind: faults.KindCrash, At: 260, Device: 3},
+			{Kind: faults.KindCrash, At: 420, Device: 11},
+			{Kind: faults.KindRecover, At: 700, Device: 3},
+			{Kind: faults.KindClockJump, At: 900, Device: 5, Delta: 0.4},
+		},
+		Outages: []faults.Outage{{At: 500, Slots: 120, A: 7, B: -1}},
+	}
+	want := map[int64]string{
+		300:  "5add239f52d0d8830743ba5e16ba97c38a2c6bd46003e388c8e4614d6d540782",
+		1050: "daf3ce837b29fe0810f2bc6372ca1be8c78ec2b64d58616c8c6bb7171c1ddc03",
+	}
+	seen := 0
+	cfg.OnCheckpoint = func(st *snapshot.State) {
+		sum, ok := want[st.Slot]
+		if !ok {
+			return
+		}
+		seen++
+		switch s := st.ST; {
+		case st.Slot == 300 && (s.Tree == nil || len(s.Tree.Fragments) < 2 || len(s.Tree.Edges) == 0):
+			t.Errorf("slot 300: want a tree mid-merge, got %+v", s.Tree)
+		case st.Slot == 1050 && s.Repair == nil:
+			t.Error("slot 1050: want a repair round in progress")
+		}
+		data, err := snapshot.Encode(st)
+		if err != nil {
+			t.Fatalf("encode checkpoint at slot %d: %v", st.Slot, err)
+		}
+		if got := sha256.Sum256(data); hex.EncodeToString(got[:]) != sum {
+			t.Errorf("ST checkpoint at slot %d: sha256 %x, want %s", st.Slot, got, sum)
+		}
+	}
+	ST{}.Run(mustEnv(t, cfg))
+	if seen != len(want) {
+		t.Fatalf("saw %d of the %d pinned checkpoints", seen, len(want))
 	}
 }

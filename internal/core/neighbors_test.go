@@ -160,3 +160,90 @@ func TestResumeRejectsForeignTables(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotNeighborsSymmetric pins the merge protocol's input: after ST's
+// discovery, every row ascends by peer; (i, p, w) is listed exactly when
+// (p, i, w) is, with the same weight bits; w is the mean of the two
+// directions' mean RSSI when both were heard and the one direction's mean
+// otherwise; and, under a presumed-dead mask, dead and presumed devices are
+// absent at both ends.
+func TestSnapshotNeighborsSymmetric(t *testing.T) {
+	cfg := PaperConfig(40, 12345)
+	cfg.MaxSlots = 250 // discovery takes the first two 100-slot periods
+	env := mustEnv(t, cfg)
+	ST{}.Run(env)
+	n := len(env.Devices)
+
+	check := func(label string, presumed []bool) {
+		usable := func(i int) bool { return presumed == nil || (env.Alive[i] && !presumed[i]) }
+		out := snapshotNeighbors(env, presumed)
+		if len(out) != n {
+			t.Fatalf("%s: %d rows for n=%d", label, len(out), n)
+		}
+		want, oneWay, got := 0, 0, 0
+		for i := 0; i < n; i++ {
+			for p := 0; p < n; p++ {
+				_, there := heardEntry(env, i, p)
+				_, back := heardEntry(env, p, i)
+				if usable(i) && usable(p) && (there || back) {
+					want++
+					if there != back {
+						oneWay++
+					}
+				}
+			}
+		}
+		for i, row := range out {
+			got += len(row)
+			for k, nb := range row {
+				p := nb.Peer
+				if k > 0 && p <= row[k-1].Peer {
+					t.Fatalf("%s: row %d does not ascend by peer: %v", label, i, row)
+				}
+				if !usable(i) || !usable(p) {
+					t.Fatalf("%s: unusable pair (%d, %d) listed", label, i, p)
+				}
+				e, there := heardEntry(env, i, p)
+				m, back := heardEntry(env, p, i)
+				var w float64
+				switch {
+				case there && back:
+					w = (float64(env.nbr.mean(e)) + float64(env.nbr.mean(m))) / 2
+				case there:
+					w = float64(env.nbr.mean(e))
+				case back:
+					w = float64(env.nbr.mean(m))
+				default:
+					t.Fatalf("%s: pair (%d, %d) listed but never heard", label, i, p)
+				}
+				if math.Float64bits(nb.Weight) != math.Float64bits(w) {
+					t.Errorf("%s: weight of (%d, %d) = %v, want %v", label, i, p, nb.Weight, w)
+				}
+				found := false
+				for _, r := range out[p] {
+					if r.Peer == i {
+						found = math.Float64bits(r.Weight) == math.Float64bits(nb.Weight)
+					}
+				}
+				if !found {
+					t.Errorf("%s: (%d, %d, %v) has no mirror with the same weight", label, i, p, nb.Weight)
+				}
+			}
+		}
+		if got != want {
+			t.Errorf("%s: %d entries listed, want %d (one per direction of each usable heard pair)", label, got, want)
+		}
+		if oneWay == 0 || oneWay == want {
+			t.Errorf("%s: %d of %d entries heard one way: the fixture must exercise both weight cases", label, oneWay, want)
+		}
+	}
+
+	check("all", nil)
+	presumed := make([]bool, n)
+	presumed[3], presumed[17] = true, true
+	env.Alive[11] = false
+	check("masked", presumed)
+	if out := snapshotNeighbors(env, presumed); len(out[3]) != 0 || len(out[11]) != 0 || len(out[17]) != 0 {
+		t.Error("masked devices kept their rows")
+	}
+}

@@ -363,12 +363,15 @@ func ghsKind(k ghs.MessageKind) rach.Kind {
 }
 
 // snapshotNeighbors converts the devices' neighbour tables into the merge
-// protocol's neighbour lists, each in peer-id order. The weight is the mean
-// observed RSSI in dBm — monotone in PS strength, exactly the paper's
-// "weight of edge is directly proportional to PS strength observed by
-// nodes". A non-nil presumed restricts the lists to devices that are
-// powered on and not presumed dead by the watchdog: a repair round must not
-// route re-attachment through a corpse.
+// protocol's symmetric neighbour lists, each in peer-id order. A pair is a
+// link when either end heard the other (a link heard one way is still
+// usable; the H_Connect handshake confirms it). Its weight is the mean
+// observed RSSI in dBm, averaged over the two directions when both were
+// heard — monotone in PS strength, exactly the paper's "weight of edge is
+// directly proportional to PS strength observed by nodes". A non-nil
+// presumed restricts the lists to devices that are powered on and not
+// presumed dead by the watchdog: a repair round must not route
+// re-attachment through a corpse.
 func snapshotNeighbors(env *Env, presumed []bool) [][]ghs.Neighbor {
 	usable := func(i int) bool { return presumed == nil || (env.Alive[i] && !presumed[i]) }
 	t := env.nbr
@@ -377,9 +380,20 @@ func snapshotNeighbors(env *Env, presumed []bool) [][]ghs.Neighbor {
 		if !usable(i) {
 			continue
 		}
-		for _, e := range t.idx.ByID(i) {
-			if peer := t.idx.Peer(int(e)); t.heard(int(e)) && usable(peer) {
-				out[i] = append(out[i], ghs.Neighbor{Peer: peer, Weight: float64(t.mean(int(e)))})
+		for _, x := range t.idx.ByID(i) {
+			peer := t.idx.Peer(int(x))
+			if !usable(peer) {
+				continue
+			}
+			sum, cnt := 0.0, 0
+			for _, e := range [2]int{int(x), t.idx.Mirror(int(x))} {
+				if t.heard(e) {
+					sum += float64(t.mean(e))
+					cnt++
+				}
+			}
+			if cnt > 0 {
+				out[i] = append(out[i], ghs.Neighbor{Peer: peer, Weight: sum / float64(cnt)})
 			}
 		}
 	}

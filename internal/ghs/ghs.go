@@ -26,7 +26,7 @@ package ghs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -35,9 +35,8 @@ import (
 type Neighbor struct {
 	// Peer is the neighbouring node id.
 	Peer int
-	// Weight is the link weight (proportional to PS strength). The
-	// protocol symmetrizes weights internally by averaging the two
-	// directions when both are present.
+	// Weight is the link weight (proportional to PS strength), the same
+	// in both endpoints' tables.
 	Weight float64
 }
 
@@ -73,8 +72,10 @@ func (k MessageKind) String() string {
 
 // Config configures a protocol run.
 type Config struct {
-	// Neighbors is the per-node discovered neighbour table. It must have
-	// one entry per node; entries may be asymmetric (the run symmetrizes).
+	// Neighbors is the per-node discovered neighbour table, one row per
+	// node, symmetric: v lists u at weight w exactly when u lists v at w
+	// (a one-way entry is a candidate edge for its lister's fragment
+	// only). Self and out-of-range peers are dropped.
 	Neighbors [][]Neighbor
 	// OnMessage, when non-nil, is invoked once per protocol message with
 	// the number of link-layer transmissions it took (>= 1). The core
@@ -117,8 +118,9 @@ type Result struct {
 	// Fragment maps each node to its final fragment representative;
 	// connected graphs end with a single value.
 	Fragment []int
-	// Head maps each fragment representative to the fragment's head node.
-	Head map[int]int
+	// Head holds each fragment's head node, one per fragment, in
+	// ascending representative order.
+	Head []int
 	// Parent is the forest rooted at each fragment head: Parent[head] is
 	// -1, every other node points toward its head along tree edges.
 	Parent []int
@@ -131,11 +133,11 @@ type Result struct {
 type Protocol struct {
 	cfg     Config
 	n       int
-	w       [][]Neighbor
+	w       Adjacency
 	uf      *graph.UnionFind
-	head    map[int]int   // fragment root -> head node
-	size    map[int]int   // fragment root -> member count
-	members map[int][]int // fragment root -> member nodes
+	head    []int   // per fragment root: its head node
+	size    []int   // per fragment root: its member count
+	members [][]int // per fragment root: its members; nil off roots
 	treeAdj [][]int
 	done    bool
 
@@ -152,11 +154,11 @@ func NewProtocol(cfg Config) *Protocol {
 	p := &Protocol{
 		cfg:     cfg,
 		n:       n,
-		w:       symmetrize(n, cfg.Neighbors),
+		w:       pack(cfg.Neighbors),
 		uf:      graph.NewUnionFind(n),
-		head:    make(map[int]int, n),
-		size:    make(map[int]int, n),
-		members: make(map[int][]int, n),
+		head:    make([]int, n),
+		size:    make([]int, n),
+		members: make([][]int, n),
 		treeAdj: make([][]int, n),
 	}
 	for v := 0; v < n; v++ {
@@ -210,18 +212,13 @@ func (p *Protocol) Step() bool {
 	if p.done {
 		return false
 	}
-	roots := make([]int, 0, len(p.members))
-	for r := range p.members {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-
-	// Each fragment selects its heaviest outgoing edge.
-	chosen := make(map[int]graph.Edge)
-	progress := false
+	// Each fragment selects its heaviest outgoing edge, in root order.
+	var chosen []graph.Edge
 	deferred := false
-	for _, r := range roots {
-		frag := p.members[r]
+	for r, frag := range p.members {
+		if frag == nil {
+			continue
+		}
 		// Convergecast + flood accounting: one Report and one
 		// Decision per tree edge of the fragment (|F|-1 each). These
 		// travel regardless of whether an outgoing edge exists —
@@ -239,23 +236,23 @@ func (p *Protocol) Step() bool {
 		ok := false
 		blockedEdge := false
 		for _, u := range frag {
-			for _, e := range p.w[u] {
-				if p.uf.Find(e.Peer) == r {
+			for k := p.w.Off[u]; k < p.w.Off[u+1]; k++ {
+				v := p.w.Peer[k]
+				if p.uf.Find(v) == r {
 					continue // internal edge
 				}
-				if p.cfg.LinkBlocked != nil && p.cfg.LinkBlocked(u, e.Peer) {
+				if p.cfg.LinkBlocked != nil && p.cfg.LinkBlocked(u, v) {
 					blockedEdge = true
 					continue // the split swallows the H_Connect probe
 				}
-				cand := graph.Edge{U: u, V: e.Peer, Weight: e.Weight}
+				cand := graph.Edge{U: u, V: v, Weight: p.w.Weight[k]}
 				if !ok || heavier(cand, best) {
 					best, ok = cand, true
 				}
 			}
 		}
 		if ok {
-			chosen[r] = best
-			progress = true
+			chosen = append(chosen, best)
 			// H_Connect handshake on the chosen edge.
 			p.charge(MsgConnect, best.U, best.V)
 			p.charge(MsgAccept, best.V, best.U)
@@ -263,7 +260,7 @@ func (p *Protocol) Step() bool {
 			deferred = true
 		}
 	}
-	if !progress {
+	if len(chosen) == 0 {
 		if deferred {
 			// Some fragment's only outgoing edges sit across an active
 			// partition: the phase is a stand-down, not a completion.
@@ -279,11 +276,7 @@ func (p *Protocol) Step() bool {
 	// Apply merges. Distinct weights make the chosen edge set acyclic
 	// across fragments; the union-find check drops the one duplicate
 	// arising when two fragments choose the same edge.
-	for _, r := range roots {
-		c, ok := chosen[r]
-		if !ok {
-			continue
-		}
+	for _, c := range chosen {
 		ra, rb := p.uf.Find(c.U), p.uf.Find(c.V)
 		if ra == rb {
 			continue
@@ -304,8 +297,7 @@ func (p *Protocol) Step() bool {
 		}
 		newSize := p.size[ra] + p.size[rb]
 		mergedMembers := append(p.members[winnerRoot], p.members[loserRoot]...)
-		delete(p.members, ra)
-		delete(p.members, rb)
+		p.members[ra], p.members[rb] = nil, nil
 		p.uf.Union(c.U, c.V)
 		nr := p.uf.Find(c.U)
 		p.head[nr] = newHead
@@ -338,11 +330,7 @@ func (p *Protocol) Preseed(edges []graph.Edge) {
 		}
 		mergedMembers := append(p.members[ra], p.members[rb]...)
 		newSize := p.size[ra] + p.size[rb]
-		for _, r := range [2]int{ra, rb} {
-			delete(p.members, r)
-			delete(p.size, r)
-			delete(p.head, r)
-		}
+		p.members[ra], p.members[rb] = nil, nil
 		p.uf.Union(e.U, e.V)
 		nr := p.uf.Find(e.U)
 		p.members[nr] = mergedMembers
@@ -352,13 +340,9 @@ func (p *Protocol) Preseed(edges []graph.Edge) {
 		p.treeAdj[e.V] = append(p.treeAdj[e.V], e.U)
 	}
 	for r, mem := range p.members {
-		h := mem[0]
-		for _, m := range mem[1:] {
-			if m < h {
-				h = m
-			}
+		if mem != nil {
+			p.head[r] = slices.Min(mem)
 		}
-		p.head[r] = h
 	}
 }
 
@@ -370,13 +354,12 @@ func (p *Protocol) Result() Result {
 		Phases:        p.phases,
 		Messages:      p.messages,
 		Transmissions: p.transmissions,
-		Fragment:      make([]int, p.n),
-		Head:          make(map[int]int),
+		Fragment:      p.FragmentIDs(nil),
 	}
-	for v := 0; v < p.n; v++ {
-		r := p.uf.Find(v)
-		res.Fragment[v] = r
-		res.Head[r] = p.head[r]
+	for r, mem := range p.members {
+		if mem != nil {
+			res.Head = append(res.Head, p.head[r])
+		}
 	}
 	res.Parent = rootForest(p.n, p.treeAdj, res.Head)
 	return res
@@ -412,39 +395,24 @@ func canon(e graph.Edge) (int, int) {
 	return e.V, e.U
 }
 
-// symmetrize merges the two directed views of each link: the weight is the
-// average when both directions were discovered, otherwise the single
-// observed value (a link heard one way is still usable; the H_Connect
-// handshake confirms it).
-func symmetrize(n int, nbrs [][]Neighbor) [][]Neighbor {
-	type key struct{ a, b int }
-	sum := make(map[key]float64)
-	cnt := make(map[key]int)
-	for u, list := range nbrs {
-		for _, nb := range list {
-			v := nb.Peer
-			if v == u || v < 0 || v >= n {
-				continue
+// pack lays the neighbour tables out as one CSR, dropping self and
+// out-of-range peers.
+func pack(nbrs [][]Neighbor) Adjacency {
+	n := len(nbrs)
+	w := Adjacency{Off: make([]int, n+1)}
+	for u, row := range nbrs {
+		for _, nb := range row {
+			if nb.Peer != u && nb.Peer >= 0 && nb.Peer < n {
+				w.Peer, w.Weight = append(w.Peer, nb.Peer), append(w.Weight, nb.Weight)
 			}
-			k := key{min(u, v), max(u, v)}
-			sum[k] += nb.Weight
-			cnt[k]++
 		}
+		w.Off[u+1] = len(w.Peer)
 	}
-	out := make([][]Neighbor, n)
-	for k, c := range cnt {
-		wgt := sum[k] / float64(c)
-		out[k.a] = append(out[k.a], Neighbor{Peer: k.b, Weight: wgt})
-		out[k.b] = append(out[k.b], Neighbor{Peer: k.a, Weight: wgt})
-	}
-	for u := range out {
-		sort.Slice(out[u], func(i, j int) bool { return out[u][i].Peer < out[u][j].Peer })
-	}
-	return out
+	return w
 }
 
 // rootForest BFS-roots each tree at its fragment head.
-func rootForest(n int, adj [][]int, heads map[int]int) []int {
+func rootForest(n int, adj [][]int, heads []int) []int {
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = -2 // unvisited
@@ -473,18 +441,4 @@ func rootForest(n int, adj [][]int, heads map[int]int) []int {
 		}
 	}
 	return parent
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

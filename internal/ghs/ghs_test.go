@@ -206,34 +206,6 @@ func TestParentForestRootedAtHead(t *testing.T) {
 	}
 }
 
-func TestAsymmetricNeighborTablesSymmetrized(t *testing.T) {
-	// Node 0 heard node 1 at weight 10; node 1 heard node 0 at weight 6.
-	// The protocol must treat the link as a single symmetric edge (avg 8).
-	nbrs := [][]Neighbor{
-		{{Peer: 1, Weight: 10}},
-		{{Peer: 0, Weight: 6}},
-	}
-	res := Run(Config{Neighbors: nbrs})
-	if len(res.Edges) != 1 {
-		t.Fatal("symmetrized link should join the nodes")
-	}
-	if math.Abs(res.Edges[0].Weight-8) > 1e-12 {
-		t.Errorf("symmetrized weight = %v, want 8", res.Edges[0].Weight)
-	}
-}
-
-func TestOneWayDiscoveryStillUsable(t *testing.T) {
-	// Only node 0 discovered the link; node 1's table is empty.
-	nbrs := [][]Neighbor{
-		{{Peer: 1, Weight: 4}},
-		nil,
-	}
-	res := Run(Config{Neighbors: nbrs})
-	if len(res.Edges) != 1 || res.Edges[0].Weight != 4 {
-		t.Errorf("one-way discovered link unusable: %+v", res.Edges)
-	}
-}
-
 func TestInvalidNeighborEntriesDropped(t *testing.T) {
 	nbrs := [][]Neighbor{
 		{{Peer: 0, Weight: 1}, {Peer: 9, Weight: 1}, {Peer: 1, Weight: 2}},

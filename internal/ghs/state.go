@@ -8,7 +8,7 @@
 package ghs
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -38,8 +38,8 @@ type ProtocolState struct {
 	Transmissions uint64               `json:"transmissions"`
 }
 
-// Adjacency is the symmetrized weighted neighbour tables as one CSR: node
-// u's neighbours are Peer[Off[u]:Off[u+1]], with their link weights in the
+// Adjacency holds the weighted neighbour tables as one CSR: node u's
+// neighbours are Peer[Off[u]:Off[u+1]], with their link weights in the
 // parallel Weight column, in the protocol's row order.
 type Adjacency struct {
 	Off    []int     `json:"off"`
@@ -47,12 +47,16 @@ type Adjacency struct {
 	Weight []float64 `json:"weight"`
 }
 
-// State returns a deep copy of the protocol's state, with fragments sorted
-// by root so the serialized form is byte-stable.
+func (a Adjacency) clone() Adjacency {
+	return Adjacency{Off: slices.Clone(a.Off), Peer: slices.Clone(a.Peer), Weight: slices.Clone(a.Weight)}
+}
+
+// State returns a deep copy of the protocol's state, with fragments in
+// root order so the serialized form is byte-stable.
 func (p *Protocol) State() ProtocolState {
 	st := ProtocolState{
 		N:             p.n,
-		W:             Adjacency{Off: make([]int, p.n+1)},
+		W:             p.w.clone(),
 		UF:            p.uf.State(),
 		TreeAdj:       make([][]int, p.n),
 		Done:          p.done,
@@ -61,16 +65,13 @@ func (p *Protocol) State() ProtocolState {
 		Messages:      p.messages,
 		Transmissions: p.transmissions,
 	}
-	for i, row := range p.w {
-		for _, nb := range row {
-			st.W.Peer, st.W.Weight = append(st.W.Peer, nb.Peer), append(st.W.Weight, nb.Weight)
-		}
-		st.W.Off[i+1] = len(st.W.Peer)
-	}
 	for i := range p.treeAdj {
 		st.TreeAdj[i] = append([]int(nil), p.treeAdj[i]...)
 	}
 	for r, mem := range p.members {
+		if mem == nil {
+			continue
+		}
 		st.Fragments = append(st.Fragments, FragmentState{
 			Root:    r,
 			Head:    p.head[r],
@@ -78,36 +79,27 @@ func (p *Protocol) State() ProtocolState {
 			Members: append([]int(nil), mem...),
 		})
 	}
-	sort.Slice(st.Fragments, func(i, j int) bool { return st.Fragments[i].Root < st.Fragments[j].Root })
 	return st
 }
 
 // RestoreProtocol rebuilds a protocol from a saved state. cfg supplies the
 // accounting and merge hooks (its Neighbors field is ignored — the state
-// carries the symmetrized tables the protocol was built over).
+// carries the tables the protocol was built over).
 func RestoreProtocol(cfg Config, st ProtocolState) *Protocol {
 	p := &Protocol{
 		cfg:           cfg,
 		n:             st.N,
-		w:             make([][]Neighbor, st.N),
+		w:             st.W.clone(),
 		uf:            graph.RestoreUnionFind(st.UF),
-		head:          make(map[int]int, len(st.Fragments)),
-		size:          make(map[int]int, len(st.Fragments)),
-		members:       make(map[int][]int, len(st.Fragments)),
+		head:          make([]int, st.N),
+		size:          make([]int, st.N),
+		members:       make([][]int, st.N),
 		treeAdj:       make([][]int, st.N),
 		done:          st.Done,
 		edges:         append([]graph.Edge(nil), st.Edges...),
 		phases:        st.Phases,
 		messages:      st.Messages,
 		transmissions: st.Transmissions,
-	}
-	w := st.W
-	nbs := make([]Neighbor, len(w.Peer))
-	for k := range nbs {
-		nbs[k] = Neighbor{Peer: w.Peer[k], Weight: w.Weight[k]}
-	}
-	for i := 0; i < st.N && i+1 < len(w.Off); i++ {
-		p.w[i] = nbs[w.Off[i]:w.Off[i+1]:w.Off[i+1]]
 	}
 	for i := 0; i < st.N && i < len(st.TreeAdj); i++ {
 		p.treeAdj[i] = append([]int(nil), st.TreeAdj[i]...)
