@@ -21,11 +21,13 @@ race-core:
 
 # Checkpoint/restore correctness spine under the race detector: resume
 # bit-identity across worker counts, shard layouts and the reference
-# stepper, and the committed golden checkpoint fixture; then the snapshot
-# codec's own tests, and 20 s of fuzzing Decode, whose envelope parser is
-# hand-written.
+# stepper, the committed golden checkpoint fixture, and FST's join frontier
+# matching the scan after a resume, fault plans included (a resumed
+# frontier starts stale and rebuilds under the restored watchdog
+# verdicts); then the snapshot codec's own tests, and 20 s of fuzzing
+# Decode, whose envelope parser is hand-written.
 resume-guard:
-	$(GO) test -race -count 1 -run 'TestResume|TestGoldenCheckpoint|TestSnapshotRoundTrip' ./internal/core/
+	$(GO) test -race -count 1 -run 'TestResume|TestGoldenCheckpoint|TestSnapshotRoundTrip|TestFSTFrontier' ./internal/core/
 	$(GO) test -count 1 ./internal/snapshot/
 	$(GO) test -run '^$$' -fuzz=FuzzSnapshotDecode -fuzztime=20s ./internal/snapshot/
 
@@ -91,6 +93,7 @@ bench:
 	  $(BENCH) -bench '^BenchmarkSnapshotRoundTrip$$/(encode|decode)/n=400' -benchtime 10x -count 3 ./internal/core/ ; \
 	  $(BENCH) -bench '^BenchmarkRun(FST|ST|STSparse)$$/n=200\b' -benchtime 1x -count 5 ./internal/core/ ; \
 	  $(BENCH) -bench '^BenchmarkRun(FST|ST)$$/n=1000' -benchtime 1x -count 3 ./internal/core/ ; \
+	  $(BENCH) -bench '^BenchmarkRunFSTCrash$$/n=400' -benchtime 1x -count 3 ./internal/core/ ; \
 	  $(BENCH) -bench '^BenchmarkBroadcast(Cached|Direct)$$' -benchtime 1000x -count 5 ./internal/rach/ ; \
 	  $(BENCH) -bench '^BenchmarkRun$$' -benchtime 100x -count 5 ./internal/ghs/ ; \
 	  $(BENCH) -bench '^BenchmarkStreamNormFloat64Pair$$' -benchtime 10000000x -count 5 ./internal/xrand/ ; \

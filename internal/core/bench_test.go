@@ -12,6 +12,11 @@ import (
 func benchmarkRun(b *testing.B, proto Protocol, n, period int) {
 	cfg := PaperConfig(n, 7)
 	cfg.PeriodSlots = period
+	benchmarkRunCfg(b, proto, cfg)
+}
+
+func benchmarkRunCfg(b *testing.B, proto Protocol, cfg Config) {
+	n := cfg.N
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -37,6 +42,18 @@ func BenchmarkRunST(b *testing.B) {
 	for _, n := range []int{200, 1000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchmarkRun(b, ST{}, n, 100) })
 	}
+}
+
+// BenchmarkRunFSTCrash is FST under a fault plan: the top 20% of ids crash
+// at slot 4500, after the tree completes (perfbench async-recovery's FST
+// configuration). Every join, the initial growth included, is picked from
+// the frontier with the plan's exclusion and partition filters applied.
+func BenchmarkRunFSTCrash(b *testing.B) {
+	b.Run("n=400", func(b *testing.B) {
+		cfg := PaperConfig(400, 7)
+		cfg.Faults = crashWave(cfg.N, 4500)
+		benchmarkRunCfg(b, FST{}, cfg)
+	})
 }
 
 // BenchmarkRunSTSparse is the regime next-event stepping exists for: an LTE

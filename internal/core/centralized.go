@@ -24,10 +24,11 @@ import (
 //     random access: it picks a random uplink slot in a contention window;
 //     two UEs in the same slot collide and both retry in the next window.
 //  3. When all reports are in, the eNB computes the maximum spanning tree
-//     centrally (Kruskal on the symmetrized tables), then broadcasts the
-//     tree and the common timing reference (one downlink message). Every
-//     UE adopts the BS clock — network-assisted synchronization is
-//     immediate.
+//     centrally (Kruskal over every heard pair, weighted by the lower id's
+//     mean RSSI for the pair, or by the higher id's when the lower id did
+//     not hear it), then broadcasts the tree and the common timing
+//     reference (one downlink message). Every UE adopts the BS clock —
+//     network-assisted synchronization is immediate.
 //
 // Accounting: uplink reports are charged to the RACH1 counters (they ride
 // the random access channel, retries included); the two downlink broadcasts

@@ -131,7 +131,8 @@ type engine struct {
 	// heard, when set, receives every wave's applied delivery list on the
 	// loop goroutine once the wave's deliveries settled (the list still
 	// names powered-off receivers, which recorded nothing) — the feed FST's
-	// join frontier stays current from, whatever the worker count.
+	// join frontier stays current from, whatever the worker count and with
+	// or without a fault plan.
 	heard func(dels []rach.Delivery)
 	// phasesBuf is the reusable alive-phase snapshot sampling reads.
 	phasesBuf []float64

@@ -25,7 +25,8 @@ import (
 //     every join round likewise charges a scan of every neighbour table.
 //     Both are the *modelled* cost, counted in Result.Ops: the simulator
 //     itself finds the heaviest outgoing edge from an incremental frontier
-//     (fstFrontier) and charges the scan arithmetically;
+//     (fstFrontier), fault plan or not, and charges the scan
+//     arithmetically;
 //   - a single RACH codec carries everything, so join handshakes ride the
 //     same codec as sync pulses.
 //
@@ -38,7 +39,10 @@ import (
 // sequential machinery allows: the tree is pruned to the component still
 // containing its lowest-id live member, and every evicted survivor (and
 // recovered device) re-joins one RACH opportunity at a time — the same
-// O(n)-flavoured growth loop, now paid again per healing round.
+// O(n)-flavoured growth loop, now paid again per healing round. The frontier
+// picks those re-joins too: it is marked stale whenever a prune, a device
+// coming back (recovery, join or a lifted presumption) or a partition edge
+// could bring back an edge it dropped, and rebuilt at the next pick.
 type FST struct{}
 
 // Name implements Protocol.
@@ -55,6 +59,11 @@ func (FST) Run(env *Env) Result {
 		nextRound:  units.Slot(cfg.DiscoveryPeriods * cfg.PeriodSlots),
 		roundSlots: units.Slot(cfg.FstRoundSlots),
 	}
+	// The heaviest outgoing edge comes from the incremental frontier. It
+	// starts stale: the first pick, fresh or resumed, rebuilds it from one
+	// walk of the members' rows.
+	t.front = &fstFrontier{env: env, inTree: t.inTree, presumed: h.presumedDead, blocked: h.linkBlocked, stale: true}
+	h.eng.heard = t.front.heard
 	// Under a fault plan the baseline tracks its tree as parent pointers
 	// so the healing prune can find the component that keeps the root.
 	if h.flt != nil {
@@ -63,13 +72,6 @@ func (FST) Run(env *Env) Result {
 		for i := range t.parent {
 			t.parent[i] = -1
 		}
-	} else {
-		// Fault-free, the tree only grows and no split vetoes a link, so
-		// the heaviest outgoing edge comes from the incremental frontier.
-		// It starts stale: the first pick, fresh or resumed, rebuilds it
-		// from one scan.
-		t.front = &fstFrontier{env: env, inTree: t.inTree, stale: true}
-		h.eng.heard = t.front.heard
 	}
 	// Tree members couple to every PS heard from other members (one
 	// growing fragment); outsiders free-run until they join and adopt.
@@ -97,6 +99,7 @@ func (FST) Run(env *Env) Result {
 		t.joined = fs.Joined
 		t.joinedLive = t.joined
 		t.nextRound = units.Slot(fs.NextRound)
+		t.lastPick = units.Slot(rst.Slot)
 		if ffs := fs.Faults; ffs != nil && h.flt != nil {
 			h.restoreWatch(ffs.LastFired, ffs.PresumedDead, ffs.Synced, ffs.EpisodeOpen, ffs.EpisodeStart, ffs.NextWatch)
 			copy(t.parent, ffs.Parent)
@@ -132,9 +135,10 @@ type fstTree struct {
 	nextRound  units.Slot
 	roundSlots units.Slot
 
-	// front finds the heaviest outgoing edge without a scan (nil under a
-	// fault plan, whose pruning and partitions keep fstBestOutgoing).
-	front *fstFrontier
+	// front finds the heaviest outgoing edge without a scan; lastPick is
+	// the slot of its last pick (or of the resumed checkpoint).
+	front    *fstFrontier
+	lastPick units.Slot
 
 	// Fault-layer state: parent pointers (nil without a plan), the healing
 	// flag (the tree is structurally stale; exit waits until it regrows)
@@ -165,15 +169,14 @@ func (t *fstTree) round(slot units.Slot) bool {
 		t.front.join(r)
 	}
 	// A join handshake cannot cross an active network split (linkBlocked),
-	// nor reach a presumed-dead device.
-	var u, v int
-	var ok bool
-	ops := h.res.Ops
-	if t.front != nil {
-		u, v, ok = t.front.best(&h.res.Ops)
-	} else {
-		u, v, ok = fstBestOutgoing(env, t.inTree, h.presumedDead, h.linkBlocked, &h.res.Ops)
+	// nor reach a presumed-dead device; a split starting or lifting since
+	// the last pick changes which links it blocks.
+	if at, ok := h.flt.NextPartitionEdge(t.lastPick); ok && at <= slot {
+		t.front.markStale(staleEdge)
 	}
+	t.lastPick = slot
+	ops := h.res.Ops
+	u, v, ok := t.front.best(&h.res.Ops)
 	if probe := env.Cfg.fstPick; probe != nil {
 		probe(t, u, v, ok, h.res.Ops-ops)
 	}
@@ -217,26 +220,36 @@ func (t *fstTree) applied(slot units.Slot, ap appliedFaults) {
 	}
 	if len(ap.recovered) > 0 {
 		t.healing = true
+		t.front.markStale(staleReturn)
 	}
 	// A rebooted member's old attachment is stale, like a presumed one's:
 	// prune it (and anything it orphaned) back out so it re-joins from
 	// scratch.
-	t.suspect(slot, ap.recovered)
+	t.prune(ap.recovered)
+	t.reaim(slot)
 }
 
 // suspect prunes the tree around presumed members; the join loop re-grows
-// it.
+// it. With nil, a presumption lifted: its device may join again.
 func (t *fstTree) suspect(slot units.Slot, presumed []int) {
-	restructure := false
-	for _, d := range presumed {
-		restructure = restructure || t.inTree[d]
+	if presumed == nil {
+		t.front.markStale(staleReturn)
 	}
-	if restructure {
-		t.healing = true
-		t.joined, t.joinedLive = fstRestructure(t.h.env, t.inTree, t.parent, t.h.presumedDead)
-		t.pruned = true
-	}
+	t.prune(presumed)
 	t.reaim(slot)
+}
+
+// prune restructures the tree if any of devs is a member.
+func (t *fstTree) prune(devs []int) {
+	for _, d := range devs {
+		if t.inTree[d] {
+			t.healing = true
+			t.joined, t.joinedLive = fstRestructure(t.h.env, t.inTree, t.parent, t.h.presumedDead)
+			t.pruned = true
+			t.front.markStale(stalePrune)
+			return
+		}
+	}
 }
 
 // reaim restarts the join cadence if it went stale while the tree was
@@ -318,56 +331,14 @@ func fstLinkWeight(env *Env, u, v int) float64 {
 	return 0
 }
 
-// fstBestOutgoing scans every tree member's neighbour table (and every
-// outsider's view toward tree members) for the heaviest edge leaving the
-// tree, ranked by the *latest* RSSI sample. The scan work is charged to the
-// ops counter — this is the baseline's O(n²)-flavoured per-round cost. It
-// picks every join under a fault plan, and is the oracle the fault-free
-// frontier (fstFrontier) is tested against. Under a fault plan (non-nil
-// presumed) powered-off and presumed-dead devices neither scan nor qualify
-// as endpoints, and edges the blocked predicate vetoes (an active network
-// split) cannot carry the join handshake. For plans without partitions the presumed check adds nothing
-// (a presumed device there is really dead) and nothing is ever blocked.
-func fstBestOutgoing(env *Env, inTree []bool, presumed []bool, blocked func(int, int) bool, ops *uint64) (u, v int, ok bool) {
-	excluded := func(i int) bool { return presumed != nil && (!env.Alive[i] || presumed[i]) }
-	t := env.nbr
-	best := -1e18
-	for i := range env.Devices {
-		if excluded(i) {
-			continue
-		}
-		*ops += uint64(t.links[i])
-		for _, e := range t.idx.ByID(i) {
-			peer := t.idx.Peer(int(e))
-			if !t.heard(int(e)) || excluded(peer) || (blocked != nil && blocked(i, peer)) {
-				continue
-			}
-			var tu, tv int
-			switch {
-			case inTree[i] && !inTree[peer]:
-				tu, tv = i, peer
-			case !inTree[i] && inTree[peer]:
-				tu, tv = peer, i
-			default:
-				continue
-			}
-			w := float64(t.last[e])
-			// Deterministic tie-break keeps runs reproducible even
-			// in the measure-zero case of equal samples.
-			if !ok || w > best || (w == best && (tu < u || (tu == u && tv < v))) {
-				best, u, v, ok = w, tu, tv, true
-			}
-		}
-	}
-	return u, v, ok
-}
-
-// fstFrontier is the fault-free baseline's join frontier: a lazy max-heap
-// of the directed observations that cross the tree boundary, so a join
-// round finds what fstBestOutgoing's scan would pick without walking every
-// neighbour table. Each entry carries one observation's latest RSSI as its
+// fstFrontier is the baseline's join frontier: a lazy max-heap of the
+// directed observations that cross the tree boundary, so a join round finds
+// what the modelled scan of every neighbour table would pick without
+// walking them. Each entry carries one observation's latest RSSI as its
 // key, oriented (tree member u, outsider v), and ranks exactly like the
-// scan: heavier first, then the lower (u, v).
+// scan: heavier first, then the lower (u, v). Under a fault plan it applies
+// the scan's filters: an excluded device (powered off or presumed dead)
+// is no endpoint, and an edge an active partition blocks carries no join.
 //
 // The heap holds an entry for every current crossing observation, or is
 // marked stale: crossing deliveries push on the loop goroutine once each
@@ -375,10 +346,15 @@ func fstBestOutgoing(env *Env, inTree []bool, presumed []bool, blocked func(int,
 // entry for each outsider and, through the mirror, the outsider's entry
 // for it, and a stale heap — at the first pick, fresh or resumed, or after
 // its buffer filled — is rebuilt from one walk of the members' rows.
-// Entries whose outsider joined since, or whose RSSI is no longer the
-// latest sample in either direction, are dropped when they surface. The
-// tree only grows without a fault plan, so a dropped entry can never
-// become current again.
+// Entries whose outsider joined since, whose RSSI is no longer the latest
+// sample in either direction, whose endpoint is excluded or whose edge is
+// blocked are dropped when they surface. Between stale marks a dropped
+// entry can never become current again: the tree only grows, exclusions
+// only begin and blocked links stay blocked. Whatever could undo one of
+// those marks the heap stale (markStale): a prune, a device that stops
+// being excluded (recovery, join, a lifted presumption) and a partition
+// starting or lifting. Those come once per crash wave or split, not once
+// per round.
 //
 // The buffer is allocated once per run, at the first rebuild, to hold every
 // candidate link the transport could ever deliver along (or twice the
@@ -386,10 +362,36 @@ func fstBestOutgoing(env *Env, inTree []bool, presumed []bool, blocked func(int,
 // buffer again costs one rebuild per buffer's worth of pushes, so the
 // scan's O(links) cost is paid per buffer, not per round.
 type fstFrontier struct {
-	env    *Env
-	inTree []bool
-	heap   []fstEdge
-	stale  bool
+	env      *Env
+	inTree   []bool
+	presumed []bool                  // watchdog verdicts; nil without a fault plan
+	blocked  func(from, to int) bool // active network split; nil without a plan
+	heap     []fstEdge
+	stale    bool
+	marks    [staleCauses]int // stale marks by cause, for the tests
+}
+
+// staleCause is why the frontier was marked stale.
+type staleCause int
+
+const (
+	stalePrune  staleCause = iota // the tree was pruned
+	staleReturn                   // a device stopped being excluded
+	staleEdge                     // a partition started or lifted
+	staleCauses
+)
+
+// markStale makes the next pick rebuild the heap.
+func (f *fstFrontier) markStale(c staleCause) {
+	f.stale = true
+	f.marks[c]++
+}
+
+// excluded reports whether device i is powered off or presumed dead: it
+// neither scans nor qualifies as a join endpoint. Never without a fault
+// plan.
+func (f *fstFrontier) excluded(i int) bool {
+	return f.presumed != nil && (!f.env.Alive[i] || f.presumed[i])
 }
 
 // fstEdge is one frontier entry: the observed RSSI w on link (u, v), u in
@@ -399,7 +401,7 @@ type fstEdge struct {
 	u, v int32
 }
 
-// above reports whether a ranks before b: fstBestOutgoing's tie-break.
+// above reports whether a ranks before b: the scan's tie-break.
 func (a fstEdge) above(b fstEdge) bool {
 	if a.w != b.w {
 		return a.w > b.w
@@ -431,19 +433,23 @@ func (f *fstFrontier) heard(dels []rach.Delivery) {
 
 // join pushes the observations device v's joining made crossing.
 func (f *fstFrontier) join(v int) {
-	if f != nil && !f.stale {
+	if !f.stale {
 		f.crossings(v, f.push)
 	}
 }
 
 // crossings passes fn every observation crossing the tree boundary at
 // member v, in one walk of v's row: v's entry for each outsider, and its
-// mirror, the outsider's entry for v.
+// mirror, the outsider's entry for v. Excluded devices and blocked edges
+// contribute nothing.
 func (f *fstFrontier) crossings(v int, fn func(fstEdge)) {
+	if f.excluded(v) {
+		return
+	}
 	t := f.env.nbr
 	for _, e := range t.idx.ByID(v) {
 		p := t.idx.Peer(int(e))
-		if f.inTree[p] {
+		if f.inTree[p] || f.excluded(p) || (f.blocked != nil && f.blocked(v, p)) {
 			continue
 		}
 		for _, x := range [2]int{int(e), t.idx.Mirror(int(e))} {
@@ -454,12 +460,15 @@ func (f *fstFrontier) crossings(v int, fn func(fstEdge)) {
 	}
 }
 
-// best returns the heaviest outgoing edge, as fstBestOutgoing would, and
-// charges ops the scan it models: the size of every neighbour table.
+// best returns the heaviest outgoing edge, as the scan would, and charges
+// ops the scan it models: the size of every non-excluded device's
+// neighbour table.
 func (f *fstFrontier) best(ops *uint64) (u, v int, ok bool) {
 	links := 0
-	for _, l := range f.env.nbr.links {
-		links += int(l)
+	for i, l := range f.env.nbr.links {
+		if !f.excluded(i) {
+			links += int(l)
+		}
 	}
 	*ops += uint64(links)
 	if f.stale {
@@ -475,10 +484,11 @@ func (f *fstFrontier) best(ops *uint64) (u, v int, ok bool) {
 }
 
 // current reports whether e is still a crossing observation's latest
-// sample, in either direction.
+// sample, in either direction, between non-excluded devices over an
+// unblocked edge.
 func (f *fstFrontier) current(e fstEdge) bool {
 	u, v := int(e.u), int(e.v)
-	if !f.inTree[u] || f.inTree[v] {
+	if !f.inTree[u] || f.inTree[v] || f.excluded(u) || f.excluded(v) || (f.blocked != nil && f.blocked(u, v)) {
 		return false
 	}
 	t := f.env.nbr
@@ -492,8 +502,8 @@ func (f *fstFrontier) current(e fstEdge) bool {
 	return false
 }
 
-// rebuild refills the heap from one walk of every tree member's row (links
-// table entries in all).
+// rebuild refills the heap from one walk of every non-excluded tree
+// member's row (at most links entries in all).
 func (f *fstFrontier) rebuild(links int) {
 	if cap(f.heap) < links {
 		f.heap = make([]fstEdge, 0, max(2*links, f.env.nbr.idx.Pairs()))

@@ -149,6 +149,37 @@ func TestInjectorScheduling(t *testing.T) {
 	}
 }
 
+func TestInjectorPartitionEdges(t *testing.T) {
+	p := validPlan()
+	p.Partitions = []Partition{
+		{At: 300, Slots: 400, Group: []int{0, 1}},
+		{At: 600, Slots: 50, Group: []int{2}},
+	}
+	inj := NewInjector(p, xrand.NewStreams(1).Get("faults"))
+	for _, c := range []struct {
+		after    units.Slot
+		edge, at units.Slot // next partition edge, next boundary
+	}{
+		{0, 300, 200},   // the join action comes first
+		{300, 600, 500}, // and the crash
+		{600, 650, 650},
+		{650, 700, 700}, // the first split lifts with the clock jump
+	} {
+		if at, ok := inj.NextPartitionEdge(c.after); !ok || at != c.edge {
+			t.Errorf("NextPartitionEdge(%d) = %d,%v, want %d,true", c.after, at, ok, c.edge)
+		}
+		if at, ok := inj.NextBoundary(c.after); !ok || at != c.at {
+			t.Errorf("NextBoundary(%d) = %d,%v, want %d,true", c.after, at, ok, c.at)
+		}
+	}
+	if _, ok := inj.NextPartitionEdge(700); ok {
+		t.Error("NextPartitionEdge after the last lift reported a slot")
+	}
+	if _, ok := (*Injector)(nil).NextPartitionEdge(0); ok {
+		t.Error("a nil injector reported a partition edge")
+	}
+}
+
 func TestInjectorDrops(t *testing.T) {
 	p := &Plan{Version: PlanSchema, Outages: []Outage{
 		{At: 100, Slots: 50, A: 2, B: 4},

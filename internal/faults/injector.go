@@ -83,14 +83,27 @@ func (inj *Injector) InitialDead() []int {
 // do — the protocols' repair scheduling observes the split starting and
 // lifting even when no oscillator fires at those slots.
 func (inj *Injector) NextBoundary(after units.Slot) (units.Slot, bool) {
-	var best units.Slot
-	ok := false
+	best, ok := inj.NextPartitionEdge(after)
 	for i := inj.cursor; i < len(inj.actions); i++ {
 		if at := units.Slot(inj.actions[i].At); at > after {
-			best, ok = at, true
+			if !ok || at < best {
+				best, ok = at, true
+			}
 			break
 		}
 	}
+	return best, ok
+}
+
+// NextPartitionEdge returns the slot of the earliest partition start or lift
+// after `after`: the slots at which the set of links a split blocks changes.
+// Safe on a nil injector.
+func (inj *Injector) NextPartitionEdge(after units.Slot) (units.Slot, bool) {
+	if inj == nil {
+		return 0, false
+	}
+	var best units.Slot
+	ok := false
 	for _, pt := range inj.partitions {
 		for _, edge := range [2]int64{pt.at, pt.end} {
 			if at := units.Slot(edge); at > after && (!ok || at < best) {
